@@ -10,9 +10,7 @@ import argparse
 import pathlib
 import sys
 
-from ptbounds.cli import main as cli_main
-
-TARGETS = ("eq8", "eq10", "prop1", "eq13")
+from ptbounds.cli import _REPRO_TARGETS, main as cli_main
 
 
 def run(argv=None) -> int:
@@ -29,7 +27,7 @@ def run(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     worst = 0
-    for target in TARGETS:
+    for target in _REPRO_TARGETS:
         out_file = outdir / f"{target}.json"
         code = cli_main([
             "repro", target,

@@ -207,6 +207,8 @@ class Box:
         expected = (self.nx, self.ny, self.na, self.nb)
         if self.p.shape != expected:
             raise ValidationError(f"box table has shape {self.p.shape}, expected {expected}")
+        if not np.isfinite(self.p).all():
+            raise ValidationError("box has non-finite entries")
         if float(self.p.min()) < -TOL.assertion:
             raise ValidationError(f"box has negative probability {self.p.min():.3e}")
         sums = self.p.sum(axis=(2, 3))
@@ -239,6 +241,18 @@ def _scenario_match(f: BellFunctional, nx, ny, na, nb, what: str) -> None:
                               f"does not match {(nx, ny, na, nb)}")
 
 
+def _realigned(rho: CMatrix) -> tuple[np.ndarray, int, int]:
+    """rho realigned as R[(a',a),(b',b)] = rho[(a',b'),(a,b)], plus dim_A and dim_B.
+
+    Then Tr[(A x B) rho] = vec(A^T)^T R vec(B^T), with vec flattening
+    row-major, and R.T is the same form with the parties swapped.
+    """
+    coll = collect_parties(rho)
+    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
+    r = coll.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    return r, da, db
+
+
 def bell_operator(f: BellFunctional, meas: MeasurementFamily,
                   transpose_b: bool = False) -> CMatrix:
     """Assemble sum_xyab s[x,y,a,b] A_(a|x) x B_(b|y), optionally with B transposed."""
@@ -246,37 +260,26 @@ def bell_operator(f: BellFunctional, meas: MeasurementFamily,
     if len(meas.alice) != f.nx or len(meas.bob) != f.ny:
         raise ValidationError("bell_operator: measurement family has wrong input count")
     da, db = meas.dim_a, meas.dim_b
-    out = np.zeros((da * db, da * db), dtype=np.complex128)
-    for x in range(f.nx):
-        for y in range(f.ny):
-            block = f.coeffs[x, y]
-            for a in range(f.na):
-                for b in range(f.nb):
-                    c = block[a, b]
-                    if c == 0.0:
-                        continue
-                    eb = meas.bob[y][b].T if transpose_b else meas.bob[y][b]
-                    out += c * np.kron(meas.alice[x][a], eb)
-    return CMatrix(out, SystemLayout.bipartite(da, db), hermitian=True)
+    bob = np.array(meas.bob)
+    if transpose_b:
+        bob = bob.transpose(0, 1, 3, 2)
+    out = np.einsum("xyab,xaij,ybkl->ikjl", f.coeffs, np.array(meas.alice), bob, optimize=True)
+    return CMatrix(out.reshape(da * db, da * db), SystemLayout.bipartite(da, db), hermitian=True)
 
 
 def box_from(rho: CMatrix, meas: MeasurementFamily) -> Box:
     """Born-rule box p(ab|xy) = Tr[(A_(a|x) x B_(b|y)) rho]."""
-    coll = collect_parties(rho)
-    da, db = meas.dim_a, meas.dim_b
-    if coll.dim != da * db:
-        raise ValidationError(f"state dimension {coll.dim} does not match measurements "
-                              f"{da}x{db}")
-    r4 = coll.mat.reshape(da, db, da, db)
-    nx, ny = len(meas.alice), len(meas.bob)
-    na, nb = len(meas.alice[0]), len(meas.bob[0])
-    p = np.empty((nx, ny, na, nb))
-    for x in range(nx):
-        for a in range(na):
-            ka = np.einsum("in,nmik->mk", meas.alice[x][a], r4)
-            for y in range(ny):
-                for b in range(nb):
-                    p[x, y, a, b] = float(np.trace(meas.bob[y][b] @ ka).real)
+    r, da, db = _realigned(rho)
+    if (da, db) != (meas.dim_a, meas.dim_b):
+        raise ValidationError(f"state dimensions {da}x{db} do not match measurements "
+                              f"{meas.dim_a}x{meas.dim_b}")
+    alice = np.array(meas.alice)
+    bob = np.array(meas.bob)
+    nx, na = alice.shape[:2]
+    ny, nb = bob.shape[:2]
+    va = alice.transpose(0, 1, 3, 2).reshape(nx * na, da * da)
+    vb = bob.transpose(0, 1, 3, 2).reshape(ny * nb, db * db)
+    p = (va @ r @ vb.T).real.reshape(nx, na, ny, nb).transpose(0, 2, 1, 3)
     return Box(nx, ny, na, nb, p)
 
 
@@ -305,32 +308,29 @@ class SeesawResult:
         return iter((self.value, self.measurements))
 
 
-def _half_step(r4: np.ndarray, coeffs: np.ndarray, own: list[list[np.ndarray]],
-               other: list[list[np.ndarray]], alice_side: bool) -> None:
-    """Replace one party's binary measurements by the eigen-projector optimum."""
-    n_own = len(own)
-    n_other = len(other)
-    if alice_side:
-        reduced = [[np.einsum("jm,ambj->ab", e, r4) for e in povm] for povm in other]
-    else:
-        reduced = [[np.einsum("in,nmik->mk", e, r4) for e in povm] for povm in other]
-    d = own[0][0].shape[0]
-    for x in range(n_own):
-        k0 = np.zeros((d, d), dtype=np.complex128)
-        k1 = np.zeros((d, d), dtype=np.complex128)
-        for y in range(n_other):
-            for b in range(2):
-                if alice_side:
-                    k0 += coeffs[x, y, 0, b] * reduced[y][b]
-                    k1 += coeffs[x, y, 1, b] * reduced[y][b]
-                else:
-                    k0 += coeffs[y, x, b, 0] * reduced[y][b]
-                    k1 += coeffs[y, x, b, 1] * reduced[y][b]
-        diff = k0 - k1
+def _best_response(r: np.ndarray, coeffs: np.ndarray,
+                   other: list[list[np.ndarray]]) -> tuple[list[list[np.ndarray]], float]:
+    """One party's optimal binary projectors against the other's fixed POVMs, and their value.
+
+    ``r`` has this party on the rows (R for Alice, R.T for Bob); ``coeffs``
+    is indexed [own input, other input, own outcome, other outcome].
+    """
+    d, d_other = math.isqrt(r.shape[0]), math.isqrt(r.shape[1])
+    cols = np.stack([e0.T.reshape(-1) for e0, _ in other] + [np.eye(d_other).reshape(-1)], axis=1)
+    # r @ cols holds M_E = Tr_other[(I x E) rho] for E = E_(0|y) and I; E_1 = I - E_0 then
+    # gives K_(a|x) = sum_y (s[x,y,a,0] - s[x,y,a,1]) M_(0|y) + s[x,y,a,1] M_I
+    weights = np.concatenate([(coeffs[..., 0] - coeffs[..., 1]).transpose(1, 0, 2),
+                              coeffs[..., 1].sum(axis=1)[None]])
+    k = ((r @ cols) @ weights.reshape(cols.shape[1], -1)).reshape(d, d, -1, 2)
+    own, value = [], 0.0
+    for x in range(k.shape[2]):
+        diff = k[:, :, x, 0] - k[:, :, x, 1]
         w, v = np.linalg.eigh((diff + diff.conj().T) / 2)
         pos = v[:, w > 0.0]
         proj = pos @ pos.conj().T
-        own[x] = [proj, np.eye(d) - proj]
+        own.append([proj, np.eye(d) - proj])
+        value += float(np.trace(k[:, :, x, 1]).real + w[w > 0.0].sum())
+    return own, value
 
 
 def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
@@ -343,6 +343,13 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
     objective therefore never decreases.  Restarts draw Haar-like random
     projective measurements from one seeded generator, making the whole run
     deterministic for a fixed seed.
+
+    Both parties read the state through R[(a',a),(b',b)] = rho[(a',b'),(a,b)],
+    realigned once, since Tr[(A x B) rho] = vec(A^T)^T R vec(B^T); Bob uses
+    R.T.  With E_1 = I - E_0 a half-step is one GEMM over the other party's
+    vec(E_0^T) and vec(I), and its value comes from the eigenvalues it has
+    already computed: sum_x Tr K_(1|x) plus the positive eigenvalues of
+    K_(0|x) - K_(1|x), K_(a|x) being the score operator of outcome a.
 
     Parameters
     ----------
@@ -363,24 +370,9 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
         raise ValidationError("seesaw handles binary outcomes only")
     if restarts < 1:
         raise ValidationError("seesaw needs at least one restart")
-    coll = collect_parties(rho)
-    da = coll.layout.dim_of("A")
-    db = coll.layout.dim_of("B")
-    r4 = coll.mat.reshape(da, db, da, db)
+    r, da, db = _realigned(rho)
     rng = np.random.default_rng(seed)
-    coeffs = f.coeffs
-
-    def objective(alice, bob) -> float:
-        val = 0.0
-        for y in range(f.ny):
-            for b in range(2):
-                kb = np.einsum("jm,ambj->ab", bob[y][b], r4)
-                for x in range(f.nx):
-                    for a in range(2):
-                        c = coeffs[x, y, a, b]
-                        if c != 0.0:
-                            val += float(c) * float(np.trace(alice[x][a] @ kb).real)
-        return val
+    coeffs_bob = f.coeffs.transpose(1, 0, 3, 2)
 
     best_value = -math.inf
     best_meas: MeasurementFamily | None = None
@@ -396,10 +388,9 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
         converged = False
         sweeps = 0
         for sweeps in range(1, max_iters + 1):
-            _half_step(r4, coeffs, alice, bob, alice_side=True)
-            history.append(objective(alice, bob))
-            _half_step(r4, coeffs, alice, bob, alice_side=False)
-            val = objective(alice, bob)
+            alice, val = _best_response(r, f.coeffs, bob)
+            history.append(val)
+            bob, val = _best_response(r.T, coeffs_bob, alice)
             history.append(val)
             if val - prev < step_tol:
                 converged = True

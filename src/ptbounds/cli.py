@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--d", help="comma-separated local dimensions (default 2,3,4)")
     rep.add_argument("--ds", help="comma-separated shield dimensions (default 4)")
     rep.add_argument("--m", type=int, help="shield repetition count (default 1)")
-    rep.add_argument("--q", type=float, help="corner weight in (0, 1/2) (default 1/3)")
+    rep.add_argument("--q", type=float, help="corner weight in (0, 1/2), default 1/3: the state "
+                     "is PPT only for q <= 1/3, and delta <= 2^-m for every m only for q >= 1/3")
     rep.add_argument("--eps", help="comma-separated epsilon grid (default 0,0.1,0.25,0.4)")
     _add_common(rep)
     rep.set_defaults(func=cmd_repro)

@@ -331,5 +331,7 @@ def matrix_from_json(obj: dict, expect_hermitian: bool = False) -> CMatrix:
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ValidationError("matrix JSON entries must be [re, im] pairs") from exc
+    if not np.isfinite(flat).all():
+        raise ValidationError("matrix JSON has non-finite entries")
     layout = SystemLayout(tuple((d, p) for d, p in zip(dims, parties)))
     return CMatrix(flat.reshape(dim, dim), layout, hermitian=expect_hermitian)

@@ -239,7 +239,10 @@ def hiding_state(m: int = 1, d_shield: int = 2, k: int = 1,
 
     normalized by N = 2 q^m + 2 (1/2-q)^m.  The recorded delta
     = (1/2-q)^m / N bounds how distinguishable the key corners stay after
-    transposition; it never exceeds 1/2^m.
+    transposition.  The state is PPT only for q <= 1/3 (at q = 0.4 its
+    partial transpose has eigenvalue -0.05), and delta <= 1/2^m holds for
+    every m only for q >= 1/3 (at q = 0.2, m = 2, delta = 0.346), so both
+    hold together only at the default q = 1/3.
 
     Parameters
     ----------
@@ -250,7 +253,8 @@ def hiding_state(m: int = 1, d_shield: int = 2, k: int = 1,
     k : int
         Werner pairs per repetition (>= 1).
     q : float
-        Corner weight, strictly between 0 and 1/2.
+        Corner weight, strictly between 0 and 1/2; values other than 1/3
+        are accepted so that the PPT and delta checks on them can fail.
     """
     if m < 1 or k < 1 or d_shield < 2:
         raise ValidationError("hiding_state needs m >= 1, k >= 1, d_shield >= 2")

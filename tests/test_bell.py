@@ -20,6 +20,7 @@ from ptbounds import (
     box_from,
     chsh,
     classical_value,
+    collect_parties,
     cor1_bound,
     d_eps_membership,
     functional_value,
@@ -38,6 +39,7 @@ from ptbounds import (
 )
 from ptbounds.rand import (
     random_binary_povm,
+    random_binary_projective,
     random_bipartite_density,
     random_density,
     random_separable,
@@ -252,6 +254,127 @@ def test_seesaw_value_is_achieved_by_reported_measurements(phi_plus, chsh_functi
     res = seesaw(phi_plus, chsh_functional, restarts=16, seed=0)
     box = box_from(phi_plus, res.measurements)
     assert functional_value(chsh_functional, box) == pytest.approx(res.value, abs=1e-10)
+
+
+def dense_half_step(r4, coeffs, own, other, alice_side):
+    """Reference best response: explicit partial-trace einsums, one per effect."""
+    if alice_side:
+        reduced = [[np.einsum("jm,ambj->ab", e, r4) for e in povm] for povm in other]
+    else:
+        reduced = [[np.einsum("in,nmik->mk", e, r4) for e in povm] for povm in other]
+    d = own[0][0].shape[0]
+    for x in range(len(own)):
+        k0 = np.zeros((d, d), dtype=np.complex128)
+        k1 = np.zeros((d, d), dtype=np.complex128)
+        for y in range(len(other)):
+            for b in range(2):
+                if alice_side:
+                    k0 += coeffs[x, y, 0, b] * reduced[y][b]
+                    k1 += coeffs[x, y, 1, b] * reduced[y][b]
+                else:
+                    k0 += coeffs[y, x, b, 0] * reduced[y][b]
+                    k1 += coeffs[y, x, b, 1] * reduced[y][b]
+        diff = k0 - k1
+        w, v = np.linalg.eigh((diff + diff.conj().T) / 2)
+        pos = v[:, w > 0.0]
+        proj = pos @ pos.conj().T
+        own[x] = [proj, np.eye(d) - proj]
+
+
+def dense_objective(r4, coeffs, alice, bob):
+    val = 0.0
+    for y in range(len(bob)):
+        for b in range(2):
+            kb = np.einsum("jm,ambj->ab", bob[y][b], r4)
+            for x in range(len(alice)):
+                for a in range(2):
+                    val += float(coeffs[x, y, a, b]) * float(np.trace(alice[x][a] @ kb).real)
+    return val
+
+
+def dense_restart_values(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
+    """Reference seesaw with the library's draw order and stopping rule."""
+    coll = collect_parties(rho)
+    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
+    r4 = coll.mat.reshape(da, db, da, db)
+    rng = np.random.default_rng(seed)
+    finals = []
+    for _ in range(restarts):
+        alice = [random_binary_projective(rng, da) for _ in range(f.nx)]
+        bob = [random_binary_projective(rng, db) for _ in range(f.ny)]
+        prev = -math.inf
+        for _ in range(max_iters):
+            dense_half_step(r4, f.coeffs, alice, bob, alice_side=True)
+            dense_half_step(r4, f.coeffs, bob, alice, alice_side=False)
+            val = dense_objective(r4, f.coeffs, alice, bob)
+            if val - prev < step_tol:
+                break
+            prev = val
+        finals.append(val)
+    return finals
+
+
+def random_2x3_state():
+    return random_bipartite_density(np.random.default_rng(42), 2, 3)
+
+
+def doubled_hiding_state():
+    rho = hiding_state().rho
+    return tensor(rho, partial_transpose(rho))
+
+
+SHIPPED_STATES = {
+    "eq8 d=2": lambda: private_bit(swap_x(2)),
+    "eq8 d=3": lambda: private_bit(swap_x(3)),
+    "eq8 d=4": lambda: private_bit(swap_x(4)),
+    "eq10 ds=4": lambda: ppt_pbit(4).rho,
+    "prop1 m=1": doubled_hiding_state,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_STATES))
+def test_seesaw_reaches_classical_value_on_shipped_states(name, chsh_functional):
+    value = seesaw(SHIPPED_STATES[name](), chsh_functional, restarts=32, seed=0).value
+    assert value >= classical_value(chsh_functional) - 1e-9
+
+
+def test_seesaw_runs_on_unequal_local_dimensions(chsh_functional):
+    rho = random_2x3_state()
+    res = seesaw(rho, chsh_functional, restarts=4, seed=0)
+    assert (res.measurements.dim_a, res.measurements.dim_b) == (2, 3)
+    box = box_from(rho, res.measurements)
+    assert functional_value(chsh_functional, box) == pytest.approx(res.value, abs=1e-10)
+
+
+def asymmetric_functional():
+    """Two Alice inputs, three Bob inputs, no symmetry between the parties."""
+    return BellFunctional(2, 3, 2, 2, np.random.default_rng(44).normal(size=(2, 3, 2, 2)))
+
+
+@pytest.mark.parametrize("make_state, make_functional", [
+    (SHIPPED_STATES["eq8 d=2"], chsh),
+    (SHIPPED_STATES["eq10 ds=4"], chsh),
+    (random_2x3_state, chsh),
+    (random_2x3_state, asymmetric_functional),
+], ids=["eq8 d=2", "eq10 ds=4", "2x3", "2x3 asymmetric"])
+def test_seesaw_restart_values_match_dense_reference(make_state, make_functional):
+    rho, f = make_state(), make_functional()
+    res = seesaw(rho, f, restarts=6, seed=0)
+    expected = dense_restart_values(rho, f, restarts=6, seed=0)
+    assert np.abs(np.array(res.restart_values) - expected).max() <= 1e-10
+
+
+def test_box_from_matches_kron_trace_on_unequal_dimensions():
+    rng = np.random.default_rng(43)
+    rho = random_bipartite_density(rng, 2, 3)
+    meas = MeasurementFamily(
+        [random_binary_povm(rng, 2) for _ in range(2)],
+        [random_binary_povm(rng, 3) for _ in range(3)],
+    )
+    box = box_from(rho, meas)
+    for x, y, a, b in itertools.product(range(2), range(3), range(2), range(2)):
+        expected = np.trace(np.kron(meas.alice[x][a], meas.bob[y][b]) @ rho.mat).real
+        assert box.p[x, y, a, b] == pytest.approx(expected, abs=1e-12)
 
 
 def test_bound_report_invariants():

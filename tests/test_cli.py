@@ -122,6 +122,41 @@ def test_nonlocality_rejects_unnormalized_box(capsys, tmp_path):
     assert code == 2
 
 
+def run_main_errors(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonlocality_rejects_non_finite_box(capsys, tmp_path, bad):
+    p = [[[[0.25] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    p[0][1][1][0] = bad
+    box_file = tmp_path / "non_finite_box.json"
+    box_file.write_text(json.dumps({"nx": 2, "ny": 2, "na": 2, "nb": 2, "p": p}))
+    code, errors = run_main_errors(capsys, "nonlocality", str(box_file))
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_seesaw_rejects_non_finite_state(capsys, tmp_path, bad):
+    state_file = tmp_path / "state.json"
+    assert run_main(capsys, "make-state", "max-entangled", "--output", str(state_file))[0] == 0
+    payload = json.loads(state_file.read_text())
+    payload["rho"]["data"][5][0] = bad
+    state_file.write_text(json.dumps(payload))
+    code, errors = run_main_errors(capsys, "seesaw", str(state_file), "--restarts", "2")
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+def test_repro_prop1_outside_ppt_range_fails_the_ppt_row(capsys):
+    code, out = run_main(capsys, "repro", "prop1", "--q", "0.4", "--restarts", "4")
+    assert code == 1
+    verdicts = {rep["context"]: rep["verdict"] for rep in json.loads(out)["reports"]}
+    assert verdicts["prop1 m=1 ppt"] is False
+
+
 def test_negative_tolerance_exits_two(capsys):
     code, _ = run_main(capsys, "repro", "eq13", "--tol", "-1.0")
     assert code == 2
