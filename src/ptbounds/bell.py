@@ -78,6 +78,8 @@ class BellFunctional:
             raise ValidationError(
                 f"coefficient table has shape {self.coeffs.shape}, expected {expected}"
             )
+        if not (np.isfinite(self.coeffs).all() and math.isfinite(self.offset)):
+            raise ValidationError("functional coefficients and offset must be finite")
 
     def to_json(self) -> dict:
         return {
@@ -92,7 +94,7 @@ class BellFunctional:
             nx, ny, na, nb = (int(obj[k]) for k in ("nx", "ny", "na", "nb"))
             flat = np.asarray(obj["coeffs"], dtype=np.float64)
             offset = float(obj.get("offset", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad functional JSON: {exc}") from exc
         if flat.size != nx * ny * na * nb:
             raise ValidationError(

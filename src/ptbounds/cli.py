@@ -4,8 +4,9 @@ Exit codes: 0 when every emitted verdict is true, 1 when a verdict is false,
 2 for validation or parse failures, 3 when a construction would exceed the
 dense-dimension cap (PTBOUND_DIM_CAP raises it).
 
-All JSON output is canonical (sorted keys, two-space indent, no timestamps),
-so identical invocations produce byte-identical reports.
+All JSON output is canonical and compact: one line with sorted keys, the
+separators "," and ":" and no timestamps, so identical invocations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL, DimensionCapError, ValidationError
-from .linalg import matrix_from_json, matrix_to_json, partial_transpose, tensor
+from .linalg import assert_density, matrix_from_json, matrix_to_json, partial_transpose, tensor
 from .bell import (
     BellFunctional,
     BoundReport,
@@ -117,7 +118,8 @@ def _emit(text: str, cfg: RunConfig) -> None:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    # one dumps call without indent stays on CPython's C encoder
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _emit_reports(reports: list[BoundReport], cfg: RunConfig, target: str) -> int:
@@ -233,6 +235,7 @@ def cmd_seesaw(args: argparse.Namespace) -> int:
     if isinstance(obj, dict) and isinstance(obj.get("rho"), dict):
         obj = obj["rho"]  # accept make-state payloads directly
     state = matrix_from_json(obj)
+    assert_density(state, "seesaw state")
     if args.functional_file:
         functional = BellFunctional.from_json(_load_json(args.functional_file))
     else:

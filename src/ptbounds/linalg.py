@@ -7,7 +7,9 @@ axis swap, reshape back), so it is exact: no arithmetic touches the entries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -193,11 +195,10 @@ def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
     return CMatrix(np.kron(_as_array(a), _as_array(b)), layout, hermitian=herm)
 
 
-def _hermitian_eigs(arr: np.ndarray, what: str, tol: float = TOL.assertion):
+def _check_hermitian(arr: np.ndarray, what: str) -> None:
     dev = float(np.abs(arr - arr.conj().T).max())
-    if dev > tol:
+    if dev > TOL.assertion:
         raise ValidationError(f"{what} expects a hermitian matrix, deviation {dev:.3e}")
-    return np.linalg.eigh(arr)
 
 
 def trace_norm(m) -> float:
@@ -215,9 +216,7 @@ def op_norm(m) -> float:
     arr = _as_array(m)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError("op_norm expects a square matrix")
-    dev = float(np.abs(arr - arr.conj().T).max())
-    if dev > TOL.assertion:
-        raise ValidationError(f"op_norm expects a hermitian matrix, deviation {dev:.3e}")
+    _check_hermitian(arr, "op_norm")
     return float(np.abs(np.linalg.eigvalsh(arr)).max())
 
 
@@ -234,23 +233,37 @@ def psd_sqrt(m, floor: float = TOL.eig_floor) -> np.ndarray:
     ~3e-9 to every singular value sum downstream.
     """
     arr = _as_array(m)
-    w, v = _hermitian_eigs(arr, "psd_sqrt")
+    _check_hermitian(arr, "psd_sqrt")
+    w, v = np.linalg.eigh(arr)
     if float(w.min()) < -TOL.psd:
         raise ValidationError(f"psd_sqrt got a matrix with eigenvalue {w.min():.3e}")
     w = np.where(w <= floor, 0.0, w)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def _density_eigs(arr: np.ndarray, what: str, trace_tol: float, psd_tol: float,
+                  vectors: bool = False):
+    """Check unit trace, hermiticity and positivity from one decomposition.
+
+    Returns (eigenvalues, eigenvectors), the eigenvectors only when
+    ``vectors`` is set and None otherwise, so callers that need the spectrum
+    anyway pay for it only once.
+    """
+    tr = complex(np.trace(arr))
+    if abs(tr - 1.0) > trace_tol:
+        raise ValidationError(f"{what} must have unit trace, got {tr}")
+    _check_hermitian(arr, what)
+    w, v = np.linalg.eigh(arr) if vectors else (np.linalg.eigvalsh(arr), None)
+    if float(w.min()) < -psd_tol:
+        raise ValidationError(f"{what} must be PSD, minimum eigenvalue {w.min():.3e}")
+    return w, v
+
+
 def assert_density(m, what: str, trace_tol: float = TOL.assertion,
                    psd_tol: float = TOL.psd) -> np.ndarray:
     """Check trace one and positivity, returning the underlying array."""
     arr = _as_array(m)
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"{what} must have unit trace, got {tr}")
-    w = _hermitian_eigs(arr, what)[0]
-    if float(w.min()) < -psd_tol:
-        raise ValidationError(f"{what} must be PSD, minimum eigenvalue {w.min():.3e}")
+    _density_eigs(arr, what, trace_tol, psd_tol)
     return arr
 
 
@@ -272,17 +285,17 @@ def rel_entropy(rho, sigma, *, support_tol: float = TOL.support,
         Eigenvalues at or below this count as zero, both for the kernel of
         sigma and inside the logarithms.
     """
-    r = assert_density(rho, "rel_entropy rho", trace_tol=TOL.support, psd_tol=TOL.support)
-    s = assert_density(sigma, "rel_entropy sigma", trace_tol=TOL.support, psd_tol=TOL.support)
+    r = _as_array(rho)
+    s = _as_array(sigma)
     if r.shape != s.shape:
         raise ValidationError("rel_entropy needs matrices of equal dimension")
-    ws, vs = _hermitian_eigs(s, "rel_entropy sigma")
+    wr, _ = _density_eigs(r, "rel_entropy rho", TOL.support, TOL.support)
+    ws, vs = _density_eigs(s, "rel_entropy sigma", TOL.support, TOL.support, vectors=True)
     kernel = vs[:, ws <= floor]
     if kernel.shape[1]:
         overlap = float(np.einsum("ij,jk,ki->", kernel.conj().T, r, kernel).real)
         if overlap > support_tol:
             return math.inf
-    wr = np.linalg.eigvalsh(r)
     wr_pos = wr[wr > floor]
     term_rho = float((wr_pos * np.log2(wr_pos)).sum())
     keep = ws > floor
@@ -306,11 +319,11 @@ def matrix_to_json(m: CMatrix) -> dict:
     else:
         dims = list(m.layout.dims)
         parties = list(m.layout.parties)
-    flat = m.mat.reshape(-1)
     return {
         "dims": dims,
         "parties": parties,
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        # complex128 is (re, im) float64 pairs in memory
+        "data": m.mat.reshape(-1).view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -320,18 +333,26 @@ def matrix_from_json(obj: dict, expect_hermitian: bool = False) -> CMatrix:
         dims = [int(d) for d in obj["dims"]]
         parties = [str(p) for p in obj["parties"]]
         data = obj["data"]
+        n_entries = len(data)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"matrix JSON is missing a field: {exc}") from exc
     if len(dims) != len(parties):
         raise ValidationError("dims and parties must have equal length")
     dim = int(np.prod(dims, dtype=np.int64))
-    if len(data) != dim * dim:
-        raise ValidationError(f"matrix JSON has {len(data)} entries, expected {dim * dim}")
+    if n_entries != dim * dim:
+        raise ValidationError(f"matrix JSON has {n_entries} entries, expected {dim * dim}")
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("matrix JSON entries must be [re, im] pairs") from exc
+        # every entry must be a pair, or [1, 2, 3], [4] would read as two pairs
+        if set(map(len, data)) != {2}:
+            raise ValueError("an entry has other than two elements")
+        # unary plus takes numbers only, so "1.5" or None raise here instead
+        # of being converted by numpy
+        flat = np.fromiter(map(operator.pos, chain.from_iterable(data)),
+                           dtype=np.float64, count=2 * n_entries)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"matrix JSON entries must be [re, im] pairs ({exc})") from exc
     if not np.isfinite(flat).all():
         raise ValidationError("matrix JSON has non-finite entries")
     layout = SystemLayout(tuple((d, p) for d, p in zip(dims, parties)))
-    return CMatrix(flat.reshape(dim, dim), layout, hermitian=expect_hermitian)
+    mat = flat.view(np.complex128).reshape(dim, dim)
+    return CMatrix(mat, layout, hermitian=expect_hermitian)

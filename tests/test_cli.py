@@ -4,9 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ptbounds.cli import main
+from ptbounds.linalg import matrix_from_json
+from ptbounds.states import hiding_state
 
 
 def run_main(capsys, *argv):
@@ -148,6 +151,76 @@ def test_seesaw_rejects_non_finite_state(capsys, tmp_path, bad):
     code, errors = run_main_errors(capsys, "seesaw", str(state_file), "--restarts", "2")
     assert code == 2
     assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["coeffs", "offset"])
+def test_seesaw_rejects_non_finite_functional(capsys, tmp_path, bad, field):
+    state_file = tmp_path / "phi.json"
+    assert run_main(capsys, "make-state", "max-entangled", "--output", str(state_file))[0] == 0
+    functional = {"nx": 2, "ny": 2, "na": 2, "nb": 2, "coeffs": [1.0] * 16, "offset": 0.0}
+    if field == "coeffs":
+        functional["coeffs"][3] = bad
+    else:
+        functional["offset"] = bad
+    functional_file = tmp_path / "f.json"
+    functional_file.write_text(json.dumps(functional))
+    code, errors = run_main_errors(capsys, "seesaw", str(state_file), str(functional_file),
+                                   "--restarts", "2")
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+def _matrix_payload(entries):
+    return {"dims": [2, 2], "parties": ["A", "B"], "data": [[re, im] for re, im in entries]}
+
+
+_PHI = [0.5 if i in (0, 3, 12, 15) else 0.0 for i in range(16)]
+_BAD_STATES = {
+    # every entry [i % 3, 7i % 5]: trace 3 and not hermitian
+    "unit-trace": [(i % 3, (7 * i) % 5) for i in range(16)],
+    "hermitian": [(x + (0.2 if i == 1 else 0.0), 0.0) for i, x in enumerate(_PHI)],
+    "psd": [(x, 0.0) for x in [1.5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -0.5]],
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_BAD_STATES))
+def test_seesaw_rejects_states_that_are_not_densities(capsys, tmp_path, broken):
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(_matrix_payload(_BAD_STATES[broken])))
+    code, errors = run_main_errors(capsys, "seesaw", str(state_file), "--restarts", "2")
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+def test_seesaw_rejects_integer_too_large_for_a_float(capsys, tmp_path):
+    state_file = tmp_path / "state.json"
+    payload = _matrix_payload([(x, 0.0) for x in _PHI])
+    text = json.dumps(payload).replace("0.0", "1" + "0" * 399, 1)
+    state_file.write_text(text)
+    code, errors = run_main_errors(capsys, "seesaw", str(state_file), "--restarts", "2")
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+def test_make_state_hiding_reloads_bit_for_bit(capsys, tmp_path):
+    state_file = tmp_path / "hiding.json"
+    code, _ = run_main(capsys, "make-state", "hiding", "--m", "2", "--output", str(state_file))
+    assert code == 0
+    payload = json.loads(state_file.read_text())
+    fam = hiding_state(m=2, d_shield=2, k=1, q=1.0 / 3.0)
+    for key, expected in (("rho", fam.rho), ("sigma_candidate", fam.sigma_candidate)):
+        loaded = matrix_from_json(payload[key])
+        assert loaded.layout == expected.layout
+        assert np.array_equal(loaded.mat.view(np.uint64), expected.mat.view(np.uint64))
+
+
+@pytest.mark.parametrize("argv", [("repro", "eq13"), ("make-state", "hiding", "--m", "1")])
+def test_json_output_is_one_line(capsys, argv):
+    code, out = run_main(capsys, *argv)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)
 
 
 def test_repro_prop1_outside_ppt_range_fails_the_ppt_row(capsys):

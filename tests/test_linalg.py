@@ -1,5 +1,6 @@
 """Tests for the layout-aware matrix layer: transposition, norms, entropy, JSON."""
 
+import json
 import math
 
 import numpy as np
@@ -252,6 +253,88 @@ def test_matrix_json_rejects_bad_payloads():
         matrix_from_json({"dims": [2], "parties": ["A", "B"], "data": [[0, 0]] * 4})
     with pytest.raises(ValidationError):
         matrix_from_json({"dims": [2], "parties": ["A"]})
+
+
+def oracle_to_json_data(m):
+    """The per-entry writer matrix_to_json replaced, kept as its oracle."""
+    return [[float(z.real), float(z.imag)] for z in m.mat.reshape(-1)]
+
+
+def oracle_from_json_data(data):
+    """The per-entry reader matrix_from_json replaced, kept as its oracle."""
+    return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.complex128).view(np.uint64)
+
+
+def edge_matrix(seed, da, db):
+    """Random complex entries with -0.0, subnormals and +-1e308 planted in."""
+    rng = np.random.default_rng(seed)
+    n = da * db
+    arr = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    flat = arr.reshape(-1)
+    specials = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.0]
+    for k, idx in enumerate(rng.choice(flat.size, size=min(flat.size, 12), replace=False)):
+        re, im = specials[k % 6], specials[(k * 5 + 1) % 6]
+        flat[idx] = complex(re, im) if k % 2 else complex(re, flat[idx].imag)
+    return CMatrix(arr, SystemLayout.bipartite(da, db))
+
+
+@pytest.mark.parametrize("seed,da,db", [(0, 1, 1), (1, 2, 2), (2, 2, 3), (3, 4, 3)])
+def test_matrix_json_equals_per_entry_oracle(seed, da, db):
+    m = edge_matrix(seed, da, db)
+    data = matrix_to_json(m)["data"]
+    expected = oracle_to_json_data(m)
+    assert json.dumps(data) == json.dumps(expected)  # repr keeps -0.0 apart from 0.0
+    assert all(type(x) is float for pair in data for x in pair)
+    for payload in (data, json.loads(json.dumps(data))):
+        obj = {"dims": [da, db], "parties": ["A", "B"], "data": payload}
+        back = matrix_from_json(obj)
+        assert np.array_equal(bits(back.mat.reshape(-1)), bits(oracle_from_json_data(payload)))
+        assert np.array_equal(bits(back.mat), bits(m.mat))
+
+
+def test_matrix_from_json_accepts_ints_like_the_oracle():
+    data = [[1, 0], [0, -2], [True, 3], [0.5, 0]]
+    back = matrix_from_json({"dims": [2], "parties": ["A"], "data": data})
+    assert np.array_equal(bits(back.mat.reshape(-1)), bits(oracle_from_json_data(data)))
+
+
+@pytest.mark.parametrize("bad", [
+    [["1.5", 0.0]],
+    [[None, 0.0]],
+    [[1.0]],
+    [[1.0, 0.0, 0.0]],
+    [[[1.0, 2.0], 0.0]],
+    [[10**400, 0.0]],
+    [[0.0, 0.0, 0.0], [0.0]],
+], ids=["string", "none", "one-element", "three-elements", "nested", "400-digit-int",
+        "lengths-3-and-1"])
+def test_matrix_from_json_rejects_bad_entries(bad):
+    data = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+    data[1:1 + len(bad)] = bad
+    with pytest.raises(ValidationError):
+        matrix_from_json({"dims": [2], "parties": ["A"], "data": data})
+
+
+def test_assert_density_rejects_non_hermitian_input():
+    with pytest.raises(ValidationError, match="hermitian"):
+        assert_density(np.array([[0.5, 0.3], [0.0, 0.5]]), "lopsided")
+    with pytest.raises(ValidationError, match="hermitian"):
+        rel_entropy(np.eye(2) / 2.0, np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+
+def test_rel_entropy_matches_spectral_formula():
+    rng = np.random.default_rng(14)
+    rho = random_density(rng, 6)
+    sigma = random_density(rng, 6)
+    wr = np.linalg.eigvalsh(rho)
+    ws, vs = np.linalg.eigh(sigma)
+    weights = np.einsum("ij,jk,ki->i", vs.conj().T, rho, vs).real
+    expected = float((wr * np.log2(wr)).sum()) - float((weights * np.log2(ws)).sum())
+    assert rel_entropy(rho, sigma) == expected
 
 
 @settings(deadline=None, max_examples=25)
