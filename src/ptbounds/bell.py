@@ -29,6 +29,7 @@ from .linalg import (
     op_norm,
     partial_transpose,
     trace_norm,
+    _json_floats,
 )
 from .rand import random_binary_projective
 from .states import private_bit
@@ -92,10 +93,12 @@ class BellFunctional:
     def from_json(obj: dict) -> "BellFunctional":
         try:
             nx, ny, na, nb = (int(obj[k]) for k in ("nx", "ny", "na", "nb"))
-            flat = np.asarray(obj["coeffs"], dtype=np.float64)
-            offset = float(obj.get("offset", 0.0))
+            coeffs = np.asarray(obj["coeffs"], dtype=object).reshape(-1)
+            offset = obj.get("offset", 0.0)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad functional JSON: {exc}") from exc
+        flat = _json_floats(coeffs, "functional JSON coefficients must be numbers")
+        offset = float(_json_floats([offset], "functional JSON offset must be a number")[0])
         if flat.size != nx * ny * na * nb:
             raise ValidationError(
                 f"functional JSON has {flat.size} coefficients, expected {nx * ny * na * nb}"
@@ -229,9 +232,10 @@ class Box:
     def from_json(obj: dict) -> "Box":
         try:
             nx, ny, na, nb = (int(obj[k]) for k in ("nx", "ny", "na", "nb"))
-            flat = np.asarray(obj["p"], dtype=np.float64)
+            entries = np.asarray(obj["p"], dtype=object).reshape(-1)  # p may be nested
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad box JSON: {exc}") from exc
+        flat = _json_floats(entries, "box JSON entries must be numbers")
         if flat.size != nx * ny * na * nb:
             raise ValidationError(f"box JSON has {flat.size} entries, expected {nx * ny * na * nb}")
         return Box(nx, ny, na, nb, flat.reshape(nx, ny, na, nb))

@@ -327,6 +327,19 @@ def matrix_to_json(m: CMatrix) -> dict:
     }
 
 
+def _json_floats(values, what: str, count: int = -1) -> np.ndarray:
+    """The JSON numbers in ``values`` as float64; any other value is a ValidationError.
+
+    Unary plus takes numbers only, so "1.5" or None raise here instead of
+    being converted by numpy, and an integer too large for a float overflows.
+    ``what`` starts the message.
+    """
+    try:
+        return np.fromiter(map(operator.pos, values), dtype=np.float64, count=count)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} ({exc})") from exc
+
+
 def matrix_from_json(obj: dict, expect_hermitian: bool = False) -> CMatrix:
     """Inverse of matrix_to_json, validating shape and optionally hermiticity."""
     try:
@@ -341,16 +354,15 @@ def matrix_from_json(obj: dict, expect_hermitian: bool = False) -> CMatrix:
     dim = int(np.prod(dims, dtype=np.int64))
     if n_entries != dim * dim:
         raise ValidationError(f"matrix JSON has {n_entries} entries, expected {dim * dim}")
+    what = "matrix JSON entries must be [re, im] pairs"
     try:
-        # every entry must be a pair, or [1, 2, 3], [4] would read as two pairs
-        if set(map(len, data)) != {2}:
-            raise ValueError("an entry has other than two elements")
-        # unary plus takes numbers only, so "1.5" or None raise here instead
-        # of being converted by numpy
-        flat = np.fromiter(map(operator.pos, chain.from_iterable(data)),
-                           dtype=np.float64, count=2 * n_entries)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"matrix JSON entries must be [re, im] pairs ({exc})") from exc
+        lengths = set(map(len, data))
+    except TypeError as exc:
+        raise ValidationError(f"{what} ({exc})") from exc
+    # every entry must be a pair, or [1, 2, 3], [4] would read as two pairs
+    if lengths != {2}:
+        raise ValidationError(f"{what} (an entry has other than two elements)")
+    flat = _json_floats(chain.from_iterable(data), what, count=2 * n_entries)
     if not np.isfinite(flat).all():
         raise ValidationError("matrix JSON has non-finite entries")
     layout = SystemLayout(tuple((d, p) for d, p in zip(dims, parties)))

@@ -58,12 +58,22 @@ def kl(p, q) -> float:
             raise ValidationError(f"kl: {name} has negative entry {vec.min():.3e}")
         if abs(float(vec.sum()) - 1.0) > TOL.assertion:
             raise ValidationError(f"kl: {name} sums to {vec.sum()}, expected 1")
-    p = np.clip(p, 0.0, None)
-    q = np.clip(q, 0.0, None)
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        return math.inf
-    return float((p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))).sum())
+    return float(_pair_kl(np.clip(p, 0.0, None)[None], np.clip(q, 0.0, None)[None])[0])
+
+
+def _pair_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Relative entropy in bits of each row of p from the same row of q.
+
+    The zero conventions, for every KL value in the package: a zero p entry
+    contributes nothing, and p > 0 over q = 0 makes the row ``math.inf``.
+    p and q are nonnegative arrays of one shape.
+    """
+    support = p > 0.0
+    logs = (np.log2(p, out=np.zeros_like(p), where=support)
+            - np.log2(q, out=np.zeros_like(q), where=support & (q > 0.0)))
+    out = (p * logs).sum(axis=-1)
+    out[(support & (q <= 0.0)).any(axis=-1)] = math.inf
+    return out
 
 
 @dataclass
@@ -83,14 +93,10 @@ class LocalPolytope:
             raise ValidationError(
                 f"{count} deterministic vertices exceed the polytope guard {_VERTEX_GUARD}"
             )
-        rows = np.zeros((count, nx, ny, na, nb))
-        i = 0
-        for fa in itertools.product(range(na), repeat=nx):
-            for fb in itertools.product(range(nb), repeat=ny):
-                for x in range(nx):
-                    for y in range(ny):
-                        rows[i, x, y, fa[x], fb[y]] = 1.0
-                i += 1
+        # one-hot tables of every deterministic strategy, Alice's outermost
+        fa = np.array(list(itertools.product(range(na), repeat=nx)), dtype=np.intp)
+        fb = np.array(list(itertools.product(range(nb), repeat=ny)), dtype=np.intp)
+        rows = np.einsum("ixa,jyb->ijxyab", np.eye(na)[fa], np.eye(nb)[fb])
         return LocalPolytope(nx, ny, na, nb, rows.reshape(count, -1))
 
 
@@ -112,15 +118,6 @@ class NlResult:
             "converged": self.converged,
             "iterations": self.iterations,
         }
-
-
-def _weighted_kl(pw: np.ndarray, pg: np.ndarray, qg: np.ndarray) -> float:
-    """sum_e pw_e * pg_e * log2(pg_e / qg_e) with the zero conventions of kl()."""
-    mask = (pg > 0.0) & (pw > 0.0)
-    if np.any(qg[mask] <= 0.0):
-        return math.inf
-    out = pw[mask] * pg[mask] * (np.log2(pg[mask]) - np.log2(np.maximum(qg[mask], _LOG_CLAMP)))
-    return float(out.sum())
 
 
 def _inner_infimum(pg: np.ndarray, pw: np.ndarray, vertices: np.ndarray,
@@ -183,21 +180,6 @@ def _per_entry_weights(p_xy: np.ndarray, shape: tuple[int, int, int, int]) -> np
     return np.repeat(p_xy.reshape(nx * ny), na * nb)
 
 
-def _per_pair_kl(pg: np.ndarray, qg: np.ndarray, shape) -> np.ndarray:
-    nx, ny, na, nb = shape
-    block = na * nb
-    out = np.empty(nx * ny)
-    for i in range(nx * ny):
-        sl = slice(i * block, (i + 1) * block)
-        ps, qs = pg[sl], qg[sl]
-        m = ps > 0.0
-        if np.any(qs[m] <= 0.0):
-            out[i] = math.inf
-        else:
-            out[i] = float((ps[m] * (np.log2(ps[m]) - np.log2(np.maximum(qs[m], _LOG_CLAMP)))).sum())
-    return out
-
-
 def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
                   restarts: int = 16, ascent_iters: int = 120, seed: int = 0,
                   step0: float = 0.3) -> NlResult:
@@ -216,18 +198,21 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
     shape = (box.nx, box.ny, box.na, box.nb)
     polytope = LocalPolytope.for_scenario(*shape)
     pg = box.p.reshape(-1)
-    n_pairs = box.nx * box.ny
+    rows = box.p.reshape(box.nx * box.ny, -1)
+    n_pairs = rows.shape[0]
     uniform = np.full(n_pairs, 1.0 / n_pairs)
 
     def solve(p_xy, w0=None, tol=gap_tol, iters=50_000):
+        """Inner infimum at input distribution p_xy: (value, per-pair KL, w, gap, iters)."""
         pw = _per_entry_weights(p_xy, shape)
         w, gap, it = _inner_infimum(pg, pw, polytope.vertices, w0=w0,
                                     gap_tol=tol, max_iters=iters)
-        value = _weighted_kl(pw, pg, w @ polytope.vertices)
-        return value, w, gap, it
+        per_pair = _pair_kl(rows, (w @ polytope.vertices).reshape(rows.shape))
+        on = p_xy > 0.0
+        return float(p_xy[on] @ per_pair[on]), per_pair, w, gap, it
 
     if mode == "uniform":
-        value, w, gap, iters = solve(uniform)
+        value, _, w, gap, iters = solve(uniform)
         return NlResult(value, w, uniform, gap <= gap_tol, iters)
 
     rng = np.random.default_rng(seed)
@@ -236,13 +221,12 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
         p = uniform.copy() if r == 0 else rng.dirichlet(np.ones(n_pairs))
         w = None
         for t in range(ascent_iters):
-            _, w, _, _ = solve(p, w0=w, tol=max(gap_tol, 1e-9), iters=5_000)
-            q = w @ polytope.vertices
-            supergrad = _per_pair_kl(pg, q, shape)
+            # the per-pair KL at the inner optimum is a supergradient in p
+            _, supergrad, w, _, _ = solve(p, w0=w, tol=max(gap_tol, 1e-9), iters=5_000)
             if not np.all(np.isfinite(supergrad)):
                 break
             p = _project_simplex(p + (step0 / math.sqrt(t + 1.0)) * supergrad)
-        value, w, gap, iters = solve(p, w0=w)
+        value, _, w, gap, iters = solve(p, w0=w)
         if value > best[0]:
             best = (value, p, (w, gap, iters))
     value, p, (w, gap, iters) = best
@@ -306,8 +290,8 @@ def thm2_chain_check(rho: CMatrix, sigma_candidate: CMatrix, meas: MeasurementFa
     box_r = box_from(rho, meas)
     box_s = box_from(sigma_candidate, meas)
     nl = nonlocality_N(box_r, mode=mode)
-    shape = (box_r.nx, box_r.ny, box_r.na, box_r.nb)
-    per_pair = _per_pair_kl(box_r.p.reshape(-1), box_s.p.reshape(-1), shape)
+    n_pairs = box_r.nx * box_r.ny
+    per_pair = _pair_kl(box_r.p.reshape(n_pairs, -1), box_s.p.reshape(n_pairs, -1))
     p = nl.input_dist
     if np.all(np.isfinite(per_pair)):
         mid = float((p * per_pair).sum())

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from ptbounds import cli
 from ptbounds.cli import main
 from ptbounds.linalg import matrix_from_json
-from ptbounds.states import hiding_state
+from ptbounds.states import hiding_state, ppt_pbit
 
 
 def run_main(capsys, *argv):
@@ -130,7 +131,11 @@ def run_main_errors(capsys, *argv):
     return code, capsys.readouterr().err.splitlines()
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+# numbers that are not finite floats, and values that are not numbers at all
+_BAD_NUMBERS = [float("nan"), float("inf"), "0.25", None, pytest.param(10**400, id="int400")]
+
+
+@pytest.mark.parametrize("bad", _BAD_NUMBERS)
 def test_nonlocality_rejects_non_finite_box(capsys, tmp_path, bad):
     p = [[[[0.25] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
     p[0][1][1][0] = bad
@@ -153,7 +158,7 @@ def test_seesaw_rejects_non_finite_state(capsys, tmp_path, bad):
     assert len(errors) == 1 and errors[0].startswith("error:")
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", _BAD_NUMBERS)
 @pytest.mark.parametrize("field", ["coeffs", "offset"])
 def test_seesaw_rejects_non_finite_functional(capsys, tmp_path, bad, field):
     state_file = tmp_path / "phi.json"
@@ -253,3 +258,69 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["seed"] == 0
+
+
+# make-state family -> (matrix fields, params) at the default flags
+_FAMILY_PAYLOADS = {
+    "max-entangled": ({"rho"}, {"d": 2}),
+    "werner-symmetric": ({"rho"}, {"d": 2}),
+    "werner-antisymmetric": ({"rho"}, {"d": 2}),
+    "swap-x": ({"operator"}, {"d": 2}),
+    "fourier-xy": ({"X", "Y"}, {"d_s": 4}),
+    "private-bit": ({"rho"}, {"d": 2}),
+    "ppt-pbit": ({"rho", "sigma_candidate"}, ppt_pbit(4).params),
+    "hiding": ({"rho", "sigma_candidate"}, hiding_state(m=1, d_shield=2, k=1, q=1.0 / 3.0).params),
+}
+
+
+def test_make_state_family_table_is_the_choice_list():
+    assert list(cli._FAMILIES) == list(_FAMILY_PAYLOADS)
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_PAYLOADS))
+def test_make_state_family_payload(capsys, family):
+    code, out = run_main(capsys, "make-state", family)
+    assert code == 0
+    payload = json.loads(out)
+    matrices, params = _FAMILY_PAYLOADS[family]
+    notes = {"notes"} if "sigma_candidate" in matrices else set()
+    assert set(payload) == {"command", "family", "params"} | matrices | notes
+    assert (payload["command"], payload["family"]) == ("make-state", family)
+    assert payload["params"] == json.loads(json.dumps(params))
+    for key in matrices:
+        matrix_from_json(payload[key])
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--tol"])
+@pytest.mark.parametrize("command", ["repro", "seesaw", "nonlocality", "make-state"])
+def test_restarts_and_tol_are_checked_on_every_command(capsys, tmp_path, command, flag):
+    state_file = tmp_path / "phi.json"
+    assert run_main(capsys, "make-state", "max-entangled", "--output", str(state_file))[0] == 0
+    box_file = tmp_path / "box.json"
+    box_file.write_text(json.dumps({"nx": 2, "ny": 2, "na": 2, "nb": 2, "p": [0.25] * 16}))
+    argv = {
+        "repro": ["repro", "eq13"],
+        "seesaw": ["seesaw", str(state_file)],
+        "nonlocality": ["nonlocality", str(box_file)],
+        "make-state": ["make-state", "max-entangled"],
+    }[command]
+    code, errors = run_main_errors(capsys, *argv, flag, "0")
+    assert code == 2
+    assert errors == [{"--restarts": "error: restarts must be at least 1",
+                       "--tol": "error: tol must be positive"}[flag]]
+
+
+def test_repro_eq13_is_the_monotone_row(capsys):
+    code, out = run_main(capsys, "repro", "eq13")
+    assert code == 0
+    [row] = json.loads(out)["reports"]
+    assert (row["context"], row["lhs"], row["rhs"]) == ("eq13 monotone", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("decreasing", [lambda eps, d: 1.0 - eps, lambda eps, d: 1.0 / d],
+                         ids=["in-eps", "in-d"])
+def test_repro_eq13_fails_when_the_bound_decreases(capsys, monkeypatch, decreasing):
+    monkeypatch.setattr(cli, "continuity_bound", decreasing)
+    code, out = run_main(capsys, "repro", "eq13", "--out", "csv")
+    assert code == 1
+    assert out.splitlines()[1].startswith("eq13 monotone,") and out.endswith(",False\n")

@@ -1,6 +1,8 @@
 """Tests for the nonlocality measure, entropy chains, and filtered statistics."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from ptbounds import (
     rel_entropy,
     thm2_chain_check,
 )
-from ptbounds.nonlocality import _binary_entropy
+from ptbounds.nonlocality import _binary_entropy, _pair_kl
 from ptbounds.rand import (
     random_binary_povm,
     random_bipartite_density,
@@ -335,3 +337,113 @@ def test_nonlocality_below_max_pair_kl_property(seed):
                 avg += 0.25 * kl(p[x, y].ravel(), q[x, y].ravel())
         best = min(best, avg)
     assert res.value <= best + 1e-7
+
+
+# The routines the KL kernel replaced, kept as its reference: the weighted sum
+# over all entries that gave the measure's value, and the per-pair loop that
+# gave its supergradient and the chain's middle term.
+def _weighted_kl(pw, pg, qg):
+    mask = (pg > 0.0) & (pw > 0.0)
+    if np.any(qg[mask] <= 0.0):
+        return math.inf
+    out = pw[mask] * pg[mask] * (np.log2(pg[mask]) - np.log2(np.maximum(qg[mask], 1e-300)))
+    return float(out.sum())
+
+
+def _per_pair_kl(pg, qg, shape):
+    nx, ny, na, nb = shape
+    block = na * nb
+    out = np.empty(nx * ny)
+    for i in range(nx * ny):
+        sl = slice(i * block, (i + 1) * block)
+        ps, qs = pg[sl], qg[sl]
+        m = ps > 0.0
+        if np.any(qs[m] <= 0.0):
+            out[i] = math.inf
+        else:
+            out[i] = float((ps[m] * (np.log2(ps[m]) - np.log2(np.maximum(qs[m], 1e-300)))).sum())
+    return out
+
+
+def _sparse_rows(rng, n_rows, n_cols):
+    """Probability rows with about a third of their entries exactly zero."""
+    rows = rng.dirichlet(np.ones(n_cols), size=n_rows)
+    rows[rng.random(rows.shape) < 0.35] = 0.0
+    rows[np.arange(n_rows), rng.integers(n_cols, size=n_rows)] += 0.5
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 2, 2, 3), (4, 4, 2, 2)])
+def test_pair_kl_matches_the_replaced_routines(shape):
+    rng = np.random.default_rng(sum(shape))
+    nx, ny, na, nb = shape
+    inf_rows = 0
+    for _ in range(50):
+        p = _sparse_rows(rng, nx * ny, na * nb)
+        q = _sparse_rows(rng, nx * ny, na * nb)
+        got = _pair_kl(p, q)
+        want = _per_pair_kl(p.reshape(-1), q.reshape(-1), shape)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.abs(got[finite] - want[finite]).max(initial=0.0) <= 1e-15
+        inf_rows += int((~finite).sum())
+        for row_p, row_q, row_want in zip(p, q, want):
+            assert kl(row_p, row_q) == pytest.approx(row_want, rel=0.0, abs=1e-15)
+            assert row_want == pytest.approx(_weighted_kl(np.ones_like(row_p), row_p, row_q),
+                                             rel=0.0, abs=1e-15)
+    assert inf_rows > 0  # the p > 0 over q = 0 convention was exercised
+
+
+def _pr_vertex_mixtures(seed, count, t_range):
+    """PR box mixed with two local vertices: boxes with exactly zero entries."""
+    rng = np.random.default_rng(seed)
+    poly = LocalPolytope.for_scenario(2, 2, 2, 2)
+    pr = np.array([[[[0.5 * ((a ^ b) == (x & y)) for b in range(2)] for a in range(2)]
+                    for y in range(2)] for x in range(2)]).reshape(-1)
+    for _ in range(count):
+        w = np.zeros(16)
+        w[rng.choice(16, size=2, replace=False)] = rng.dirichlet(np.ones(2))
+        t = rng.uniform(*t_range)
+        box = Box(2, 2, 2, 2, ((1.0 - t) * (w @ poly.vertices) + t * pr).reshape(2, 2, 2, 2))
+        assert (box.p == 0.0).any()
+        yield box
+
+
+@pytest.mark.parametrize("mode", ["uniform", "optimize"])
+def test_nonlocality_value_matches_the_replaced_weighted_kl(mode):
+    poly = LocalPolytope.for_scenario(2, 2, 2, 2)
+    for box in _pr_vertex_mixtures(57, 4, (0.2, 0.6)):
+        res = nonlocality_N(box, mode=mode, restarts=3, ascent_iters=20)
+        pw = np.repeat(res.input_dist, 4)
+        want = _weighted_kl(pw, box.p.reshape(-1), res.inner_weights @ poly.vertices)
+        assert res.value == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
+def test_nonlocality_ignores_pairs_without_input_weight():
+    # the ascent can give an input pair zero weight while the inner solve,
+    # which then ignores that pair, leaves q = 0 under its support; the
+    # pair's infinite KL must contribute nothing rather than 0 * inf = nan
+    for seed, box in enumerate(_pr_vertex_mixtures(1, 8, (0.05, 0.9))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = nonlocality_N(box, mode="optimize", restarts=3, ascent_iters=30, seed=seed)
+        assert math.isfinite(res.value)
+
+
+def _vertex_table_loops(nx, ny, na, nb):
+    rows = np.zeros((na**nx * nb**ny, nx, ny, na, nb))
+    i = 0
+    for fa in itertools.product(range(na), repeat=nx):
+        for fb in itertools.product(range(nb), repeat=ny):
+            for x in range(nx):
+                for y in range(ny):
+                    rows[i, x, y, fa[x], fb[y]] = 1.0
+            i += 1
+    return rows.reshape(rows.shape[0], -1)
+
+
+@pytest.mark.parametrize("scenario", [(2, 2, 2, 2), (3, 3, 2, 2), (4, 4, 2, 2),
+                                      (2, 3, 3, 2), (1, 2, 2, 3)])
+def test_local_polytope_matches_the_loop_construction(scenario):
+    vertices = LocalPolytope.for_scenario(*scenario).vertices
+    assert np.array_equal(vertices, _vertex_table_loops(*scenario))
