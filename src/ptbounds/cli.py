@@ -54,18 +54,23 @@ __all__ = ["main"]
 CHSH_Q = 2.0 * math.sqrt(2.0)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind, noun: str) -> list:
+    """Nonempty comma-separated list; empty parts are skipped."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+        values = [kind(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValidationError(f"expected comma-separated {noun}, got {text!r}")
+    return values
+
+
+def _parse_int_list(text: str) -> list[int]:
+    return _parse_list(text, int, "integers")
 
 
 def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from exc
+    return _parse_list(text, float, "numbers")
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -220,6 +225,7 @@ def cmd_nonlocality(args: argparse.Namespace) -> int:
             f"value,{result.value!r}",
             f"converged,{result.converged}",
             f"iterations,{result.iterations}",
+            f"gap,{result.gap!r}",
         ]
         _emit("\n".join(lines), args)
     else:
@@ -259,8 +265,8 @@ def cmd_make_state(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--restarts", type=int, default=32, help="seesaw restarts (default 32)")
+def _add_common(sub: argparse.ArgumentParser, restarts_help: str) -> None:
+    sub.add_argument("--restarts", type=int, default=32, help=f"{restarts_help} (default 32)")
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub.add_argument("--tol", type=float, default=TOL.verdict,
                      help="verdict tolerance (default 1e-9)")
@@ -288,21 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
                      "is PPT only for q <= 1/3, and delta <= 2^-m for every m only for q >= 1/3")
     rep.add_argument("--eps", default="0,0.1,0.25,0.4",
                      help="comma-separated epsilon grid (default 0,0.1,0.25,0.4)")
-    _add_common(rep)
+    _add_common(rep, "seesaw restarts")
     rep.set_defaults(func=cmd_repro)
 
     see = subs.add_parser("seesaw", help="optimize measurements for a state file")
     see.add_argument("state_file", help="matrix JSON for the state")
     see.add_argument("functional_file", nargs="?", default=None,
                      help="functional JSON (default: built-in CHSH)")
-    _add_common(see)
+    _add_common(see, "seesaw restarts")
     see.set_defaults(func=cmd_seesaw)
 
     non = subs.add_parser("nonlocality", help="evaluate the KL nonlocality of a box file")
     non.add_argument("box_file", help="box JSON")
     non.add_argument("--mode", choices=("uniform", "optimize"), default="uniform",
                      help="input-distribution handling (default uniform)")
-    _add_common(non)
+    _add_common(non, "restarts of the input-distribution ascent of --mode optimize")
     non.set_defaults(func=cmd_nonlocality)
 
     mk = subs.add_parser("make-state", help="emit a state family as matrix JSON")
@@ -311,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     mk.add_argument("--ds", default="4", help="shield dimension (first entry used, default 4)")
     mk.add_argument("--m", type=int, default=1, help="shield repetition count (default 1)")
     mk.add_argument("--q", type=float, default=1.0 / 3.0, help="corner weight (default 1/3)")
-    _add_common(mk)
+    _add_common(mk, "ignored: make-state runs no optimizer")
     mk.set_defaults(func=cmd_make_state)
 
     return parser

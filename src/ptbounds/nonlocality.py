@@ -6,11 +6,12 @@ The measure of a box P is
 
 in bits.  The inner infimum is convex over the vertex-weight simplex of the
 local polytope and is solved with a pairwise conditional-gradient method
-(exact line search on the univariate KL restriction, linearization-gap
-stopping): the pairwise step moves weight from the worst active vertex to
-the best one, which keeps the method fast when the optimum sits on a face.
-The outer supremum is concave in p(x, y) and handled by projected
-supergradient ascent with restarts.
+(linearization-gap stopping): the pairwise step moves weight from the worst
+active vertex to the best one, which keeps the method fast when the optimum
+sits on a face.  Its step length is the exact minimizer of the univariate KL
+restriction, found by Newton's method on the derivative, safeguarded by
+bisection on a sign-change bracket.  The outer supremum is concave in
+p(x, y) and handled by projected supergradient ascent with restarts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import TOL, ValidationError
 from .linalg import CMatrix, collect_parties, rel_entropy, spectral_norm
@@ -102,13 +102,19 @@ class LocalPolytope:
 
 @dataclass
 class NlResult:
-    """Value of the measure plus the optimizers and convergence data."""
+    """Value of the measure plus the optimizers and convergence data.
+
+    ``gap`` is the final linearization gap of the inner solve in bits, an
+    upper bound on how far the inner objective is above its infimum;
+    ``converged`` is ``gap <= gap_tol``.
+    """
 
     value: float
     inner_weights: np.ndarray
     input_dist: np.ndarray
     converged: bool
     iterations: int
+    gap: float
 
     def to_json(self) -> dict:
         return {
@@ -117,7 +123,56 @@ class NlResult:
             "input_dist": [float(v) for v in self.input_dist],
             "converged": self.converged,
             "iterations": self.iterations,
+            "gap": self.gap,
         }
+
+
+def _line_search(pm: np.ndarray, qm: np.ndarray, dm: np.ndarray, t_max: float,
+                 g0: float) -> float | None:
+    """Root in [0, t_max] of the derivative of -sum pm log(qm + t dm), in nats.
+
+    dm holds 0 and +-1; g0 is the derivative at t = 0.  Newton steps use the
+    first and second derivatives from one shared denominator and fall back
+    to bisection of the sign-change bracket whenever a step leaves it or the
+    curvature is not positive and finite.  t_max is evaluated only when a
+    step would pass it, and returned when the derivative there is <= 0.
+    Stops when a step moves t by at most 1e-16 + 8.9e-16 |t| (brentq's
+    tolerance).  The derivative is increasing and concave then convex (its
+    own third derivative is positive), so Newton iterates on the left of
+    the root where it is concave, or on the right where it is convex,
+    approach the root monotonically; the bracket catches the other starts.
+    Returns None when g0 >= 0: no descent along dm.
+    """
+    if g0 >= 0.0:
+        return None
+    on = dm != 0.0
+    p, q, d = pm[on], qm[on], dm[on]
+    lo, hi, t, g = 0.0, t_max, 0.0, g0
+    at_max = False
+    # the curvature overflows to inf next to the q = 0 pole; that bisects
+    with np.errstate(over="ignore"):
+        h = float((p / q) @ (1.0 / q))  # dm**2 = 1
+        while True:
+            t_new = t - g / h if 0.0 < h < math.inf else math.nan
+            if t_new >= t_max:
+                if not at_max:
+                    at_max = True
+                    if float(d @ (p / np.maximum(q + t_max * d, _LOG_CLAMP))) >= 0.0:
+                        return t_max  # descent all the way to the end of the segment
+                t_new = math.nan  # the root is below t_max: bisect
+            if not lo <= t_new <= hi:
+                t_new = 0.5 * (lo + hi)
+            if abs(t_new - t) <= 1e-16 + 8.9e-16 * abs(t_new):
+                return t_new
+            t = t_new
+            den = np.maximum(q + t * d, _LOG_CLAMP)
+            r = p / den
+            g = -float(d @ r)
+            h = float(r @ (1.0 / den))
+            if g < 0.0:
+                lo = t
+            else:
+                hi = t  # at an exact root the next Newton step is 0
 
 
 def _inner_infimum(pg: np.ndarray, pw: np.ndarray, vertices: np.ndarray,
@@ -133,37 +188,25 @@ def _inner_infimum(pg: np.ndarray, pw: np.ndarray, vertices: np.ndarray,
     mask = (pg > 0.0) & (pw > 0.0)
     pm = (pw * pg)[mask]
     vm = vertices[:, mask]
-    q = w @ vertices
     ln2 = math.log(2.0)
     gap = math.inf
     it = 0
     for it in range(1, max_iters + 1):
-        qm = np.maximum(q[mask], _LOG_CLAMP)
-        grad = -(vm @ (pm / qm)) / ln2
+        qc = np.maximum(w @ vm, _LOG_CLAMP)
+        grad = -(vm @ (pm / qc)) / ln2
         s = int(grad.argmin())
-        active = np.nonzero(w > 0.0)[0]
-        away = active[int(grad[active].argmax())]
+        away = int(np.where(w > 0.0, grad, -np.inf).argmax())
         gap = float(w @ grad - grad[s])
         if gap <= gap_tol:
             break
-        direction = vertices[s] - vertices[away]
-        dm = direction[mask]
-        t_max = float(w[away])
-
-        def dphi(t):
-            return -float((pm * dm / np.maximum(qm + t * dm, _LOG_CLAMP)).sum()) / ln2
-
-        if dphi(0.0) >= 0.0:
+        t = _line_search(pm, qc, vm[s] - vm[away], float(w[away]),
+                         ln2 * float(grad[s] - grad[away]))
+        if t is None:
             break  # numerically flat; the gap is already certified above
-        if dphi(t_max) <= 0.0:
-            t = t_max
-        else:
-            t = float(brentq(dphi, 0.0, t_max, xtol=1e-16, rtol=8.9e-16))
         w[s] += t
         w[away] -= t
         if w[away] < 1e-17:
             w[away] = 0.0
-        q = w @ vertices
     return w, gap, it
 
 
@@ -190,11 +233,16 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
     supergradient ascent over input distributions (the objective is concave
     in p, so ascent with diminishing steps and restarts is sound).
 
-    Returns an NlResult whose ``converged`` reflects the certificate of the
-    final inner solve: linearization gap <= gap_tol.
+    Returns an NlResult carrying the final linearization gap of the inner
+    solve, whose ``converged`` is gap <= gap_tol.  An unknown mode,
+    restarts < 1 or ascent_iters < 0 raises ValidationError.
     """
     if mode not in ("uniform", "optimize"):
         raise ValidationError(f"unknown mode {mode!r}")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be at least 1, got {restarts}")
+    if ascent_iters < 0:
+        raise ValidationError(f"ascent_iters must be nonnegative, got {ascent_iters}")
     shape = (box.nx, box.ny, box.na, box.nb)
     polytope = LocalPolytope.for_scenario(*shape)
     pg = box.p.reshape(-1)
@@ -213,7 +261,7 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
 
     if mode == "uniform":
         value, _, w, gap, iters = solve(uniform)
-        return NlResult(value, w, uniform, gap <= gap_tol, iters)
+        return NlResult(value, w, uniform, gap <= gap_tol, iters, gap)
 
     rng = np.random.default_rng(seed)
     best = (-math.inf, uniform, None)
@@ -230,7 +278,7 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
         if value > best[0]:
             best = (value, p, (w, gap, iters))
     value, p, (w, gap, iters) = best
-    return NlResult(value, w, p, gap <= gap_tol, iters)
+    return NlResult(value, w, p, gap <= gap_tol, iters, gap)
 
 
 def er_upper(rho: CMatrix, sigma_candidate: CMatrix) -> float:

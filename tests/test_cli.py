@@ -324,3 +324,45 @@ def test_repro_eq13_fails_when_the_bound_decreases(capsys, monkeypatch, decreasi
     code, out = run_main(capsys, "repro", "eq13", "--out", "csv")
     assert code == 1
     assert out.splitlines()[1].startswith("eq13 monotone,") and out.endswith(",False\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["make-state", "max-entangled", "--d", ","], "error: expected comma-separated integers, got ','"),
+    (["repro", "eq8", "--d", ","], "error: expected comma-separated integers, got ','"),
+    (["repro", "eq13", "--eps", ","], "error: expected comma-separated numbers, got ','"),
+], ids=["make-state-d", "eq8-d", "eq13-eps"])
+def test_empty_grids_exit_two(capsys, argv, message):
+    code, errors = run_main_errors(capsys, *argv)
+    assert code == 2
+    assert errors == [message]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode", ["uniform", "optimize"])
+def test_nonlocality_reports_the_final_gap(capsys, tmp_path, mode):
+    box_file = tmp_path / "box.json"
+    box_file.write_text(json.dumps({"nx": 2, "ny": 2, "na": 2, "nb": 2, "p": [0.25] * 16}))
+    argv = ["nonlocality", str(box_file), "--mode", mode, "--restarts", "2"]
+    code, out = run_main(capsys, *argv)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["converged"] == (result["gap"] <= 1e-7)
+    code, out = run_main(capsys, *argv, "--out", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        f"value,{result['value']!r}",
+        f"converged,{result['converged']}",
+        f"iterations,{result['iterations']}",
+        f"gap,{result['gap']!r}",
+    ]
+
+
+def test_runtime_imports_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ptbounds, ptbounds.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

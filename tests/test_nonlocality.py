@@ -29,7 +29,8 @@ from ptbounds import (
     rel_entropy,
     thm2_chain_check,
 )
-from ptbounds.nonlocality import _binary_entropy, _pair_kl
+from ptbounds import nonlocality
+from ptbounds.nonlocality import _binary_entropy, _inner_infimum, _line_search, _pair_kl
 from ptbounds.rand import (
     random_binary_povm,
     random_bipartite_density,
@@ -447,3 +448,206 @@ def _vertex_table_loops(nx, ny, na, nb):
 def test_local_polytope_matches_the_loop_construction(scenario):
     vertices = LocalPolytope.for_scenario(*scenario).vertices
     assert np.array_equal(vertices, _vertex_table_loops(*scenario))
+
+
+# The inner solver as it stood with scipy's brentq as its line search, kept as
+# the reference for the Newton line search that replaced it: same gradient,
+# gap and vertex choice, step root to brentq's tolerance.  With ``trace`` a
+# list, it appends (dm, t, near_tie) for every step; near_tie says whether a
+# relative change of 1e-9 in the gradient or in the slope at t_max could
+# have changed the step (another vertex with other masked entries that close
+# to the chosen pair, or a slope at t_max that close to 0).
+def _inner_infimum_brentq(pg, pw, vertices, w0=None, gap_tol=1e-7, max_iters=50_000,
+                          trace=None):
+    nv = vertices.shape[0]
+    w = np.full(nv, 1.0 / nv) if w0 is None else w0.copy()
+    mask = (pg > 0.0) & (pw > 0.0)
+    pm = (pw * pg)[mask]
+    vm = vertices[:, mask]
+    q = w @ vertices
+    ln2 = math.log(2.0)
+    gap = math.inf
+    it = 0
+    for it in range(1, max_iters + 1):
+        qm = np.maximum(q[mask], 1e-300)
+        grad = -(vm @ (pm / qm)) / ln2
+        s = int(grad.argmin())
+        active = np.nonzero(w > 0.0)[0]
+        away = active[int(grad[active].argmax())]
+        gap = float(w @ grad - grad[s])
+        if gap <= gap_tol:
+            break
+        dm = (vertices[s] - vertices[away])[mask]
+        t = _brentq_step(pm, qm, dm, float(w[away]))
+        if trace is not None:
+            close = 1e-9 * np.abs(grad).max()
+            other_s = np.any(vm != vm[s], axis=1)
+            other_away = np.any(vm != vm[away], axis=1) & (w > 0.0)
+            slope_max = float((pm * dm / np.maximum(qm + w[away] * dm, 1e-300)).sum())
+            near_tie = (np.any(grad[other_s] <= grad[s] + close)
+                        or np.any(grad[other_away] >= grad[away] - close)
+                        or abs(slope_max) <= 1e-9 * float(np.abs(pm * dm / qm).sum()))
+            trace.append((dm, t, near_tie))
+        if t is None:
+            break
+        w[s] += t
+        w[away] -= t
+        if w[away] < 1e-17:
+            w[away] = 0.0
+        q = w @ vertices
+    return w, gap, it
+
+
+def _brentq_step(pm, qm, dm, t_max):
+    """Root in [0, t_max] of the derivative of -sum pm log2(qm + t dm), by brentq."""
+    from scipy.optimize import brentq
+
+    def dphi(t):
+        return -float((pm * dm / np.maximum(qm + t * dm, 1e-300)).sum()) / math.log(2.0)
+
+    if dphi(0.0) >= 0.0:
+        return None
+    if dphi(t_max) <= 0.0:
+        return t_max
+    return float(brentq(dphi, 0.0, t_max, xtol=1e-16, rtol=8.9e-16))
+
+
+def _solver_problems():
+    """(pg, pw, vertices): random 2-, 3- and 4-input boxes under uniform inputs
+    and under input distributions that give one pair no weight, random boxes
+    with two entries set to zero, and PR-vertex mixtures."""
+    rng = np.random.default_rng(58)
+    for n in (2, 3, 4):
+        poly = LocalPolytope.for_scenario(n, n, 2, 2)
+        uniform = np.full(poly.vertices.shape[1], 1.0 / (n * n))
+        boxes = [box_from(random_bipartite_density(rng, 2, 2), MeasurementFamily(
+            [random_binary_povm(rng, 2) for _ in range(n)],
+            [random_binary_povm(rng, 2) for _ in range(n)],
+        )).p.reshape(n * n, 4) for _ in range(2)]
+        p_xy = rng.dirichlet(np.ones(n * n))
+        p_xy[rng.choice(n * n)] = 0.0
+        yield boxes[0].reshape(-1), uniform, poly.vertices
+        yield boxes[0].reshape(-1), np.repeat(p_xy / p_xy.sum(), 4), poly.vertices
+        rows = boxes[1].copy()
+        rows[rng.choice(n * n, size=2, replace=False), rng.choice(4, size=2)] = 0.0
+        yield (rows / rows.sum(axis=1, keepdims=True)).reshape(-1), uniform, poly.vertices
+    poly = LocalPolytope.for_scenario(2, 2, 2, 2)
+    for box in _pr_vertex_mixtures(59, 4, (0.1, 0.9)):
+        yield box.p.reshape(-1), np.full(16, 0.25), poly.vertices
+
+
+def _compare_with_reference(monkeypatch, pg, pw, vertices, w0, **kwargs) -> bool:
+    """The new solver against the brentq reference from the same start.
+
+    Step by step the two must make the same pairwise move (same direction,
+    step within 1e-12) until the reference's own trace shows a near-tie;
+    rounding may break a near-tie either way, and from there on the paths
+    are not comparable and only the certificates are: both objectives lie
+    within the larger final gap of each other.  Without a near-tie the runs
+    must end equal: same iterations and support, weights and gap to 1e-12.
+    Returns whether the whole path was compared.
+    """
+    steps, trace = [], []
+
+    def recording(pm, qm, dm, t_max, g0):
+        t = _line_search(pm, qm, dm, t_max, g0)
+        steps.append((dm, t))
+        return t
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nonlocality, "_line_search", recording)
+        w, gap, it = _inner_infimum(pg, pw, vertices, w0=w0, **kwargs)
+    w_ref, gap_ref, it_ref = _inner_infimum_brentq(pg, pw, vertices, w0=w0, trace=trace,
+                                                   **kwargs)
+    for (dm, t), (dm_ref, t_ref, near_tie) in zip(steps, trace):
+        same = np.array_equal(dm, dm_ref) and (
+            t == t_ref or (t is not None and t_ref is not None and abs(t - t_ref) <= 1e-12))
+        if not same:
+            assert near_tie
+            value = _weighted_kl(pw, pg, w @ vertices)
+            value_ref = _weighted_kl(pw, pg, w_ref @ vertices)
+            assert abs(value - value_ref) <= max(gap, gap_ref) + 1e-12
+            return False
+    assert it == it_ref
+    assert np.array_equal(w > 0.0, w_ref > 0.0)
+    assert np.abs(w - w_ref).max() <= 1e-12
+    assert gap == pytest.approx(gap_ref, rel=0.0, abs=1e-12)
+    return True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inner_infimum_matches_the_brentq_reference(monkeypatch):
+    rng = np.random.default_rng(60)
+    whole = []
+    for pg, pw, vertices in _solver_problems():
+        whole.append(_compare_with_reference(monkeypatch, pg, pw, vertices, None))
+        # warm starts from the optimum at another input distribution, as the
+        # ascent of mode="optimize" does, with its tolerance and with caps
+        w_opt = _inner_infimum_brentq(pg, pw, vertices)[0]
+        pw2 = np.repeat(rng.dirichlet(np.ones(pw.size // 4)), 4)
+        for tol, cap in ((1e-9, 300), (1e-7, 3)):
+            whole.append(_compare_with_reference(monkeypatch, pg, pw2, vertices, w_opt,
+                                                 gap_tol=tol, max_iters=cap))
+    assert sum(whole) >= 0.75 * len(whole)
+
+
+def _line_search_case(rng, n=12):
+    """pm > 0, qm > 0 and a pairwise direction dm in {-1, 0, 1}."""
+    pm = rng.dirichlet(np.ones(n))
+    qm = rng.uniform(0.05, 1.0, size=n)
+    dm = rng.choice([-1.0, 0.0, 1.0], size=n)
+    dm[:2] = (-1.0, 1.0)
+    return pm, qm, dm
+
+
+def _nats_slope(pm, qm, dm):
+    return -float((pm * dm / qm).sum())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_line_search_matches_brentq():
+    rng = np.random.default_rng(61)
+    seen = {"interior": 0, "t_max": 0, "pole": 0, "flat": 0}
+    for _ in range(400):
+        pm, qm, dm = _line_search_case(rng)
+        g0 = _nats_slope(pm, qm, dm)
+        pole = float(qm[dm < 0.0].min())  # qm + t dm reaches 0 here
+        for t_max, kind in ((pole, "pole"), (pole * rng.uniform(0.05, 1.0), None)):
+            want = _brentq_step(pm, qm, dm, t_max)
+            got = _line_search(pm, qm, dm, t_max, g0)
+            if want is None:
+                assert got is None
+                seen["flat"] += 1
+                continue
+            kind = kind or ("t_max" if want == t_max else "interior")
+            seen[kind] += 1
+            if want == t_max:
+                assert got == t_max
+            else:
+                # both within brentq's tolerance of the root
+                assert abs(got - want) <= 2.0 * (1e-16 + 8.9e-16 * want)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_nonlocality_reports_its_final_gap():
+    poly = LocalPolytope.for_scenario(2, 2, 2, 2)
+    boxes = [tsirelson_box(), *_pr_vertex_mixtures(63, 3, (0.2, 0.8))]
+    for box, (mode, gap_tol) in itertools.product(boxes, [("uniform", 1e-7),
+                                                         ("optimize", 1e-7),
+                                                         ("uniform", 1e-2)]):
+        res = nonlocality_N(box, mode=mode, gap_tol=gap_tol, restarts=2, ascent_iters=10)
+        assert res.converged == (res.gap <= gap_tol)
+        assert res.to_json()["gap"] == res.gap
+        # the gap recomputed from the public fields: w.grad - min grad
+        pg = box.p.reshape(-1)
+        pw = np.repeat(res.input_dist, 4)
+        mask = (pg > 0.0) & (pw > 0.0)
+        q = np.maximum((res.inner_weights @ poly.vertices)[mask], 1e-300)
+        grad = -(poly.vertices[:, mask] @ (pw[mask] * pg[mask] / q)) / math.log(2.0)
+        assert res.gap == pytest.approx(res.inner_weights @ grad - grad.min(), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"ascent_iters": -1}])
+def test_nonlocality_rejects_bad_ascent_arguments(kwargs):
+    with pytest.raises(ValidationError):
+        nonlocality_N(tsirelson_box(), mode="optimize", **kwargs)
