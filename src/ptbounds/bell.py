@@ -221,9 +221,6 @@ class Box:
             raise ValidationError("box blocks are not normalized per input pair")
         self.p = np.clip(self.p, 0.0, None)
 
-    def block(self, x: int, y: int) -> np.ndarray:
-        return self.p[x, y].reshape(-1)
-
     def to_json(self) -> dict:
         return {"nx": self.nx, "ny": self.ny, "na": self.na, "nb": self.nb,
                 "p": [float(v) for v in self.p.reshape(-1)]}
@@ -449,12 +446,13 @@ class BoundReport:
         return "context,lhs,rhs,slack,verdict"
 
 
-def _pt_distance(rho: CMatrix, sigma: CMatrix) -> float:
+def d_eps_membership(rho: CMatrix, sigma_candidate: CMatrix) -> float:
+    """Certified epsilon: trace norm of the transposed difference to the candidate."""
     rg = partial_transpose(rho)
-    sg = partial_transpose(sigma)
+    sg = partial_transpose(sigma_candidate)
     if rg.dim != sg.dim:
         raise ValidationError("states must share a dimension")
-    return trace_norm(CMatrix(rg.mat - sg.mat, rg.layout, hermitian=False))
+    return trace_norm(rg.mat - sg.mat)
 
 
 def thm1_bound(f: BellFunctional, meas: MeasurementFamily, rho: CMatrix,
@@ -464,7 +462,7 @@ def thm1_bound(f: BellFunctional, meas: MeasurementFamily, rho: CMatrix,
     s_op = bell_operator(f, meas)
     lhs = abs(functional_value(f, box_from(rho, meas)) -
               functional_value(f, box_from(sigma, meas)))
-    rhs = op_norm(partial_transpose(s_op)) * _pt_distance(rho, sigma)
+    rhs = op_norm(partial_transpose(s_op)) * d_eps_membership(rho, sigma)
     return BoundReport(context, lhs, rhs, tol=tol)
 
 
@@ -479,7 +477,7 @@ def cor1_bound(f: BellFunctional, rho: CMatrix, sigma_candidate: CMatrix,
     state, so the right-hand side only relaxes upward.
     """
     lhs = seesaw(rho, f, restarts=restarts, seed=seed).value
-    rhs = classical_value(f) + q_value * _pt_distance(rho, sigma_candidate)
+    rhs = classical_value(f) + q_value * d_eps_membership(rho, sigma_candidate)
     return BoundReport(context, lhs, rhs, tol=tol)
 
 
@@ -491,8 +489,3 @@ def pbit_observation_bound(x: CMatrix, f: BellFunctional, q_value: float,
     lhs = seesaw(gamma, f, restarts=restarts, seed=seed).value
     rhs = classical_value(f) + q_value * trace_norm(partial_transpose(x))
     return BoundReport("key-state observation bound", lhs, rhs, tol=tol)
-
-
-def d_eps_membership(rho: CMatrix, sigma_candidate: CMatrix) -> float:
-    """Certified epsilon: trace norm of the transposed difference to the candidate."""
-    return _pt_distance(rho, sigma_candidate)

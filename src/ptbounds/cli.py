@@ -8,9 +8,11 @@ state family, and builds its rows with ``_seesaw_row`` and ``_ppt_row``.
 ``repro eq13`` emits one row, ``eq13 monotone``: the largest decrease of
 the continuity bound along its eps and d grid, which must be 0.
 
-Exit codes: 0 when every emitted verdict is true, 1 when a verdict is false,
+Exit codes: 0 when every emitted verdict is true, 1 when a verdict is false
+or a ``nonlocality`` solve did not converge (its report is still written),
 2 for validation or parse failures, 3 when a construction would exceed the
-dense-dimension cap (PTBOUND_DIM_CAP raises it).
+dense-dimension cap (PTBOUND_DIM_CAP raises it); the cap also applies to the
+doubled state rho x rho^PT of ``repro prop1``.
 
 All JSON output is canonical and compact: one line with sorted keys, the
 separators "," and ":" and no timestamps, so identical invocations produce
@@ -231,7 +233,7 @@ def cmd_nonlocality(args: argparse.Namespace) -> int:
     else:
         payload = {"command": "nonlocality", "mode": args.mode, "result": result.to_json()}
         _emit(_dump_json(payload), args)
-    return 0
+    return 0 if result.converged else 1
 
 
 # make-state families: name -> (d, ds, m, q) -> payload fields, matrices as

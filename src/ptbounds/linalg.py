@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import TOL, ValidationError
+from .config import TOL, ValidationError, check_dim
 
 __all__ = [
     "SystemLayout",
@@ -86,13 +86,15 @@ class SystemLayout:
 class CMatrix:
     """A square complex matrix plus an optional factor layout.
 
-    Entries are stored row-major as a numpy complex128 array.  Setting
-    ``hermitian=True`` checks max |M_ij - conj(M_ji)| against the structural
-    tolerance and remembers the flag so norm routines can pick the cheaper
-    eigenvalue path.
+    Entries are stored row-major as a numpy complex128 array.  The
+    ``hermitian`` keyword is a one-time check on a caller-supplied matrix:
+    when true, the constructor raises ValidationError unless
+    max |M_ij - conj(M_ji)| is within the structural tolerance.  Nothing is
+    stored; matrices built inside the package are hermitian by construction
+    and are not re-checked.
     """
 
-    __slots__ = ("mat", "layout", "hermitian")
+    __slots__ = ("mat", "layout")
 
     def __init__(self, mat, layout: SystemLayout | None = None, hermitian: bool = False):
         arr = np.ascontiguousarray(mat, dtype=np.complex128)
@@ -108,17 +110,10 @@ class CMatrix:
                 raise ValidationError(f"matrix marked hermitian deviates by {dev:.3e}")
         self.mat = arr
         self.layout = layout
-        self.hermitian = bool(hermitian)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def is_hermitian(self, tol: float = TOL.structural) -> bool:
-        return bool(np.abs(self.mat - self.mat.conj().T).max() <= tol)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
 
     def __repr__(self):
         lay = "" if self.layout is None else f", factors={self.layout.factors}"
@@ -151,7 +146,7 @@ def partial_transpose(m: CMatrix, party: str = "B") -> CMatrix:
     for ax in axes:
         perm[ax], perm[n + ax] = perm[n + ax], perm[ax]
     out = t.transpose(perm).reshape(m.dim, m.dim)
-    return CMatrix(out, layout, hermitian=m.hermitian)
+    return CMatrix(out, layout)
 
 
 def permute_factors(m: CMatrix, order: Sequence[int]) -> CMatrix:
@@ -163,7 +158,7 @@ def permute_factors(m: CMatrix, order: Sequence[int]) -> CMatrix:
     t = m.mat.reshape(dims + dims)
     perm = list(order) + [n + i for i in order]
     out = np.ascontiguousarray(t.transpose(perm).reshape(m.dim, m.dim))
-    return CMatrix(out, new_layout, hermitian=m.hermitian)
+    return CMatrix(out, new_layout)
 
 
 def collect_parties(m: CMatrix) -> CMatrix:
@@ -183,16 +178,18 @@ def collect_parties(m: CMatrix) -> CMatrix:
     dim_a = layout.dim_of("A")
     dim_b = layout.dim_of("B")
     coarse = SystemLayout(((dim_a, "A"), (dim_b, "B")))
-    return CMatrix(grouped.mat, coarse, hermitian=m.hermitian)
+    return CMatrix(grouped.mat, coarse)
 
 
 def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Kronecker product; layouts concatenate when both sides carry one."""
+    """Kronecker product under the dense-dimension cap; layouts concatenate
+    when both sides carry one."""
+    arr_a, arr_b = _as_array(a), _as_array(b)
+    check_dim(arr_a.shape[0] * arr_b.shape[0], "tensor")
     layout = None
     if isinstance(a, CMatrix) and isinstance(b, CMatrix) and a.layout and b.layout:
         layout = SystemLayout(a.layout.factors + b.layout.factors)
-    herm = getattr(a, "hermitian", False) and getattr(b, "hermitian", False)
-    return CMatrix(np.kron(_as_array(a), _as_array(b)), layout, hermitian=herm)
+    return CMatrix(np.kron(arr_a, arr_b), layout)
 
 
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
@@ -259,11 +256,10 @@ def _density_eigs(arr: np.ndarray, what: str, trace_tol: float, psd_tol: float,
     return w, v
 
 
-def assert_density(m, what: str, trace_tol: float = TOL.assertion,
-                   psd_tol: float = TOL.psd) -> np.ndarray:
+def assert_density(m, what: str) -> np.ndarray:
     """Check trace one and positivity, returning the underlying array."""
     arr = _as_array(m)
-    _density_eigs(arr, what, trace_tol, psd_tol)
+    _density_eigs(arr, what, TOL.assertion, TOL.psd)
     return arr
 
 
@@ -340,8 +336,8 @@ def _json_floats(values, what: str, count: int = -1) -> np.ndarray:
         raise ValidationError(f"{what} ({exc})") from exc
 
 
-def matrix_from_json(obj: dict, expect_hermitian: bool = False) -> CMatrix:
-    """Inverse of matrix_to_json, validating shape and optionally hermiticity."""
+def matrix_from_json(obj: dict) -> CMatrix:
+    """Inverse of matrix_to_json, validating shape and finiteness."""
     try:
         dims = [int(d) for d in obj["dims"]]
         parties = [str(p) for p in obj["parties"]]
@@ -367,4 +363,4 @@ def matrix_from_json(obj: dict, expect_hermitian: bool = False) -> CMatrix:
         raise ValidationError("matrix JSON has non-finite entries")
     layout = SystemLayout(tuple((d, p) for d, p in zip(dims, parties)))
     mat = flat.view(np.complex128).reshape(dim, dim)
-    return CMatrix(mat, layout, hermitian=expect_hermitian)
+    return CMatrix(mat, layout)

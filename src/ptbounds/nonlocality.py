@@ -40,7 +40,11 @@ __all__ = [
 ]
 
 _VERTEX_GUARD = 10**5
-_LOG_CLAMP = 1e-300
+# The smallest normal double.  A clamp above a box entry p caps p / q near
+# p / clamp where q -> 0 should blow it up, so the line search stops seeing
+# the pole and a drop step can empty a supported entry: a clamp of 1e-300
+# gives N = inf on a box with a row (1, 0, 0, 1e-300).
+_LOG_CLAMP = np.finfo(np.float64).tiny
 
 
 def kl(p, q) -> float:
@@ -205,8 +209,6 @@ def _inner_infimum(pg: np.ndarray, pw: np.ndarray, vertices: np.ndarray,
             break  # numerically flat; the gap is already certified above
         w[s] += t
         w[away] -= t
-        if w[away] < 1e-17:
-            w[away] = 0.0
     return w, gap, it
 
 

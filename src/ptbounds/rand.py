@@ -33,7 +33,7 @@ def random_pure(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_bipartite_density(rng: np.random.Generator, da: int, db: int) -> CMatrix:
-    return CMatrix(random_density(rng, da * db), SystemLayout.bipartite(da, db), hermitian=True)
+    return CMatrix(random_density(rng, da * db), SystemLayout.bipartite(da, db))
 
 
 def random_separable(rng: np.random.Generator, da: int, db: int,
@@ -43,7 +43,7 @@ def random_separable(rng: np.random.Generator, da: int, db: int,
     out = np.zeros((da * db, da * db), dtype=np.complex128)
     for t in range(terms):
         out += w[t] * np.kron(random_pure(rng, da), random_pure(rng, db))
-    return CMatrix(out, SystemLayout.bipartite(da, db), hermitian=True)
+    return CMatrix(out, SystemLayout.bipartite(da, db))
 
 
 def random_binary_projective(rng: np.random.Generator, d: int) -> list[np.ndarray]:

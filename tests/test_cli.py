@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ptbounds import cli
 from ptbounds.cli import main
 from ptbounds.linalg import matrix_from_json
+from ptbounds.nonlocality import NlResult
 from ptbounds.states import hiding_state, ppt_pbit
 
 
@@ -103,6 +105,31 @@ def test_dimension_cap_exits_three(capsys, monkeypatch):
     monkeypatch.setenv("PTBOUND_DIM_CAP", "8")
     code, _ = run_main(capsys, "repro", "eq10", "--ds", "4")
     assert code == 3
+
+
+def test_prop1_doubled_state_is_capped(capsys, monkeypatch):
+    # hiding m=1 has dimension 16, under the cap; rho x rho^PT has 256
+    monkeypatch.setenv("PTBOUND_DIM_CAP", "32")
+    assert main(["repro", "prop1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tensor needs dimension 256")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_nonlocality_exit_code_follows_convergence(capsys, monkeypatch):
+    box_file = str(Path(__file__).parent / "data" / "hiding_m2_chsh_seesaw_box.json")
+    code, out = run_main(capsys, "nonlocality", box_file)
+    assert code == 0
+    assert json.loads(out)["result"]["converged"] is True
+    stalled = NlResult(0.5, np.full(16, 1.0 / 16), np.full(4, 0.25), False, 50_000, 0.3)
+    monkeypatch.setattr(cli, "nonlocality_N", lambda box, **kwargs: stalled)
+    code, out = run_main(capsys, "nonlocality", box_file)
+    assert code == 1
+    assert json.loads(out)["result"]["converged"] is False
+    code, out = run_main(capsys, "nonlocality", box_file, "--out", "csv")
+    assert code == 1
+    assert "converged,False" in out.splitlines()
 
 
 def test_nonlocality_on_local_vertex_box(capsys, tmp_path):

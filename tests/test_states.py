@@ -1,14 +1,20 @@
 """Tests for the state-family constructors and their separable companions."""
 
+import itertools
 import math
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 
 from ptbounds import (
+    TOL,
+    CMatrix,
     DimensionCapError,
+    StateFamilyResult,
+    SystemLayout,
     ValidationError,
+    assert_density,
     d_eps_membership,
     fourier_xy,
     hiding_state,
@@ -181,3 +187,49 @@ def test_hiding_state_candidate_matches_layout():
     fam = hiding_state(m=2)
     assert fam.sigma_candidate.layout.factors == fam.rho.layout.factors
     assert np.trace(fam.sigma_candidate.mat).real == pytest.approx(1.0, abs=1e-10)
+
+
+def _random_x(seed: int, da: int, db: int, rank_one: bool) -> CMatrix:
+    """A random operator on (da, A) x (db, B) scaled to trace norm one."""
+    rng = np.random.default_rng(seed)
+    shape = (da * db, 1 if rank_one else da * db)
+    g = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) @ (
+        rng.normal(size=shape[::-1]) + 1j * rng.normal(size=shape[::-1]))
+    return CMatrix(g / trace_norm(g), SystemLayout.bipartite(da, db))
+
+
+def _private_bit_of(make_x, *args) -> CMatrix:
+    return private_bit(make_x(*args))
+
+
+def _density_cases():
+    """Every constructor output that is a state, over the parameter grid whose
+    density-matrix property the constructors do not re-check at run time."""
+    for m, d, k in itertools.product((1, 2, 3), (2, 3), (1, 2)):
+        if 4 * d ** (2 * k * m) <= 1024:
+            for q in (0.01, 0.2, 1.0 / 3.0, 0.45, 0.49):
+                yield pytest.param(partial(hiding_state, m, d, k, q),
+                                   id=f"hiding-m{m}-d{d}-k{k}-q{q:.3g}")
+    for ds in (4, 9):
+        yield pytest.param(partial(ppt_pbit, ds), id=f"ppt-pbit-{ds}")
+    for d in (2, 3, 4):
+        yield pytest.param(partial(_private_bit_of, swap_x, d), id=f"private-bit-swap-{d}")
+    yield pytest.param(partial(_private_bit_of, lambda ds: fourier_xy(ds)[0], 4),
+                       id="private-bit-fourier-4")
+    for seed, (da, db), rank_one in itertools.product((0, 1), ((2, 2), (2, 3)), (False, True)):
+        yield pytest.param(partial(_private_bit_of, _random_x, seed, da, db, rank_one),
+                           id=f"private-bit-random-{seed}-{da}x{db}-rank{1 if rank_one else 'full'}")
+    for d in (2, 3):
+        yield pytest.param(partial(max_entangled, d), id=f"max-entangled-{d}")
+        for kind in ("symmetric", "antisymmetric"):
+            yield pytest.param(partial(werner_state, d, kind), id=f"werner-{kind}-{d}")
+
+
+@pytest.mark.parametrize("build", _density_cases())
+def test_constructor_outputs_are_density_matrices(build):
+    out = build()
+    states = [out.rho, out.sigma_candidate] if isinstance(out, StateFamilyResult) else [out]
+    for state in states:
+        arr = assert_density(state, "constructor output")
+        assert np.abs(arr - arr.conj().T).max() <= TOL.structural
+        assert abs(np.trace(arr) - 1.0) <= 1e-10
