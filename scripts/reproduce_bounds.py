@@ -20,7 +20,8 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed passed to every target (default 0)")
     parser.add_argument("--restarts", type=int, default=32,
-                        help="seesaw restarts per target (default 32)")
+                        help="random seesaw restarts per target, plus one "
+                             "from a deterministic strategy (default 32)")
     args = parser.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)

@@ -131,8 +131,8 @@ def nonnegativize(f: BellFunctional) -> BellFunctional:
                           offset=f.offset + float(shifts.sum()))
 
 
-def classical_value(f: BellFunctional) -> float:
-    """Exact maximum over deterministic strategy pairs.
+def _optimal_deterministic(f: BellFunctional) -> tuple[float, list[int]]:
+    """Classical value, and Bob's output per input in the first optimal strategy pair found.
 
     Enumerates the smaller party's strategy assignments and maximizes the
     other party input-by-input, which visits the same optimum as the full
@@ -144,15 +144,24 @@ def classical_value(f: BellFunctional) -> float:
             f"{pairs} deterministic strategy pairs exceed the enumeration guard {_ENUM_GUARD}"
         )
     coeffs = f.coeffs
-    if f.nb ** f.ny > f.na ** f.nx:
+    bob_enumerated = f.nb ** f.ny <= f.na ** f.nx
+    if not bob_enumerated:
         coeffs = coeffs.transpose(1, 0, 3, 2)
     ni, no = coeffs.shape[1], coeffs.shape[3]
-    best = -math.inf
+    best, best_strat, best_totals = -math.inf, (), None
     for strat in itertools.product(range(no), repeat=ni):
-        picked = coeffs[:, range(ni), :, strat]  # fancy indexing gives (ni, nx', na')
-        value = float(picked.sum(axis=0).max(axis=1).sum())
-        best = max(best, value)
-    return best
+        # fancy indexing gives (ni, nx', na'); summed, the other party's (input, output) totals
+        totals = coeffs[:, range(ni), :, strat].sum(axis=0)
+        value = float(totals.max(axis=1).sum())
+        if value > best:
+            best, best_strat, best_totals = value, strat, totals
+    bob = best_strat if bob_enumerated else best_totals.argmax(axis=1)
+    return best, [int(b) for b in bob]
+
+
+def classical_value(f: BellFunctional) -> float:
+    """Exact maximum over deterministic strategy pairs."""
+    return _optimal_deterministic(f)[0]
 
 
 @dataclass
@@ -312,28 +321,30 @@ class SeesawResult:
 
 
 def _best_response(r: np.ndarray, coeffs: np.ndarray,
-                   other: list[list[np.ndarray]]) -> tuple[list[list[np.ndarray]], float]:
-    """One party's optimal binary projectors against the other's fixed POVMs, and their value.
+                   other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each restart's optimal binary projectors against the other party's POVMs, and their values.
 
-    ``r`` has this party on the rows (R for Alice, R.T for Bob); ``coeffs``
-    is indexed [own input, other input, own outcome, other outcome].
+    ``other`` stacks the other party's E_(0|y) as [restart, input, d', d'], and
+    the projectors E_(0|x) come back stacked the same way.  ``r`` has the
+    other party on the rows (R.T for Alice, R for Bob); ``coeffs`` is indexed
+    [own input, other input, own outcome, other outcome].
     """
-    d, d_other = math.isqrt(r.shape[0]), math.isqrt(r.shape[1])
-    cols = np.stack([e0.T.reshape(-1) for e0, _ in other] + [np.eye(d_other).reshape(-1)], axis=1)
-    # r @ cols holds M_E = Tr_other[(I x E) rho] for E = E_(0|y) and I; E_1 = I - E_0 then
-    # gives K_(a|x) = sum_y (s[x,y,a,0] - s[x,y,a,1]) M_(0|y) + s[x,y,a,1] M_I
-    weights = np.concatenate([(coeffs[..., 0] - coeffs[..., 1]).transpose(1, 0, 2),
-                              coeffs[..., 1].sum(axis=1)[None]])
-    k = ((r @ cols) @ weights.reshape(cols.shape[1], -1)).reshape(d, d, -1, 2)
-    own, value = [], 0.0
-    for x in range(k.shape[2]):
-        diff = k[:, :, x, 0] - k[:, :, x, 1]
-        w, v = np.linalg.eigh((diff + diff.conj().T) / 2)
-        pos = v[:, w > 0.0]
-        proj = pos @ pos.conj().T
-        own.append([proj, np.eye(d) - proj])
-        value += float(np.trace(k[:, :, x, 1]).real + w[w > 0.0].sum())
-    return own, value
+    n, ny, d_other = other.shape[:3]
+    d = math.isqrt(r.shape[1])
+    rows = np.concatenate([other.swapaxes(2, 3).reshape(n * ny, -1),
+                           np.eye(d_other).reshape(1, -1)])
+    # rows @ r holds vec(M_E), M_E = Tr_other[(I x E) rho], for every E_(0|y) and, last, for I;
+    # E_1 = I - E_0 then gives K_(a|x) = sum_y (s[x,y,a,0] - s[x,y,a,1]) M_(0|y) + s[x,y,a,1] M_I
+    m = rows @ r
+    k = (np.einsum("xya,nyk->nxak", coeffs[..., 0] - coeffs[..., 1], m[:-1].reshape(n, ny, -1))
+         + coeffs[..., 1].sum(axis=1)[:, :, None] * m[-1]).reshape(n, -1, 2, d, d)
+    diff = k[:, :, 0] - k[:, :, 1]
+    w, v = np.linalg.eigh((diff + diff.conj().swapaxes(2, 3)) / 2)
+    pos = w > 0.0
+    proj = (v * pos[:, :, None, :]) @ v.conj().swapaxes(2, 3)
+    values = (np.trace(k[:, :, 1], axis1=2, axis2=3).real.sum(axis=1)
+              + np.where(pos, w, 0.0).sum(axis=(1, 2)))
+    return proj, values
 
 
 def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
@@ -345,14 +356,21 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
     effective score operator, which is the exact single-party optimum.  The
     objective therefore never decreases.  Restarts draw Haar-like random
     projective measurements from one seeded generator, making the whole run
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  One extra restart follows them: Bob
+    starts at an optimal deterministic strategy (E_0 = I or 0 per input, from
+    the enumeration behind classical_value), so Alice's first best response
+    already reaches the classical value and the best value can only be
+    higher.
 
     Both parties read the state through R[(a',a),(b',b)] = rho[(a',b'),(a,b)],
     realigned once, since Tr[(A x B) rho] = vec(A^T)^T R vec(B^T); Bob uses
-    R.T.  With E_1 = I - E_0 a half-step is one GEMM over the other party's
-    vec(E_0^T) and vec(I), and its value comes from the eigenvalues it has
-    already computed: sum_x Tr K_(1|x) plus the positive eigenvalues of
-    K_(0|x) - K_(1|x), K_(a|x) being the score operator of outcome a.
+    R.T.  All restarts advance in lockstep: with E_1 = I - E_0 a half-step is
+    one GEMM of R against the other party's vec(E_0^T) of every active
+    restart plus vec(I), one einsum for the score operators K_(a|x), and one
+    stacked eigh.  A restart's value comes from the eigenvalues already
+    computed: sum_x Tr K_(1|x) plus the positive eigenvalues of
+    K_(0|x) - K_(1|x).  Each restart stops on its own, once a sweep gains
+    less than ``step_tol``, or after ``max_iters`` sweeps.
 
     Parameters
     ----------
@@ -365,55 +383,64 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
 
     Returns
     -------
-    SeesawResult with the best value, the measurements achieving it, the
-    per-half-step objective history of the best restart, and the final
-    value of every restart.
+    SeesawResult with the best value (the first restart reaching it wins a
+    tie), the measurements achieving it, the per-half-step objective history
+    of that restart, and the final value of every restart, the deterministic
+    one last.
     """
     if f.na != 2 or f.nb != 2:
         raise ValidationError("seesaw handles binary outcomes only")
     if restarts < 1:
         raise ValidationError("seesaw needs at least one restart")
+    if max_iters < 1:
+        raise ValidationError("seesaw needs at least one iteration")
+    _, bob_outputs = _optimal_deterministic(f)
     r, da, db = _realigned(rho)
     rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(restarts):
+        # Alice's draws only advance the generator: her first half-step replaces them
+        for _ in range(f.nx):
+            random_binary_projective(rng, da)
+        starts.append([random_binary_projective(rng, db)[0] for _ in range(f.ny)])
+    starts.append([np.eye(db) * (b == 0) for b in bob_outputs])
+    bob = np.array(starts, dtype=np.complex128)
     coeffs_bob = f.coeffs.transpose(1, 0, 3, 2)
 
-    best_value = -math.inf
-    best_meas: MeasurementFamily | None = None
-    best_history: tuple[float, ...] = ()
-    best_iters = 0
-    best_converged = False
-    finals = []
-    for _ in range(restarts):
-        alice = [random_binary_projective(rng, da) for _ in range(f.nx)]
-        bob = [random_binary_projective(rng, db) for _ in range(f.ny)]
-        history = []
-        prev = -math.inf
-        converged = False
-        sweeps = 0
-        for sweeps in range(1, max_iters + 1):
-            alice, val = _best_response(r, f.coeffs, bob)
-            history.append(val)
-            bob, val = _best_response(r.T, coeffs_bob, alice)
-            history.append(val)
-            if val - prev < step_tol:
-                converged = True
-                break
-            prev = val
-        final = history[-1]
-        finals.append(final)
-        if final > best_value:
-            best_value = final
-            best_meas = MeasurementFamily(alice, bob)
-            best_history = tuple(history)
-            best_iters = sweeps
-            best_converged = converged
+    n = len(starts)
+    active = np.arange(n)
+    prev = np.full(n, -math.inf)
+    finals = np.empty(n)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    alice_out = np.empty((n, f.nx, da, da), dtype=np.complex128)
+    bob_out = np.empty_like(bob)
+    trail = []  # per sweep, both half-step values of every restart, NaN once it stopped
+    for sweep in range(1, max_iters + 1):
+        alice, val_a = _best_response(r.T, f.coeffs, bob)
+        bob, val_b = _best_response(r, coeffs_bob, alice)
+        step = np.full((2, n), np.nan)
+        step[:, active] = val_a, val_b
+        trail.append(step)
+        done = val_b - prev < step_tol
+        stop = done | (sweep == max_iters)
+        ids = active[stop]
+        finals[ids], iterations[ids], converged[ids] = val_b[stop], sweep, done[stop]
+        alice_out[ids], bob_out[ids] = alice[stop], bob[stop]
+        active, prev, bob = active[~stop], val_b[~stop], bob[~stop]
+        if not active.size:
+            break
+
+    best = int(np.argmax(finals))
+    eye_a, eye_b = np.eye(da), np.eye(db)
     return SeesawResult(
-        value=best_value,
-        measurements=best_meas,
-        history=best_history,
-        restart_values=tuple(finals),
-        converged=best_converged,
-        iterations=best_iters,
+        value=float(finals[best]),
+        measurements=MeasurementFamily([[e, eye_a - e] for e in alice_out[best]],
+                                       [[e, eye_b - e] for e in bob_out[best]]),
+        history=tuple(np.array(trail)[:iterations[best], :, best].reshape(-1).tolist()),
+        restart_values=tuple(finals.tolist()),
+        converged=bool(converged[best]),
+        iterations=int(iterations[best]),
     )
 
 

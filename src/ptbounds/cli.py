@@ -296,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
                      "is PPT only for q <= 1/3, and delta <= 2^-m for every m only for q >= 1/3")
     rep.add_argument("--eps", default="0,0.1,0.25,0.4",
                      help="comma-separated epsilon grid (default 0,0.1,0.25,0.4)")
-    _add_common(rep, "seesaw restarts")
+    _add_common(rep, "random seesaw restarts, plus one from a deterministic strategy")
     rep.set_defaults(func=cmd_repro)
 
     see = subs.add_parser("seesaw", help="optimize measurements for a state file")
     see.add_argument("state_file", help="matrix JSON for the state")
     see.add_argument("functional_file", nargs="?", default=None,
                      help="functional JSON (default: built-in CHSH)")
-    _add_common(see, "seesaw restarts")
+    _add_common(see, "random seesaw restarts, plus one from a deterministic strategy")
     see.set_defaults(func=cmd_seesaw)
 
     non = subs.add_parser("nonlocality", help="evaluate the KL nonlocality of a box file")

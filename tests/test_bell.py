@@ -292,16 +292,38 @@ def dense_objective(r4, coeffs, alice, bob):
     return val
 
 
+def optimal_bob_outputs(f):
+    """Bob's outputs in the first optimal deterministic pair, Bob's strategies
+    enumerated in product order; Alice answers input by input."""
+    best, best_bob = -math.inf, None
+    for bob in itertools.product(range(f.nb), repeat=f.ny):
+        value = sum(max(sum(f.coeffs[x, y, a, bob[y]] for y in range(f.ny))
+                        for a in range(f.na)) for x in range(f.nx))
+        if value > best:
+            best, best_bob = value, bob
+    return best_bob
+
+
+def seesaw_starts(f, da, db, restarts, seed):
+    """The library's starting measurements: seeded random draws, Alice before Bob
+    in each restart, then Bob at an optimal deterministic strategy."""
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        alice = [random_binary_projective(rng, da) for _ in range(f.nx)]
+        yield alice, [random_binary_projective(rng, db) for _ in range(f.ny)]
+    # Alice's start is replaced by her first best response, as in every restart
+    alice = [[np.eye(da), np.zeros((da, da))] for _ in range(f.nx)]
+    eye, zero = np.eye(db), np.zeros((db, db))
+    yield alice, [[eye, zero] if b == 0 else [zero, eye] for b in optimal_bob_outputs(f)]
+
+
 def dense_restart_values(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
-    """Reference seesaw with the library's draw order and stopping rule."""
+    """Reference seesaw with the library's starts and stopping rule."""
     coll = collect_parties(rho)
     da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
     r4 = coll.mat.reshape(da, db, da, db)
-    rng = np.random.default_rng(seed)
     finals = []
-    for _ in range(restarts):
-        alice = [random_binary_projective(rng, da) for _ in range(f.nx)]
-        bob = [random_binary_projective(rng, db) for _ in range(f.ny)]
+    for alice, bob in seesaw_starts(f, da, db, restarts, seed):
         prev = -math.inf
         for _ in range(max_iters):
             dense_half_step(r4, f.coeffs, alice, bob, alice_side=True)
@@ -362,6 +384,94 @@ def test_seesaw_restart_values_match_dense_reference(make_state, make_functional
     res = seesaw(rho, f, restarts=6, seed=0)
     expected = dense_restart_values(rho, f, restarts=6, seed=0)
     assert np.abs(np.array(res.restart_values) - expected).max() <= 1e-10
+
+
+def sequential_seesaw(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
+    """Reference seesaw: one restart after another, one best response per party
+    and half-step.  Returns per restart (final value, history, sweeps, converged)."""
+
+    def best_response(r, coeffs, other):
+        d, d_other = math.isqrt(r.shape[0]), math.isqrt(r.shape[1])
+        cols = np.stack([e0.T.reshape(-1) for e0, _ in other]
+                        + [np.eye(d_other).reshape(-1)], axis=1)
+        weights = np.concatenate([(coeffs[..., 0] - coeffs[..., 1]).transpose(1, 0, 2),
+                                  coeffs[..., 1].sum(axis=1)[None]])
+        k = ((r @ cols) @ weights.reshape(cols.shape[1], -1)).reshape(d, d, -1, 2)
+        own, value = [], 0.0
+        for x in range(k.shape[2]):
+            diff = k[:, :, x, 0] - k[:, :, x, 1]
+            w, v = np.linalg.eigh((diff + diff.conj().T) / 2)
+            pos = v[:, w > 0.0]
+            proj = pos @ pos.conj().T
+            own.append([proj, np.eye(d) - proj])
+            value += float(np.trace(k[:, :, x, 1]).real + w[w > 0.0].sum())
+        return own, value
+
+    coll = collect_parties(rho)
+    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
+    r = coll.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    coeffs_bob = f.coeffs.transpose(1, 0, 3, 2)
+    runs = []
+    for alice, bob in seesaw_starts(f, da, db, restarts, seed):
+        history, prev, converged = [], -math.inf, False
+        for sweeps in range(1, max_iters + 1):
+            alice, val = best_response(r, f.coeffs, bob)
+            history.append(val)
+            bob, val = best_response(r.T, coeffs_bob, alice)
+            history.append(val)
+            if val - prev < step_tol:
+                converged = True
+                break
+            prev = val
+        runs.append((history[-1], history, sweeps, converged))
+    return runs
+
+
+def assert_matches_sequential(rho, f, restarts, seed=0, **knobs):
+    """Lockstep and sequential restarts agree; returns the reference runs."""
+    res = seesaw(rho, f, restarts=restarts, seed=seed, **knobs)
+    runs = sequential_seesaw(rho, f, restarts, seed, **knobs)
+    assert len(res.restart_values) == len(runs) == restarts + 1
+    assert np.abs(np.array(res.restart_values) - [run[0] for run in runs]).max() <= 1e-12
+    # the best restart's audit trail, taken at the index the library chose: a
+    # tie at rounding level may make the reference pick another restart
+    _, history, sweeps, converged = runs[res.restart_values.index(res.value)]
+    assert (res.iterations, res.converged) == (sweeps, converged)
+    assert len(res.history) == len(history)
+    assert np.abs(np.array(res.history) - history).max() <= 1e-12
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_STATES))
+def test_seesaw_matches_sequential_reference_on_shipped_states(name, chsh_functional):
+    assert_matches_sequential(SHIPPED_STATES[name](), chsh_functional, restarts=6)
+
+
+@pytest.mark.parametrize("restarts, max_iters", [(6, 400), (1, 400), (6, 1), (1, 1)])
+def test_seesaw_matches_sequential_reference_on_asymmetric_functional(restarts, max_iters):
+    runs = assert_matches_sequential(random_2x3_state(), asymmetric_functional(),
+                                     restarts=restarts, max_iters=max_iters)
+    if max_iters == 1:
+        assert all(sweeps == 1 for *_, sweeps, _ in runs)
+
+
+def test_seesaw_matches_sequential_reference_when_restarts_stop_apart(chsh_functional):
+    runs = assert_matches_sequential(SHIPPED_STATES["eq8 d=2"](), chsh_functional,
+                                     restarts=6, seed=1)
+    assert len({sweeps for *_, sweeps, _ in runs}) > 2
+
+
+def test_seesaw_deterministic_restart_reaches_the_classical_value(chsh_functional):
+    # the single random restart of this seed ends at 5/6; the deterministic one
+    # starts Alice's first best response at the classical value
+    res = seesaw(ppt_pbit(4).rho, chsh_functional, restarts=1, seed=417)
+    assert res.restart_values[0] < 1.0
+    assert res.value >= classical_value(chsh_functional) - 1e-9
+
+
+def test_seesaw_rejects_fewer_than_one_iteration(phi_plus, chsh_functional):
+    with pytest.raises(ValidationError):
+        seesaw(phi_plus, chsh_functional, max_iters=0)
 
 
 def test_box_from_matches_kron_trace_on_unequal_dimensions():
