@@ -30,6 +30,7 @@ from .linalg import (
     partial_transpose,
     trace_norm,
     _json_floats,
+    _json_size,
 )
 from .rand import random_binary_projective
 from .states import private_bit
@@ -53,7 +54,10 @@ __all__ = [
     "d_eps_membership",
 ]
 
-_ENUM_GUARD = 10**7
+# strategies of one party: 0.63 s for a binary 16x16 functional on one BLAS
+# thread, and longer as the other party's table grows (2.3 s at 16x200)
+_ENUM_GUARD = 2**16
+_STEP_TOL = 1e-13  # a seesaw restart stops once a sweep gains less
 
 
 @dataclass
@@ -75,6 +79,8 @@ class BellFunctional:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         expected = (self.nx, self.ny, self.na, self.nb)
+        if min(expected) < 1:
+            raise ValidationError(f"functional sizes must be at least 1, got {expected}")
         if self.coeffs.shape != expected:
             raise ValidationError(
                 f"coefficient table has shape {self.coeffs.shape}, expected {expected}"
@@ -92,10 +98,10 @@ class BellFunctional:
     @staticmethod
     def from_json(obj: dict) -> "BellFunctional":
         try:
-            nx, ny, na, nb = (int(obj[k]) for k in ("nx", "ny", "na", "nb"))
+            nx, ny, na, nb = (_json_size(obj[k], k) for k in ("nx", "ny", "na", "nb"))
             coeffs = np.asarray(obj["coeffs"], dtype=object).reshape(-1)
             offset = obj.get("offset", 0.0)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad functional JSON: {exc}") from exc
         flat = _json_floats(coeffs, "functional JSON coefficients must be numbers")
         offset = float(_json_floats([offset], "functional JSON offset must be a number")[0])
@@ -138,16 +144,15 @@ def _optimal_deterministic(f: BellFunctional) -> tuple[float, list[int]]:
     other party input-by-input, which visits the same optimum as the full
     product enumeration.
     """
-    pairs = f.na ** f.nx * f.nb ** f.ny
-    if pairs > _ENUM_GUARD:
-        raise ValidationError(
-            f"{pairs} deterministic strategy pairs exceed the enumeration guard {_ENUM_GUARD}"
-        )
     coeffs = f.coeffs
     bob_enumerated = f.nb ** f.ny <= f.na ** f.nx
     if not bob_enumerated:
         coeffs = coeffs.transpose(1, 0, 3, 2)
     ni, no = coeffs.shape[1], coeffs.shape[3]
+    if no ** ni > _ENUM_GUARD:
+        raise ValidationError(
+            f"{no ** ni} deterministic strategies exceed the enumeration guard {_ENUM_GUARD}"
+        )
     best, best_strat, best_totals = -math.inf, (), None
     for strat in itertools.product(range(no), repeat=ni):
         # fancy indexing gives (ni, nx', na'); summed, the other party's (input, output) totals
@@ -177,17 +182,17 @@ class MeasurementFamily:
         for side, povms in (("alice", self.alice), ("bob", self.bob)):
             d = povms[0][0].shape[0]
             for i, povm in enumerate(povms):
-                total = np.zeros((d, d), dtype=np.complex128)
                 for e in povm:
                     if e.shape != (d, d):
                         raise ValidationError(f"{side} input {i}: effect shape {e.shape}")
-                    w = np.linalg.eigvalsh((e + e.conj().T) / 2)
+                    if np.abs(e - e.conj().T).max() > TOL.structural:
+                        raise ValidationError(f"{side} input {i}: effect is not hermitian")
+                    w = np.linalg.eigvalsh(e)
                     if float(w.min()) < -TOL.psd:
                         raise ValidationError(
                             f"{side} input {i}: effect has eigenvalue {w.min():.3e}"
                         )
-                    total += e
-                if np.abs(total - np.eye(d)).max() > TOL.assertion:
+                if np.abs(sum(povm) - np.eye(d)).max() > TOL.assertion:
                     raise ValidationError(f"{side} input {i}: POVM does not sum to identity")
 
     @property
@@ -219,13 +224,16 @@ class Box:
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
         expected = (self.nx, self.ny, self.na, self.nb)
+        if min(expected) < 1:
+            raise ValidationError(f"box sizes must be at least 1, got {expected}")
         if self.p.shape != expected:
             raise ValidationError(f"box table has shape {self.p.shape}, expected {expected}")
         if not np.isfinite(self.p).all():
             raise ValidationError("box has non-finite entries")
         if float(self.p.min()) < -TOL.assertion:
             raise ValidationError(f"box has negative probability {self.p.min():.3e}")
-        sums = self.p.sum(axis=(2, 3))
+        with np.errstate(over="ignore"):  # entries near the float limit sum to inf, refused below
+            sums = self.p.sum(axis=(2, 3))
         if np.abs(sums - 1.0).max() > TOL.assertion:
             raise ValidationError("box blocks are not normalized per input pair")
         self.p = np.clip(self.p, 0.0, None)
@@ -237,7 +245,7 @@ class Box:
     @staticmethod
     def from_json(obj: dict) -> "Box":
         try:
-            nx, ny, na, nb = (int(obj[k]) for k in ("nx", "ny", "na", "nb"))
+            nx, ny, na, nb = (_json_size(obj[k], k) for k in ("nx", "ny", "na", "nb"))
             entries = np.asarray(obj["p"], dtype=object).reshape(-1)  # p may be nested
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad box JSON: {exc}") from exc
@@ -265,18 +273,15 @@ def _realigned(rho: CMatrix) -> tuple[np.ndarray, int, int]:
     return r, da, db
 
 
-def bell_operator(f: BellFunctional, meas: MeasurementFamily,
-                  transpose_b: bool = False) -> CMatrix:
-    """Assemble sum_xyab s[x,y,a,b] A_(a|x) x B_(b|y), optionally with B transposed."""
+def bell_operator(f: BellFunctional, meas: MeasurementFamily) -> CMatrix:
+    """Assemble sum_xyab s[x,y,a,b] A_(a|x) x B_(b|y), hermitian as the effects are."""
     _scenario_match(f, f.nx, f.ny, len(meas.alice[0]), len(meas.bob[0]), "bell_operator")
     if len(meas.alice) != f.nx or len(meas.bob) != f.ny:
         raise ValidationError("bell_operator: measurement family has wrong input count")
     da, db = meas.dim_a, meas.dim_b
-    bob = np.array(meas.bob)
-    if transpose_b:
-        bob = bob.transpose(0, 1, 3, 2)
-    out = np.einsum("xyab,xaij,ybkl->ikjl", f.coeffs, np.array(meas.alice), bob, optimize=True)
-    return CMatrix(out.reshape(da * db, da * db), SystemLayout.bipartite(da, db), hermitian=True)
+    out = np.einsum("xyab,xaij,ybkl->ikjl", f.coeffs, np.array(meas.alice), np.array(meas.bob),
+                    optimize=True)
+    return CMatrix(out.reshape(da * db, da * db), SystemLayout.bipartite(da, db))
 
 
 def box_from(rho: CMatrix, meas: MeasurementFamily) -> Box:
@@ -348,7 +353,7 @@ def _best_response(r: np.ndarray, coeffs: np.ndarray,
 
 
 def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
-           max_iters: int = 400, step_tol: float = 1e-13) -> SeesawResult:
+           max_iters: int = 400) -> SeesawResult:
     """Alternating optimization of binary projective measurements.
 
     Each half-step fixes one party and replaces the other party's POVM for
@@ -370,7 +375,7 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
     stacked eigh.  A restart's value comes from the eigenvalues already
     computed: sum_x Tr K_(1|x) plus the positive eigenvalues of
     K_(0|x) - K_(1|x).  Each restart stops on its own, once a sweep gains
-    less than ``step_tol``, or after ``max_iters`` sweeps.
+    less than _STEP_TOL, or after ``max_iters`` sweeps.
 
     Parameters
     ----------
@@ -378,7 +383,7 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
         Bipartite state (any factor interleaving; it is regrouped).
     f : BellFunctional
         Must have binary outcomes on both sides.
-    restarts, seed, max_iters, step_tol
+    restarts, seed, max_iters
         Optimization knobs; defaults reproduce the shipped experiments.
 
     Returns
@@ -422,7 +427,7 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
         step = np.full((2, n), np.nan)
         step[:, active] = val_a, val_b
         trail.append(step)
-        done = val_b - prev < step_tol
+        done = val_b - prev < _STEP_TOL
         stop = done | (sweep == max_iters)
         ids = active[stop]
         finals[ids], iterations[ids], converged[ids] = val_b[stop], sweep, done[stop]
@@ -483,20 +488,17 @@ def d_eps_membership(rho: CMatrix, sigma_candidate: CMatrix) -> float:
 
 
 def thm1_bound(f: BellFunctional, meas: MeasurementFamily, rho: CMatrix,
-               sigma: CMatrix, tol: float = TOL.verdict,
-               context: str = "fixed-measurement transposition bound") -> BoundReport:
+               sigma: CMatrix) -> BoundReport:
     """Check |Tr S rho - Tr S sigma| <= opnorm(S^PT) tracenorm(rho^PT - sigma^PT)."""
     s_op = bell_operator(f, meas)
     lhs = abs(functional_value(f, box_from(rho, meas)) -
               functional_value(f, box_from(sigma, meas)))
     rhs = op_norm(partial_transpose(s_op)) * d_eps_membership(rho, sigma)
-    return BoundReport(context, lhs, rhs, tol=tol)
+    return BoundReport("fixed-measurement transposition bound", lhs, rhs)
 
 
 def cor1_bound(f: BellFunctional, rho: CMatrix, sigma_candidate: CMatrix,
-               q_value: float, restarts: int = 32, seed: int = 0,
-               tol: float = TOL.verdict,
-               context: str = "candidate-relaxed violation bound") -> BoundReport:
+               q_value: float, restarts: int = 32, seed: int = 0) -> BoundReport:
     """Seesaw value against classical_value + q_value * PT distance to the candidate.
 
     ``q_value`` is the caller-supplied best quantum value of the functional
@@ -505,14 +507,13 @@ def cor1_bound(f: BellFunctional, rho: CMatrix, sigma_candidate: CMatrix,
     """
     lhs = seesaw(rho, f, restarts=restarts, seed=seed).value
     rhs = classical_value(f) + q_value * d_eps_membership(rho, sigma_candidate)
-    return BoundReport(context, lhs, rhs, tol=tol)
+    return BoundReport("candidate-relaxed violation bound", lhs, rhs)
 
 
 def pbit_observation_bound(x: CMatrix, f: BellFunctional, q_value: float,
-                           restarts: int = 32, seed: int = 0,
-                           tol: float = TOL.verdict) -> BoundReport:
+                           restarts: int = 32, seed: int = 0) -> BoundReport:
     """Bound the key-correlated state of X by classical + q_value ||X^PT||_1."""
     gamma = private_bit(x)
     lhs = seesaw(gamma, f, restarts=restarts, seed=seed).value
     rhs = classical_value(f) + q_value * trace_norm(partial_transpose(x))
-    return BoundReport("key-state observation bound", lhs, rhs, tol=tol)
+    return BoundReport("key-state observation bound", lhs, rhs)

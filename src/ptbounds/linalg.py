@@ -130,15 +130,16 @@ def _require_layout(m: CMatrix, op: str) -> SystemLayout:
     return m.layout
 
 
-def partial_transpose(m: CMatrix, party: str = "B") -> CMatrix:
-    """Transpose the factors of one party, leaving the rest untouched.
+def partial_transpose(m: CMatrix) -> CMatrix:
+    """Transpose the factors of party B, leaving the rest untouched.
 
     Implemented as an index permutation, hence exact and an involution.
+    The transpose on A is the full transpose of this one.
     """
     layout = _require_layout(m, "partial_transpose")
-    axes = layout.axes(party)
+    axes = layout.axes("B")
     if not axes:
-        raise ValidationError(f"layout has no factors for party {party!r}")
+        raise ValidationError("layout has no factors for party 'B'")
     dims = layout.dims
     n = len(dims)
     t = m.mat.reshape(dims + dims)
@@ -222,8 +223,8 @@ def spectral_norm(m) -> float:
     return float(np.linalg.svd(_as_array(m), compute_uv=False).max())
 
 
-def psd_sqrt(m, floor: float = TOL.eig_floor) -> np.ndarray:
-    """Square root of a PSD matrix, flooring eigenvalues <= ``floor`` to zero.
+def psd_sqrt(m) -> np.ndarray:
+    """Square root of a PSD matrix, flooring eigenvalues <= TOL.eig_floor to zero.
 
     The floor keeps sqrt from amplifying noise: an eigenvalue that should be
     an exact 0 but comes out of the solver as 1e-17 would otherwise donate
@@ -234,7 +235,7 @@ def psd_sqrt(m, floor: float = TOL.eig_floor) -> np.ndarray:
     w, v = np.linalg.eigh(arr)
     if float(w.min()) < -TOL.psd:
         raise ValidationError(f"psd_sqrt got a matrix with eigenvalue {w.min():.3e}")
-    w = np.where(w <= floor, 0.0, w)
+    w = np.where(w <= TOL.eig_floor, 0.0, w)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -263,23 +264,14 @@ def assert_density(m, what: str) -> np.ndarray:
     return arr
 
 
-def rel_entropy(rho, sigma, *, support_tol: float = TOL.support,
-                floor: float = TOL.eig_floor) -> float:
+def rel_entropy(rho, sigma) -> float:
     """Quantum relative entropy S(rho || sigma) in bits.
 
-    Returns ``math.inf`` when rho has weight outside the support of sigma
-    (kernel overlap above ``support_tol``).  Both arguments must be density
-    matrices within the validation tolerance.
-
-    Parameters
-    ----------
-    rho, sigma : CMatrix or array-like
-        Density matrices of equal dimension.
-    support_tol : float
-        Maximum tolerated Tr(rho K) with K the kernel projector of sigma.
-    floor : float
-        Eigenvalues at or below this count as zero, both for the kernel of
-        sigma and inside the logarithms.
+    Returns ``math.inf`` when rho has weight outside the support of sigma:
+    Tr(rho K) above TOL.support, with K the kernel projector of sigma.
+    Eigenvalues at or below TOL.eig_floor count as zero, both for the kernel
+    of sigma and inside the logarithms.  Both arguments must be density
+    matrices of equal dimension within the validation tolerance.
     """
     r = _as_array(rho)
     s = _as_array(sigma)
@@ -287,14 +279,14 @@ def rel_entropy(rho, sigma, *, support_tol: float = TOL.support,
         raise ValidationError("rel_entropy needs matrices of equal dimension")
     wr, _ = _density_eigs(r, "rel_entropy rho", TOL.support, TOL.support)
     ws, vs = _density_eigs(s, "rel_entropy sigma", TOL.support, TOL.support, vectors=True)
-    kernel = vs[:, ws <= floor]
+    kernel = vs[:, ws <= TOL.eig_floor]
     if kernel.shape[1]:
         overlap = float(np.einsum("ij,jk,ki->", kernel.conj().T, r, kernel).real)
-        if overlap > support_tol:
+        if overlap > TOL.support:
             return math.inf
-    wr_pos = wr[wr > floor]
+    wr_pos = wr[wr > TOL.eig_floor]
     term_rho = float((wr_pos * np.log2(wr_pos)).sum())
-    keep = ws > floor
+    keep = ws > TOL.eig_floor
     vpos = vs[:, keep]
     weights = np.einsum("ij,jk,ki->i", vpos.conj().T, r, vpos).real
     term_cross = float((weights * np.log2(ws[keep])).sum())
@@ -336,10 +328,17 @@ def _json_floats(values, what: str, count: int = -1) -> np.ndarray:
         raise ValidationError(f"{what} ({exc})") from exc
 
 
+def _json_size(value, what: str) -> int:
+    """A size read from JSON: an integer >= 1, so true, 2.0 and "2" are refused."""
+    if type(value) is not int or value < 1:
+        raise ValidationError(f"{what} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> CMatrix:
     """Inverse of matrix_to_json, validating shape and finiteness."""
     try:
-        dims = [int(d) for d in obj["dims"]]
+        dims = [_json_size(d, "matrix JSON dims entry") for d in obj["dims"]]
         parties = [str(p) for p in obj["parties"]]
         data = obj["data"]
         n_entries = len(data)
@@ -347,7 +346,7 @@ def matrix_from_json(obj: dict) -> CMatrix:
         raise ValidationError(f"matrix JSON is missing a field: {exc}") from exc
     if len(dims) != len(parties):
         raise ValidationError("dims and parties must have equal length")
-    dim = int(np.prod(dims, dtype=np.int64))
+    dim = math.prod(dims)
     if n_entries != dim * dim:
         raise ValidationError(f"matrix JSON has {n_entries} entries, expected {dim * dim}")
     what = "matrix JSON entries must be [re, im] pairs"

@@ -45,6 +45,7 @@ _VERTEX_GUARD = 10**5
 # the pole and a drop step can empty a supported entry: a clamp of 1e-300
 # gives N = inf on a box with a row (1, 0, 0, 1e-300).
 _LOG_CLAMP = np.finfo(np.float64).tiny
+_ASCENT_STEP0 = 0.3  # step t of the input-distribution ascent is 0.3 / sqrt(t + 1)
 
 
 def kl(p, q) -> float:
@@ -226,8 +227,7 @@ def _per_entry_weights(p_xy: np.ndarray, shape: tuple[int, int, int, int]) -> np
 
 
 def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
-                  restarts: int = 16, ascent_iters: int = 120, seed: int = 0,
-                  step0: float = 0.3) -> NlResult:
+                  restarts: int = 16, ascent_iters: int = 120, seed: int = 0) -> NlResult:
     """Evaluate the nonlocality measure of a box.
 
     mode="uniform" fixes the input distribution to uniform and solves the
@@ -275,7 +275,7 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
             _, supergrad, w, _, _ = solve(p, w0=w, tol=max(gap_tol, 1e-9), iters=5_000)
             if not np.all(np.isfinite(supergrad)):
                 break
-            p = _project_simplex(p + (step0 / math.sqrt(t + 1.0)) * supergrad)
+            p = _project_simplex(p + (_ASCENT_STEP0 / math.sqrt(t + 1.0)) * supergrad)
         value, _, w, gap, iters = solve(p, w0=w)
         if value > best[0]:
             best = (value, p, (w, gap, iters))
@@ -328,14 +328,13 @@ class ChainCheck:
 
 
 def thm2_chain_check(rho: CMatrix, sigma_candidate: CMatrix, meas: MeasurementFamily,
-                     mode: str = "uniform", tol: float = 1e-7,
-                     context: str = "single copy: measure <= weighted KL <= relative entropy",
-                     ) -> ChainCheck:
+                     mode: str = "uniform") -> ChainCheck:
     """Single-copy chain: N(box(rho)) <= sum_xy p KL(P_xy||Q_xy) <= S(rho||sigma).
 
     The middle term uses the input distribution returned by the measure
     optimizer and the box of the candidate under the same measurements; the
-    last term is measurement-independent by data processing.
+    last term is measurement-independent by data processing.  Both links
+    get TOL.fw_gap of slack, since N is certified only to the Frank-Wolfe gap.
     """
     box_r = box_from(rho, meas)
     box_s = box_from(sigma_candidate, meas)
@@ -348,9 +347,10 @@ def thm2_chain_check(rho: CMatrix, sigma_candidate: CMatrix, meas: MeasurementFa
     else:
         mid = math.inf
     rhs = rel_entropy(rho, sigma_candidate)
-    verdict = (nl.value <= mid + tol) and (mid <= rhs + tol)
+    verdict = (nl.value <= mid + TOL.fw_gap) and (mid <= rhs + TOL.fw_gap)
+    context = "single copy: measure <= weighted KL <= relative entropy"
     if not (math.isfinite(mid) and math.isfinite(rhs)):
-        context = context + " [infinite entropy, trivially true]"
+        context += " [infinite entropy, trivially true]"
     return ChainCheck(context, nl.value, mid, rhs, verdict)
 
 

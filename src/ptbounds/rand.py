@@ -14,9 +14,9 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (z + z.conj().T) / 2.0
+    return (z + z.conj().T) / 2.0
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -36,13 +36,11 @@ def random_bipartite_density(rng: np.random.Generator, da: int, db: int) -> CMat
     return CMatrix(random_density(rng, da * db), SystemLayout.bipartite(da, db))
 
 
-def random_separable(rng: np.random.Generator, da: int, db: int,
-                     terms: int = 8) -> CMatrix:
-    """Random mixture of product pure states: separable by construction."""
-    w = rng.dirichlet(np.ones(terms))
+def random_separable(rng: np.random.Generator, da: int, db: int) -> CMatrix:
+    """Random mixture of eight product pure states: separable by construction."""
     out = np.zeros((da * db, da * db), dtype=np.complex128)
-    for t in range(terms):
-        out += w[t] * np.kron(random_pure(rng, da), random_pure(rng, db))
+    for w in rng.dirichlet(np.ones(8)):
+        out += w * np.kron(random_pure(rng, da), random_pure(rng, db))
     return CMatrix(out, SystemLayout.bipartite(da, db))
 
 

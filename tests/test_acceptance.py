@@ -232,13 +232,12 @@ def test_criterion_08_single_copy_chain():
     rng = np.random.default_rng(2026)
     t0 = time.perf_counter()
     fam = ppt_pbit(4)
-    chain = thm2_chain_check(fam.rho, fam.sigma_candidate,
-                             key_lifted_measurements(4), tol=1e-7)
+    chain = thm2_chain_check(fam.rho, fam.sigma_candidate, key_lifted_measurements(4))
     _check(failures, chain.verdict, "padded private bit chain verdict false")
     for i in range(50):
         rho = random_bipartite_density(rng, 2, 2)
         sigma = random_separable(rng, 2, 2)
-        chain = thm2_chain_check(rho, sigma, _random_meas(rng, 2), tol=1e-7)
+        chain = thm2_chain_check(rho, sigma, _random_meas(rng, 2))
         _check(failures, chain.verdict, f"instance {i}: chain verdict false")
     elapsed = time.perf_counter() - t0
     _check(failures, elapsed < 60.0, f"checks took {elapsed:.1f} s")

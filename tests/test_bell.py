@@ -86,9 +86,32 @@ def test_classical_value_matches_brute_force_on_asymmetric_scenarios():
 
 
 def test_classical_value_enumeration_guard():
-    big = BellFunctional(23, 1, 2, 2, np.zeros((23, 1, 2, 2)))
-    with pytest.raises(ValidationError):
+    # the guard counts the strategies enumerated, the smaller party's: 2 here
+    lopsided = BellFunctional(23, 1, 2, 2, np.zeros((23, 1, 2, 2)))
+    assert classical_value(lopsided) == 0.0
+    big = BellFunctional(17, 17, 2, 2, np.zeros((17, 17, 2, 2)))
+    with pytest.raises(ValidationError, match="131072 deterministic strategies"):
         classical_value(big)
+    with pytest.raises(ValidationError, match="131072 deterministic strategies"):
+        seesaw(max_entangled(2), big, restarts=1)
+
+
+def test_classical_value_and_seesaw_reach_a_planted_optimum():
+    # 12 inputs a side: 4,096 strategies to enumerate, 2^24 strategy pairs
+    rng = np.random.default_rng(41)
+    alice_out, bob_out = rng.integers(0, 2, size=12), rng.integers(0, 2, size=12)
+    coeffs = np.zeros((12, 12, 2, 2))
+    coeffs[np.arange(12)[:, None], np.arange(12), alice_out[:, None], bob_out] = 1.0
+    f = BellFunctional(12, 12, 2, 2, coeffs)
+    assert classical_value(f) == 144.0
+    assert seesaw(max_entangled(2), f, restarts=1).value >= 144.0 - 1e-9
+
+
+@pytest.mark.parametrize("sizes", [(0, 2, 2, 2), (2, 0, 2, 2), (2, 2, 0, 2), (2, 2, 2, 0)])
+@pytest.mark.parametrize("kind", [Box, BellFunctional])
+def test_box_and_functional_refuse_sizes_below_one(kind, sizes):
+    with pytest.raises(ValidationError, match="at least 1"):
+        kind(*sizes, np.zeros(sizes))
 
 
 def test_nonnegativize_makes_coefficients_nonnegative():
@@ -156,6 +179,13 @@ def test_measurement_family_validation():
         MeasurementFamily([[neg, eye - neg]], [[eye]])
 
 
+def test_measurement_family_rejects_non_hermitian_effects():
+    # (E + E^+)/2 = I/2 is a fine effect, but E itself is not hermitian
+    e = np.array([[0.5, 0.3], [-0.3, 0.5]])
+    with pytest.raises(ValidationError, match="not hermitian"):
+        MeasurementFamily([[e, np.eye(2) - e]], [[e, np.eye(2) - e]])
+
+
 def test_box_from_maximally_mixed_is_uniform(tsirelson_meas):
     mixed = CMatrix(np.eye(4) / 4.0, SystemLayout.bipartite(2, 2), hermitian=True)
     box = box_from(mixed, tsirelson_meas)
@@ -197,10 +227,16 @@ def test_bell_operator_matches_box_value(chsh_functional):
     )
 
 
-def test_bell_operator_transpose_flag_equals_partial_transpose(tsirelson_meas, chsh_functional):
-    plain = bell_operator(chsh_functional, tsirelson_meas)
-    flagged = bell_operator(chsh_functional, tsirelson_meas, transpose_b=True)
-    assert np.abs(partial_transpose(plain).mat - flagged.mat).max() <= 1e-14
+def test_bell_operator_of_transposed_bob_equals_partial_transpose(chsh_functional):
+    # S^PT is the Bell operator of Bob's transposed effects, themselves a POVM
+    rng = np.random.default_rng(38)
+    alice = [random_binary_povm(rng, 2) for _ in range(2)]
+    bob = [random_binary_povm(rng, 3) for _ in range(2)]
+    plain = bell_operator(chsh_functional, MeasurementFamily(alice, bob))
+    transposed = bell_operator(chsh_functional,
+                               MeasurementFamily(alice, [[e.T for e in povm] for povm in bob]))
+    assert np.abs(plain.mat - partial_transpose(plain).mat).max() > 0.1
+    assert np.abs(partial_transpose(plain).mat - transposed.mat).max() <= 1e-14
 
 
 def test_bell_operator_nonnegative_coefficients_give_psd():

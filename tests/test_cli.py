@@ -1,12 +1,17 @@
 """Tests for the command line interface: exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ptbounds import cli
 from ptbounds.cli import main
@@ -208,6 +213,7 @@ def _matrix_payload(entries):
 
 
 _PHI = [0.5 if i in (0, 3, 12, 15) else 0.0 for i in range(16)]
+_PHI_PAYLOAD = _matrix_payload([(x, 0.0) for x in _PHI])
 _BAD_STATES = {
     # every entry [i % 3, 7i % 5]: trace 3 and not hermitian
     "unit-trace": [(i % 3, (7 * i) % 5) for i in range(16)],
@@ -233,6 +239,142 @@ def test_seesaw_rejects_integer_too_large_for_a_float(capsys, tmp_path):
     code, errors = run_main_errors(capsys, "seesaw", str(state_file), "--restarts", "2")
     assert code == 2
     assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+# sizes that are not JSON integers >= 1, each with the entry count its int()
+# coercion would have made consistent (size 2 elsewhere)
+_BAD_SIZES = [
+    pytest.param({"nx": float("inf")}, 16, id="1e400"),
+    pytest.param({"nx": -1, "ny": -1}, 4, id="negative"),
+    pytest.param({"nx": 0}, 0, id="zero"),
+    pytest.param({"nx": 2.9}, 16, id="float"),
+    pytest.param({"ny": True}, 8, id="bool"),
+    pytest.param({"nb": "2"}, 16, id="string"),
+]
+
+
+def _size_file_text(obj) -> str:
+    # json writes inf as Infinity; spelled 1e400, as a hand-written file would, it reads the same
+    return json.dumps(obj).replace("Infinity", "1e400")
+
+
+@pytest.mark.parametrize("sizes, count", _BAD_SIZES)
+def test_nonlocality_rejects_bad_box_sizes(capsys, tmp_path, sizes, count):
+    box_file = tmp_path / "box.json"
+    box_file.write_text(_size_file_text({"nx": 2, "ny": 2, "na": 2, "nb": 2, **sizes,
+                                         "p": [0.25] * count}))
+    code, errors = run_main_errors(capsys, "nonlocality", str(box_file))
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error: bad box JSON: n")
+
+
+@pytest.mark.parametrize("sizes, count", _BAD_SIZES)
+def test_seesaw_rejects_bad_functional_sizes(capsys, tmp_path, sizes, count):
+    state_file = tmp_path / "phi.json"
+    assert run_main(capsys, "make-state", "max-entangled", "--output", str(state_file))[0] == 0
+    functional_file = tmp_path / "f.json"
+    functional_file.write_text(_size_file_text({"nx": 2, "ny": 2, "na": 2, "nb": 2, **sizes,
+                                                "coeffs": [1.0] * count}))
+    code, errors = run_main_errors(capsys, "seesaw", str(state_file), str(functional_file),
+                                   "--restarts", "2")
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error: bad functional JSON: n")
+
+
+@pytest.mark.parametrize("dims", [[float("inf"), 2], [2.7, 2.2], [True, 4], ["2", "2"]],
+                         ids=["1e400", "float", "bool", "string"])
+def test_seesaw_rejects_bad_matrix_dims(capsys, tmp_path, dims):
+    state_file = tmp_path / "state.json"
+    state_file.write_text(_size_file_text({**_PHI_PAYLOAD, "dims": dims}))
+    code, errors = run_main_errors(capsys, "seesaw", str(state_file), "--restarts", "2")
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error: matrix JSON dims entry")
+
+
+# Fuzzed input files start valid, from a tiny scenario or state, and get up to
+# two edits: a field or one list element replaced by an arbitrary JSON value,
+# a list shortened, a field dropped, or the whole file replaced.
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.text(max_size=2),
+    st.sampled_from([0, -1, 2.9, True, "2", "A", "C", float("inf"), float("nan")]))
+_JSON_VALUE = st.one_of(_JSON_SCALAR, st.lists(_JSON_SCALAR, max_size=3))
+
+
+@st.composite
+def _edited(draw, obj: dict):
+    """obj after up to two edits; a list value also stands for a malformed shape."""
+    for _ in range(draw(st.integers(0, 2))):
+        if not isinstance(obj, dict) or not obj:
+            break
+        key = draw(st.sampled_from(sorted(obj)))
+        value = obj[key]
+        edit = draw(st.sampled_from(["field", "element", "shorten", "drop", "whole"]))
+        obj = dict(obj)
+        if edit == "field":
+            obj[key] = draw(_JSON_VALUE)
+        elif edit == "element" and isinstance(value, list) and value:
+            i = draw(st.integers(0, len(value) - 1))
+            obj[key] = value[:i] + [draw(_JSON_VALUE)] + value[i + 1:]
+        elif edit == "shorten" and isinstance(value, list):
+            obj[key] = value[:-1]
+        elif edit == "drop":
+            del obj[key]
+        elif edit == "whole":
+            obj = draw(_JSON_VALUE)
+    return obj
+
+
+@st.composite
+def _scenario_file(draw, entries_key: str):
+    """A box (entries_key "p") or functional ("coeffs") file, edited."""
+    sizes = {k: draw(st.integers(1, 2)) for k in ("nx", "ny", "na", "nb")}
+    block = sizes["na"] * sizes["nb"]
+    count = sizes["nx"] * sizes["ny"] * block
+    return draw(_edited({**sizes, entries_key: [1.0 / block] * count}))
+
+
+_STATES = st.sampled_from([
+    _PHI_PAYLOAD,
+    {"dims": [1, 2], "parties": ["B", "A"], "data": [[0.5, 0.0], [0, 0], [0, 0], [0.5, 0.0]]},
+]).flatmap(_edited)
+
+
+def _main_on_files(directory: Path, command: str, payloads) -> tuple[int, list[str]]:
+    """Run main on the payloads written as JSON files; return the exit code and stderr lines.
+
+    A warning would be printed to stderr outside the test run, so it counts as a line.
+    """
+    paths = [directory / f"{command}-{i}.json" for i in range(len(payloads))]
+    for path, payload in zip(paths, payloads):
+        path.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([command, *map(str, paths), "--restarts", "1"])
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def _check_exit(code: int, errors: list[str]) -> None:
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+
+
+@settings(deadline=None, max_examples=60)
+@given(box=_scenario_file("p"))
+@example(box={"nx": 0, "ny": 2, "na": 2, "nb": 2, "p": []})
+def test_nonlocality_box_reader_fuzz(tmp_path_factory, box):
+    _check_exit(*_main_on_files(tmp_path_factory.getbasetemp(), "nonlocality", [box]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(files=st.one_of(st.tuples(_STATES),  # a state alone runs the built-in CHSH
+                       st.tuples(_STATES, _scenario_file("coeffs"))))
+@example(files=({**_PHI_PAYLOAD, "dims": [float("inf"), 2]},))
+@example(files=(_PHI_PAYLOAD, {"nx": -1, "ny": -1, "na": 2, "nb": 2, "coeffs": [1.0] * 4}))
+def test_seesaw_file_readers_fuzz(tmp_path_factory, files):
+    _check_exit(*_main_on_files(tmp_path_factory.getbasetemp(), "seesaw", files))
 
 
 def test_make_state_hiding_reloads_bit_for_bit(capsys, tmp_path):
