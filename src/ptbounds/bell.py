@@ -25,12 +25,12 @@ from .config import TOL, ValidationError
 from .linalg import (
     CMatrix,
     SystemLayout,
-    collect_parties,
     op_norm,
     partial_transpose,
     trace_norm,
     _json_floats,
     _json_size,
+    _party_axes,
 )
 from .rand import random_binary_projective
 from .states import private_bit
@@ -87,6 +87,11 @@ class BellFunctional:
             )
         if not (np.isfinite(self.coeffs).all() and math.isfinite(self.offset)):
             raise ValidationError("functional coefficients and offset must be finite")
+        # sum |s| bounds every box value and every s_0 - s_1 the seesaw forms
+        with np.errstate(over="ignore"):
+            total = float(np.abs(self.coeffs).sum())
+        if not math.isfinite(total):
+            raise ValidationError("functional coefficients must have a finite absolute sum")
 
     def to_json(self) -> dict:
         return {
@@ -265,11 +270,15 @@ def _realigned(rho: CMatrix) -> tuple[np.ndarray, int, int]:
     """rho realigned as R[(a',a),(b',b)] = rho[(a',b'),(a,b)], plus dim_A and dim_B.
 
     Then Tr[(A x B) rho] = vec(A^T)^T R vec(B^T), with vec flattening
-    row-major, and R.T is the same form with the parties swapped.
+    row-major, and R.T is the same form with the parties swapped.  R is one
+    transpose of rho's own factor axes, whatever their interleaving, so the
+    only dense copy made is R itself.
     """
-    coll = collect_parties(rho)
-    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
-    r = coll.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    layout, axes_a, axes_b = _party_axes(rho, "collect_parties")
+    n = len(layout.factors)
+    da, db = layout.dim_of("A"), layout.dim_of("B")
+    perm = axes_a + [n + i for i in axes_a] + axes_b + [n + i for i in axes_b]
+    r = rho.mat.reshape(layout.dims + layout.dims).transpose(perm).reshape(da * da, db * db)
     return r, da, db
 
 
@@ -404,9 +413,12 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
     rng = np.random.default_rng(seed)
     starts = []
     for _ in range(restarts):
-        # Alice's draws only advance the generator: her first half-step replaces them
+        # Alice's draws only advance the generator, since her first half-step
+        # replaces them: consume what random_binary_projective(rng, da) would
         for _ in range(f.nx):
-            random_binary_projective(rng, da)
+            rng.normal(size=(2, da, da))
+            if da > 1:
+                rng.integers(1, da)
         starts.append([random_binary_projective(rng, db)[0] for _ in range(f.ny)])
     starts.append([np.eye(db) * (b == 0) for b in bob_outputs])
     bob = np.array(starts, dtype=np.complex128)

@@ -26,11 +26,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .config import TOL, DimensionCapError, ValidationError
 from .linalg import (CMatrix, assert_density, matrix_from_json, matrix_to_json,
-                     partial_transpose, tensor)
+                     min_eigenvalue, partial_transpose, tensor)
 from .bell import (
     BellFunctional,
     BoundReport,
@@ -114,8 +112,7 @@ def _seesaw_row(args: argparse.Namespace, context: str, state: CMatrix,
 
 def _ppt_row(context: str, state: CMatrix) -> BoundReport:
     """PPT check: minus the smallest eigenvalue of the partial transpose, at most TOL.psd."""
-    min_eig = float(np.linalg.eigvalsh(partial_transpose(state).mat).min())
-    return BoundReport(context, -min_eig, TOL.psd, tol=0.0)
+    return BoundReport(context, -min_eigenvalue(partial_transpose(state)), TOL.psd, tol=0.0)
 
 
 def _repro_eq8(args: argparse.Namespace) -> list[BoundReport]:

@@ -37,6 +37,7 @@ from ptbounds import (
     tensor,
     thm1_bound,
 )
+from ptbounds.bell import _realigned
 from ptbounds.rand import (
     random_binary_povm,
     random_binary_projective,
@@ -112,6 +113,13 @@ def test_classical_value_and_seesaw_reach_a_planted_optimum():
 def test_box_and_functional_refuse_sizes_below_one(kind, sizes):
     with pytest.raises(ValidationError, match="at least 1"):
         kind(*sizes, np.zeros(sizes))
+
+
+def test_functional_refuses_coefficients_whose_sum_overflows():
+    # each 1e308 is finite, their sum is not: box values and s_0 - s_1 could overflow
+    with pytest.raises(ValidationError, match="finite absolute sum"):
+        BellFunctional(2, 2, 2, 2, np.full((2, 2, 2, 2), 1e308))
+    BellFunctional(2, 2, 2, 2, np.full((2, 2, 2, 2), 1e307))
 
 
 def test_nonnegativize_makes_coefficients_nonnegative():
@@ -379,6 +387,23 @@ def random_2x3_state():
 def doubled_hiding_state():
     rho = hiding_state().rho
     return tensor(rho, partial_transpose(rho))
+
+
+def test_realigned_equals_the_collect_parties_route_on_interleaved_factors():
+    rho = doubled_hiding_state()  # factors A A B B A A B B
+    coll = collect_parties(rho)
+    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
+    expected = coll.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    r, *dims = _realigned(rho)
+    assert dims == [da, db]
+    assert np.array_equal(r, expected)
+
+
+def test_seesaw_refuses_states_without_a_bipartite_layout(chsh_functional):
+    with pytest.raises(ValidationError, match="extra parties"):
+        seesaw(CMatrix(np.eye(4) / 4, SystemLayout(((2, "A"), (2, "C")))), chsh_functional)
+    with pytest.raises(ValidationError, match="needs a CMatrix with a layout"):
+        seesaw(CMatrix(np.eye(4) / 4), chsh_functional)
 
 
 SHIPPED_STATES = {

@@ -1,0 +1,229 @@
+"""Block spectra against their dense oracle.
+
+Every spectral function in linalg splits its input into the connected
+components of the exact nonzero pattern and diagonalises each one on its own.
+The oracles here are the same formulas on one plain np.linalg.eigvalsh/eigh
+of the whole matrix.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ptbounds import (
+    CMatrix,
+    hiding_state,
+    min_eigenvalue,
+    op_norm,
+    partial_transpose,
+    ppt_pbit,
+    private_bit,
+    psd_sqrt,
+    rel_entropy,
+    swap_x,
+    trace_norm,
+)
+from ptbounds.config import TOL
+from ptbounds.linalg import _components
+from ptbounds.rand import random_density, random_hermitian
+
+
+def dense_spectral(a):
+    """What trace_norm, op_norm and min_eigenvalue return, from one plain eigvalsh."""
+    w = np.linalg.eigvalsh(a)
+    return {trace_norm: float(np.abs(w).sum()), op_norm: float(np.abs(w).max()),
+            min_eigenvalue: float(w.min())}
+
+
+def dense_psd_sqrt(a):
+    w, v = np.linalg.eigh(a)
+    w = np.where(w <= TOL.eig_floor, 0.0, w)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def dense_rel_entropy(r, s):
+    wr = np.linalg.eigvalsh(r)
+    ws, vs = np.linalg.eigh(s)
+    kernel = vs[:, ws <= TOL.eig_floor]
+    if float(np.einsum("ij,jk,ki->", kernel.conj().T, r, kernel).real) > TOL.support:
+        return math.inf
+    wr = wr[wr > TOL.eig_floor]
+    keep = ws > TOL.eig_floor
+    weights = np.einsum("ij,jk,ki->i", vs[:, keep].conj().T, r, vs[:, keep]).real
+    value = float((wr * np.log2(wr)).sum()) - float((weights * np.log2(ws[keep])).sum())
+    return max(value, 0.0)
+
+
+def close(value, expected):
+    return value == expected or abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def assert_spectral_match(a):
+    for fast, expected in dense_spectral(a).items():
+        assert close(fast(a), expected), fast.__name__
+
+
+def assert_sqrt_match(a):
+    assert np.abs(psd_sqrt(a) - dense_psd_sqrt(a)).max() <= 1e-12
+
+
+def block_diagonal(rng, blocks, make):
+    """make(rng, size) per block size, placed on the diagonal, then the indices
+    shuffled by one random permutation."""
+    n = sum(blocks)
+    out = np.zeros((n, n), dtype=np.complex128)
+    start = 0
+    for size in blocks:
+        out[start:start + size, start:start + size] = make(rng, size)
+        start += size
+    perm = rng.permutation(n)
+    return out[np.ix_(perm, perm)]
+
+
+# singletons and repeated sizes, so several blocks share one stacked solve
+BLOCK_SIZES = [(1, 1, 1, 2, 2, 3, 3, 3, 5), (4, 4, 4, 4), (1, 6, 2, 6, 1, 9)]
+
+
+@pytest.mark.parametrize("blocks", BLOCK_SIZES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_permuted_block_diagonal_matches_dense(blocks, seed):
+    rng = np.random.default_rng(seed)
+    assert_spectral_match(block_diagonal(rng, blocks, random_hermitian))
+    rho = block_diagonal(rng, blocks, random_density) / len(blocks)
+    sigma = block_diagonal(rng, blocks, random_density) / len(blocks)
+    assert_sqrt_match(rho)
+    assert close(rel_entropy(rho, sigma), dense_rel_entropy(rho, sigma))
+    # sigma's blocks alone set the cross term; a dense rho spans all of them
+    dense_rho = random_density(rng, rho.shape[0])
+    assert close(rel_entropy(dense_rho, sigma), dense_rel_entropy(dense_rho, sigma))
+
+
+def test_components_are_sorted_and_cover_every_index():
+    rng = np.random.default_rng(3)
+    a = block_diagonal(rng, BLOCK_SIZES[0], random_hermitian)
+    single, blocks = _components(a)
+    assert single.size == 3
+    assert sorted(b.size for b in blocks) == [2, 2, 3, 3, 3, 5]
+    assert all(np.array_equal(b, np.sort(b)) for b in blocks)
+    assert np.array_equal(np.sort(np.concatenate([single, *blocks])), np.arange(21))
+
+
+def tridiagonal(rng, n, cuts=()):
+    """Diagonally dominant, so PSD; the couplings at ``cuts`` are exact zeros."""
+    off = (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)) / 3.0
+    off[list(cuts)] = 0.0
+    return (np.diag(np.full(n, 3.0) + rng.uniform(size=n)) + np.diag(off, -1)
+            + np.diag(off.conj(), 1)) / n
+
+
+def test_tridiagonal_paths_match_dense():
+    rng = np.random.default_rng(4)
+    # paths of 300, 300, 200 and 224 indices, two of them of equal length
+    a = tridiagonal(rng, 1024, cuts=(299, 599, 799))
+    single, blocks = _components(a)
+    assert single.size == 0 and sorted(b.size for b in blocks) == [200, 224, 300, 300]
+    assert_spectral_match(a)
+    assert_sqrt_match(a)
+
+
+def test_one_long_path_is_one_component():
+    a = tridiagonal(np.random.default_rng(5), 1024)
+    single, blocks = _components(a)
+    assert single.size == 0 and len(blocks) == 1 and blocks[0].size == 1024
+    assert trace_norm(a) == dense_spectral(a)[trace_norm]
+
+
+def test_one_sided_entries_link_their_indices():
+    # eigvalsh reads the lower triangle: a coupling stored below the diagonal
+    # only splits the degenerate diagonal by +-sqrt(2) c along the path 0-5-2,
+    # and a coupling above it only is not read at all
+    c = 4e-10
+    a = np.diag(np.full(8, 0.125)).astype(np.complex128)
+    a[5, 0] = a[5, 2] = c
+    a[7, 3] = 0.0
+    a[3, 7] = c
+    w = np.linalg.eigvalsh(a)
+    assert w.max() - w.min() == pytest.approx(2 * math.sqrt(2) * c, rel=1e-6)
+    assert_spectral_match(a)
+    assert_sqrt_match(a)
+    assert close(rel_entropy(a, a), dense_rel_entropy(a, a))
+    tiny = np.diag([0.5, 0.5]).astype(np.complex128)
+    tiny[1, 0] = 1e-300
+    assert_spectral_match(tiny)
+    assert_sqrt_match(tiny)
+    assert rel_entropy(tiny, np.eye(2) / 2) == dense_rel_entropy(tiny, np.eye(2) / 2)
+
+
+def test_dense_input_is_bit_identical_to_the_dense_call():
+    rng = np.random.default_rng(6)
+    rho, sigma = random_density(rng, 24), random_density(rng, 24)
+    for fast, expected in dense_spectral(rho - sigma).items():
+        assert fast(rho - sigma) == expected, fast.__name__
+    assert np.array_equal(psd_sqrt(rho), dense_psd_sqrt(rho))
+    assert rel_entropy(rho, sigma) == dense_rel_entropy(rho, sigma)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[0.7]]),
+    np.array([[-2.5 + 0.0j]]),
+    np.diag([0.5, -0.25, 0.0, 1.5, -0.25]),
+], ids=["1x1", "1x1 negative", "diagonal"])
+def test_one_by_one_and_diagonal(a):
+    a = a.astype(np.complex128)
+    for fast, expected in dense_spectral(a).items():
+        assert fast(a) == expected, fast.__name__
+    psd = np.abs(a)
+    psd /= np.trace(psd).real
+    assert np.array_equal(psd_sqrt(psd), dense_psd_sqrt(psd))
+    assert rel_entropy(psd, psd) == dense_rel_entropy(psd, psd)
+
+
+def test_kernel_inside_one_block_gives_infinite_relative_entropy():
+    rng = np.random.default_rng(7)
+    # sigma = pure state on indices (1, 4)  +  full-rank block on (0, 2, 3)
+    sigma = np.zeros((5, 5), dtype=np.complex128)
+    v = np.array([0.6, 0.8j])
+    sigma[np.ix_([1, 4], [1, 4])] = np.outer(v, v.conj()) / 2
+    sigma[np.ix_([0, 2, 3], [0, 2, 3])] = random_density(rng, 3) / 2
+    rho = random_density(rng, 5)
+    assert rel_entropy(rho, sigma) == dense_rel_entropy(rho, sigma) == math.inf
+    # a rho inside the support of sigma stays finite
+    assert close(rel_entropy(sigma, sigma), 0.0)
+
+
+def key_dephased(rho: CMatrix) -> CMatrix:
+    """rho with its key-off-diagonal blocks zeroed: the private bit's companion."""
+    da = rho.layout.factors[0][0]
+    rest = rho.dim // da
+    mask = np.kron(np.eye(da), np.ones((rest, rest)))
+    return CMatrix(rho.mat * mask, rho.layout)
+
+
+def shipped_pair(family, k):
+    """rho and its separable companion sigma for one shipped family."""
+    if family == "ppt-pbit":
+        fam = ppt_pbit(k)
+    elif family == "hiding":
+        fam = hiding_state(m=k, d_shield=2, k=1, q=1.0 / 3.0)
+    else:
+        rho = private_bit(swap_x(k))
+        return rho, key_dephased(rho)
+    return fam.rho, fam.sigma_candidate
+
+
+@pytest.mark.parametrize("family, k", [
+    ("ppt-pbit", 4), ("ppt-pbit", 9), ("hiding", 1), ("hiding", 2), ("hiding", 3),
+    ("private-bit", 2), ("private-bit", 3), ("private-bit", 4), ("private-bit", 6),
+    ("private-bit", 8),
+])
+def test_shipped_families_match_dense(family, k):
+    rho, sigma = shipped_pair(family, k)
+    rg, sg = partial_transpose(rho).mat, partial_transpose(sigma).mat
+    assert_spectral_match(rg)
+    assert_spectral_match(rg - sg)
+    assert_spectral_match(sg)
+    assert_sqrt_match(rho.mat)
+    assert_sqrt_match(sigma.mat)
+    assert close(rel_entropy(rho, sigma), dense_rel_entropy(rho.mat, sigma.mat))
+    assert close(rel_entropy(sigma, rho), dense_rel_entropy(sigma.mat, rho.mat))

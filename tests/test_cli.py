@@ -208,6 +208,16 @@ def test_seesaw_rejects_non_finite_functional(capsys, tmp_path, bad, field):
     assert len(errors) == 1 and errors[0].startswith("error:")
 
 
+# sixteen finite coefficients whose sum overflows a float
+_OVERFLOWING_FUNCTIONAL = {"nx": 2, "ny": 2, "na": 2, "nb": 2, "coeffs": [1e308] * 16}
+
+
+def test_seesaw_rejects_functional_whose_sum_overflows(tmp_path):
+    code, errors = _main_on_files(tmp_path, "seesaw", [_PHI_PAYLOAD, _OVERFLOWING_FUNCTIONAL])
+    assert code == 2
+    assert errors == ["error: functional coefficients must have a finite absolute sum"]
+
+
 def _matrix_payload(entries):
     return {"dims": [2, 2], "parties": ["A", "B"], "data": [[re, im] for re, im in entries]}
 
@@ -373,6 +383,7 @@ def test_nonlocality_box_reader_fuzz(tmp_path_factory, box):
                        st.tuples(_STATES, _scenario_file("coeffs"))))
 @example(files=({**_PHI_PAYLOAD, "dims": [float("inf"), 2]},))
 @example(files=(_PHI_PAYLOAD, {"nx": -1, "ny": -1, "na": 2, "nb": 2, "coeffs": [1.0] * 4}))
+@example(files=(_PHI_PAYLOAD, _OVERFLOWING_FUNCTIONAL))
 def test_seesaw_file_readers_fuzz(tmp_path_factory, files):
     _check_exit(*_main_on_files(tmp_path_factory.getbasetemp(), "seesaw", files))
 
