@@ -33,7 +33,6 @@ from ptbounds import (
     seesaw,
     thm2_chain_check,
 )
-from ptbounds import nonlocality
 from ptbounds.nonlocality import _binary_entropy, _inner_infimum, _line_search, _pair_kl
 from ptbounds.rand import (
     random_binary_povm,
@@ -72,6 +71,13 @@ def test_kl_validates_inputs():
         kl(np.array([0.6, 0.6]), np.array([0.5, 0.5]))
     with pytest.raises(ValidationError):
         kl(np.array([1.1, -0.1]), np.array([0.5, 0.5]))
+    # NaN passes the min and sum checks, so non-finite entries are refused first
+    for p, q in (([0.5, 0.5], [math.nan, 0.5]), ([math.nan, 1.0], [0.5, 0.5]),
+                 ([0.5, 0.5], [math.inf, 0.5]), ([-math.inf, 0.5], [0.5, 0.5])):
+        with pytest.raises(ValidationError, match="non-finite"):
+            kl(p, q)
+    with pytest.raises(ValidationError, match="nonempty"):
+        kl([], [])
 
 
 def test_local_polytope_chsh_vertices():
@@ -271,6 +277,33 @@ def test_nonlocality_vanishes_on_the_seesaw_boxes_of_hiding_states(m, mode):
     assert abs(res.value) <= 1e-12
 
 
+def chained_box() -> Box:
+    """Noisy Phi+ at visibility 0.95 under the 3-input chained-Bell settings:
+    observables cos(t) Z + sin(t) X at t = 2k pi / 6 for Alice and
+    (2k + 1) pi / 6 for Bob, so neighbouring settings correlate as
+    0.95 cos(pi / 6)."""
+    rho = CMatrix(0.95 * max_entangled(2).mat + 0.05 * np.eye(4) / 4.0,
+                  SystemLayout.bipartite(2, 2), hermitian=True)
+
+    def povm(t):
+        obs = np.array([[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]])
+        return [(np.eye(2) + obs) / 2.0, (np.eye(2) - obs) / 2.0]
+
+    return box_from(rho, MeasurementFamily([povm(2 * k * math.pi / 6) for k in range(3)],
+                                           [povm((2 * k + 1) * math.pi / 6) for k in range(3)]))
+
+
+def test_the_chained_box_fixture_is_nonlocal_in_both_modes():
+    # the box the CI runs through `ptbounds nonlocality --mode optimize`
+    saved = Box.from_json(json.loads((DATA / "noisy_phi_plus_chained3_box.json").read_text()))
+    assert np.abs(saved.p - chained_box().p).max() <= 1e-15
+    uniform = nonlocality_N(saved)
+    opt = nonlocality_N(saved, mode="optimize")
+    assert uniform.converged and opt.converged
+    assert uniform.value >= 1e-3
+    assert opt.value >= uniform.value - 1e-9
+
+
 def _em_measure(box: Box, tol: float = 1e-13, max_iters: int = 100_000) -> float:
     """The measure at uniform inputs by the multiplicative update of the local
     weights, w_j <- w_j sum_i p_i V_ij / (V w)_i (Cover, IEEE TIT 30, 369
@@ -313,15 +346,16 @@ def test_nonlocality_matches_the_em_oracle_on_a_tiny_entry(exponent):
         assert res.value == pytest.approx(_em_measure(box), rel=0.0, abs=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="known: on the hiding pattern with eps = 1e-4 or "
-                   "1e-5 the pairwise steps stall with the gap near 1e-6, above the 1e-7 "
-                   "target, for all 50,000 iterations; the value is still right to 3e-11")
-@pytest.mark.parametrize("exponent", [4, 5])
-def test_inner_infimum_converges_on_the_hiding_pattern_at_moderate_eps(exponent):
-    box = _tiny_entry_boxes(10.0 ** -exponent)[0]
+@pytest.mark.parametrize("exponent", [4, 5, 6])
+def test_inner_infimum_converges_on_the_tiny_entry_boxes_at_moderate_eps(exponent):
+    # the optimum puts weight of order eps on one vertex, where the curvature
+    # is of order 1/eps: pairwise steps alone leave the gap near 1e-6 here for
+    # 50,000 iterations, and the face Newton steps must close it
     vertices = LocalPolytope.for_scenario(2, 2, 2, 2).vertices
-    _, gap, _ = _inner_infimum(box.p.reshape(-1), np.full(16, 0.25), vertices, max_iters=5_000)
-    assert gap <= 1e-7
+    for box in _tiny_entry_boxes(10.0 ** -exponent):
+        _, gap, _ = _inner_infimum(box.p.reshape(-1), np.full(16, 0.25), vertices,
+                                   max_iters=5_000)
+        assert gap <= 1e-7
 
 
 def test_chain_check_random_instances():
@@ -599,7 +633,10 @@ def _brentq_step(pm, qm, dm, t_max):
 def _solver_problems():
     """(pg, pw, vertices): random 2-, 3- and 4-input boxes under uniform inputs
     and under input distributions that give one pair no weight, random boxes
-    with two entries set to zero, and PR-vertex mixtures."""
+    with two entries set to zero under both, and PR-vertex mixtures.  The
+    4-input box with zero entries under the inputs that give a pair no
+    weight is the slowest: 11,953 pairwise steps, with a face of more
+    vertices than entries throughout, so no Newton step applies."""
     rng = np.random.default_rng(58)
     for n in (2, 3, 4):
         poly = LocalPolytope.for_scenario(n, n, 2, 2)
@@ -614,65 +651,44 @@ def _solver_problems():
         yield boxes[0].reshape(-1), np.repeat(p_xy / p_xy.sum(), 4), poly.vertices
         rows = boxes[1].copy()
         rows[rng.choice(n * n, size=2, replace=False), rng.choice(4, size=2)] = 0.0
-        yield (rows / rows.sum(axis=1, keepdims=True)).reshape(-1), uniform, poly.vertices
+        zeroed = (rows / rows.sum(axis=1, keepdims=True)).reshape(-1)
+        yield zeroed, uniform, poly.vertices
+        yield zeroed, np.repeat(p_xy / p_xy.sum(), 4), poly.vertices
     poly = LocalPolytope.for_scenario(2, 2, 2, 2)
     for box in _pr_vertex_mixtures(59, 4, (0.1, 0.9)):
         yield box.p.reshape(-1), np.full(16, 0.25), poly.vertices
 
 
-def _compare_with_reference(monkeypatch, pg, pw, vertices, w0, **kwargs) -> bool:
-    """The new solver against the brentq reference from the same start.
+def _certified_against_reference(pg, pw, vertices, w0, **kwargs) -> np.ndarray:
+    """The solver against the brentq reference from the same start.
 
-    Step by step the two must make the same pairwise move (same direction,
-    step within 1e-12) until the reference's own trace shows a near-tie;
-    rounding may break a near-tie either way, and from there on the paths
-    are not comparable and only the certificates are: both objectives lie
-    within the larger final gap of each other.  Without a near-tie the runs
-    must end equal: same iterations and support, weights and gap to 1e-12.
-    Returns whether the whole path was compared.
+    The face Newton steps change the path by design, so only the
+    certificates are compared: the solver converges wherever the reference
+    does, and both objectives lie within the larger final gap of each other
+    (each is within its own gap of the same optimum).  Returns the
+    reference's weights.
     """
-    steps, trace = [], []
-
-    def recording(pm, qm, dm, t_max, g0):
-        t = _line_search(pm, qm, dm, t_max, g0)
-        steps.append((dm, t))
-        return t
-
-    with monkeypatch.context() as patch:
-        patch.setattr(nonlocality, "_line_search", recording)
-        w, gap, it = _inner_infimum(pg, pw, vertices, w0=w0, **kwargs)
-    w_ref, gap_ref, it_ref = _inner_infimum_brentq(pg, pw, vertices, w0=w0, trace=trace,
-                                                   **kwargs)
-    for (dm, t), (dm_ref, t_ref, near_tie) in zip(steps, trace):
-        same = np.array_equal(dm, dm_ref) and (
-            t == t_ref or (t is not None and t_ref is not None and abs(t - t_ref) <= 1e-12))
-        if not same:
-            assert near_tie
-            value = _weighted_kl(pw, pg, w @ vertices)
-            value_ref = _weighted_kl(pw, pg, w_ref @ vertices)
-            assert abs(value - value_ref) <= max(gap, gap_ref) + 1e-12
-            return False
-    assert it == it_ref
-    assert np.array_equal(w > 0.0, w_ref > 0.0)
-    assert np.abs(w - w_ref).max() <= 1e-12
-    assert gap == pytest.approx(gap_ref, rel=0.0, abs=1e-12)
-    return True
+    tol = kwargs.get("gap_tol", 1e-7)
+    w, gap, _ = _inner_infimum(pg, pw, vertices, w0=w0, **kwargs)
+    w_ref, gap_ref, _ = _inner_infimum_brentq(pg, pw, vertices, w0=w0, **kwargs)
+    if gap_ref <= tol:
+        assert gap <= tol
+    value = _weighted_kl(pw, pg, w @ vertices)
+    value_ref = _weighted_kl(pw, pg, w_ref @ vertices)
+    assert abs(value - value_ref) <= max(gap, gap_ref) + 1e-12
+    return w_ref
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_inner_infimum_matches_the_brentq_reference(monkeypatch):
+def test_inner_infimum_matches_the_brentq_reference():
     rng = np.random.default_rng(60)
-    whole = []
     for pg, pw, vertices in _solver_problems():
-        whole.append(_compare_with_reference(monkeypatch, pg, pw, vertices, None))
+        w_opt = _certified_against_reference(pg, pw, vertices, None)
         # warm starts from the optimum at another input distribution, as the
         # ascent of mode="optimize" does, with its tolerance and with caps
-        w_opt = _inner_infimum_brentq(pg, pw, vertices)[0]
         pw2 = np.repeat(rng.dirichlet(np.ones(pw.size // 4)), 4)
         for tol, cap in ((1e-9, 300), (1e-7, 3)):
-            whole.append(_compare_with_reference(monkeypatch, pg, pw2, vertices, w_opt,
-                                                 gap_tol=tol, max_iters=cap))
-    assert sum(whole) >= 0.75 * len(whole)
+            _certified_against_reference(pg, pw2, vertices, w_opt, gap_tol=tol, max_iters=cap)
 
 
 def _line_search_case(rng, n=12):
