@@ -14,8 +14,12 @@ bisection on a sign-change bracket.  Each pairwise step is followed by a
 damped Newton step on the face spanned by the active vertices, a least-
 squares solve that settles all the weights of the face at once; it converges
 where pairwise steps alone stall, as when an optimal weight is of order
-1e-5 and the curvature of order 1e5.  The outer supremum is concave in
-p(x, y) and handled by projected supergradient ascent with restarts.
+1e-5 and the curvature of order 1e5.  A cold solve starts from uniform
+weight on the na*nb constant strategy pairs, whose mixture is the uniform
+box: the same point as uniform weight on every vertex, on a face small
+enough for the Newton step to run from the first iteration.  The outer
+supremum is concave in p(x, y) and handled by projected supergradient
+ascent with restarts.
 """
 
 from __future__ import annotations
@@ -92,13 +96,21 @@ def _pair_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LocalPolytope:
-    """Deterministic boxes of a scenario, one row per strategy pair."""
+    """Deterministic boxes of a scenario, one row per strategy pair.
+
+    ``start`` is the cold start of the inner solve: weight 1/(na*nb) on each
+    constant strategy pair (a(x) = a, b(y) = b), whose mixture is the
+    uniform box.  It gives the same q, objective and first gradient as
+    uniform weight on every vertex, on a face of na*nb vertices instead of
+    all of them.
+    """
 
     nx: int
     ny: int
     na: int
     nb: int
     vertices: np.ndarray  # (n_vertices, nx*ny*na*nb)
+    start: np.ndarray  # (n_vertices,)
 
     @staticmethod
     def for_scenario(nx: int, ny: int, na: int, nb: int) -> "LocalPolytope":
@@ -111,7 +123,11 @@ class LocalPolytope:
         fa = np.array(list(itertools.product(range(na), repeat=nx)), dtype=np.intp)
         fb = np.array(list(itertools.product(range(nb), repeat=ny)), dtype=np.intp)
         rows = np.einsum("ixa,jyb->ijxyab", np.eye(na)[fa], np.eye(nb)[fb])
-        return LocalPolytope(nx, ny, na, nb, rows.reshape(count, -1))
+        ia = np.flatnonzero((fa == fa[:, :1]).all(1))
+        ib = np.flatnonzero((fb == fb[:, :1]).all(1))
+        start = np.zeros(count)
+        start[(ia[:, None] * len(fb) + ib).reshape(-1)] = 1.0 / (na * nb)
+        return LocalPolytope(nx, ny, na, nb, rows.reshape(count, -1), start)
 
 
 @dataclass
@@ -190,32 +206,33 @@ def _line_search(pm: np.ndarray, qm: np.ndarray, dm: np.ndarray, t_max: float,
 
 
 def _inner_infimum(pg: np.ndarray, pw: np.ndarray, vertices: np.ndarray,
-                   w0: np.ndarray | None = None, gap_tol: float = TOL.fw_gap,
+                   w0: np.ndarray, gap_tol: float = TOL.fw_gap,
                    max_iters: int = 50_000) -> tuple[np.ndarray, float, int]:
     """Pairwise conditional-gradient minimization of the weighted KL over the polytope.
 
-    Every pairwise step is followed by a Newton step on the face of the
-    active vertices (``_face_newton_step``).  Returns (weights, final
-    linearization gap, iterations).  The gap, taken at the top of each
-    iteration, is the only stopping rule and certifies optimality:
+    Starts from the weights w0: a cold solve passes ``LocalPolytope.start``,
+    whose face of na*nb constant strategy pairs is small enough for the
+    face Newton step from the first iteration.  Every pairwise step is
+    followed by a Newton step on the face of the active vertices
+    (``_face_newton_step``).  Returns (weights, final linearization gap,
+    iterations).  The gap, taken at the top of each iteration and once more
+    after the last of max_iters steps, is always the gap of the returned
+    weights; it is the only stopping rule and certifies optimality:
     objective(w) - optimum <= gap by convexity.
     """
-    nv = vertices.shape[0]
-    w = np.full(nv, 1.0 / nv) if w0 is None else w0.copy()
+    w = w0.copy()
     mask = (pg > 0.0) & (pw > 0.0)
     pm = (pw * pg)[mask]
     vm = vertices[:, mask]
     ln2 = math.log(2.0)
-    gap = math.inf
-    it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, max_iters + 2):
         qc = np.maximum(w @ vm, _LOG_CLAMP)
         grad = -(vm @ (pm / qc)) / ln2
         s = int(grad.argmin())
-        away = int(np.where(w > 0.0, grad, -np.inf).argmax())
         gap = float(w @ grad - grad[s])
-        if gap <= gap_tol:
+        if gap <= gap_tol or it > max_iters:
             break
+        away = int(np.where(w > 0.0, grad, -np.inf).argmax())
         t = _line_search(pm, qc, vm[s] - vm[away], float(w[away]),
                          ln2 * float(grad[s] - grad[away]))
         if t is None:
@@ -224,7 +241,7 @@ def _inner_infimum(pg: np.ndarray, pw: np.ndarray, vertices: np.ndarray,
         w[away] -= t
         while _face_newton_step(w, pm, vm):
             pass
-    return w, gap, it
+    return w, gap, min(it, max_iters)
 
 
 def _face_newton_step(w: np.ndarray, pm: np.ndarray, vm: np.ndarray) -> bool:
@@ -245,7 +262,9 @@ def _face_newton_step(w: np.ndarray, pm: np.ndarray, vm: np.ndarray) -> bool:
     recomputed from the new weights, strictly decreases by the Armijo rule
     with q positive on every entry; w is left unchanged if it never does.
     A face with more vertices than entries is skipped, so each solve is at
-    most m x m.
+    most m x m.  The cold start's face has na*nb vertices, at most m on
+    any box with that many supported entries, so the step runs from the
+    first iteration.
     """
     if not 2 <= np.count_nonzero(w) <= pm.size:
         return False
@@ -325,31 +344,32 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
     n_pairs = rows.shape[0]
     uniform = np.full(n_pairs, 1.0 / n_pairs)
 
-    def solve(p_xy, w0=None, tol=gap_tol, iters=50_000):
-        """Inner infimum at input distribution p_xy: (value, per-pair KL, w, gap, iters)."""
+    def solve(p_xy, w0, tol=gap_tol, iters=50_000):
+        """Inner infimum at input distribution p_xy from weights w0:
+        (value, per-pair KL, w, gap, iters)."""
         pw = _per_entry_weights(p_xy, shape)
-        w, gap, it = _inner_infimum(pg, pw, polytope.vertices, w0=w0,
+        w, gap, it = _inner_infimum(pg, pw, polytope.vertices, w0,
                                     gap_tol=tol, max_iters=iters)
         per_pair = _pair_kl(rows, (w @ polytope.vertices).reshape(rows.shape))
         on = p_xy > 0.0
         return float(p_xy[on] @ per_pair[on]), per_pair, w, gap, it
 
     if mode == "uniform":
-        value, _, w, gap, iters = solve(uniform)
+        value, _, w, gap, iters = solve(uniform, polytope.start)
         return NlResult(value, w, uniform, gap <= gap_tol, iters, gap)
 
     rng = np.random.default_rng(seed)
     best = (-math.inf, uniform, None)
     for r in range(restarts):
         p = uniform.copy() if r == 0 else rng.dirichlet(np.ones(n_pairs))
-        w = None
+        w = polytope.start
         for t in range(ascent_iters):
             # the per-pair KL at the inner optimum is a supergradient in p
-            _, supergrad, w, _, _ = solve(p, w0=w, tol=max(gap_tol, 1e-9), iters=5_000)
+            _, supergrad, w, _, _ = solve(p, w, tol=max(gap_tol, 1e-9), iters=5_000)
             if not np.all(np.isfinite(supergrad)):
                 break
             p = _project_simplex(p + (_ASCENT_STEP0 / math.sqrt(t + 1.0)) * supergrad)
-        value, _, w, gap, iters = solve(p, w0=w)
+        value, _, w, gap, iters = solve(p, w)
         if value > best[0]:
             best = (value, p, (w, gap, iters))
     value, p, (w, gap, iters) = best

@@ -351,10 +351,10 @@ def test_inner_infimum_converges_on_the_tiny_entry_boxes_at_moderate_eps(exponen
     # the optimum puts weight of order eps on one vertex, where the curvature
     # is of order 1/eps: pairwise steps alone leave the gap near 1e-6 here for
     # 50,000 iterations, and the face Newton steps must close it
-    vertices = LocalPolytope.for_scenario(2, 2, 2, 2).vertices
+    poly = LocalPolytope.for_scenario(2, 2, 2, 2)
     for box in _tiny_entry_boxes(10.0 ** -exponent):
-        _, gap, _ = _inner_infimum(box.p.reshape(-1), np.full(16, 0.25), vertices,
-                                   max_iters=5_000)
+        _, gap, _ = _inner_infimum(box.p.reshape(-1), np.full(16, 0.25), poly.vertices,
+                                   poly.start, max_iters=5_000)
         assert gap <= 1e-7
 
 
@@ -561,11 +561,24 @@ def _vertex_table_loops(nx, ny, na, nb):
     return rows.reshape(rows.shape[0], -1)
 
 
-@pytest.mark.parametrize("scenario", [(2, 2, 2, 2), (3, 3, 2, 2), (4, 4, 2, 2),
-                                      (2, 3, 3, 2), (1, 2, 2, 3)])
+_SCENARIOS = [(2, 2, 2, 2), (3, 3, 2, 2), (4, 4, 2, 2), (2, 3, 3, 2), (1, 2, 2, 3)]
+
+
+@pytest.mark.parametrize("scenario", _SCENARIOS)
 def test_local_polytope_matches_the_loop_construction(scenario):
     vertices = LocalPolytope.for_scenario(*scenario).vertices
     assert np.array_equal(vertices, _vertex_table_loops(*scenario))
+
+
+@pytest.mark.parametrize("scenario", _SCENARIOS)
+def test_local_polytope_start_is_the_uniform_box_on_constant_strategies(scenario):
+    # the cold start of the inner solve: the point of uniform weight on every
+    # vertex (so the same first objective and gap) on a face of na*nb vertices
+    _, _, na, nb = scenario
+    poly = LocalPolytope.for_scenario(*scenario)
+    assert np.count_nonzero(poly.start) == na * nb
+    assert poly.start.sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
+    assert np.allclose(poly.start @ poly.vertices, 1.0 / (na * nb), rtol=0.0, atol=1e-15)
 
 
 # The inner solver as it stood with scipy's brentq as its line search, kept as
@@ -575,10 +588,9 @@ def test_local_polytope_matches_the_loop_construction(scenario):
 # relative change of 1e-9 in the gradient or in the slope at t_max could
 # have changed the step (another vertex with other masked entries that close
 # to the chosen pair, or a slope at t_max that close to 0).
-def _inner_infimum_brentq(pg, pw, vertices, w0=None, gap_tol=1e-7, max_iters=50_000,
+def _inner_infimum_brentq(pg, pw, vertices, w0, gap_tol=1e-7, max_iters=50_000,
                           trace=None):
-    nv = vertices.shape[0]
-    w = np.full(nv, 1.0 / nv) if w0 is None else w0.copy()
+    w = w0.copy()
     mask = (pg > 0.0) & (pw > 0.0)
     pm = (pw * pg)[mask]
     vm = vertices[:, mask]
@@ -631,12 +643,14 @@ def _brentq_step(pm, qm, dm, t_max):
 
 
 def _solver_problems():
-    """(pg, pw, vertices): random 2-, 3- and 4-input boxes under uniform inputs
+    """(pg, pw, polytope): random 2-, 3- and 4-input boxes under uniform inputs
     and under input distributions that give one pair no weight, random boxes
     with two entries set to zero under both, and PR-vertex mixtures.  The
     4-input box with zero entries under the inputs that give a pair no
-    weight is the slowest: 11,953 pairwise steps, with a face of more
-    vertices than entries throughout, so no Newton step applies."""
+    weight was the slowest from uniform weight on all 256 vertices: 11,953
+    pairwise steps, with a face of more vertices than entries throughout, so
+    no Newton step applied.  From the constant-strategy start it takes a few
+    dozen."""
     rng = np.random.default_rng(58)
     for n in (2, 3, 4):
         poly = LocalPolytope.for_scenario(n, n, 2, 2)
@@ -647,16 +661,16 @@ def _solver_problems():
         )).p.reshape(n * n, 4) for _ in range(2)]
         p_xy = rng.dirichlet(np.ones(n * n))
         p_xy[rng.choice(n * n)] = 0.0
-        yield boxes[0].reshape(-1), uniform, poly.vertices
-        yield boxes[0].reshape(-1), np.repeat(p_xy / p_xy.sum(), 4), poly.vertices
+        yield boxes[0].reshape(-1), uniform, poly
+        yield boxes[0].reshape(-1), np.repeat(p_xy / p_xy.sum(), 4), poly
         rows = boxes[1].copy()
         rows[rng.choice(n * n, size=2, replace=False), rng.choice(4, size=2)] = 0.0
         zeroed = (rows / rows.sum(axis=1, keepdims=True)).reshape(-1)
-        yield zeroed, uniform, poly.vertices
-        yield zeroed, np.repeat(p_xy / p_xy.sum(), 4), poly.vertices
+        yield zeroed, uniform, poly
+        yield zeroed, np.repeat(p_xy / p_xy.sum(), 4), poly
     poly = LocalPolytope.for_scenario(2, 2, 2, 2)
     for box in _pr_vertex_mixtures(59, 4, (0.1, 0.9)):
-        yield box.p.reshape(-1), np.full(16, 0.25), poly.vertices
+        yield box.p.reshape(-1), np.full(16, 0.25), poly
 
 
 def _certified_against_reference(pg, pw, vertices, w0, **kwargs) -> np.ndarray:
@@ -669,8 +683,8 @@ def _certified_against_reference(pg, pw, vertices, w0, **kwargs) -> np.ndarray:
     reference's weights.
     """
     tol = kwargs.get("gap_tol", 1e-7)
-    w, gap, _ = _inner_infimum(pg, pw, vertices, w0=w0, **kwargs)
-    w_ref, gap_ref, _ = _inner_infimum_brentq(pg, pw, vertices, w0=w0, **kwargs)
+    w, gap, _ = _inner_infimum(pg, pw, vertices, w0, **kwargs)
+    w_ref, gap_ref, _ = _inner_infimum_brentq(pg, pw, vertices, w0, **kwargs)
     if gap_ref <= tol:
         assert gap <= tol
     value = _weighted_kl(pw, pg, w @ vertices)
@@ -682,13 +696,49 @@ def _certified_against_reference(pg, pw, vertices, w0, **kwargs) -> np.ndarray:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_inner_infimum_matches_the_brentq_reference():
     rng = np.random.default_rng(60)
-    for pg, pw, vertices in _solver_problems():
-        w_opt = _certified_against_reference(pg, pw, vertices, None)
+    for pg, pw, poly in _solver_problems():
+        w_opt = _certified_against_reference(pg, pw, poly.vertices, poly.start)
         # warm starts from the optimum at another input distribution, as the
         # ascent of mode="optimize" does, with its tolerance and with caps
         pw2 = np.repeat(rng.dirichlet(np.ones(pw.size // 4)), 4)
         for tol, cap in ((1e-9, 300), (1e-7, 3)):
-            _certified_against_reference(pg, pw2, vertices, w_opt, gap_tol=tol, max_iters=cap)
+            _certified_against_reference(pg, pw2, poly.vertices, w_opt, gap_tol=tol, max_iters=cap)
+
+
+def test_inner_infimum_converges_in_few_iterations_from_the_cold_start():
+    # from uniform weight on all 256 vertices the zero-entry 4-input box took
+    # 11,953 iterations: the face stayed too large for any Newton step
+    for pg, pw, poly in _solver_problems():
+        _, gap, iterations = _inner_infimum(pg, pw, poly.vertices, poly.start)
+        assert gap <= 1e-7
+        assert iterations <= 50
+
+
+def test_the_zero_entry_box_fixture_converges_in_few_iterations():
+    # the box the CI runs through `ptbounds nonlocality`, checking iterations
+    saved = Box.from_json(json.loads((DATA / "zero_entry_4input_box.json").read_text()))
+    pg, _, _ = list(_solver_problems())[10]
+    assert np.array_equal(saved.p.reshape(-1), pg)
+    res = nonlocality_N(saved)
+    assert res.converged and res.iterations <= 50
+
+
+def _gap_at(pg, pw, vertices, w) -> float:
+    """The linearization gap w.grad - min grad, recomputed from the weights."""
+    mask = (pg > 0.0) & (pw > 0.0)
+    q = np.maximum((w @ vertices)[mask], 1e-300)
+    grad = -(vertices[:, mask] @ (pw[mask] * pg[mask] / q)) / math.log(2.0)
+    return float(w @ grad - grad.min())
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3])
+def test_inner_infimum_returns_the_gap_of_its_weights_at_the_iteration_cap(cap):
+    # the zero-entry 4-input box under inputs that give one pair no weight
+    pg, pw, poly = list(_solver_problems())[11]
+    w, gap, iterations = _inner_infimum(pg, pw, poly.vertices, poly.start, max_iters=cap)
+    assert iterations == cap
+    assert gap > 1e-7
+    assert gap == pytest.approx(_gap_at(pg, pw, poly.vertices, w), rel=0.0, abs=1e-12)
 
 
 def _line_search_case(rng, n=12):
@@ -738,13 +788,10 @@ def test_nonlocality_reports_its_final_gap():
         res = nonlocality_N(box, mode=mode, gap_tol=gap_tol, restarts=2, ascent_iters=10)
         assert res.converged == (res.gap <= gap_tol)
         assert res.to_json()["gap"] == res.gap
-        # the gap recomputed from the public fields: w.grad - min grad
-        pg = box.p.reshape(-1)
-        pw = np.repeat(res.input_dist, 4)
-        mask = (pg > 0.0) & (pw > 0.0)
-        q = np.maximum((res.inner_weights @ poly.vertices)[mask], 1e-300)
-        grad = -(poly.vertices[:, mask] @ (pw[mask] * pg[mask] / q)) / math.log(2.0)
-        assert res.gap == pytest.approx(res.inner_weights @ grad - grad.min(), rel=0.0, abs=1e-12)
+        # the gap recomputed from the public fields
+        gap = _gap_at(box.p.reshape(-1), np.repeat(res.input_dist, 4), poly.vertices,
+                      res.inner_weights)
+        assert res.gap == pytest.approx(gap, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"ascent_iters": -1}])
