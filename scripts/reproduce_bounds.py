@@ -4,6 +4,9 @@
 Thin wrapper over the package CLI so a full sweep is one command:
 
     python3 scripts/reproduce_bounds.py --outdir results --seed 7
+
+Every flag other than --outdir is passed unchanged to each
+``ptbounds repro`` run, so the CLI alone declares them and their defaults.
 """
 
 import argparse
@@ -14,15 +17,12 @@ from ptbounds.cli import _REPRO_TARGETS, main as cli_main
 
 
 def run(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], allow_abbrev=False,
+        epilog="Other flags (--seed, --restarts, ...) go to every `ptbounds repro` run.")
     parser.add_argument("--outdir", default="results",
                         help="directory for the JSON reports (default results)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed passed to every target (default 0)")
-    parser.add_argument("--restarts", type=int, default=32,
-                        help="random seesaw restarts per target, plus one "
-                             "from a deterministic strategy (default 32)")
-    args = parser.parse_args(argv)
+    args, repro_flags = parser.parse_known_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -30,12 +30,7 @@ def run(argv=None) -> int:
     worst = 0
     for target in _REPRO_TARGETS:
         out_file = outdir / f"{target}.json"
-        code = cli_main([
-            "repro", target,
-            "--seed", str(args.seed),
-            "--restarts", str(args.restarts),
-            "--output", str(out_file),
-        ])
+        code = cli_main(["repro", target, *repro_flags, "--output", str(out_file)])
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{target}: {status} -> {out_file}")
         worst = max(worst, code)

@@ -4,131 +4,18 @@ The package builds key-correlated and PPT state families, assembles Bell
 operators and boxes, lower-bounds quantum values by a measurement seesaw,
 and checks the transposition-based upper bounds together with the
 KL-divergence nonlocality measure and its relative-entropy chains.
+
+Every name in a module's ``__all__`` is re-exported here.
 """
 
-from .config import (
-    DEFAULT_DIM_CAP,
-    DIM_CAP_ENV,
-    DimensionCapError,
-    TOL,
-    Tolerances,
-    ValidationError,
-    dim_cap,
-)
-from .linalg import (
-    CMatrix,
-    SystemLayout,
-    assert_density,
-    collect_parties,
-    matrix_from_json,
-    matrix_to_json,
-    min_eigenvalue,
-    op_norm,
-    partial_transpose,
-    permute_factors,
-    psd_sqrt,
-    rel_entropy,
-    spectral_norm,
-    tensor,
-    trace_norm,
-)
-from .states import (
-    StateFamilyResult,
-    fourier_xy,
-    hiding_state,
-    max_entangled,
-    ppt_pbit,
-    private_bit,
-    swap_x,
-    werner_state,
-)
-from .bell import (
-    BellFunctional,
-    BoundReport,
-    Box,
-    MeasurementFamily,
-    SeesawResult,
-    bell_operator,
-    box_from,
-    chsh,
-    classical_value,
-    cor1_bound,
-    d_eps_membership,
-    functional_value,
-    nonnegativize,
-    pbit_observation_bound,
-    seesaw,
-    thm1_bound,
-)
-from .nonlocality import (
-    ChainCheck,
-    LocalPolytope,
-    NlResult,
-    continuity_bound,
-    er_upper,
-    filter_apply,
-    kl,
-    nonlocality_N,
-    thm2_chain_check,
-)
+from . import bell, config, linalg, nonlocality, states
+from .config import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .states import *  # noqa: F403
+from .bell import *  # noqa: F403
+from .nonlocality import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_DIM_CAP",
-    "DIM_CAP_ENV",
-    "DimensionCapError",
-    "TOL",
-    "Tolerances",
-    "ValidationError",
-    "dim_cap",
-    "CMatrix",
-    "SystemLayout",
-    "assert_density",
-    "collect_parties",
-    "matrix_from_json",
-    "matrix_to_json",
-    "min_eigenvalue",
-    "op_norm",
-    "partial_transpose",
-    "permute_factors",
-    "psd_sqrt",
-    "rel_entropy",
-    "spectral_norm",
-    "tensor",
-    "trace_norm",
-    "StateFamilyResult",
-    "fourier_xy",
-    "hiding_state",
-    "max_entangled",
-    "ppt_pbit",
-    "private_bit",
-    "swap_x",
-    "werner_state",
-    "BellFunctional",
-    "BoundReport",
-    "Box",
-    "MeasurementFamily",
-    "SeesawResult",
-    "bell_operator",
-    "box_from",
-    "chsh",
-    "classical_value",
-    "cor1_bound",
-    "d_eps_membership",
-    "functional_value",
-    "nonnegativize",
-    "pbit_observation_bound",
-    "seesaw",
-    "thm1_bound",
-    "ChainCheck",
-    "LocalPolytope",
-    "NlResult",
-    "continuity_bound",
-    "er_upper",
-    "filter_apply",
-    "kl",
-    "nonlocality_N",
-    "thm2_chain_check",
-    "__version__",
-]
+__all__ = [*config.__all__, *linalg.__all__, *states.__all__, *bell.__all__,
+           *nonlocality.__all__, "__version__"]

@@ -1,7 +1,8 @@
 """Command-line front end: reproduction targets and ad-hoc library calls.
 
-Defaults live in the argparse definitions only; commands read the parsed
-namespace directly.  ``make-state`` families come from one table,
+Each flag and its default are declared once, on the commands that read it,
+and no parser takes abbreviations; commands read the parsed namespace
+directly.  ``make-state`` families come from one table,
 ``_FAMILIES``, whose keys are the command's choices.  Each repro target
 states its closed-form excess over the classical value once, next to its
 state family, and builds its rows with ``_seesaw_row`` and ``_ppt_row``.
@@ -102,6 +103,14 @@ def _emit_reports(reports: list[BoundReport], args: argparse.Namespace) -> int:
     return 0 if all(r.verdict for r in reports) else 1
 
 
+def _emit_result(args: argparse.Namespace, payload: dict, rows: dict) -> None:
+    """seesaw and nonlocality output: payload as JSON, or rows as key,value CSV."""
+    if args.out == "csv":
+        _emit("\n".join(["key,value", *(f"{key},{value}" for key, value in rows.items())]), args)
+    else:
+        _emit(_dump_json(payload), args)
+
+
 def _seesaw_row(args: argparse.Namespace, context: str, state: CMatrix,
                 excess: float) -> BoundReport:
     """Seesaw CHSH value of the state against the classical value plus excess."""
@@ -192,44 +201,32 @@ def cmd_seesaw(args: argparse.Namespace) -> int:
     else:
         functional = chsh()
     result = seesaw(state, functional, restarts=args.restarts, seed=args.seed)
-    if args.out == "csv":
-        lines = [
-            "key,value",
-            f"value,{result.value!r}",
-            f"converged,{result.converged}",
-            f"iterations,{result.iterations}",
-            f"best_restart,{max(result.restart_values)!r}",
-            f"worst_restart,{min(result.restart_values)!r}",
-        ]
-        _emit("\n".join(lines), args)
-    else:
-        payload = {
-            "command": "seesaw",
-            "value": result.value,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "restart_values": list(result.restart_values),
-            "measurements": result.measurements.to_json(),
-        }
-        _emit(_dump_json(payload), args)
+    payload = {
+        "command": "seesaw",
+        "value": result.value,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "restart_values": list(result.restart_values),
+        "measurements": result.measurements.to_json(),
+    }
+    rows = {
+        "value": result.value,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "best_restart": max(result.restart_values),
+        "worst_restart": min(result.restart_values),
+    }
+    _emit_result(args, payload, rows)
     return 0
 
 
 def cmd_nonlocality(args: argparse.Namespace) -> int:
     box = Box.from_json(_load_json(args.box_file))
     result = nonlocality_N(box, mode=args.mode, restarts=args.restarts, seed=args.seed)
-    if args.out == "csv":
-        lines = [
-            "key,value",
-            f"value,{result.value!r}",
-            f"converged,{result.converged}",
-            f"iterations,{result.iterations}",
-            f"gap,{result.gap!r}",
-        ]
-        _emit("\n".join(lines), args)
-    else:
-        payload = {"command": "nonlocality", "mode": args.mode, "result": result.to_json()}
-        _emit(_dump_json(payload), args)
+    payload = {"command": "nonlocality", "mode": args.mode, "result": result.to_json()}
+    rows = {"value": result.value, "converged": result.converged,
+            "iterations": result.iterations, "gap": result.gap}
+    _emit_result(args, payload, rows)
     return 0 if result.converged else 1
 
 
@@ -251,11 +248,7 @@ _FAMILIES = {
 
 
 def cmd_make_state(args: argparse.Namespace) -> int:
-    d = _parse_int_list(args.d)[0]
-    ds = _parse_int_list(args.ds)[0]
-    if args.out == "csv":
-        raise ValidationError("make-state emits JSON only")
-    fields = _FAMILIES[args.family](d, ds, args.m, args.q)
+    fields = _FAMILIES[args.family](args.d, args.ds, args.m, args.q)
     payload = {"command": "make-state", "family": args.family}
     for key, value in fields.items():
         if value is not None:  # a family without a separable companion
@@ -264,14 +257,23 @@ def cmd_make_state(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, restarts_help: str) -> None:
+_SEESAW_RESTARTS = "random seesaw restarts, plus one from a deterministic strategy"
+
+
+def _subcommand(subs, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand parser without abbreviations, writing to --output or stdout."""
+    sub = subs.add_parser(name, help=help, allow_abbrev=False)
+    sub.add_argument("--output", help="write output to this path instead of stdout")
+    sub.set_defaults(func=func)
+    return sub
+
+
+def _add_optimizer_flags(sub: argparse.ArgumentParser, restarts_help: str) -> None:
+    """The flags of the commands that run an optimizer and report in JSON or CSV."""
     sub.add_argument("--restarts", type=int, default=32, help=f"{restarts_help} (default 32)")
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    sub.add_argument("--tol", type=float, default=TOL.verdict,
-                     help="verdict tolerance (default 1e-9)")
     sub.add_argument("--out", choices=("json", "csv"), default="json",
                      help="output format (default json)")
-    sub.add_argument("--output", help="write output to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ptbounds",
         description="Transposition-based bounds on Bell-inequality violation: "
                     "reproduction targets and library access.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    rep = subs.add_parser("repro", help="run a named reproduction target")
+    rep = _subcommand(subs, "repro", cmd_repro, "run a named reproduction target")
     rep.add_argument("target", choices=sorted(_REPRO_TARGETS))
     rep.add_argument("--d", default="2,3,4",
                      help="comma-separated local dimensions (default 2,3,4)")
@@ -293,31 +296,29 @@ def build_parser() -> argparse.ArgumentParser:
                      "is PPT only for q <= 1/3, and delta <= 2^-m for every m only for q >= 1/3")
     rep.add_argument("--eps", default="0,0.1,0.25,0.4",
                      help="comma-separated epsilon grid (default 0,0.1,0.25,0.4)")
-    _add_common(rep, "random seesaw restarts, plus one from a deterministic strategy")
-    rep.set_defaults(func=cmd_repro)
+    rep.add_argument("--tol", type=float, default=TOL.verdict,
+                     help="verdict tolerance, positive and finite (default 1e-9)")
+    _add_optimizer_flags(rep, _SEESAW_RESTARTS)
 
-    see = subs.add_parser("seesaw", help="optimize measurements for a state file")
+    see = _subcommand(subs, "seesaw", cmd_seesaw, "optimize measurements for a state file")
     see.add_argument("state_file", help="matrix JSON for the state")
     see.add_argument("functional_file", nargs="?", default=None,
                      help="functional JSON (default: built-in CHSH)")
-    _add_common(see, "random seesaw restarts, plus one from a deterministic strategy")
-    see.set_defaults(func=cmd_seesaw)
+    _add_optimizer_flags(see, _SEESAW_RESTARTS)
 
-    non = subs.add_parser("nonlocality", help="evaluate the KL nonlocality of a box file")
+    non = _subcommand(subs, "nonlocality", cmd_nonlocality,
+                      "evaluate the KL nonlocality of a box file")
     non.add_argument("box_file", help="box JSON")
     non.add_argument("--mode", choices=("uniform", "optimize"), default="uniform",
                      help="input-distribution handling (default uniform)")
-    _add_common(non, "restarts of the input-distribution ascent of --mode optimize")
-    non.set_defaults(func=cmd_nonlocality)
+    _add_optimizer_flags(non, "restarts of the input-distribution ascent of --mode optimize")
 
-    mk = subs.add_parser("make-state", help="emit a state family as matrix JSON")
+    mk = _subcommand(subs, "make-state", cmd_make_state, "emit a state family as matrix JSON")
     mk.add_argument("family", choices=_FAMILIES)
-    mk.add_argument("--d", default="2", help="local dimension (first entry used, default 2)")
-    mk.add_argument("--ds", default="4", help="shield dimension (first entry used, default 4)")
+    mk.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
+    mk.add_argument("--ds", type=int, default=4, help="shield dimension (default 4)")
     mk.add_argument("--m", type=int, default=1, help="shield repetition count (default 1)")
     mk.add_argument("--q", type=float, default=1.0 / 3.0, help="corner weight (default 1/3)")
-    _add_common(mk, "ignored: make-state runs no optimizer")
-    mk.set_defaults(func=cmd_make_state)
 
     return parser
 
@@ -326,15 +327,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.restarts < 1:
+        # only the commands that read --restarts, --seed and --tol have them
+        if "restarts" in args and args.restarts < 1:
             raise ValidationError("restarts must be at least 1")
-        if args.tol <= 0.0:
-            raise ValidationError("tol must be positive")
+        if "seed" in args and args.seed < 0:
+            raise ValidationError("seed must be non-negative")
+        if "tol" in args and not 0.0 < args.tol < math.inf:
+            raise ValidationError("tol must be positive and finite")
         return args.func(args)
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, json.JSONDecodeError, OSError) as exc:
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

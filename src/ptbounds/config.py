@@ -5,6 +5,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+__all__ = [
+    "DEFAULT_DIM_CAP",
+    "DIM_CAP_ENV",
+    "DimensionCapError",
+    "TOL",
+    "Tolerances",
+    "ValidationError",
+    "dim_cap",
+]
+
 
 @dataclass(frozen=True)
 class Tolerances:

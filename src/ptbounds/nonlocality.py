@@ -172,6 +172,7 @@ def _line_search(pm: np.ndarray, qm: np.ndarray, dm: np.ndarray, t_max: float,
     the root where it is concave, or on the right where it is convex,
     approach the root monotonically; the bracket catches the other starts.
     Returns None when g0 >= 0: no descent along dm.
+    Exact, since Armijo backtracking here fails the hiding m=2 and brentq tests.
     """
     if g0 >= 0.0:
         return None

@@ -14,18 +14,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptbounds import cli
+from ptbounds.bell import BoundReport
 from ptbounds.cli import main
+from ptbounds.config import TOL
 from ptbounds.linalg import matrix_from_json
 from ptbounds.nonlocality import NlResult
 from ptbounds.states import hiding_state, ppt_pbit
 
 
-def run_main(capsys, *argv):
+def run_captured(capsys, *argv):
+    """Exit code of main and its captured stdout and stderr."""
     try:
         code = main(list(argv))
     except SystemExit as exc:  # argparse reports usage errors this way
         code = int(exc.code)
-    captured = capsys.readouterr()
+    return code, capsys.readouterr()
+
+
+def run_main(capsys, *argv):
+    code, captured = run_captured(capsys, *argv)
     return code, captured.out
 
 
@@ -101,9 +108,22 @@ def test_make_state_fourier_emits_both_operators(capsys):
     assert "X" in payload and "Y" in payload
 
 
-def test_make_state_rejects_csv_output(capsys):
+def test_make_state_rejects_csv_output(capsys, tmp_path, monkeypatch):
+    # make-state has no --out; were abbreviations allowed, "--out csv" would
+    # be read as "--output csv" and write a file named csv
+    monkeypatch.chdir(tmp_path)
     code, _ = run_main(capsys, "make-state", "max-entangled", "--out", "csv")
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [("--d", "3,5"), ("--ds", "4,9")])
+def test_make_state_sizes_take_one_integer(capsys, flag, value):
+    code, captured = run_captured(capsys, "make-state", "ppt-pbit", flag, value)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"ptbounds make-state: error: argument {flag}: invalid int value: '{value}'")
 
 
 def test_dimension_cap_exits_three(capsys, monkeypatch):
@@ -471,23 +491,76 @@ def test_make_state_family_payload(capsys, family):
         matrix_from_json(payload[key])
 
 
-@pytest.mark.parametrize("flag", ["--restarts", "--tol"])
-@pytest.mark.parametrize("command", ["repro", "seesaw", "nonlocality", "make-state"])
-def test_restarts_and_tol_are_checked_on_every_command(capsys, tmp_path, command, flag):
+def _command_argv(tmp_path, command: str) -> list[str]:
+    """A valid invocation of the command, its input files written to tmp_path."""
     state_file = tmp_path / "phi.json"
-    assert run_main(capsys, "make-state", "max-entangled", "--output", str(state_file))[0] == 0
+    state_file.write_text(json.dumps(_PHI_PAYLOAD))
     box_file = tmp_path / "box.json"
     box_file.write_text(json.dumps({"nx": 2, "ny": 2, "na": 2, "nb": 2, "p": [0.25] * 16}))
-    argv = {
+    return {
         "repro": ["repro", "eq13"],
         "seesaw": ["seesaw", str(state_file)],
         "nonlocality": ["nonlocality", str(box_file)],
         "make-state": ["make-state", "max-entangled"],
     }[command]
-    code, errors = run_main_errors(capsys, *argv, flag, "0")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("repro", "--restarts"), ("repro", "--tol"),
+    ("seesaw", "--restarts"), ("nonlocality", "--restarts"),
+])
+def test_restarts_and_tol_are_checked_on_every_command(capsys, tmp_path, command, flag):
+    """On every command that takes the flag."""
+    code, errors = run_main_errors(capsys, *_command_argv(tmp_path, command), flag, "0")
     assert code == 2
     assert errors == [{"--restarts": "error: restarts must be at least 1",
-                       "--tol": "error: tol must be positive"}[flag]]
+                       "--tol": "error: tol must be positive and finite"}[flag]]
+
+
+@pytest.mark.parametrize("command", ["repro", "seesaw", "nonlocality"])
+def test_negative_seed_exits_two(capsys, tmp_path, command):
+    # numpy's generators refuse a negative seed with a ValueError traceback
+    code, errors = run_main_errors(capsys, *_command_argv(tmp_path, command), "--seed", "-1")
+    assert code == 2
+    assert errors == ["error: seed must be non-negative"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("make-state", "--restarts"), ("make-state", "--seed"), ("make-state", "--tol"),
+    ("seesaw", "--tol"), ("nonlocality", "--tol"),
+])
+def test_removed_flags_exit_two(capsys, tmp_path, command, flag):
+    # commands that do not read a flag do not take it
+    code, captured = run_captured(capsys, *_command_argv(tmp_path, command), flag, "1")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"ptbounds: error: unrecognized arguments: {flag} 1")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_repro_refuses_non_finite_tol(capsys, tol):
+    # the prop1 m=2, q=0.2 delta row fails (0.346 > 0.25); a tol of inf would
+    # pass it, and a tol of nan would fail every row
+    fam = hiding_state(m=2, d_shield=2, k=1, q=0.2)
+    row = BoundReport("prop1 m=2 delta", fam.params["delta"], 0.25, tol=TOL.verdict)
+    assert row.verdict is False
+    code, captured = run_captured(capsys, "repro", "prop1", "--m", "2", "--q", "0.2",
+                                  "--tol", tol)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: tol must be positive and finite"]
+
+
+@pytest.mark.parametrize("command", ["seesaw", "nonlocality"])
+def test_non_utf8_input_file_exits_two(capsys, tmp_path, command):
+    argv = _command_argv(tmp_path, command)
+    path = Path(argv[1])
+    path.write_bytes(b"\xff" + path.read_bytes())
+    code, errors = run_main_errors(capsys, *argv)
+    assert code == 2
+    assert errors == ["error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                      "invalid start byte"]
 
 
 def test_repro_eq13_is_the_monotone_row(capsys):
@@ -507,15 +580,18 @@ def test_repro_eq13_fails_when_the_bound_decreases(capsys, monkeypatch, decreasi
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["make-state", "max-entangled", "--d", ","], "error: expected comma-separated integers, got ','"),
+    (["make-state", "max-entangled", "--d", ","],
+     "ptbounds make-state: error: argument --d: invalid int value: ','"),
     (["repro", "eq8", "--d", ","], "error: expected comma-separated integers, got ','"),
     (["repro", "eq13", "--eps", ","], "error: expected comma-separated numbers, got ','"),
 ], ids=["make-state-d", "eq8-d", "eq13-eps"])
 def test_empty_grids_exit_two(capsys, argv, message):
-    code, errors = run_main_errors(capsys, *argv)
+    code, captured = run_captured(capsys, *argv)
+    errors = captured.err.splitlines()
     assert code == 2
-    assert errors == [message]
-    assert capsys.readouterr().out == ""
+    # a parser error prints the usage above its one error line
+    assert errors[-1] == message and (len(errors) == 1 or errors[0].startswith("usage:"))
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("mode", ["uniform", "optimize"])
