@@ -7,22 +7,26 @@ Thin wrapper over the package CLI so a full sweep is one command:
 
 Every flag other than --outdir is passed unchanged to each
 ``ptbounds repro`` run, so the CLI alone declares them and their defaults.
+All flags are checked before the output directory is created.
 """
 
 import argparse
 import pathlib
 import sys
 
-from ptbounds.cli import _REPRO_TARGETS, main as cli_main
+from ptbounds.cli import _REPRO_TARGETS, _add_repro_flags, main as cli_main
 
 
 def run(argv=None) -> int:
+    outdir_parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    outdir_parser.add_argument("--outdir", default="results",
+                               help="directory for the JSON reports (default results)")
     parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0], allow_abbrev=False,
-        epilog="Other flags (--seed, --restarts, ...) go to every `ptbounds repro` run.")
-    parser.add_argument("--outdir", default="results",
-                        help="directory for the JSON reports (default results)")
-    args, repro_flags = parser.parse_known_args(argv)
+        description=__doc__.splitlines()[0], parents=[outdir_parser], allow_abbrev=False,
+        epilog="The other flags go to every `ptbounds repro` run.")
+    _add_repro_flags(parser)
+    parser.parse_args(argv)  # a misspelt flag exits 2 here, with this script's usage
+    args, repro_flags = outdir_parser.parse_known_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -186,8 +186,12 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
 
 def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The parsed file; ValidationError naming it if it is not UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # decoding, over-long ints, deep nesting
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def cmd_seesaw(args: argparse.Namespace) -> int:
@@ -222,10 +226,10 @@ def cmd_seesaw(args: argparse.Namespace) -> int:
 
 def cmd_nonlocality(args: argparse.Namespace) -> int:
     box = Box.from_json(_load_json(args.box_file))
-    result = nonlocality_N(box, mode=args.mode, restarts=args.restarts, seed=args.seed)
+    result = nonlocality_N(box, mode=args.mode)
     payload = {"command": "nonlocality", "mode": args.mode, "result": result.to_json()}
     rows = {"value": result.value, "converged": result.converged,
-            "iterations": result.iterations, "gap": result.gap}
+            "iterations": result.iterations, "gap": result.gap, "upper": result.upper}
     _emit_result(args, payload, rows)
     return 0 if result.converged else 1
 
@@ -257,9 +261,6 @@ def cmd_make_state(args: argparse.Namespace) -> int:
     return 0
 
 
-_SEESAW_RESTARTS = "random seesaw restarts, plus one from a deterministic strategy"
-
-
 def _subcommand(subs, name: str, func, help: str) -> argparse.ArgumentParser:
     """A subcommand parser without abbreviations, writing to --output or stdout."""
     sub = subs.add_parser(name, help=help, allow_abbrev=False)
@@ -268,12 +269,30 @@ def _subcommand(subs, name: str, func, help: str) -> argparse.ArgumentParser:
     return sub
 
 
-def _add_optimizer_flags(sub: argparse.ArgumentParser, restarts_help: str) -> None:
-    """The flags of the commands that run an optimizer and report in JSON or CSV."""
-    sub.add_argument("--restarts", type=int, default=32, help=f"{restarts_help} (default 32)")
-    sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+def _add_report_flags(sub: argparse.ArgumentParser, seesaw: bool) -> None:
+    """--out, plus --restarts and --seed on the commands that run the seesaw."""
+    if seesaw:
+        sub.add_argument("--restarts", type=int, default=32, help="random seesaw restarts, "
+                         "plus one from a deterministic strategy (default 32)")
+        sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub.add_argument("--out", choices=("json", "csv"), default="json",
                      help="output format (default json)")
+
+
+def _add_repro_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of ``repro`` but its target and --output, shared with the sweep script."""
+    parser.add_argument("--d", default="2,3,4",
+                        help="comma-separated local dimensions (default 2,3,4)")
+    parser.add_argument("--ds", default="4", help="comma-separated shield dimensions (default 4)")
+    parser.add_argument("--m", type=int, default=1, help="shield repetition count (default 1)")
+    parser.add_argument("--q", type=float, default=1.0 / 3.0,
+                        help="corner weight in (0, 1/2), default 1/3: the state "
+                        "is PPT only for q <= 1/3, and delta <= 2^-m for every m only for q >= 1/3")
+    parser.add_argument("--eps", default="0,0.1,0.25,0.4",
+                        help="comma-separated epsilon grid (default 0,0.1,0.25,0.4)")
+    parser.add_argument("--tol", type=float, default=TOL.verdict,
+                        help="verdict tolerance, positive and finite (default 1e-9)")
+    _add_report_flags(parser, seesaw=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,31 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = _subcommand(subs, "repro", cmd_repro, "run a named reproduction target")
     rep.add_argument("target", choices=sorted(_REPRO_TARGETS))
-    rep.add_argument("--d", default="2,3,4",
-                     help="comma-separated local dimensions (default 2,3,4)")
-    rep.add_argument("--ds", default="4", help="comma-separated shield dimensions (default 4)")
-    rep.add_argument("--m", type=int, default=1, help="shield repetition count (default 1)")
-    rep.add_argument("--q", type=float, default=1.0 / 3.0,
-                     help="corner weight in (0, 1/2), default 1/3: the state "
-                     "is PPT only for q <= 1/3, and delta <= 2^-m for every m only for q >= 1/3")
-    rep.add_argument("--eps", default="0,0.1,0.25,0.4",
-                     help="comma-separated epsilon grid (default 0,0.1,0.25,0.4)")
-    rep.add_argument("--tol", type=float, default=TOL.verdict,
-                     help="verdict tolerance, positive and finite (default 1e-9)")
-    _add_optimizer_flags(rep, _SEESAW_RESTARTS)
+    _add_repro_flags(rep)
 
     see = _subcommand(subs, "seesaw", cmd_seesaw, "optimize measurements for a state file")
     see.add_argument("state_file", help="matrix JSON for the state")
     see.add_argument("functional_file", nargs="?", default=None,
                      help="functional JSON (default: built-in CHSH)")
-    _add_optimizer_flags(see, _SEESAW_RESTARTS)
+    _add_report_flags(see, seesaw=True)
 
     non = _subcommand(subs, "nonlocality", cmd_nonlocality,
                       "evaluate the KL nonlocality of a box file")
     non.add_argument("box_file", help="box JSON")
     non.add_argument("--mode", choices=("uniform", "optimize"), default="uniform",
                      help="input-distribution handling (default uniform)")
-    _add_optimizer_flags(non, "restarts of the input-distribution ascent of --mode optimize")
+    _add_report_flags(non, seesaw=False)
 
     mk = _subcommand(subs, "make-state", cmd_make_state, "emit a state family as matrix JSON")
     mk.add_argument("family", choices=_FAMILIES)
@@ -338,7 +346,7 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -216,7 +216,7 @@ def test_criterion_07_nonlocality_measure():
     _check(failures, worst <= 1e-7, f"local mixture measured {worst:.2e}")
     box = box_from(max_entangled(2), tsirelson_measurements())
     uni = nonlocality_N(box, mode="uniform").value
-    opt = nonlocality_N(box, mode="optimize", restarts=8, ascent_iters=80).value
+    opt = nonlocality_N(box, mode="optimize").value
     _check(failures, uni > 0.0, "uniform-input value is not positive")
     _check(failures, abs(uni - TSIRELSON_BOX_N) <= 1e-3,
            f"uniform value {uni:.10f} off the oracle")

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -147,7 +148,7 @@ def test_nonlocality_exit_code_follows_convergence(capsys, monkeypatch):
     code, out = run_main(capsys, "nonlocality", box_file)
     assert code == 0
     assert json.loads(out)["result"]["converged"] is True
-    stalled = NlResult(0.5, np.full(16, 1.0 / 16), np.full(4, 0.25), False, 50_000, 0.3)
+    stalled = NlResult(0.5, np.full(16, 1.0 / 16), np.full(4, 0.25), False, 50_000, 0.3, 0.5)
     monkeypatch.setattr(cli, "nonlocality_N", lambda box, **kwargs: stalled)
     code, out = run_main(capsys, "nonlocality", box_file)
     assert code == 1
@@ -381,7 +382,8 @@ def _main_on_files(directory: Path, command: str, payloads) -> tuple[int, list[s
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main([command, *map(str, paths), "--restarts", "1"])
+        restarts = ["--restarts", "1"] if command == "seesaw" else []
+        code = main([command, *map(str, paths), *restarts])
     return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
 
 
@@ -506,8 +508,7 @@ def _command_argv(tmp_path, command: str) -> list[str]:
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("repro", "--restarts"), ("repro", "--tol"),
-    ("seesaw", "--restarts"), ("nonlocality", "--restarts"),
+    ("repro", "--restarts"), ("repro", "--tol"), ("seesaw", "--restarts"),
 ])
 def test_restarts_and_tol_are_checked_on_every_command(capsys, tmp_path, command, flag):
     """On every command that takes the flag."""
@@ -517,7 +518,7 @@ def test_restarts_and_tol_are_checked_on_every_command(capsys, tmp_path, command
                        "--tol": "error: tol must be positive and finite"}[flag]]
 
 
-@pytest.mark.parametrize("command", ["repro", "seesaw", "nonlocality"])
+@pytest.mark.parametrize("command", ["repro", "seesaw"])
 def test_negative_seed_exits_two(capsys, tmp_path, command):
     # numpy's generators refuse a negative seed with a ValueError traceback
     code, errors = run_main_errors(capsys, *_command_argv(tmp_path, command), "--seed", "-1")
@@ -528,6 +529,7 @@ def test_negative_seed_exits_two(capsys, tmp_path, command):
 @pytest.mark.parametrize("command, flag", [
     ("make-state", "--restarts"), ("make-state", "--seed"), ("make-state", "--tol"),
     ("seesaw", "--tol"), ("nonlocality", "--tol"),
+    ("nonlocality", "--restarts"), ("nonlocality", "--seed"),
 ])
 def test_removed_flags_exit_two(capsys, tmp_path, command, flag):
     # commands that do not read a flag do not take it
@@ -559,8 +561,27 @@ def test_non_utf8_input_file_exits_two(capsys, tmp_path, command):
     path.write_bytes(b"\xff" + path.read_bytes())
     code, errors = run_main_errors(capsys, *argv)
     assert code == 2
-    assert errors == ["error: 'utf-8' codec can't decode byte 0xff in position 0: "
+    assert errors == [f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
                       "invalid start byte"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ('{"nx": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits) for integer string"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["malformed", "not-utf8", "long-int", "deep"])
+@pytest.mark.parametrize("command", ["seesaw", "nonlocality"])
+def test_unreadable_input_files_are_named(capsys, tmp_path, command, text, message):
+    # seesaw reads two files, so its bad one is the functional file
+    argv = _command_argv(tmp_path, command)
+    if command == "seesaw":
+        argv.append(str(tmp_path / "f.json"))
+    path = Path(argv[-1])
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, errors = run_main_errors(capsys, *argv)
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith(f"error: {path}: {message}"), errors
 
 
 def test_repro_eq13_is_the_monotone_row(capsys):
@@ -598,11 +619,11 @@ def test_empty_grids_exit_two(capsys, argv, message):
 def test_nonlocality_reports_the_final_gap(capsys, tmp_path, mode):
     box_file = tmp_path / "box.json"
     box_file.write_text(json.dumps({"nx": 2, "ny": 2, "na": 2, "nb": 2, "p": [0.25] * 16}))
-    argv = ["nonlocality", str(box_file), "--mode", mode, "--restarts", "2"]
+    argv = ["nonlocality", str(box_file), "--mode", mode]
     code, out = run_main(capsys, *argv)
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["converged"] == (result["gap"] <= 1e-7)
+    assert result["converged"] == (result["upper"] - (result["value"] - result["gap"]) <= 1e-7)
     code, out = run_main(capsys, *argv, "--out", "csv")
     assert code == 0
     assert out.splitlines()[1:] == [
@@ -610,6 +631,7 @@ def test_nonlocality_reports_the_final_gap(capsys, tmp_path, mode):
         f"converged,{result['converged']}",
         f"iterations,{result['iterations']}",
         f"gap,{result['gap']!r}",
+        f"upper,{result['upper']!r}",
     ]
 
 
@@ -622,3 +644,19 @@ def test_runtime_imports_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_script_checks_its_flags_before_creating_the_outdir(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_bounds.py"), "--outdir", "r2",
+         "--sed", "7"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    errors = proc.stderr.splitlines()
+    assert proc.returncode == 2
+    assert errors[0].startswith("usage: reproduce_bounds.py ")
+    assert errors[-1] == "reproduce_bounds.py: error: unrecognized arguments: --sed 7"
+    assert proc.stdout == ""
+    assert not (tmp_path / "r2").exists()

@@ -126,7 +126,7 @@ def test_nonlocality_of_tsirelson_box_uniform_inputs():
 def test_nonlocality_optimized_inputs_dominate_uniform():
     box = tsirelson_box()
     uniform = nonlocality_N(box, mode="uniform")
-    opt = nonlocality_N(box, mode="optimize", restarts=4, ascent_iters=60)
+    opt = nonlocality_N(box, mode="optimize")
     assert opt.value >= uniform.value - 1e-9
     assert opt.input_dist.min() >= -1e-15
     assert opt.input_dist.sum() == pytest.approx(1.0, abs=1e-9)
@@ -277,20 +277,21 @@ def test_nonlocality_vanishes_on_the_seesaw_boxes_of_hiding_states(m, mode):
     assert abs(res.value) <= 1e-12
 
 
-def chained_box() -> Box:
-    """Noisy Phi+ at visibility 0.95 under the 3-input chained-Bell settings:
-    observables cos(t) Z + sin(t) X at t = 2k pi / 6 for Alice and
-    (2k + 1) pi / 6 for Bob, so neighbouring settings correlate as
-    0.95 cos(pi / 6)."""
-    rho = CMatrix(0.95 * max_entangled(2).mat + 0.05 * np.eye(4) / 4.0,
+def chained_box(n: int = 3, v: float = 0.95) -> Box:
+    """Noisy Phi+ at visibility v under the n-input chained-Bell settings:
+    observables cos(t) Z + sin(t) X at t = 2k pi / 2n for Alice and
+    (2k + 1) pi / 2n for Bob, so neighbouring settings correlate as
+    v cos(pi / 2n)."""
+    rho = CMatrix(v * max_entangled(2).mat + (1.0 - v) * np.eye(4) / 4.0,
                   SystemLayout.bipartite(2, 2), hermitian=True)
 
     def povm(t):
         obs = np.array([[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]])
         return [(np.eye(2) + obs) / 2.0, (np.eye(2) - obs) / 2.0]
 
-    return box_from(rho, MeasurementFamily([povm(2 * k * math.pi / 6) for k in range(3)],
-                                           [povm((2 * k + 1) * math.pi / 6) for k in range(3)]))
+    return box_from(rho, MeasurementFamily(
+        [povm(2 * k * math.pi / (2 * n)) for k in range(n)],
+        [povm((2 * k + 1) * math.pi / (2 * n)) for k in range(n)]))
 
 
 def test_the_chained_box_fixture_is_nonlocal_in_both_modes():
@@ -302,6 +303,76 @@ def test_the_chained_box_fixture_is_nonlocal_in_both_modes():
     assert uniform.converged and opt.converged
     assert uniform.value >= 1e-3
     assert opt.value >= uniform.value - 1e-9
+
+
+# N of the chained boxes at visibility 0.9, to ten digits
+_CHAINED_N = {3: 0.0183307769, 4: 0.0121819699}
+
+
+def _width(res) -> float:
+    return res.upper - (res.value - res.gap)
+
+
+@pytest.mark.parametrize("n", sorted(_CHAINED_N))
+def test_optimize_mode_certifies_the_chained_boxes(n):
+    # the supergradient ascent with restarts returned 0.0178195 and 0.0107441
+    # here, both below N and reported as converged
+    res = nonlocality_N(chained_box(n, 0.9), mode="optimize")
+    assert res.converged
+    assert res.value - res.gap <= _CHAINED_N[n] <= res.upper
+    assert _width(res) <= 1e-7
+
+
+def test_the_chained4_box_fixture_is_its_construction():
+    # the box the CI runs through `ptbounds nonlocality --mode optimize`,
+    # checking that its interval contains N
+    saved = Box.from_json(json.loads((DATA / "noisy_phi_plus_chained4_box.json").read_text()))
+    assert np.array_equal(saved.p, chained_box(4, 0.9).p)
+
+
+@pytest.mark.parametrize("box", [lambda: chained_box(2, 0.9), lambda: chained_box(3, 0.9),
+                                 lambda: chained_box(4, 0.9), tsirelson_box],
+                         ids=["chained2", "chained3", "chained4", "tsirelson"])
+def test_optimize_mode_returns_an_equalizer(box):
+    # at the optimum the per-pair KLs equal N on the support of p and are no
+    # larger off it.  The returned weights minimize at the p of the best lower
+    # end while the upper end may come from another step, so the KLs at them
+    # are held to a few widths: they came within 1.8 widths on these boxes.
+    box = box()
+    res = nonlocality_N(box, mode="optimize")
+    poly = LocalPolytope.for_scenario(box.nx, box.ny, box.na, box.nb)
+    rows = box.p.reshape(box.nx * box.ny, -1)
+    per_pair = _pair_kl(rows, (res.inner_weights @ poly.vertices).reshape(rows.shape))
+    tol = 3.0 * _width(res) + 1e-12
+    support = res.input_dist >= 1e-3
+    assert np.abs(per_pair[support] - res.value).max() <= tol
+    assert per_pair.max() <= res.value + tol
+    # the chained inequality weighs the 2n neighbouring pairs (all 4 at n = 2)
+    assert np.count_nonzero(support) == min(2 * box.nx, box.nx * box.ny)
+
+
+def _optimize_panel():
+    yield from (tsirelson_box(), chained_box(), chained_box(4, 0.9), seesaw_box(1), seesaw_box(2))
+    yield from _pr_vertex_mixtures(63, 3, (0.2, 0.8))
+    # its optimal p is zero on 8 of 16 pairs: the interval does not close
+    yield Box.from_json(json.loads((DATA / "zero_entry_4input_box.json").read_text()))
+
+
+def test_optimize_mode_converges_exactly_when_its_interval_closes():
+    results = [nonlocality_N(box, mode="optimize") for box in _optimize_panel()]
+    for res in results:
+        assert res.value - res.gap <= res.upper
+        assert res.converged == (_width(res) <= 1e-7)
+    assert not results[-1].converged
+    assert all(res.converged for res in results[:-1])
+
+
+def test_optimize_mode_is_deterministic():
+    first, second = (nonlocality_N(chained_box(4, 0.9), mode="optimize") for _ in range(2))
+    assert (first.value, first.gap, first.upper, first.iterations, first.converged) == (
+        second.value, second.gap, second.upper, second.iterations, second.converged)
+    assert first.inner_weights.tobytes() == second.inner_weights.tobytes()
+    assert first.input_dist.tobytes() == second.input_dist.tobytes()
 
 
 def _em_measure(box: Box, tol: float = 1e-13, max_iters: int = 100_000) -> float:
@@ -532,20 +603,20 @@ def _pr_vertex_mixtures(seed, count, t_range):
 def test_nonlocality_value_matches_the_replaced_weighted_kl(mode):
     poly = LocalPolytope.for_scenario(2, 2, 2, 2)
     for box in _pr_vertex_mixtures(57, 4, (0.2, 0.6)):
-        res = nonlocality_N(box, mode=mode, restarts=3, ascent_iters=20)
+        res = nonlocality_N(box, mode=mode)
         pw = np.repeat(res.input_dist, 4)
         want = _weighted_kl(pw, box.p.reshape(-1), res.inner_weights @ poly.vertices)
         assert res.value == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
 def test_nonlocality_ignores_pairs_without_input_weight():
-    # the ascent can give an input pair zero weight while the inner solve,
-    # which then ignores that pair, leaves q = 0 under its support; the
-    # pair's infinite KL must contribute nothing rather than 0 * inf = nan
-    for seed, box in enumerate(_pr_vertex_mixtures(1, 8, (0.05, 0.9))):
+    # the inner solve ignores a pair without input weight and may leave q = 0
+    # under its support; the pair's infinite KL must contribute nothing
+    # rather than 0 * inf = nan
+    for box in _pr_vertex_mixtures(1, 8, (0.05, 0.9)):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = nonlocality_N(box, mode="optimize", restarts=3, ascent_iters=30, seed=seed)
+            res = nonlocality_N(box, mode="optimize")
         assert math.isfinite(res.value)
 
 
@@ -699,7 +770,7 @@ def test_inner_infimum_matches_the_brentq_reference():
     for pg, pw, poly in _solver_problems():
         w_opt = _certified_against_reference(pg, pw, poly.vertices, poly.start)
         # warm starts from the optimum at another input distribution, as the
-        # ascent of mode="optimize" does, with its tolerance and with caps
+        # steps of mode="optimize" do, at two tolerances and with caps
         pw2 = np.repeat(rng.dirichlet(np.ones(pw.size // 4)), 4)
         for tol, cap in ((1e-9, 300), (1e-7, 3)):
             _certified_against_reference(pg, pw2, poly.vertices, w_opt, gap_tol=tol, max_iters=cap)
@@ -785,8 +856,11 @@ def test_nonlocality_reports_its_final_gap():
     for box, (mode, gap_tol) in itertools.product(boxes, [("uniform", 1e-7),
                                                          ("optimize", 1e-7),
                                                          ("uniform", 1e-2)]):
-        res = nonlocality_N(box, mode=mode, gap_tol=gap_tol, restarts=2, ascent_iters=10)
-        assert res.converged == (res.gap <= gap_tol)
+        res = nonlocality_N(box, mode=mode, gap_tol=gap_tol)
+        if mode == "optimize":
+            assert res.converged == (_width(res) <= gap_tol)
+        else:
+            assert res.converged == (res.gap <= gap_tol) and res.upper == res.value
         assert res.to_json()["gap"] == res.gap
         # the gap recomputed from the public fields
         gap = _gap_at(box.p.reshape(-1), np.repeat(res.input_dist, 4), poly.vertices,
@@ -794,7 +868,7 @@ def test_nonlocality_reports_its_final_gap():
         assert res.gap == pytest.approx(gap, rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"ascent_iters": -1}])
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}])
 def test_nonlocality_rejects_bad_ascent_arguments(kwargs):
     with pytest.raises(ValidationError):
         nonlocality_N(tsirelson_box(), mode="optimize", **kwargs)
