@@ -28,6 +28,7 @@ from .linalg import (
     op_norm,
     partial_transpose,
     trace_norm,
+    _hermitian_deviation,
     _json_floats,
     _json_size,
     _party_axes,
@@ -48,6 +49,7 @@ __all__ = [
     "box_from",
     "functional_value",
     "seesaw",
+    "seesaw_bound",
     "thm1_bound",
     "cor1_bound",
     "pbit_observation_bound",
@@ -187,10 +189,13 @@ class MeasurementFamily:
         for side, povms in (("alice", self.alice), ("bob", self.bob)):
             d = povms[0][0].shape[0]
             for i, povm in enumerate(povms):
+                if len(povm) != len(povms[0]):
+                    raise ValidationError(f"{side} input {i}: {len(povm)} outcomes, "
+                                          f"input 0 has {len(povms[0])}")
                 for e in povm:
                     if e.shape != (d, d):
                         raise ValidationError(f"{side} input {i}: effect shape {e.shape}")
-                    if np.abs(e - e.conj().T).max() > TOL.structural:
+                    if _hermitian_deviation(e) > TOL.structural:
                         raise ValidationError(f"{side} input {i}: effect is not hermitian")
                     w = np.linalg.eigvalsh(e)
                     if float(w.min()) < -TOL.psd:
@@ -490,6 +495,18 @@ class BoundReport:
         return "context,lhs,rhs,slack,verdict"
 
 
+def seesaw_bound(f: BellFunctional, rho: CMatrix, excess: float, context: str,
+                 restarts: int, seed: int, tol: float) -> BoundReport:
+    """Seesaw value of rho against classical_value(f) + excess.
+
+    Every violation bound here has this shape: the best value the seesaw
+    finds on the state, at most the classical value plus a closed-form
+    excess (a shrunk maximal quantum violation).
+    """
+    lhs = seesaw(rho, f, restarts=restarts, seed=seed).value
+    return BoundReport(context, lhs, classical_value(f) + excess, tol=tol)
+
+
 def d_eps_membership(rho: CMatrix, sigma_candidate: CMatrix) -> float:
     """Certified epsilon: trace norm of the transposed difference to the candidate."""
     rg = partial_transpose(rho)
@@ -517,15 +534,12 @@ def cor1_bound(f: BellFunctional, rho: CMatrix, sigma_candidate: CMatrix,
     (2 sqrt(2) for CHSH); the candidate stands in for the nearest separable
     state, so the right-hand side only relaxes upward.
     """
-    lhs = seesaw(rho, f, restarts=restarts, seed=seed).value
-    rhs = classical_value(f) + q_value * d_eps_membership(rho, sigma_candidate)
-    return BoundReport("candidate-relaxed violation bound", lhs, rhs)
+    return seesaw_bound(f, rho, q_value * d_eps_membership(rho, sigma_candidate),
+                        "candidate-relaxed violation bound", restarts, seed, TOL.verdict)
 
 
 def pbit_observation_bound(x: CMatrix, f: BellFunctional, q_value: float,
                            restarts: int = 32, seed: int = 0) -> BoundReport:
     """Bound the key-correlated state of X by classical + q_value ||X^PT||_1."""
-    gamma = private_bit(x)
-    lhs = seesaw(gamma, f, restarts=restarts, seed=seed).value
-    rhs = classical_value(f) + q_value * trace_norm(partial_transpose(x))
-    return BoundReport("key-state observation bound", lhs, rhs)
+    return seesaw_bound(f, private_bit(x), q_value * trace_norm(partial_transpose(x)),
+                        "key-state observation bound", restarts, seed, TOL.verdict)

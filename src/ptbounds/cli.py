@@ -5,9 +5,14 @@ and no parser takes abbreviations; commands read the parsed namespace
 directly.  ``make-state`` families come from one table,
 ``_FAMILIES``, whose keys are the command's choices.  Each repro target
 states its closed-form excess over the classical value once, next to its
-state family, and builds its rows with ``_seesaw_row`` and ``_ppt_row``.
-``repro eq13`` emits one row, ``eq13 monotone``: the largest decrease of
-the continuity bound along its eps and d grid, which must be 0.
+state family, and builds its rows with ``_seesaw_row`` (the library's
+``seesaw_bound`` on CHSH) and ``_ppt_row``.  ``repro eq13`` emits one row,
+``eq13 monotone``: the largest decrease of the continuity bound along its
+eps and d grid, which must be 0.
+
+Commands return (payload, CSV lines or None, exit code) and write nothing;
+``main`` alone writes the CSV (under ``--out csv``) or JSON to ``--output``
+or stdout, so the file holds exactly the bytes stdout would.
 
 Exit codes: 0 when every emitted verdict is true, 1 when a verdict is false
 or a ``nonlocality`` solve did not converge (its report is still written),
@@ -35,9 +40,9 @@ from .bell import (
     BoundReport,
     Box,
     chsh,
-    classical_value,
     d_eps_membership,
     seesaw,
+    seesaw_bound,
 )
 from .states import (
     fourier_xy,
@@ -74,49 +79,15 @@ def _parse_float_list(text: str) -> list[float]:
     return _parse_list(text, float, "numbers")
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _dump_json(payload: dict) -> str:
-    # one dumps call without indent stays on CPython's C encoder
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _emit_reports(reports: list[BoundReport], args: argparse.Namespace) -> int:
-    if args.out == "csv":
-        lines = [BoundReport.csv_header()] + [r.csv_row() for r in reports]
-        _emit("\n".join(lines), args)
-    else:
-        payload = {
-            "command": args.command,
-            "target": args.target,
-            "seed": args.seed,
-            "restarts": args.restarts,
-            "reports": [r.to_json() for r in reports],
-        }
-        _emit(_dump_json(payload), args)
-    return 0 if all(r.verdict for r in reports) else 1
-
-
-def _emit_result(args: argparse.Namespace, payload: dict, rows: dict) -> None:
-    """seesaw and nonlocality output: payload as JSON, or rows as key,value CSV."""
-    if args.out == "csv":
-        _emit("\n".join(["key,value", *(f"{key},{value}" for key, value in rows.items())]), args)
-    else:
-        _emit(_dump_json(payload), args)
+def _key_value_csv(rows: dict) -> list[str]:
+    """The CSV lines of ``seesaw`` and ``nonlocality``: a key,value header, one row per item."""
+    return ["key,value", *(f"{key},{value}" for key, value in rows.items())]
 
 
 def _seesaw_row(args: argparse.Namespace, context: str, state: CMatrix,
                 excess: float) -> BoundReport:
     """Seesaw CHSH value of the state against the classical value plus excess."""
-    functional = chsh()
-    value = seesaw(state, functional, restarts=args.restarts, seed=args.seed).value
-    return BoundReport(context, value, classical_value(functional) + excess, tol=args.tol)
+    return seesaw_bound(chsh(), state, excess, context, args.restarts, args.seed, args.tol)
 
 
 def _ppt_row(context: str, state: CMatrix) -> BoundReport:
@@ -177,12 +148,16 @@ _REPRO_TARGETS = {
 }
 
 
-def cmd_repro(args: argparse.Namespace) -> int:
+def cmd_repro(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     # every grid is parsed, whether the target reads it or not
     args.d = _parse_int_list(args.d)
     args.ds = _parse_int_list(args.ds)
     args.eps = _parse_float_list(args.eps)
-    return _emit_reports(_REPRO_TARGETS[args.target](args), args)
+    reports = _REPRO_TARGETS[args.target](args)
+    payload = {"command": args.command, "target": args.target, "seed": args.seed,
+               "restarts": args.restarts, "reports": [r.to_json() for r in reports]}
+    lines = [BoundReport.csv_header(), *(r.csv_row() for r in reports)]
+    return payload, lines, 0 if all(r.verdict for r in reports) else 1
 
 
 def _load_json(path: str) -> dict:
@@ -194,7 +169,7 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def cmd_seesaw(args: argparse.Namespace) -> int:
+def cmd_seesaw(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     obj = _load_json(args.state_file)
     if isinstance(obj, dict) and isinstance(obj.get("rho"), dict):
         obj = obj["rho"]  # accept make-state payloads directly
@@ -220,18 +195,16 @@ def cmd_seesaw(args: argparse.Namespace) -> int:
         "best_restart": max(result.restart_values),
         "worst_restart": min(result.restart_values),
     }
-    _emit_result(args, payload, rows)
-    return 0
+    return payload, _key_value_csv(rows), 0
 
 
-def cmd_nonlocality(args: argparse.Namespace) -> int:
+def cmd_nonlocality(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     box = Box.from_json(_load_json(args.box_file))
     result = nonlocality_N(box, mode=args.mode)
     payload = {"command": "nonlocality", "mode": args.mode, "result": result.to_json()}
     rows = {"value": result.value, "converged": result.converged,
             "iterations": result.iterations, "gap": result.gap, "upper": result.upper}
-    _emit_result(args, payload, rows)
-    return 0 if result.converged else 1
+    return payload, _key_value_csv(rows), 0 if result.converged else 1
 
 
 # make-state families: name -> (d, ds, m, q) -> payload fields, matrices as
@@ -251,14 +224,13 @@ _FAMILIES = {
 }
 
 
-def cmd_make_state(args: argparse.Namespace) -> int:
+def cmd_make_state(args: argparse.Namespace) -> tuple[dict, None, int]:
     fields = _FAMILIES[args.family](args.d, args.ds, args.m, args.q)
     payload = {"command": "make-state", "family": args.family}
     for key, value in fields.items():
         if value is not None:  # a family without a separable companion
             payload[key] = matrix_to_json(value) if isinstance(value, CMatrix) else value
-    _emit(_dump_json(payload), args)
-    return 0
+    return payload, None, 0
 
 
 def _subcommand(subs, name: str, func, help: str) -> argparse.ArgumentParser:
@@ -342,7 +314,16 @@ def main(argv=None) -> int:
             raise ValidationError("seed must be non-negative")
         if "tol" in args and not 0.0 < args.tol < math.inf:
             raise ValidationError("tol must be positive and finite")
-        return args.func(args)
+        payload, csv_lines, code = args.func(args)
+        # one dumps call without indent stays on CPython's C encoder
+        text = ("\n".join(csv_lines) if "out" in args and args.out == "csv"
+                else json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return code
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -118,7 +118,7 @@ class CMatrix:
                 f"layout dimension {layout.dim} does not match matrix dimension {arr.shape[0]}"
             )
         if hermitian:
-            dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
+            dev = _hermitian_deviation(arr)
             if dev > TOL.structural:
                 raise ValidationError(f"matrix marked hermitian deviates by {dev:.3e}")
         self.mat = arr
@@ -226,6 +226,8 @@ def _hermitian_deviation(arr: np.ndarray) -> float:
 
 
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{what} expects a square matrix")
     dev = _hermitian_deviation(arr)
     if dev > TOL.assertion:
         raise ValidationError(f"{what} expects a hermitian matrix, deviation {dev:.3e}")
@@ -302,8 +304,6 @@ def trace_norm(m) -> float:
 def op_norm(m) -> float:
     """Largest |eigenvalue| of a hermitian matrix.  Errors on non-hermitian input."""
     arr = _as_array(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError("op_norm expects a square matrix")
     _check_hermitian(arr, "op_norm")
     return float(np.abs(_block_eigh(arr)[0]).max())
 

@@ -15,6 +15,7 @@ from ptbounds import (
     CMatrix,
     MeasurementFamily,
     SystemLayout,
+    TOL,
     ValidationError,
     bell_operator,
     box_from,
@@ -33,6 +34,7 @@ from ptbounds import (
     ppt_pbit,
     private_bit,
     seesaw,
+    seesaw_bound,
     swap_x,
     tensor,
     thm1_bound,
@@ -185,6 +187,11 @@ def test_measurement_family_validation():
     neg = np.diag([1.5, -0.5])
     with pytest.raises(ValidationError):
         MeasurementFamily([[neg, eye - neg]], [[eye]])
+    # every POVM of a party needs the same outcome count, or box_from cannot stack them
+    with pytest.raises(ValidationError, match="^alice input 1: 1 outcomes, input 0 has 2$"):
+        MeasurementFamily([[eye / 2, eye / 2], [eye]], [[eye / 2, eye / 2], [eye / 2, eye / 2]])
+    with pytest.raises(ValidationError, match="^bob input 1: 3 outcomes"):
+        MeasurementFamily([[eye]], [[eye / 2, eye / 2], [eye / 2, eye / 4, eye / 4]])
 
 
 def test_measurement_family_rejects_non_hermitian_effects():
@@ -630,6 +637,20 @@ def test_pbit_observation_bound_rhs_values(chsh_functional):
                                   restarts=24, seed=0)
     assert rep4.rhs == pytest.approx(2.0 + TSIRELSON * 0.25, abs=1e-9)
     assert rep4.verdict
+
+
+def test_seesaw_bound_is_the_seesaw_value_against_classical_plus_excess(chsh_functional):
+    fam = ppt_pbit(4)
+    rep = seesaw_bound(chsh_functional, fam.rho, 0.25, "row", 4, 3, 1e-6)
+    assert (rep.context, rep.tol) == ("row", 1e-6)
+    assert rep.lhs == seesaw(fam.rho, chsh_functional, restarts=4, seed=3).value
+    assert rep.rhs == classical_value(chsh_functional) + 0.25
+    # the library bounds are this row with their own excess
+    excess = TSIRELSON * d_eps_membership(fam.rho, fam.sigma_candidate)
+    cor1 = cor1_bound(chsh_functional, fam.rho, fam.sigma_candidate, TSIRELSON,
+                      restarts=4, seed=3)
+    assert cor1 == seesaw_bound(chsh_functional, fam.rho, excess,
+                                "candidate-relaxed violation bound", 4, 3, TOL.verdict)
 
 
 def test_d_eps_membership_values(chsh_functional):

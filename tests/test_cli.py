@@ -452,6 +452,38 @@ def test_repro_output_files_are_deterministic(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+DATA = Path(__file__).parent / "data"
+
+
+# (argv, exit code) of report runs, each taken in JSON and in CSV
+_REPORT_RUNS = [
+    (("repro", "eq8", "--d", "2", "--restarts", "2"), 0),
+    # the corner weight is past the PPT range, so the ppt row fails: exit 1
+    (("repro", "prop1", "--q", "0.4", "--restarts", "2"), 1),
+    (("seesaw", "{state}", "--restarts", "2"), 0),
+    (("nonlocality", str(DATA / "noisy_phi_plus_chained3_box.json")), 0),
+    # the optimize interval does not close on this box: exit 1
+    (("nonlocality", str(DATA / "zero_entry_4input_box.json"), "--mode", "optimize"), 1),
+]
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    *[((*argv, "--out", fmt), code) for argv, code in _REPORT_RUNS for fmt in ("json", "csv")],
+    (("make-state", "hiding"), 0),
+])
+def test_output_file_holds_what_stdout_would(capsysbinary, tmp_path, argv, expected_code):
+    state = tmp_path / "state.json"
+    assert main(["make-state", "max-entangled", "--output", str(state)]) == 0
+    argv = [str(state) if arg == "{state}" else arg for arg in argv]
+    assert main(argv) == expected_code
+    stdout = capsysbinary.readouterr().out
+    assert stdout.endswith(b"\n")
+    out_file = tmp_path / "report"
+    assert main([*argv, "--output", str(out_file)]) == expected_code
+    assert capsysbinary.readouterr().out == b""
+    assert out_file.read_bytes() == stdout
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ptbounds.cli", "repro", "eq13", "--eps", "0.0,0.1"],

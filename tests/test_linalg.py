@@ -16,6 +16,7 @@ from ptbounds import (
     collect_parties,
     matrix_from_json,
     matrix_to_json,
+    min_eigenvalue,
     op_norm,
     partial_transpose,
     permute_factors,
@@ -124,6 +125,20 @@ def test_op_norm_identity_and_homogeneity():
 def test_op_norm_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         op_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValidationError, match="^op_norm expects a square matrix$"):
+        op_norm(np.eye(2, 3) / 2)
+
+
+@pytest.mark.parametrize("func, what", [
+    (min_eigenvalue, "min_eigenvalue"),
+    (psd_sqrt, "psd_sqrt"),
+    (lambda m: assert_density(m, "test state"), "test state"),
+    (lambda m: rel_entropy(m, m), "rel_entropy rho"),
+], ids=["min_eigenvalue", "psd_sqrt", "assert_density", "rel_entropy"])
+def test_spectral_functions_refuse_non_square_input(func, what):
+    # unit trace, so the trace check passes and the shape must be refused
+    with pytest.raises(ValidationError, match=f"^{what} expects a square matrix$"):
+        func(np.eye(2, 3) / 2)
 
 
 def test_spectral_norm_handles_non_hermitian():
