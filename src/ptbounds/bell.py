@@ -187,6 +187,11 @@ class MeasurementFamily:
         self.alice = [[np.asarray(e, dtype=np.complex128) for e in povm] for povm in self.alice]
         self.bob = [[np.asarray(e, dtype=np.complex128) for e in povm] for povm in self.bob]
         for side, povms in (("alice", self.alice), ("bob", self.bob)):
+            # an empty POVM past input 0 fails the outcome-count check below
+            if not povms:
+                raise ValidationError(f"{side} has no inputs")
+            if not povms[0]:
+                raise ValidationError(f"{side} input 0: POVM has no outcomes")
             d = povms[0][0].shape[0]
             for i, povm in enumerate(povms):
                 if len(povm) != len(povms[0]):

@@ -12,7 +12,11 @@ eps and d grid, which must be 0.
 
 Commands return (payload, CSV lines or None, exit code) and write nothing;
 ``main`` alone writes the CSV (under ``--out csv``) or JSON to ``--output``
-or stdout, so the file holds exactly the bytes stdout would.
+or stdout, so the file holds exactly the bytes stdout would.  ``make-state``
+payloads keep their matrices as CMatrix, and ``main`` writes each one as
+linalg's encoder does: the bytes of ``matrix_to_json`` dumped, each distinct
+entry formatted once.  An ``--output`` path that cannot be written exits 2
+before the command runs.
 
 Exit codes: 0 when every emitted verdict is true, 1 when a verdict is false
 or a ``nonlocality`` solve did not converge (its report is still written),
@@ -30,11 +34,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .config import TOL, DimensionCapError, ValidationError
-from .linalg import (CMatrix, assert_density, matrix_from_json, matrix_to_json,
-                     min_eigenvalue, partial_transpose, tensor)
+from .linalg import (CMatrix, _canonical_json, _matrix_json_text, assert_density,
+                     matrix_from_json, min_eigenvalue, partial_transpose, tensor)
 from .bell import (
     BellFunctional,
     BoundReport,
@@ -227,9 +232,9 @@ _FAMILIES = {
 def cmd_make_state(args: argparse.Namespace) -> tuple[dict, None, int]:
     fields = _FAMILIES[args.family](args.d, args.ds, args.m, args.q)
     payload = {"command": "make-state", "family": args.family}
-    for key, value in fields.items():
-        if value is not None:  # a family without a separable companion
-            payload[key] = matrix_to_json(value) if isinstance(value, CMatrix) else value
+    # a family without a separable companion has None there; matrices stay
+    # CMatrix, and main encodes them
+    payload.update((key, value) for key, value in fields.items() if value is not None)
     return payload, None, 0
 
 
@@ -303,10 +308,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str) -> None:
+    """Refuse an --output path that cannot be written, before the command runs."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValidationError(f"--output {path} is a directory")
+    if not os.path.isdir(parent):
+        raise ValidationError(f"--output {path}: no directory {parent}")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ValidationError(f"--output {path} is not writable")
+
+
+def _json_text(payload: dict) -> str:
+    """``_canonical_json(payload)`` with each CMatrix value as ``matrix_to_json`` of it.
+
+    The top-level items are written in sorted key order, as dumps with
+    sorted keys writes them; matrices go through linalg's encoder, which
+    formats each distinct entry once.
+    """
+    return "{" + ",".join(
+        _canonical_json(key) + ":" + (_matrix_json_text(value) if isinstance(value, CMatrix)
+                                      else _canonical_json(value))
+        for key, value in sorted(payload.items())) + "}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         # only the commands that read --restarts, --seed and --tol have them
         if "restarts" in args and args.restarts < 1:
             raise ValidationError("restarts must be at least 1")
@@ -315,12 +346,11 @@ def main(argv=None) -> int:
         if "tol" in args and not 0.0 < args.tol < math.inf:
             raise ValidationError("tol must be positive and finite")
         payload, csv_lines, code = args.func(args)
-        # one dumps call without indent stays on CPython's C encoder
         text = ("\n".join(csv_lines) if "out" in args and args.out == "csv"
-                else json.dumps(payload, sort_keys=True, separators=(",", ":")))
+                else _json_text(payload))
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                print(text, file=fh)
         else:
             print(text)
         return code

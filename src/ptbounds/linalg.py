@@ -18,6 +18,7 @@ unchanged.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -225,9 +226,13 @@ def _hermitian_deviation(arr: np.ndarray) -> float:
     return float(np.abs(diff).max()) if diff.size else 0.0
 
 
-def _check_hermitian(arr: np.ndarray, what: str) -> None:
+def _check_square(arr: np.ndarray, what: str) -> None:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} expects a square matrix")
+
+
+def _check_hermitian(arr: np.ndarray, what: str) -> None:
+    _check_square(arr, what)
     dev = _hermitian_deviation(arr)
     if dev > TOL.assertion:
         raise ValidationError(f"{what} expects a hermitian matrix, deviation {dev:.3e}")
@@ -294,8 +299,7 @@ def _block_eigh(arr: np.ndarray, vectors: bool = False):
 def trace_norm(m) -> float:
     """Sum of singular values; for hermitian input the sum of |eigenvalues|."""
     arr = _as_array(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError("trace_norm expects a square matrix")
+    _check_square(arr, "trace_norm")
     if _hermitian_deviation(arr) <= TOL.assertion:
         return float(np.abs(_block_eigh(arr)[0]).sum())
     return float(np.linalg.svd(arr, compute_uv=False).sum())
@@ -348,6 +352,7 @@ def _density_eigs(arr: np.ndarray, what: str, trace_tol: float, psd_tol: float,
     only when ``vectors`` is set and None otherwise, so callers that need the
     spectrum anyway pay for it only once.
     """
+    _check_square(arr, what)
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(f"{what} must have unit trace, got {tr}")
@@ -402,20 +407,64 @@ def rel_entropy(rho, sigma) -> float:
     return value
 
 
+def _json_layout(m: CMatrix) -> dict:
+    """The "dims" and "parties" fields of matrix_to_json."""
+    if m.layout is None:
+        return {"dims": [m.dim], "parties": ["A"]}
+    return {"dims": list(m.layout.dims), "parties": list(m.layout.parties)}
+
+
 def matrix_to_json(m: CMatrix) -> dict:
     """Serialize as {"dims", "parties", "data"} with data = [[re, im], ...] row-major."""
-    if m.layout is None:
-        dims = [m.dim]
-        parties = ["A"]
-    else:
-        dims = list(m.layout.dims)
-        parties = list(m.layout.parties)
-    return {
-        "dims": dims,
-        "parties": parties,
-        # complex128 is (re, im) float64 pairs in memory
-        "data": m.mat.reshape(-1).view(np.float64).reshape(-1, 2).tolist(),
-    }
+    # complex128 is (re, im) float64 pairs in memory
+    return {**_json_layout(m), "data": m.mat.reshape(-1).view(np.float64).reshape(-1, 2).tolist()}
+
+
+def _canonical_json(obj) -> str:
+    """One line, sorted keys, separators "," and ":".
+
+    One dumps call without indent stays on CPython's C encoder.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _pair_hash(pairs: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each row of (re, im) bit patterns, wrapping modulo 2^64.
+
+    im is rotated by 32 bits, so that negating both parts, which flips the
+    top bit of re * odd and of im alike, does not cancel out.
+    """
+    re, im = pairs[:, 0], pairs[:, 1]
+    return re * np.uint64(0x9E3779B97F4A7C15) ^ (im << np.uint64(32) | im >> np.uint64(32))
+
+
+def _matrix_json_text(m: CMatrix) -> str:
+    """``_canonical_json(matrix_to_json(m))``, formatting each distinct entry once.
+
+    Key/shield states hold a few hundred distinct entries among millions of
+    exact zeros.  Entries are told apart by the bit patterns of their (re, im)
+    pairs, so -0.0, subnormals and NaN payloads stay distinct.  Each distinct
+    pair is formatted once and the tokens are joined back in row-major order.
+    JSON writes a finite float as its repr, which an f-string produces faster
+    than dumps does; the non-finite reprs nan and inf are respelt as JSON's
+    NaN and Infinity.
+    """
+    pairs = m.mat.reshape(-1).view(np.uint64).reshape(-1, 2)
+    # equal pairs have equal hashes, so sorting by hash makes them adjacent; a
+    # collision can only split a run of equal pairs, which repeats a token
+    order = np.argsort(_pair_hash(pairs), kind="stable")
+    ranked = pairs[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    slot = np.empty(len(ranked), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    distinct = ranked[first].view(np.float64)
+    tokens = [f"{re!r},{im!r}" for re, im in zip(distinct[:, 0].tolist(), distinct[:, 1].tolist())]
+    if not np.isfinite(distinct).all():
+        tokens = [t.replace("nan", "NaN").replace("inf", "Infinity") for t in tokens]
+    rows = "],[".join(np.array(tokens, dtype=object)[slot].tolist())
+    data = f"[[{rows}]]" if len(pairs) else "[]"
+    return f'{{"data":{data},{_canonical_json(_json_layout(m))[1:]}'
 
 
 def _json_floats(values, what: str, count: int = -1) -> np.ndarray:

@@ -192,6 +192,15 @@ def test_measurement_family_validation():
         MeasurementFamily([[eye / 2, eye / 2], [eye]], [[eye / 2, eye / 2], [eye / 2, eye / 2]])
     with pytest.raises(ValidationError, match="^bob input 1: 3 outcomes"):
         MeasurementFamily([[eye]], [[eye / 2, eye / 2], [eye / 2, eye / 4, eye / 4]])
+    # an empty party or POVM is refused before any effect is read
+    with pytest.raises(ValidationError, match="^alice has no inputs$"):
+        MeasurementFamily([], [[eye]])
+    with pytest.raises(ValidationError, match="^bob has no inputs$"):
+        MeasurementFamily([[eye]], [])
+    with pytest.raises(ValidationError, match="^alice input 0: POVM has no outcomes$"):
+        MeasurementFamily([[]], [[eye]])
+    with pytest.raises(ValidationError, match="^bob input 1: 0 outcomes, input 0 has 1$"):
+        MeasurementFamily([[eye]], [[eye], []])
 
 
 def test_measurement_family_rejects_non_hermitian_effects():

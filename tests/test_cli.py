@@ -18,7 +18,7 @@ from ptbounds import cli
 from ptbounds.bell import BoundReport
 from ptbounds.cli import main
 from ptbounds.config import TOL
-from ptbounds.linalg import matrix_from_json
+from ptbounds.linalg import CMatrix, matrix_from_json, matrix_to_json
 from ptbounds.nonlocality import NlResult
 from ptbounds.states import hiding_state, ppt_pbit
 
@@ -523,6 +523,62 @@ def test_make_state_family_payload(capsys, family):
     assert payload["params"] == json.loads(json.dumps(params))
     for key in matrices:
         matrix_from_json(payload[key])
+
+
+def oracle_make_state_bytes(family: str, d=2, ds=4, m=1, q=1.0 / 3.0) -> bytes:
+    """make-state's output as the canonical dump with every matrix through matrix_to_json."""
+    payload = {"command": "make-state", "family": family}
+    for key, value in cli._FAMILIES[family](d, ds, m, q).items():
+        if value is not None:
+            payload[key] = matrix_to_json(value) if isinstance(value, CMatrix) else value
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+# make-state family -> flags at non-default sizes
+_FAMILY_SIZES = {
+    "max-entangled": {"d": 3}, "werner-symmetric": {"d": 3}, "werner-antisymmetric": {"d": 4},
+    "swap-x": {"d": 3}, "fourier-xy": {"ds": 9}, "private-bit": {"d": 3}, "ppt-pbit": {"ds": 9},
+    "hiding": {"d": 3, "m": 2, "q": 0.25},
+}
+
+
+@pytest.mark.parametrize("sized", [False, True], ids=["default", "sized"])
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+def test_make_state_bytes_equal_the_matrix_to_json_dump(capsysbinary, family, sized):
+    sizes = _FAMILY_SIZES[family] if sized else {}
+    flags = [arg for key, value in sizes.items() for arg in (f"--{key}", str(value))]
+    assert main(["make-state", family, *flags]) == 0
+    assert capsysbinary.readouterr().out == oracle_make_state_bytes(family, **sizes)
+
+
+@pytest.mark.parametrize("command", ["repro", "nonlocality", "make-state"])
+@pytest.mark.parametrize("output, message", [
+    ("no/such/dir/x.json", "no directory"),
+    (".", "is a directory"),
+], ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_two_before_the_command_runs(
+        capsys, tmp_path, monkeypatch, command, output, message):
+    argv = _command_argv(tmp_path, command)
+    monkeypatch.chdir(tmp_path)
+
+    def never_called(args):
+        raise AssertionError("the command ran despite an unwritable --output")
+
+    monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", never_called)
+    code, captured = run_captured(capsys, *argv, "--output", output)
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: --output ") and message in captured.err
+
+
+def test_output_file_is_written_only_after_the_command_succeeds(capsys, tmp_path):
+    box_file = tmp_path / "box.json"
+    box_file.write_text(json.dumps({"nx": 2, "ny": 2, "na": 2, "nb": 2, "p": [0.5] * 16}))
+    out_file = tmp_path / "report.json"
+    code, _ = run_main(capsys, "nonlocality", str(box_file), "--output", str(out_file))
+    assert code == 2
+    assert not out_file.exists()
 
 
 def _command_argv(tmp_path, command: str) -> list[str]:

@@ -26,6 +26,7 @@ from ptbounds import (
     tensor,
     trace_norm,
 )
+from ptbounds.linalg import _matrix_json_text, _pair_hash
 from ptbounds.rand import random_density, random_hermitian
 
 
@@ -134,11 +135,15 @@ def test_op_norm_rejects_non_hermitian():
     (psd_sqrt, "psd_sqrt"),
     (lambda m: assert_density(m, "test state"), "test state"),
     (lambda m: rel_entropy(m, m), "rel_entropy rho"),
-], ids=["min_eigenvalue", "psd_sqrt", "assert_density", "rel_entropy"])
+    (trace_norm, "trace_norm"),
+    (op_norm, "op_norm"),
+], ids=["min_eigenvalue", "psd_sqrt", "assert_density", "rel_entropy", "trace_norm", "op_norm"])
 def test_spectral_functions_refuse_non_square_input(func, what):
-    # unit trace, so the trace check passes and the shape must be refused
-    with pytest.raises(ValidationError, match=f"^{what} expects a square matrix$"):
-        func(np.eye(2, 3) / 2)
+    # unit trace, so the trace check passes and the shape must be refused;
+    # 1-D and 3-D arrays are refused before the trace is read
+    for arr in (np.eye(2, 3) / 2, np.ones(1), np.ones(3), np.ones((2, 2, 2)) / 4):
+        with pytest.raises(ValidationError, match=f"^{what} expects a square matrix$"):
+            func(arr)
 
 
 def test_spectral_norm_handles_non_hermitian():
@@ -284,6 +289,11 @@ def bits(arr):
     return np.ascontiguousarray(arr, dtype=np.complex128).view(np.uint64)
 
 
+def canonical_dump(m):
+    """The text the encoder must reproduce: the canonical dump of matrix_to_json."""
+    return json.dumps(matrix_to_json(m), sort_keys=True, separators=(",", ":"))
+
+
 def edge_matrix(seed, da, db):
     """Random complex entries with -0.0, subnormals and +-1e308 planted in."""
     rng = np.random.default_rng(seed)
@@ -303,12 +313,58 @@ def test_matrix_json_equals_per_entry_oracle(seed, da, db):
     data = matrix_to_json(m)["data"]
     expected = oracle_to_json_data(m)
     assert json.dumps(data) == json.dumps(expected)  # repr keeps -0.0 apart from 0.0
+    assert _matrix_json_text(m) == canonical_dump(m)
     assert all(type(x) is float for pair in data for x in pair)
     for payload in (data, json.loads(json.dumps(data))):
         obj = {"dims": [da, db], "parties": ["A", "B"], "data": payload}
         back = matrix_from_json(obj)
         assert np.array_equal(bits(back.mat.reshape(-1)), bits(oracle_from_json_data(payload)))
         assert np.array_equal(bits(back.mat), bits(m.mat))
+
+
+def nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def _encoder_cases():
+    """Beside the edge_matrix cases: no layout, all entries distinct, NaN and
+    inf under several bit patterns, mostly zeros, a hash collision, and the
+    empty matrix."""
+    rng = np.random.default_rng(21)
+    n = 30
+    dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    specials = np.zeros((4, 4), dtype=np.complex128)
+    specials.real[0] = [np.nan, np.inf, -np.inf, -0.0]
+    specials.imag[:, 1] = [nan_with_payload(1), -np.nan, np.inf, 5e-324]
+    specials[2, 2] = complex(nan_with_payload(7), -np.inf)
+    specials[3, 3] = complex(-0.0, -0.0)
+    interleaved = SystemLayout(((2, "A"), (3, "B"), (2, "A")))
+    # two different pairs with one hash, alternating, so the sort cannot group
+    # them: given re, the hash is a bijection of im, so solve for the second im
+    pair = np.array([[0x3FF0000000000000, 0x4000000000000000],
+                     [0x3FF0000000000001, 0]], dtype=np.uint64)
+    target = _pair_hash(pair[:1])[0]
+    rotated = target ^ _pair_hash(pair[1:])[0]  # the rotated im that hashes to target
+    pair[1, 1] = rotated << np.uint64(32) | rotated >> np.uint64(32)
+    assert _pair_hash(pair)[1] == target
+    collision = pair[[0, 1, 1, 0, 0, 1, 0, 1, 1]].view(np.complex128)
+    return {
+        "no-layout": CMatrix(random_density(rng, 5)),
+        "dense-distinct": CMatrix(dense, SystemLayout.bipartite(5, 6)),
+        "nan-inf": CMatrix(specials, SystemLayout.bipartite(2, 2)),
+        "mostly-zero": CMatrix(np.diag(np.arange(12) % 3 - 1.0), interleaved),
+        "hash-collision": CMatrix(collision.reshape(3, 3)),
+        "empty": CMatrix(np.zeros((0, 0))),
+    }
+
+
+_ENCODER_CASES = _encoder_cases()
+
+
+@pytest.mark.parametrize("name", list(_ENCODER_CASES))
+def test_matrix_json_text_equals_canonical_dump_of_matrix_to_json(name):
+    m = _ENCODER_CASES[name]
+    assert _matrix_json_text(m) == canonical_dump(m)
 
 
 def test_matrix_from_json_accepts_ints_like_the_oracle():
