@@ -33,7 +33,7 @@ from .linalg import (
     _json_size,
     _party_axes,
 )
-from .rand import random_binary_projective
+from .rand import random_seesaw_starts
 from .states import private_bit
 
 __all__ = [
@@ -192,6 +192,8 @@ class MeasurementFamily:
                 raise ValidationError(f"{side} has no inputs")
             if not povms[0]:
                 raise ValidationError(f"{side} input 0: POVM has no outcomes")
+            if povms[0][0].ndim != 2:
+                raise ValidationError(f"{side} input 0: effect shape {povms[0][0].shape}")
             d = povms[0][0].shape[0]
             for i, povm in enumerate(povms):
                 if len(povm) != len(povms[0]):
@@ -380,9 +382,13 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
     effective score operator, which is the exact single-party optimum.  The
     objective therefore never decreases.  Restarts draw Haar-like random
     projective measurements from one seeded generator, making the whole run
-    deterministic for a fixed seed.  One extra restart follows them: Bob
-    starts at an optimal deterministic strategy (E_0 = I or 0 per input, from
-    the enumeration behind classical_value), so Alice's first best response
+    deterministic for a fixed seed.  ``random_seesaw_starts`` draws them as
+    ``random_binary_projective`` would, Alice's inputs before Bob's in each
+    restart, and decomposes all of Bob's Gaussians with one stacked QR; his
+    starting projectors are bit for bit those of the one-draw path, and
+    Alice's draws are discarded.  One extra restart follows them: Bob starts
+    at an optimal deterministic strategy (E_0 = I or 0 per input, from the
+    enumeration behind classical_value), so Alice's first best response
     already reaches the classical value and the best value can only be
     higher.
 
@@ -420,21 +426,12 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
         raise ValidationError("seesaw needs at least one iteration")
     _, bob_outputs = _optimal_deterministic(f)
     r, da, db = _realigned(rho)
-    rng = np.random.default_rng(seed)
-    starts = []
-    for _ in range(restarts):
-        # Alice's draws only advance the generator, since her first half-step
-        # replaces them: consume what random_binary_projective(rng, da) would
-        for _ in range(f.nx):
-            rng.normal(size=(2, da, da))
-            if da > 1:
-                rng.integers(1, da)
-        starts.append([random_binary_projective(rng, db)[0] for _ in range(f.ny)])
-    starts.append([np.eye(db) * (b == 0) for b in bob_outputs])
-    bob = np.array(starts, dtype=np.complex128)
+    bob = np.concatenate([
+        random_seesaw_starts(np.random.default_rng(seed), restarts, f.nx, da, f.ny, db),
+        np.array([[np.eye(db) * (b == 0) for b in bob_outputs]], dtype=np.complex128)])
     coeffs_bob = f.coeffs.transpose(1, 0, 3, 2)
 
-    n = len(starts)
+    n = len(bob)
     active = np.arange(n)
     prev = np.full(n, -math.inf)
     finals = np.empty(n)

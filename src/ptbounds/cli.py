@@ -2,7 +2,10 @@
 
 Each flag and its default are declared once, on the commands that read it,
 and no parser takes abbreviations; commands read the parsed namespace
-directly.  ``make-state`` families come from one table,
+directly.  ``build_parser`` is cached, so a process that calls ``main``
+many times (the sweep script, a benchmark) builds the parser once; parsing
+leaves it unchanged, and ``main`` finds the ``cmd_*`` function by the
+command's name when it runs.  ``make-state`` families come from one table,
 ``_FAMILIES``, whose keys are the command's choices.  Each repro target
 states its closed-form excess over the classical value once, next to its
 state family, and builds its rows with ``_seesaw_row`` (the library's
@@ -32,6 +35,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -238,11 +242,10 @@ def cmd_make_state(args: argparse.Namespace) -> tuple[dict, None, int]:
     return payload, None, 0
 
 
-def _subcommand(subs, name: str, func, help: str) -> argparse.ArgumentParser:
+def _subcommand(subs, name: str, help: str) -> argparse.ArgumentParser:
     """A subcommand parser without abbreviations, writing to --output or stdout."""
     sub = subs.add_parser(name, help=help, allow_abbrev=False)
     sub.add_argument("--output", help="write output to this path instead of stdout")
-    sub.set_defaults(func=func)
     return sub
 
 
@@ -272,6 +275,7 @@ def _add_repro_flags(parser: argparse.ArgumentParser) -> None:
     _add_report_flags(parser, seesaw=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptbounds",
@@ -281,24 +285,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    rep = _subcommand(subs, "repro", cmd_repro, "run a named reproduction target")
+    rep = _subcommand(subs, "repro", "run a named reproduction target")
     rep.add_argument("target", choices=sorted(_REPRO_TARGETS))
     _add_repro_flags(rep)
 
-    see = _subcommand(subs, "seesaw", cmd_seesaw, "optimize measurements for a state file")
+    see = _subcommand(subs, "seesaw", "optimize measurements for a state file")
     see.add_argument("state_file", help="matrix JSON for the state")
     see.add_argument("functional_file", nargs="?", default=None,
                      help="functional JSON (default: built-in CHSH)")
     _add_report_flags(see, seesaw=True)
 
-    non = _subcommand(subs, "nonlocality", cmd_nonlocality,
-                      "evaluate the KL nonlocality of a box file")
+    non = _subcommand(subs, "nonlocality", "evaluate the KL nonlocality of a box file")
     non.add_argument("box_file", help="box JSON")
     non.add_argument("--mode", choices=("uniform", "optimize"), default="uniform",
                      help="input-distribution handling (default uniform)")
     _add_report_flags(non, seesaw=False)
 
-    mk = _subcommand(subs, "make-state", cmd_make_state, "emit a state family as matrix JSON")
+    mk = _subcommand(subs, "make-state", "emit a state family as matrix JSON")
     mk.add_argument("family", choices=_FAMILIES)
     mk.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
     mk.add_argument("--ds", type=int, default=4, help="shield dimension (default 4)")
@@ -333,8 +336,10 @@ def _json_text(payload: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up by name at call time, so a rebound cmd_* attribute is what
+    # runs although the parser is built once
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         if args.output:
             _check_output(args.output)
@@ -345,7 +350,7 @@ def main(argv=None) -> int:
             raise ValidationError("seed must be non-negative")
         if "tol" in args and not 0.0 < args.tol < math.inf:
             raise ValidationError("tol must be positive and finite")
-        payload, csv_lines, code = args.func(args)
+        payload, csv_lines, code = command(args)
         text = ("\n".join(csv_lines) if "out" in args and args.out == "csv"
                 else _json_text(payload))
         if args.output:

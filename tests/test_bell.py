@@ -45,6 +45,7 @@ from ptbounds.rand import (
     random_binary_projective,
     random_bipartite_density,
     random_density,
+    random_seesaw_starts,
     random_separable,
 )
 
@@ -201,6 +202,13 @@ def test_measurement_family_validation():
         MeasurementFamily([[]], [[eye]])
     with pytest.raises(ValidationError, match="^bob input 1: 0 outcomes, input 0 has 1$"):
         MeasurementFamily([[eye]], [[eye], []])
+    # the first effect sets the dimension, so its shape is checked before it is read
+    with pytest.raises(ValidationError, match=r"^alice input 0: effect shape \(\)$"):
+        MeasurementFamily([[np.float64(1.0)]], [[eye]])
+    with pytest.raises(ValidationError, match=r"^bob input 0: effect shape \(\)$"):
+        MeasurementFamily([[eye]], [[1.0]])
+    with pytest.raises(ValidationError, match=r"^alice input 0: effect shape \(2,\)$"):
+        MeasurementFamily([[np.ones(2)]], [[eye]])
 
 
 def test_measurement_family_rejects_non_hermitian_effects():
@@ -364,10 +372,9 @@ def optimal_bob_outputs(f):
     return best_bob
 
 
-def seesaw_starts(f, da, db, restarts, seed):
-    """The library's starting measurements: seeded random draws, Alice before Bob
-    in each restart, then Bob at an optimal deterministic strategy."""
-    rng = np.random.default_rng(seed)
+def seesaw_starts(f, da, db, restarts, rng):
+    """The library's starting measurements: random draws from rng, one at a time,
+    Alice before Bob in each restart, then Bob at an optimal deterministic strategy."""
     for _ in range(restarts):
         alice = [random_binary_projective(rng, da) for _ in range(f.nx)]
         yield alice, [random_binary_projective(rng, db) for _ in range(f.ny)]
@@ -383,7 +390,7 @@ def dense_restart_values(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
     da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
     r4 = coll.mat.reshape(da, db, da, db)
     finals = []
-    for alice, bob in seesaw_starts(f, da, db, restarts, seed):
+    for alice, bob in seesaw_starts(f, da, db, restarts, np.random.default_rng(seed)):
         prev = -math.inf
         for _ in range(max_iters):
             dense_half_step(r4, f.coeffs, alice, bob, alice_side=True)
@@ -450,6 +457,21 @@ def asymmetric_functional():
     return BellFunctional(2, 3, 2, 2, np.random.default_rng(44).normal(size=(2, 3, 2, 2)))
 
 
+@pytest.mark.parametrize("da, db", [(2, 1), (1, 2), (3, 2), (2, 3), (2, 8), (8, 3)])
+@pytest.mark.parametrize("f", [chsh(), asymmetric_functional()], ids=["chsh", "2x3"])
+def test_random_seesaw_starts_equal_one_draw_at_a_time(f, da, db):
+    # bit for bit, not to a tolerance: the seesaw's output is pinned to the
+    # starts the one-draw path gives, and so is every later draw
+    restarts, seed = 7, 5
+    one_rng, stacked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    starts = list(seesaw_starts(f, da, db, restarts, one_rng))[:-1]
+    expected = np.array([[povm[0] for povm in bob] for _, bob in starts])
+    stacked = random_seesaw_starts(stacked_rng, restarts, f.nx, da, f.ny, db)
+    assert stacked.shape == (restarts, f.ny, db, db)
+    assert np.array_equal(stacked, expected)
+    assert np.array_equal(stacked_rng.normal(size=3), one_rng.normal(size=3))
+
+
 @pytest.mark.parametrize("make_state, make_functional", [
     (SHIPPED_STATES["eq8 d=2"], chsh),
     (SHIPPED_STATES["eq10 ds=4"], chsh),
@@ -489,7 +511,7 @@ def sequential_seesaw(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
     r = coll.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     coeffs_bob = f.coeffs.transpose(1, 0, 3, 2)
     runs = []
-    for alice, bob in seesaw_starts(f, da, db, restarts, seed):
+    for alice, bob in seesaw_starts(f, da, db, restarts, np.random.default_rng(seed)):
         history, prev, converged = [], -math.inf, False
         for sweeps in range(1, max_iters + 1):
             alice, val = best_response(r, f.coeffs, bob)

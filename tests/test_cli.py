@@ -484,6 +484,56 @@ def test_output_file_holds_what_stdout_would(capsysbinary, tmp_path, argv, expec
     assert out_file.read_bytes() == stdout
 
 
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _fresh_parser_bytes(capsysbinary, argv) -> tuple[int, bytes]:
+    """Exit code and stdout of main on a parser built for this call alone."""
+    cli.build_parser.cache_clear()
+    code = main(list(argv))
+    return code, capsysbinary.readouterr().out
+
+
+# consecutive calls whose flags differ: a default the call before overrode,
+# another target, another command, another output format
+_CALL_SEQUENCE = [
+    ("repro", "eq8", "--d", "2", "--restarts", "2", "--seed", "3"),
+    ("repro", "eq8", "--restarts", "2"),
+    ("repro", "eq10", "--restarts", "2", "--out", "csv"),
+    ("make-state", "hiding"),
+    ("repro", "eq13", "--eps", "0,0.2"),
+    ("repro", "eq13"),
+]
+
+
+def test_consecutive_calls_write_what_fresh_calls_write(capsysbinary):
+    fresh = [_fresh_parser_bytes(capsysbinary, argv) for argv in _CALL_SEQUENCE]
+    consecutive = []
+    for argv in _CALL_SEQUENCE:
+        code = main(list(argv))
+        consecutive.append((code, capsysbinary.readouterr().out))
+    assert consecutive == fresh
+    assert [code for code, _ in fresh] == [0] * len(_CALL_SEQUENCE)
+
+
+@pytest.mark.parametrize("bad", [
+    ("repro", "eq8", "--sed", "7"),
+    ("repro", "eq8", "--restarts", "two"),
+    ("repro", "eq9"),
+    ("make-state", "hiding", "--out", "csv"),
+])
+def test_a_parse_error_leaves_the_next_call_unaffected(capsysbinary, bad):
+    argv = ("repro", "eq8", "--d", "2", "--restarts", "2")
+    expected = _fresh_parser_bytes(capsysbinary, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(list(bad))
+    assert exc.value.code == 2
+    assert capsysbinary.readouterr().out == b""
+    code = main(list(argv))
+    assert (code, capsysbinary.readouterr().out) == expected
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ptbounds.cli", "repro", "eq13", "--eps", "0.0,0.1"],
