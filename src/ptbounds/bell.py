@@ -202,7 +202,10 @@ class MeasurementFamily:
                 for e in povm:
                     if e.shape != (d, d):
                         raise ValidationError(f"{side} input {i}: effect shape {e.shape}")
-                    if _hermitian_deviation(e) > TOL.structural:
+                    dev = _hermitian_deviation(e)  # NaN or inf on a non-finite entry
+                    if not math.isfinite(dev):
+                        raise ValidationError(f"{side} input {i}: effect is not finite")
+                    if dev > TOL.structural:
                         raise ValidationError(f"{side} input {i}: effect is not hermitian")
                     w = np.linalg.eigvalsh(e)
                     if float(w.min()) < -TOL.psd:

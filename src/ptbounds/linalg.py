@@ -120,7 +120,7 @@ class CMatrix:
             )
         if hermitian:
             dev = _hermitian_deviation(arr)
-            if dev > TOL.structural:
+            if not dev <= TOL.structural:  # NaN too
                 raise ValidationError(f"matrix marked hermitian deviates by {dev:.3e}")
         self.mat = arr
         self.layout = layout
@@ -218,11 +218,14 @@ def _hermitian_deviation(arr: np.ndarray) -> float:
     """max |a_ij - conj(a_ji)|, read only where a_ij or a_ji is nonzero.
 
     Everywhere else the difference is an exact 0, and gathering the nonzero
-    pairs is far cheaper than a transposed copy of a mostly-zero matrix.
+    pairs is far cheaper than a transposed copy of a mostly-zero matrix.  A
+    NaN or infinite entry gives a NaN or infinite deviation, without a
+    warning (inf - inf); every caller refuses it.
     """
     nz = arr != 0
     pairs = nz | nz.T
-    diff = arr[pairs] - arr.T[pairs].conj()
+    with np.errstate(invalid="ignore"):
+        diff = arr[pairs] - arr.T[pairs].conj()
     return float(np.abs(diff).max()) if diff.size else 0.0
 
 
@@ -231,9 +234,21 @@ def _check_square(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} expects a square matrix")
 
 
+def _finite_deviation(arr: np.ndarray, what: str) -> float:
+    """_hermitian_deviation, refusing a matrix with a NaN or infinite entry.
+
+    Such an entry makes its own difference, and so the deviation, NaN or
+    infinite, and a NaN deviation would pass every ``dev > tol`` test.
+    """
+    dev = _hermitian_deviation(arr)
+    if not math.isfinite(dev):
+        raise ValidationError(f"{what} expects a finite matrix")
+    return dev
+
+
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
     _check_square(arr, what)
-    dev = _hermitian_deviation(arr)
+    dev = _finite_deviation(arr, what)
     if dev > TOL.assertion:
         raise ValidationError(f"{what} expects a hermitian matrix, deviation {dev:.3e}")
 
@@ -300,7 +315,7 @@ def trace_norm(m) -> float:
     """Sum of singular values; for hermitian input the sum of |eigenvalues|."""
     arr = _as_array(m)
     _check_square(arr, "trace_norm")
-    if _hermitian_deviation(arr) <= TOL.assertion:
+    if _finite_deviation(arr, "trace_norm") <= TOL.assertion:
         return float(np.abs(_block_eigh(arr)[0]).sum())
     return float(np.linalg.svd(arr, compute_uv=False).sum())
 

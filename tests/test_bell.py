@@ -218,6 +218,19 @@ def test_measurement_family_rejects_non_hermitian_effects():
         MeasurementFamily([[e, np.eye(2) - e]], [[e, np.eye(2) - e]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_measurement_family_rejects_non_finite_effects(bad):
+    # NaN > tol is false, so each of the hermitian, eigenvalue and sum checks
+    # let such an effect through with only RuntimeWarnings
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    e = np.diag([bad, 0.0])
+    with pytest.raises(ValidationError, match="^alice input 0: effect is not finite$"):
+        MeasurementFamily([[e, eye - e]], [[eye, zero]])
+    with pytest.raises(ValidationError, match="^bob input 1: effect is not finite$"):
+        MeasurementFamily([[eye, zero]], [[eye, zero], [eye - e, e]])
+
+
 def test_box_from_maximally_mixed_is_uniform(tsirelson_meas):
     mixed = CMatrix(np.eye(4) / 4.0, SystemLayout.bipartite(2, 2), hermitian=True)
     box = box_from(mixed, tsirelson_meas)

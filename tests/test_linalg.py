@@ -146,6 +146,48 @@ def test_spectral_functions_refuse_non_square_input(func, what):
             func(arr)
 
 
+_SPECTRAL = [
+    (min_eigenvalue, "min_eigenvalue"),
+    (op_norm, "op_norm"),
+    (psd_sqrt, "psd_sqrt"),
+    (lambda m: assert_density(m, "test state"), "test state"),
+    (lambda m: rel_entropy(m, np.eye(4) / 4), "rel_entropy rho"),
+    (lambda m: rel_entropy(np.eye(4) / 4, m), "rel_entropy sigma"),
+    (trace_norm, "trace_norm"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("func, what", _SPECTRAL, ids=[
+    "min_eigenvalue", "op_norm", "psd_sqrt", "assert_density", "rel_entropy_rho",
+    "rel_entropy_sigma", "trace_norm"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)],
+                         ids=["nan", "inf", "-inf", "inf_imag"])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+def test_spectral_functions_refuse_non_finite_entries(func, what, bad, where):
+    # a NaN deviation passed "dev > tol": min_eigenvalue returned 0.25, op_norm
+    # and rel_entropy nan, psd_sqrt and assert_density arrays with NaN, and
+    # trace_norm raised numpy's "SVD did not converge"
+    arr = np.eye(4, dtype=np.complex128) / 4
+    arr[where] = bad
+    message = f"^{what} expects a finite matrix$"
+    if where == (0, 0) and bad is not math.nan:
+        # an infinite trace fails the unit-trace check, which the density
+        # checks make first; a NaN trace passes it
+        message += f"|^{what} must have unit trace"
+    with pytest.raises(ValidationError, match=message):
+        func(arr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_matrix_marked_hermitian_refuses_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        arr = np.eye(2) / 2
+        arr[0, 0] = bad
+        with pytest.raises(ValidationError, match="^matrix marked hermitian deviates by"):
+            CMatrix(arr, hermitian=True)
+
+
 def test_spectral_norm_handles_non_hermitian():
     nilpotent = np.array([[0.0, 2.0], [0.0, 0.0]])
     assert spectral_norm(nilpotent) == pytest.approx(2.0, abs=1e-12)

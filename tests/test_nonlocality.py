@@ -33,7 +33,14 @@ from ptbounds import (
     seesaw,
     thm2_chain_check,
 )
-from ptbounds.nonlocality import _binary_entropy, _inner_infimum, _line_search, _pair_kl
+import ptbounds.nonlocality as nonlocality_module
+from ptbounds.nonlocality import (
+    _binary_entropy,
+    _face_direction,
+    _inner_infimum,
+    _line_search,
+    _pair_kl,
+)
 from ptbounds.rand import (
     random_binary_povm,
     random_bipartite_density,
@@ -652,6 +659,21 @@ def test_local_polytope_start_is_the_uniform_box_on_constant_strategies(scenario
     assert np.allclose(poly.start @ poly.vertices, 1.0 / (na * nb), rtol=0.0, atol=1e-15)
 
 
+def test_local_polytope_is_built_once_per_scenario():
+    poly = LocalPolytope.for_scenario(4, 4, 2, 2)
+    assert LocalPolytope.for_scenario(4, 4, 2, 2) is poly
+    fresh = LocalPolytope.for_scenario.__wrapped__(4, 4, 2, 2)
+    assert fresh is not poly
+    assert np.array_equal(poly.vertices, fresh.vertices)
+    assert np.array_equal(poly.start, fresh.start)
+    # every caller shares the arrays, so none may write them
+    for arr in (poly.vertices, poly.start):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    with pytest.raises(AttributeError):
+        poly.vertices = fresh.vertices
+
+
 # The inner solver as it stood with scipy's brentq as its line search, kept as
 # the reference for the Newton line search that replaced it: same gradient,
 # gap and vertex choice, step root to brentq's tolerance.  With ``trace`` a
@@ -872,3 +894,123 @@ def test_nonlocality_reports_its_final_gap():
 def test_nonlocality_rejects_bad_ascent_arguments(kwargs):
     with pytest.raises(ValidationError):
         nonlocality_N(tsirelson_box(), mode="optimize", **kwargs)
+
+
+# The face Newton direction solves its least-squares problem from the normal
+# equations behind a Cholesky check; lstsq, the only solve before, stays the
+# oracle: a threshold of inf sends every face to it.
+
+def _spy_lstsq(monkeypatch) -> list:
+    """Record every np.linalg.lstsq call from here on."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
+def _directions(monkeypatch, calls, wa, va, pm):
+    """(direction, whether it took lstsq, lstsq-only direction) on a face."""
+    q, sqrt_pm = wa @ va, np.sqrt(pm)
+    calls.clear()
+    dw = _face_direction(wa, va, q, sqrt_pm)
+    took_lstsq = bool(calls)
+    with monkeypatch.context() as mp:
+        mp.setattr(nonlocality_module, "_CHOLESKY_PIVOT_MIN", math.inf)
+        oracle = _face_direction(wa, va, q, sqrt_pm)
+    assert calls  # the oracle did call lstsq
+    return dw, took_lstsq, oracle
+
+
+def _deficient(wa, va) -> bool:
+    """Whether the columns v_j - v_heaviest are linearly dependent (exact 0/1 rows)."""
+    heavy = int(wa.argmax())
+    return np.linalg.matrix_rank(np.delete(va, heavy, axis=0) - va[heavy]) < wa.size - 1
+
+
+def test_face_direction_matches_lstsq_on_random_faces(monkeypatch):
+    calls = _spy_lstsq(monkeypatch)
+    rng = np.random.default_rng(70)
+    seen = {"normal equations": 0, "deficient": 0}
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        poly = LocalPolytope.for_scenario(n, n, 2, 2)
+        k = int(rng.integers(2, min(poly.vertices.shape[0], 21) + 1))
+        va = poly.vertices[rng.choice(poly.vertices.shape[0], size=k, replace=False)]
+        wa = rng.dirichlet(np.ones(k))
+        va = va[:, wa @ va > 0.0]  # the entries the face supports
+        if k > va.shape[1]:
+            continue  # a face the Newton step skips
+        pm = rng.dirichlet(np.ones(va.shape[1]))
+        dw, took_lstsq, oracle = _directions(monkeypatch, calls, wa, va, pm)
+        if _deficient(wa, va):
+            seen["deficient"] += 1
+            assert took_lstsq
+            assert np.array_equal(dw, oracle)
+        else:
+            assert not took_lstsq  # every full-rank random face is well conditioned
+            seen["normal equations"] += 1
+            assert np.abs(dw - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert seen["normal equations"] >= 100 and seen["deficient"] >= 30, seen
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("repeat", ["another vertex", "the heaviest vertex"])
+def test_face_direction_sends_dependent_faces_to_lstsq(monkeypatch, repeat):
+    # a repeated vertex gives two equal columns, a repeat of the heaviest one
+    # a zero column: the Gram matrix is singular either way
+    calls = _spy_lstsq(monkeypatch)
+    rng = np.random.default_rng(71)
+    poly = LocalPolytope.for_scenario(2, 2, 2, 2)
+    for _ in range(20):
+        idx = list(rng.choice(16, size=5, replace=False))
+        wa = np.array([0.4, 0.2, 0.15, 0.1, 0.1, 0.05])
+        idx.append(idx[0] if repeat == "the heaviest vertex" else idx[1])
+        va = poly.vertices[idx]
+        va = va[:, wa @ va > 0.0]
+        pm = rng.dirichlet(np.ones(va.shape[1]))
+        assert _deficient(wa, va)
+        dw, took_lstsq, oracle = _directions(monkeypatch, calls, wa, va, pm)
+        assert took_lstsq
+        assert np.array_equal(dw, oracle)
+
+
+def test_face_direction_matches_lstsq_on_tiny_entry_faces(monkeypatch):
+    # the faces met while solving boxes with an entry of 1e-30 and below,
+    # next to weights of that order: columns 1e15 times larger than the rest
+    faces = []
+
+    def record(wa, va, q, sqrt_pm):
+        faces.append((wa.copy(), va.copy(), sqrt_pm ** 2))
+        return _face_direction(wa, va, q, sqrt_pm)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(nonlocality_module, "_face_direction", record)
+        for exponent in (30, 100, 300):
+            for box in _tiny_entry_boxes(10.0 ** -exponent):
+                nonlocality_N(box, gap_tol=1e-10)
+    assert len(faces) >= 500
+    assert sum(np.sqrt(pm).min() < 1e-15 for *_, pm in faces) >= 500
+    calls = _spy_lstsq(monkeypatch)
+    for wa, va, pm in faces:
+        dw, _, oracle = _directions(monkeypatch, calls, wa, va, pm)
+        # compared as J dw = diag(sqrt(pm)/q) va^T dw, the change the step
+        # makes to the least-squares model, whose right-hand side has unit
+        # norm: near the optimum dw itself is of order 1e-10, so rounding of
+        # order 1e-16 in the solve is a large part of it
+        scale = np.sqrt(pm) / (wa @ va)
+        assert np.abs(((dw - oracle) @ va) * scale).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*_box.json")))
+def test_nonlocality_matches_the_lstsq_only_solve_on_the_fixture_boxes(monkeypatch, name):
+    box = Box.from_json(json.loads((DATA / name).read_text()))
+    res = nonlocality_N(box)
+    monkeypatch.setattr(nonlocality_module, "_CHOLESKY_PIVOT_MIN", math.inf)
+    oracle = nonlocality_N(box)
+    assert res.value == pytest.approx(oracle.value, rel=0.0, abs=1e-12)
+    assert (res.iterations, res.converged) == (oracle.iterations, oracle.converged)
