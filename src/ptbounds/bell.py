@@ -10,7 +10,7 @@ this turns the best achievable quantum value on rho into
 
     classical_value  +  q_value * tracenorm(rho^PT - sigma^PT),
 
-the candidate-relaxed bound reported by cor1_bound.
+which seesaw_bound checks when given q_value times that distance as its excess.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .linalg import (
     _party_axes,
 )
 from .rand import random_seesaw_starts
-from .states import private_bit
 
 __all__ = [
     "BellFunctional",
@@ -43,7 +42,6 @@ __all__ = [
     "BoundReport",
     "SeesawResult",
     "chsh",
-    "nonnegativize",
     "classical_value",
     "bell_operator",
     "box_from",
@@ -51,8 +49,6 @@ __all__ = [
     "seesaw",
     "seesaw_bound",
     "thm1_bound",
-    "cor1_bound",
-    "pbit_observation_bound",
     "d_eps_membership",
 ]
 
@@ -64,19 +60,13 @@ _STEP_TOL = 1e-13  # a seesaw restart stops once a sweep gains less
 
 @dataclass
 class BellFunctional:
-    """Coefficients s[x, y, a, b] on conditional probabilities plus an offset.
-
-    The value of a box never includes the offset; the offset records the
-    total shift applied by nonnegativize so callers can translate bounds
-    back to the original scale.
-    """
+    """Coefficients s[x, y, a, b] on conditional probabilities p(ab|xy)."""
 
     nx: int
     ny: int
     na: int
     nb: int
     coeffs: np.ndarray
-    offset: float = 0.0
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
@@ -87,8 +77,8 @@ class BellFunctional:
             raise ValidationError(
                 f"coefficient table has shape {self.coeffs.shape}, expected {expected}"
             )
-        if not (np.isfinite(self.coeffs).all() and math.isfinite(self.offset)):
-            raise ValidationError("functional coefficients and offset must be finite")
+        if not np.isfinite(self.coeffs).all():
+            raise ValidationError("functional coefficients must be finite")
         # sum |s| bounds every box value and every s_0 - s_1 the seesaw forms
         with np.errstate(over="ignore"):
             total = float(np.abs(self.coeffs).sum())
@@ -96,27 +86,33 @@ class BellFunctional:
             raise ValidationError("functional coefficients must have a finite absolute sum")
 
     def to_json(self) -> dict:
-        return {
-            "nx": self.nx, "ny": self.ny, "na": self.na, "nb": self.nb,
-            "coeffs": [float(c) for c in self.coeffs.reshape(-1)],
-            "offset": float(self.offset),
-        }
+        return {"nx": self.nx, "ny": self.ny, "na": self.na, "nb": self.nb,
+                "coeffs": [float(c) for c in self.coeffs.reshape(-1)]}
 
     @staticmethod
     def from_json(obj: dict) -> "BellFunctional":
-        try:
-            nx, ny, na, nb = (_json_size(obj[k], k) for k in ("nx", "ny", "na", "nb"))
-            coeffs = np.asarray(obj["coeffs"], dtype=object).reshape(-1)
-            offset = obj.get("offset", 0.0)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad functional JSON: {exc}") from exc
-        flat = _json_floats(coeffs, "functional JSON coefficients must be numbers")
-        offset = float(_json_floats([offset], "functional JSON offset must be a number")[0])
-        if flat.size != nx * ny * na * nb:
-            raise ValidationError(
-                f"functional JSON has {flat.size} coefficients, expected {nx * ny * na * nb}"
-            )
-        return BellFunctional(nx, ny, na, nb, flat.reshape(nx, ny, na, nb), offset)
+        """The functional of a JSON object; keys other than the sizes and coeffs are ignored."""
+        coeffs = _json_table(obj, "coeffs", "functional", "coefficients")
+        return BellFunctional(*coeffs.shape, coeffs)
+
+
+def _json_table(obj: dict, key: str, what: str, noun: str) -> np.ndarray:
+    """The [x, y, a, b] table stored flat (or nested) under ``key`` of a functional or box.
+
+    The sizes nx, ny, na and nb must be JSON integers >= 1 and the table must
+    hold their product of numbers; ``what`` names the object in the error
+    messages and ``noun`` its entries.
+    """
+    try:
+        sizes = tuple(_json_size(obj[k], k) for k in ("nx", "ny", "na", "nb"))
+        entries = np.asarray(obj[key], dtype=object).reshape(-1)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {what} JSON: {exc}") from exc
+    flat = _json_floats(entries, f"{what} JSON {noun} must be numbers")
+    expected = math.prod(sizes)
+    if flat.size != expected:
+        raise ValidationError(f"{what} JSON has {flat.size} {noun}, expected {expected}")
+    return flat.reshape(sizes)
 
 
 def chsh() -> BellFunctional:
@@ -128,20 +124,6 @@ def chsh() -> BellFunctional:
         lambda x, y, a, b: (-1.0) ** ((x * y + a + b) % 2), (2, 2, 2, 2)
     )
     return BellFunctional(2, 2, 2, 2, grid)
-
-
-def nonnegativize(f: BellFunctional) -> BellFunctional:
-    """Shift each (x, y) block so every coefficient is >= 0.
-
-    Normalized boxes gain exactly the accumulated shift, which lands in
-    ``offset``; an already-nonnegative table is returned unchanged with
-    offset untouched.
-    """
-    mins = f.coeffs.min(axis=(2, 3))
-    shifts = np.where(mins < 0.0, -mins, 0.0)
-    coeffs = f.coeffs + shifts[:, :, None, None]
-    return BellFunctional(f.nx, f.ny, f.na, f.nb, coeffs,
-                          offset=f.offset + float(shifts.sum()))
 
 
 def _optimal_deterministic(f: BellFunctional) -> tuple[float, list[int]]:
@@ -264,15 +246,8 @@ class Box:
 
     @staticmethod
     def from_json(obj: dict) -> "Box":
-        try:
-            nx, ny, na, nb = (_json_size(obj[k], k) for k in ("nx", "ny", "na", "nb"))
-            entries = np.asarray(obj["p"], dtype=object).reshape(-1)  # p may be nested
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad box JSON: {exc}") from exc
-        flat = _json_floats(entries, "box JSON entries must be numbers")
-        if flat.size != nx * ny * na * nb:
-            raise ValidationError(f"box JSON has {flat.size} entries, expected {nx * ny * na * nb}")
-        return Box(nx, ny, na, nb, flat.reshape(nx, ny, na, nb))
+        p = _json_table(obj, "p", "box", "entries")
+        return Box(*p.shape, p)
 
 
 def _scenario_match(f: BellFunctional, nx, ny, na, nb, what: str) -> None:
@@ -281,15 +256,15 @@ def _scenario_match(f: BellFunctional, nx, ny, na, nb, what: str) -> None:
                               f"does not match {(nx, ny, na, nb)}")
 
 
-def _realigned(rho: CMatrix) -> tuple[np.ndarray, int, int]:
+def _realigned(rho: CMatrix, op: str) -> tuple[np.ndarray, int, int]:
     """rho realigned as R[(a',a),(b',b)] = rho[(a',b'),(a,b)], plus dim_A and dim_B.
 
     Then Tr[(A x B) rho] = vec(A^T)^T R vec(B^T), with vec flattening
     row-major, and R.T is the same form with the parties swapped.  R is one
     transpose of rho's own factor axes, whatever their interleaving, so the
-    only dense copy made is R itself.
+    only dense copy made is R itself.  ``op`` names the caller in errors.
     """
-    layout, axes_a, axes_b = _party_axes(rho, "collect_parties")
+    layout, axes_a, axes_b = _party_axes(rho, op)
     n = len(layout.factors)
     da, db = layout.dim_of("A"), layout.dim_of("B")
     perm = axes_a + [n + i for i in axes_a] + axes_b + [n + i for i in axes_b]
@@ -310,7 +285,7 @@ def bell_operator(f: BellFunctional, meas: MeasurementFamily) -> CMatrix:
 
 def box_from(rho: CMatrix, meas: MeasurementFamily) -> Box:
     """Born-rule box p(ab|xy) = Tr[(A_(a|x) x B_(b|y)) rho]."""
-    r, da, db = _realigned(rho)
+    r, da, db = _realigned(rho, "box_from")
     if (da, db) != (meas.dim_a, meas.dim_b):
         raise ValidationError(f"state dimensions {da}x{db} do not match measurements "
                               f"{meas.dim_a}x{meas.dim_b}")
@@ -325,18 +300,15 @@ def box_from(rho: CMatrix, meas: MeasurementFamily) -> Box:
 
 
 def functional_value(f: BellFunctional, box: Box) -> float:
-    """Sum of coefficients times probabilities; the offset is not included."""
+    """Sum of coefficients times probabilities."""
     _scenario_match(f, box.nx, box.ny, box.na, box.nb, "functional_value")
     return float((f.coeffs * box.p).sum())
 
 
 @dataclass
 class SeesawResult:
-    """Outcome of the alternating measurement optimization.
-
-    Unpacks as ``value, measurements = result`` for callers that only want
-    the headline pair; the remaining fields are the audit trail.
-    """
+    """Outcome of the alternating measurement optimization: the best value,
+    the measurements reaching it, and the audit trail."""
 
     value: float
     measurements: MeasurementFamily
@@ -344,9 +316,6 @@ class SeesawResult:
     restart_values: tuple[float, ...]
     converged: bool
     iterations: int
-
-    def __iter__(self):
-        return iter((self.value, self.measurements))
 
 
 def _best_response(r: np.ndarray, coeffs: np.ndarray,
@@ -428,7 +397,7 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
     if max_iters < 1:
         raise ValidationError("seesaw needs at least one iteration")
     _, bob_outputs = _optimal_deterministic(f)
-    r, da, db = _realigned(rho)
+    r, da, db = _realigned(rho, "seesaw")
     bob = np.concatenate([
         random_seesaw_starts(np.random.default_rng(seed), restarts, f.nx, da, f.ny, db),
         np.array([[np.eye(db) * (b == 0) for b in bob_outputs]], dtype=np.complex128)])
@@ -529,22 +498,3 @@ def thm1_bound(f: BellFunctional, meas: MeasurementFamily, rho: CMatrix,
               functional_value(f, box_from(sigma, meas)))
     rhs = op_norm(partial_transpose(s_op)) * d_eps_membership(rho, sigma)
     return BoundReport("fixed-measurement transposition bound", lhs, rhs)
-
-
-def cor1_bound(f: BellFunctional, rho: CMatrix, sigma_candidate: CMatrix,
-               q_value: float, restarts: int = 32, seed: int = 0) -> BoundReport:
-    """Seesaw value against classical_value + q_value * PT distance to the candidate.
-
-    ``q_value`` is the caller-supplied best quantum value of the functional
-    (2 sqrt(2) for CHSH); the candidate stands in for the nearest separable
-    state, so the right-hand side only relaxes upward.
-    """
-    return seesaw_bound(f, rho, q_value * d_eps_membership(rho, sigma_candidate),
-                        "candidate-relaxed violation bound", restarts, seed, TOL.verdict)
-
-
-def pbit_observation_bound(x: CMatrix, f: BellFunctional, q_value: float,
-                           restarts: int = 32, seed: int = 0) -> BoundReport:
-    """Bound the key-correlated state of X by classical + q_value ||X^PT||_1."""
-    return seesaw_bound(f, private_bit(x), q_value * trace_norm(partial_transpose(x)),
-                        "key-state observation bound", restarts, seed, TOL.verdict)

@@ -80,14 +80,6 @@ def _parse_list(text: str, kind, noun: str) -> list:
     return values
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return _parse_list(text, int, "integers")
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return _parse_list(text, float, "numbers")
-
-
 def _key_value_csv(rows: dict) -> list[str]:
     """The CSV lines of ``seesaw`` and ``nonlocality``: a key,value header, one row per item."""
     return ["key,value", *(f"{key},{value}" for key, value in rows.items())]
@@ -159,9 +151,9 @@ _REPRO_TARGETS = {
 
 def cmd_repro(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     # every grid is parsed, whether the target reads it or not
-    args.d = _parse_int_list(args.d)
-    args.ds = _parse_int_list(args.ds)
-    args.eps = _parse_float_list(args.eps)
+    args.d = _parse_list(args.d, int, "integers")
+    args.ds = _parse_list(args.ds, int, "integers")
+    args.eps = _parse_list(args.eps, float, "numbers")
     reports = _REPRO_TARGETS[args.target](args)
     payload = {"command": args.command, "target": args.target, "seed": args.seed,
                "restarts": args.restarts, "reports": [r.to_json() for r in reports]}

@@ -500,6 +500,8 @@ def filter_apply(rho: CMatrix, f_a: np.ndarray, f_b: np.ndarray) -> tuple[CMatri
     if f_a.shape != (da, da) or f_b.shape != (db, db):
         raise ValidationError("filter shapes must match the party dimensions")
     for name, filt in (("A", f_a), ("B", f_b)):
+        if not np.isfinite(filt).all():  # the SVD behind the norm would not converge
+            raise ValidationError(f"filter {name} has a non-finite entry")
         norm = spectral_norm(filt)
         if norm > 1.0 + TOL.assertion:
             raise ValidationError(f"filter {name} has operator norm {norm} > 1")

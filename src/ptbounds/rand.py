@@ -1,4 +1,4 @@
-"""Seeded generators for states, measurements and filters used in tests and restarts.
+"""Seeded draws of the seesaw's random starts.
 
 Haar-like unitaries follow Mezzadri, Notices AMS 54, 592 (2007): the QR
 decomposition of a complex Gaussian, each column of Q rotated by the phase
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import CMatrix, SystemLayout, spectral_norm
-
 
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
     """Q of each complex Gaussian z[..., :, :], its columns phase-fixed by R's diagonal."""
@@ -25,36 +23,6 @@ def _haar_unitaries(z: np.ndarray) -> np.ndarray:
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-like unitary from the QR decomposition of a complex Gaussian."""
     return _haar_unitaries(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-
-
-def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (z + z.conj().T) / 2.0
-
-
-def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Full-rank density matrix G G+ / tr, G a complex Gaussian square matrix."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
-def random_pure(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
-def random_bipartite_density(rng: np.random.Generator, da: int, db: int) -> CMatrix:
-    return CMatrix(random_density(rng, da * db), SystemLayout.bipartite(da, db))
-
-
-def random_separable(rng: np.random.Generator, da: int, db: int) -> CMatrix:
-    """Random mixture of eight product pure states: separable by construction."""
-    out = np.zeros((da * db, da * db), dtype=np.complex128)
-    for w in rng.dirichlet(np.ones(8)):
-        out += w * np.kron(random_pure(rng, da), random_pure(rng, db))
-    return CMatrix(out, SystemLayout.bipartite(da, db))
 
 
 def _random_rank(rng: np.random.Generator, d: int) -> int:
@@ -101,16 +69,3 @@ def random_seesaw_starts(rng: np.random.Generator, restarts: int, nx: int, da: i
         out[sel] = cols @ cols.conj().transpose(0, 2, 1)
     return out.reshape(restarts, ny, db, db)
 
-
-def random_binary_povm(rng: np.random.Generator, d: int) -> list[np.ndarray]:
-    """Two-outcome POVM: a PSD effect scaled under the identity, and its complement."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    e = g @ g.conj().T
-    e = e / (np.linalg.eigvalsh(e).max() * (1.0 + rng.uniform(0.05, 1.0)))
-    return [e, np.eye(d) - e]
-
-
-def random_filter(rng: np.random.Generator, d: int) -> np.ndarray:
-    """General operator rescaled to operator norm one (largest singular value)."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return g / spectral_norm(g)

@@ -173,11 +173,26 @@ def private_bit(x: CMatrix) -> CMatrix:
     if abs(tn - 1.0) > TOL.assertion:
         raise ValidationError(f"private_bit needs ||X||_1 = 1, got {tn}")
     check_dim(4 * x.dim, "private_bit")
-    arr = x.mat
-    left = psd_sqrt(arr @ arr.conj().T)
-    right = psd_sqrt(arr.conj().T @ arr)
-    blocks = {(0, 0): left / 2, (0, 3): arr / 2, (3, 0): arr.conj().T / 2, (3, 3): right / 2}
-    return _key_shield_canonical(blocks, x.layout.factors)
+    return _key_shield_canonical({key: blk / 2 for key, blk in _pbit_corners(x.mat).items()},
+                                 x.layout.factors)
+
+
+def _pbit_corners(arr: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """A private bit's key blocks before the factor 1/2: sqrt(X X+), X, X+ and sqrt(X+ X)."""
+    return {(0, 0): psd_sqrt(arr @ arr.conj().T), (0, 3): arr,
+            (3, 0): arr.conj().T, (3, 3): psd_sqrt(arr.conj().T @ arr)}
+
+
+def _key_family(blocks: dict[tuple[int, int], np.ndarray],
+                shield_factors: tuple[tuple[int, str], ...], params: dict,
+                notes: str) -> StateFamilyResult:
+    """The key-plus-shield state of ``blocks`` and its companion: the key-diagonal
+    blocks alone, renormalized, which is separable when each of them is."""
+    rho = _key_shield_canonical(blocks, shield_factors)
+    sigma = _key_shield_canonical({key: blk for key, blk in blocks.items() if key[0] == key[1]},
+                                  shield_factors)
+    sigma = CMatrix(sigma.mat / np.trace(sigma.mat).real, sigma.layout)
+    return StateFamilyResult(rho=rho, sigma_candidate=sigma, params=params, notes=notes)
 
 
 def ppt_pbit(d_s: int) -> StateFamilyResult:
@@ -192,36 +207,18 @@ def ppt_pbit(d_s: int) -> StateFamilyResult:
     x, y = fourier_xy(d_s)
     check_dim(4 * d_s * d_s, "ppt_pbit")
     p = 1.0 / (math.sqrt(d_s) + 1.0)
-    arr = x.mat
-    left = psd_sqrt(arr @ arr.conj().T)
-    right = psd_sqrt(arr.conj().T @ arr)
-    yarr = y.mat
-    y_left = psd_sqrt(yarr @ yarr.conj().T)
-    y_right = psd_sqrt(yarr.conj().T @ yarr)
-    blocks = {
-        (0, 0): (1 - p) * left / 2,
-        (0, 3): (1 - p) * arr / 2,
-        (3, 0): (1 - p) * arr.conj().T / 2,
-        (3, 3): (1 - p) * right / 2,
-        (1, 1): (p / 2) * y_left,
-        (2, 2): (p / 2) * y_right,
-    }
-    rho = _key_shield_canonical(blocks, x.layout.factors)
-    diag = {k: v for k, v in blocks.items() if k[0] == k[1]}
-    sigma = _key_shield_canonical(diag, x.layout.factors)
-    sigma = CMatrix(sigma.mat / np.trace(sigma.mat).real, sigma.layout)
+    blocks = {key: (1 - p) * blk / 2 for key, blk in _pbit_corners(x.mat).items()}
+    y_corners = _pbit_corners(y.mat)
+    blocks[1, 1] = (p / 2) * y_corners[0, 0]
+    blocks[2, 2] = (p / 2) * y_corners[3, 3]
     params = {
         "d_s": d_s,
         "p": p,
         "x_pt_trace_norm": trace_norm(partial_transpose(x)),
         "distance_bound": 1.0 / math.sqrt(d_s),
     }
-    return StateFamilyResult(
-        rho=rho,
-        sigma_candidate=sigma,
-        params=params,
-        notes="PPT-padded private bit; companion zeroes the key corners",
-    )
+    return _key_family(blocks, x.layout.factors, params,
+                       "PPT-padded private bit; companion zeroes the key corners")
 
 
 def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -283,22 +280,13 @@ def hiding_state(m: int = 1, d_shield: int = 2, k: int = 1,
     shield_factors = tuple(
         (d_shield, p) for _ in range(k * m) for p in ("A", "B")
     )
-    rho = _key_shield_canonical(blocks, shield_factors)
-    diag = {key: val for key, val in blocks.items() if key[0] == key[1]}
-    sigma = _key_shield_canonical(diag, shield_factors)
-    sigma = CMatrix(sigma.mat / np.trace(sigma.mat).real, sigma.layout)
-    delta = (0.5 - q) ** m / norm
     params = {
         "m": m,
         "d_shield": d_shield,
         "k": k,
         "q": q,
-        "delta": delta,
+        "delta": (0.5 - q) ** m / norm,
         "normalization": norm,
     }
-    return StateFamilyResult(
-        rho=rho,
-        sigma_candidate=sigma,
-        params=params,
-        notes="Werner-shield key state; companion zeroes the key corners",
-    )
+    return _key_family(blocks, shield_factors, params,
+                       "Werner-shield key state; companion zeroes the key corners")

@@ -18,6 +18,7 @@ from ptbounds import (
     LocalPolytope,
     MeasurementFamily,
     SystemLayout,
+    TOL,
     ValidationError,
     assert_density,
     bell_operator,
@@ -25,7 +26,6 @@ from ptbounds import (
     chsh,
     classical_value,
     continuity_bound,
-    cor1_bound,
     d_eps_membership,
     er_upper,
     filter_apply,
@@ -37,6 +37,7 @@ from ptbounds import (
     ppt_pbit,
     private_bit,
     seesaw,
+    seesaw_bound,
     swap_x,
     tensor,
     thm1_bound,
@@ -44,14 +45,15 @@ from ptbounds import (
     trace_norm,
 )
 from ptbounds.bell import BellFunctional
-from ptbounds.rand import (
+
+from conftest import (
+    key_lifted_measurements,
     random_binary_povm,
     random_bipartite_density,
     random_filter,
     random_separable,
+    tsirelson_measurements,
 )
-
-from conftest import key_lifted_measurements, tsirelson_measurements
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 # independently optimized KL distance from the Tsirelson box to the local
@@ -169,8 +171,9 @@ def test_criterion_05_ppt_private_bit_family():
         )
         _check(failures, dist <= 1.0 / math.sqrt(ds) + 1e-9,
                f"ds={ds}: PT distance {dist:.8f}")
-        rep = cor1_bound(chsh(), fam.rho, fam.sigma_candidate, TSIRELSON,
-                         restarts=4, seed=0)
+        rep = seesaw_bound(chsh(), fam.rho,
+                           TSIRELSON * d_eps_membership(fam.rho, fam.sigma_candidate),
+                           "candidate-relaxed violation bound", 4, 0, TOL.verdict)
         _check(failures, rep.verdict, f"ds={ds}: report verdict false")
     elapsed = time.perf_counter() - t0
     _check(failures, elapsed < 30.0, f"checks took {elapsed:.1f} s")
@@ -191,10 +194,11 @@ def test_criterion_06_hiding_family_structure():
     delta = fam.params["delta"]
     _check(failures, abs(delta - 1.0 / 6.0) <= 1e-12, f"delta {delta!r}")
     _check(failures, delta <= 0.5, "delta exceeds 1/2")
-    sigma_pt = partial_transpose(fam.sigma_candidate)
-    rep = cor1_bound(chsh(), tensor(fam.rho, rho_pt),
-                     tensor(fam.sigma_candidate, sigma_pt), TSIRELSON,
-                     restarts=8, seed=0)
+    doubled = tensor(fam.rho, rho_pt)
+    eps = d_eps_membership(doubled, tensor(fam.sigma_candidate,
+                                           partial_transpose(fam.sigma_candidate)))
+    rep = seesaw_bound(chsh(), doubled, TSIRELSON * eps, "candidate-relaxed violation bound",
+                       8, 0, TOL.verdict)
     _check(failures, rep.verdict, "doubled-state report verdict false")
     _check(failures, rep.rhs <= 2.0 + TSIRELSON + 1e-9,
            f"rhs {rep.rhs:.8f} exceeds classical plus full quantum gap")

@@ -1,0 +1,39 @@
+"""The public surface: adding or removing a package name is a deliberate change here."""
+
+import inspect
+
+import ptbounds
+from ptbounds import rand
+
+PUBLIC_NAMES = {
+    # config
+    "DEFAULT_DIM_CAP", "DIM_CAP_ENV", "DimensionCapError", "TOL", "Tolerances",
+    "ValidationError", "dim_cap",
+    # linalg
+    "CMatrix", "SystemLayout", "assert_density", "collect_parties", "matrix_from_json",
+    "matrix_to_json", "min_eigenvalue", "op_norm", "partial_transpose", "permute_factors",
+    "psd_sqrt", "rel_entropy", "spectral_norm", "tensor", "trace_norm",
+    # states
+    "StateFamilyResult", "fourier_xy", "hiding_state", "max_entangled", "ppt_pbit",
+    "private_bit", "swap_x", "werner_state",
+    # bell
+    "BellFunctional", "BoundReport", "Box", "MeasurementFamily", "SeesawResult",
+    "bell_operator", "box_from", "chsh", "classical_value", "d_eps_membership",
+    "functional_value", "seesaw", "seesaw_bound", "thm1_bound",
+    # nonlocality
+    "ChainCheck", "LocalPolytope", "NlResult", "continuity_bound", "er_upper", "filter_apply",
+    "kl", "nonlocality_N", "thm2_chain_check",
+    "__version__",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    assert len(ptbounds.__all__) == len(PUBLIC_NAMES) == 54
+    assert set(ptbounds.__all__) == PUBLIC_NAMES
+    assert all(hasattr(ptbounds, name) for name in PUBLIC_NAMES)
+
+
+def test_rand_holds_only_the_seesaw_start_draws():
+    public = {name for name, value in vars(rand).items()
+              if inspect.isfunction(value) and not name.startswith("_")}
+    assert public == {"random_unitary", "random_binary_projective", "random_seesaw_starts"}

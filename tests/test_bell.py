@@ -22,15 +22,12 @@ from ptbounds import (
     chsh,
     classical_value,
     collect_parties,
-    cor1_bound,
     d_eps_membership,
     functional_value,
     hiding_state,
     max_entangled,
-    nonnegativize,
     op_norm,
     partial_transpose,
-    pbit_observation_bound,
     ppt_pbit,
     private_bit,
     seesaw,
@@ -38,18 +35,17 @@ from ptbounds import (
     swap_x,
     tensor,
     thm1_bound,
+    trace_norm,
 )
 from ptbounds.bell import _realigned
-from ptbounds.rand import (
+from ptbounds.rand import random_binary_projective, random_seesaw_starts
+
+from conftest import (
     random_binary_povm,
-    random_binary_projective,
     random_bipartite_density,
     random_density,
-    random_seesaw_starts,
     random_separable,
 )
-
-from conftest import tsirelson_measurements
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -125,40 +121,11 @@ def test_functional_refuses_coefficients_whose_sum_overflows():
     BellFunctional(2, 2, 2, 2, np.full((2, 2, 2, 2), 1e307))
 
 
-def test_nonnegativize_makes_coefficients_nonnegative():
-    f = chsh()
-    g = nonnegativize(f)
-    assert g.coeffs.min() >= 0.0
-    assert g.offset == pytest.approx(4.0, abs=1e-12)
-    h = nonnegativize(g)
-    assert np.array_equal(h.coeffs, g.coeffs)
-    assert h.offset == g.offset
-
-
-def test_nonnegativize_shifts_box_values_by_offset():
-    rng = np.random.default_rng(32)
-    f = chsh()
-    g = nonnegativize(f)
-    for _ in range(100):
-        box = random_box(rng)
-        assert functional_value(g, box) == pytest.approx(
-            functional_value(f, box) + g.offset, abs=1e-10
-        )
-
-
-def test_nonnegativize_commutes_with_classical_value():
-    rng = np.random.default_rng(33)
-    f = BellFunctional(2, 2, 2, 2, rng.normal(size=(2, 2, 2, 2)))
-    g = nonnegativize(f)
-    assert classical_value(g) == pytest.approx(classical_value(f) + g.offset, abs=1e-10)
-
-
 def test_functional_and_box_json_roundtrip():
     rng = np.random.default_rng(34)
-    f = BellFunctional(2, 2, 2, 2, rng.normal(size=(2, 2, 2, 2)), offset=1.5)
+    f = BellFunctional(2, 2, 2, 2, rng.normal(size=(2, 2, 2, 2)))
     back = BellFunctional.from_json(f.to_json())
     assert np.array_equal(back.coeffs, f.coeffs)
-    assert back.offset == f.offset
     box = random_box(rng)
     box_back = Box.from_json(box.to_json())
     assert np.abs(box_back.p - box.p).max() == 0.0
@@ -309,9 +276,7 @@ def test_seesaw_is_monotone_and_deterministic(phi_plus, chsh_functional):
     again = seesaw(phi_plus, chsh_functional, restarts=8, seed=3)
     assert again.value == res.value
     assert again.restart_values == res.restart_values
-    value, meas = res
-    assert value == res.value
-    assert isinstance(meas, MeasurementFamily)
+    assert isinstance(res.measurements, MeasurementFamily)
 
 
 def test_seesaw_rejects_non_binary_outcomes(phi_plus):
@@ -430,7 +395,7 @@ def test_realigned_equals_the_collect_parties_route_on_interleaved_factors():
     coll = collect_parties(rho)
     da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
     expected = coll.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    r, *dims = _realigned(rho)
+    r, *dims = _realigned(rho, "seesaw")
     assert dims == [da, db]
     assert np.array_equal(r, expected)
 
@@ -440,6 +405,15 @@ def test_seesaw_refuses_states_without_a_bipartite_layout(chsh_functional):
         seesaw(CMatrix(np.eye(4) / 4, SystemLayout(((2, "A"), (2, "C")))), chsh_functional)
     with pytest.raises(ValidationError, match="needs a CMatrix with a layout"):
         seesaw(CMatrix(np.eye(4) / 4), chsh_functional)
+
+
+def test_box_from_and_seesaw_name_themselves_on_a_state_without_layout(chsh_functional,
+                                                                     tsirelson_meas):
+    bare = CMatrix(np.eye(4) / 4)
+    with pytest.raises(ValidationError, match="^box_from needs a CMatrix with a layout$"):
+        box_from(bare, tsirelson_meas)
+    with pytest.raises(ValidationError, match="^seesaw needs a CMatrix with a layout$"):
+        seesaw(bare, chsh_functional)
 
 
 SHIPPED_STATES = {
@@ -641,26 +615,30 @@ def test_thm1_random_sweep_small():
         assert rep.slack >= -1e-9
 
 
+def candidate_relaxed_bound(f, rho, sigma_candidate, restarts):
+    """The seesaw value of rho against classical + Tsirelson x its PT distance to the candidate."""
+    return seesaw_bound(f, rho, TSIRELSON * d_eps_membership(rho, sigma_candidate),
+                        "candidate-relaxed violation bound", restarts, 0, TOL.verdict)
+
+
 def test_cor1_zero_distance_candidate_gives_classical_rhs(chsh_functional):
     rng = np.random.default_rng(40)
     rho = random_separable(rng, 2, 2)
-    rep = cor1_bound(chsh_functional, rho, rho, TSIRELSON, restarts=8, seed=0)
+    rep = candidate_relaxed_bound(chsh_functional, rho, rho, restarts=8)
     assert rep.rhs == pytest.approx(2.0, abs=1e-12)
     assert rep.verdict
 
 
 def test_cor1_rhs_monotone_in_candidate_distance(chsh_functional, phi_plus):
     fam = ppt_pbit(4)
-    near = cor1_bound(chsh_functional, fam.rho, fam.rho, TSIRELSON, restarts=4, seed=0)
-    far = cor1_bound(chsh_functional, fam.rho, fam.sigma_candidate, TSIRELSON,
-                     restarts=4, seed=0)
+    near = candidate_relaxed_bound(chsh_functional, fam.rho, fam.rho, restarts=4)
+    far = candidate_relaxed_bound(chsh_functional, fam.rho, fam.sigma_candidate, restarts=4)
     assert near.rhs <= far.rhs + 1e-12
 
 
 def test_cor1_on_ppt_padded_private_bit(chsh_functional):
     fam = ppt_pbit(4)
-    rep = cor1_bound(chsh_functional, fam.rho, fam.sigma_candidate, TSIRELSON,
-                     restarts=16, seed=0)
+    rep = candidate_relaxed_bound(chsh_functional, fam.rho, fam.sigma_candidate, restarts=16)
     assert rep.verdict
     assert rep.rhs <= 2.0 + TSIRELSON * 0.5 + 1e-9
 
@@ -673,12 +651,16 @@ def test_certified_epsilon_scales_the_quantum_gap(chsh_functional):
 
 
 def test_pbit_observation_bound_rhs_values(chsh_functional):
-    rep2 = pbit_observation_bound(swap_x(2), chsh_functional, TSIRELSON,
-                                  restarts=24, seed=0)
+    def observation_bound(x):
+        # the key-correlated state of X against classical + Tsirelson ||X^PT||_1
+        return seesaw_bound(chsh_functional, private_bit(x),
+                            TSIRELSON * trace_norm(partial_transpose(x)),
+                            "key-state observation bound", 24, 0, TOL.verdict)
+
+    rep2 = observation_bound(swap_x(2))
     assert rep2.rhs == pytest.approx(2.0 + TSIRELSON * 0.5, abs=1e-9)
     assert rep2.verdict
-    rep4 = pbit_observation_bound(swap_x(4), chsh_functional, TSIRELSON,
-                                  restarts=24, seed=0)
+    rep4 = observation_bound(swap_x(4))
     assert rep4.rhs == pytest.approx(2.0 + TSIRELSON * 0.25, abs=1e-9)
     assert rep4.verdict
 
@@ -689,12 +671,6 @@ def test_seesaw_bound_is_the_seesaw_value_against_classical_plus_excess(chsh_fun
     assert (rep.context, rep.tol) == ("row", 1e-6)
     assert rep.lhs == seesaw(fam.rho, chsh_functional, restarts=4, seed=3).value
     assert rep.rhs == classical_value(chsh_functional) + 0.25
-    # the library bounds are this row with their own excess
-    excess = TSIRELSON * d_eps_membership(fam.rho, fam.sigma_candidate)
-    cor1 = cor1_bound(chsh_functional, fam.rho, fam.sigma_candidate, TSIRELSON,
-                      restarts=4, seed=3)
-    assert cor1 == seesaw_bound(chsh_functional, fam.rho, excess,
-                                "candidate-relaxed violation bound", 4, 3, TOL.verdict)
 
 
 def test_d_eps_membership_values(chsh_functional):
@@ -716,19 +692,6 @@ def test_seesaw_chain_consistency_on_tensor_pair(chsh_functional):
     doubled = tensor(hid.rho, rho_pt)
     value = seesaw(doubled, chsh_functional, restarts=8, seed=0).value
     assert value <= 2.0 + TSIRELSON / 1.0 + 1e-9
-
-
-@settings(deadline=None, max_examples=20)
-@given(st.integers(0, 10_000))
-def test_nonnegativize_preserves_values_property(seed):
-    rng = np.random.default_rng(seed)
-    f = BellFunctional(2, 2, 2, 2, rng.normal(size=(2, 2, 2, 2)))
-    g = nonnegativize(f)
-    assert g.coeffs.min() >= 0.0
-    box = random_box(rng)
-    assert functional_value(g, box) == pytest.approx(
-        functional_value(f, box) + (g.offset - f.offset), abs=1e-10
-    )
 
 
 @settings(deadline=None, max_examples=10)

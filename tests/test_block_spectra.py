@@ -26,7 +26,8 @@ from ptbounds import (
 )
 from ptbounds.config import TOL
 from ptbounds.linalg import _components
-from ptbounds.rand import random_density, random_hermitian
+
+from conftest import random_density, random_hermitian
 
 
 def dense_spectral(a):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptbounds import cli
-from ptbounds.bell import BoundReport
+from ptbounds.bell import BoundReport, chsh
 from ptbounds.cli import main
 from ptbounds.config import TOL
 from ptbounds.linalg import CMatrix, matrix_from_json, matrix_to_json
@@ -212,21 +212,34 @@ def test_seesaw_rejects_non_finite_state(capsys, tmp_path, bad):
 
 
 @pytest.mark.parametrize("bad", _BAD_NUMBERS)
-@pytest.mark.parametrize("field", ["coeffs", "offset"])
+@pytest.mark.parametrize("field", ["coeffs"])
 def test_seesaw_rejects_non_finite_functional(capsys, tmp_path, bad, field):
     state_file = tmp_path / "phi.json"
     assert run_main(capsys, "make-state", "max-entangled", "--output", str(state_file))[0] == 0
-    functional = {"nx": 2, "ny": 2, "na": 2, "nb": 2, "coeffs": [1.0] * 16, "offset": 0.0}
-    if field == "coeffs":
-        functional["coeffs"][3] = bad
-    else:
-        functional["offset"] = bad
+    functional = {"nx": 2, "ny": 2, "na": 2, "nb": 2, "coeffs": [1.0] * 16}
+    functional[field][3] = bad
     functional_file = tmp_path / "f.json"
     functional_file.write_text(json.dumps(functional))
     code, errors = run_main_errors(capsys, "seesaw", str(state_file), str(functional_file),
                                    "--restarts", "2")
     assert code == 2
     assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.5, *_BAD_NUMBERS])
+def test_seesaw_ignores_the_offset_key_of_a_functional_file(capsys, tmp_path, offset):
+    # files written when functionals carried an offset still read, as the same functional
+    state_file = tmp_path / "phi.json"
+    assert run_main(capsys, "make-state", "max-entangled", "--output", str(state_file))[0] == 0
+    reports = []
+    for extra in ({}, {"offset": offset}):
+        functional_file = tmp_path / "f.json"
+        functional_file.write_text(json.dumps({"nx": 2, "ny": 2, "na": 2, "nb": 2,
+                                               "coeffs": chsh().to_json()["coeffs"], **extra}))
+        reports.append(run_main(capsys, "seesaw", str(state_file), str(functional_file),
+                                "--restarts", "2"))
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
 
 
 # sixteen finite coefficients whose sum overflows a float

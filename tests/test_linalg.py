@@ -27,7 +27,8 @@ from ptbounds import (
     trace_norm,
 )
 from ptbounds.linalg import _matrix_json_text, _pair_hash
-from ptbounds.rand import random_density, random_hermitian
+
+from conftest import random_density, random_hermitian
 
 
 def random_cmatrix(rng, da, db, hermitian=True):

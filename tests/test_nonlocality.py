@@ -41,14 +41,15 @@ from ptbounds.nonlocality import (
     _line_search,
     _pair_kl,
 )
-from ptbounds.rand import (
+
+from conftest import (
+    key_lifted_measurements,
     random_binary_povm,
     random_bipartite_density,
     random_filter,
     random_separable,
+    tsirelson_measurements,
 )
-
-from conftest import key_lifted_measurements, tsirelson_measurements
 
 TSIRELSON_BOX_N = 0.0462738469
 DATA = Path(__file__).parent / "data"
@@ -479,6 +480,16 @@ def test_filter_apply_rejects_amplifying_filters(phi_plus):
         filter_apply(phi_plus, 2.0 * np.eye(2), np.eye(2))
     with pytest.raises(ValidationError):
         filter_apply(phi_plus, np.eye(2), np.diag([1.0, 1.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("party", ["A", "B"])
+def test_filter_apply_rejects_non_finite_filters(phi_plus, party, bad):
+    f = np.eye(2, dtype=np.complex128)
+    f[0, 0] = bad
+    filters = (f, np.eye(2)) if party == "A" else (np.eye(2), f)
+    with pytest.raises(ValidationError, match=f"^filter {party} has a non-finite entry$"):
+        filter_apply(phi_plus, *filters)
 
 
 def test_filter_apply_rejects_zero_probability(phi_plus):
