@@ -7,7 +7,8 @@ Thin wrapper over the package CLI so a full sweep is one command:
 
 Every flag other than --outdir is passed unchanged to each
 ``ptbounds repro`` run, so the CLI alone declares them and their defaults.
-All flags are checked before the output directory is created.
+All flags are checked before the output directory is created, and an
+output directory that cannot be created exits 2 before any target runs.
 """
 
 import argparse
@@ -29,7 +30,11 @@ def run(argv=None) -> int:
     args, repro_flags = outdir_parser.parse_known_args(argv)
 
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or on the way to it
+        print(f"error: cannot create --outdir {args.outdir}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     worst = 0
     for target in _REPRO_TARGETS:

@@ -28,10 +28,11 @@ from .linalg import (
     op_norm,
     partial_transpose,
     trace_norm,
-    _hermitian_deviation,
+    _hermitian_pattern,
     _json_floats,
     _json_size,
     _party_axes,
+    _require_layout,
 )
 from .rand import random_seesaw_starts
 
@@ -184,11 +185,7 @@ class MeasurementFamily:
                 for e in povm:
                     if e.shape != (d, d):
                         raise ValidationError(f"{side} input {i}: effect shape {e.shape}")
-                    dev = _hermitian_deviation(e)  # NaN or inf on a non-finite entry
-                    if not math.isfinite(dev):
-                        raise ValidationError(f"{side} input {i}: effect is not finite")
-                    if dev > TOL.structural:
-                        raise ValidationError(f"{side} input {i}: effect is not hermitian")
+                    _hermitian_pattern(e, f"{side} input {i}: effect", TOL.structural)
                     w = np.linalg.eigvalsh(e)
                     if float(w.min()) < -TOL.psd:
                         raise ValidationError(
@@ -482,12 +479,15 @@ def seesaw_bound(f: BellFunctional, rho: CMatrix, excess: float, context: str,
 
 
 def d_eps_membership(rho: CMatrix, sigma_candidate: CMatrix) -> float:
-    """Certified epsilon: trace norm of the transposed difference to the candidate."""
-    rg = partial_transpose(rho)
-    sg = partial_transpose(sigma_candidate)
-    if rg.dim != sg.dim:
-        raise ValidationError("states must share a dimension")
-    return trace_norm(rg.mat - sg.mat)
+    """Certified epsilon: trace norm of the transposed difference to the candidate.
+
+    Both states must carry the same layout: on another layout of equal
+    dimension the difference is not that of two states on one system.
+    """
+    layout = _require_layout(rho, "d_eps_membership")
+    if not isinstance(sigma_candidate, CMatrix) or sigma_candidate.layout != layout:
+        raise ValidationError(f"d_eps_membership needs both states on the layout {layout.factors}")
+    return trace_norm(partial_transpose(rho).mat - partial_transpose(sigma_candidate).mat)
 
 
 def thm1_bound(f: BellFunctional, meas: MeasurementFamily, rho: CMatrix,

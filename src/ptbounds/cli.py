@@ -23,9 +23,10 @@ before the command runs.
 
 Exit codes: 0 when every emitted verdict is true, 1 when a verdict is false
 or a ``nonlocality`` solve did not converge (its report is still written),
-2 for validation or parse failures, 3 when a construction would exceed the
-dense-dimension cap (PTBOUND_DIM_CAP raises it); the cap also applies to the
-doubled state rho x rho^PT of ``repro prop1``.
+2 for validation or parse failures and for a numpy LinAlgError, 3 when a
+construction would exceed the dense-dimension cap (PTBOUND_DIM_CAP raises it)
+or memory runs out; the cap also applies to the doubled state rho x rho^PT of
+``repro prop1``.  Each failure writes one ``error:`` line to stderr.
 
 All JSON output is canonical and compact: one line with sorted keys, the
 separators "," and ":" and no timestamps, so identical invocations produce
@@ -40,6 +41,8 @@ import json
 import math
 import os
 import sys
+
+from numpy.linalg import LinAlgError
 
 from .config import TOL, DimensionCapError, ValidationError
 from .linalg import (CMatrix, _canonical_json, _matrix_json_text, assert_density,
@@ -351,10 +354,10 @@ def main(argv=None) -> int:
         else:
             print(text)
         return code
-    except DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DimensionCapError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

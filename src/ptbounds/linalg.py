@@ -4,16 +4,18 @@ The partial transpose is carried out as a pure index permutation (reshape,
 axis swap, reshape back), so it is exact: no arithmetic touches the entries.
 
 Every spectral function here (trace_norm, op_norm, min_eigenvalue, psd_sqrt,
-assert_density, rel_entropy) diagonalises its hermitian input one block at a
-time.  The blocks are the connected components of the exact nonzero pattern
-(M != 0) | (M != 0)^T, with no tolerance.  Permuting the indices so that each
-component is contiguous makes M block diagonal, and a block-diagonal matrix
-has the union of its blocks' spectra, with eigenvectors supported on single
-blocks; so nothing is dropped or approximated.  Each block keeps its indices
-in ascending order, so its lower triangle, the one eigvalsh and eigh read, is
-the full matrix's.  Key/shield states are almost all exact zeros and split
-into many small blocks; a matrix that is one component takes the dense call
-unchanged.
+assert_density, rel_entropy) checks its input once, in _hermitian_pattern,
+and diagonalises it one block at a time.  That check refuses a non-square or
+non-finite matrix and measures the hermitian deviation on the exact nonzero
+pattern (M != 0) | (M != 0)^T, with no tolerance; the blocks are the
+connected components of that same pattern, so it is built once.  Permuting
+the indices so that each component is contiguous makes M block diagonal, and
+a block-diagonal matrix has the union of its blocks' spectra, with
+eigenvectors supported on single blocks; so nothing is dropped or
+approximated.  Each block keeps its indices in ascending order, so its lower
+triangle, the one eigvalsh and eigh read, is the full matrix's.  Key/shield
+states are almost all exact zeros and split into many small blocks; a matrix
+that is one component takes the dense call unchanged.
 """
 
 from __future__ import annotations
@@ -119,9 +121,7 @@ class CMatrix:
                 f"layout dimension {layout.dim} does not match matrix dimension {arr.shape[0]}"
             )
         if hermitian:
-            dev = _hermitian_deviation(arr)
-            if not dev <= TOL.structural:  # NaN too
-                raise ValidationError(f"matrix marked hermitian deviates by {dev:.3e}")
+            _hermitian_pattern(arr, "CMatrix(hermitian=True)", TOL.structural)
         self.mat = arr
         self.layout = layout
 
@@ -182,10 +182,8 @@ def _party_axes(m: CMatrix, op: str) -> tuple[SystemLayout, list[int], list[int]
     extra = set(layout.parties) - {"A", "B"}
     if extra:
         raise ValidationError(f"bipartite operation got extra parties {sorted(extra)}")
-    axes_a, axes_b = list(layout.axes("A")), list(layout.axes("B"))
-    if not axes_a + axes_b:
-        raise ValidationError("layout has no A or B factors")
-    return layout, axes_a, axes_b
+    # a layout has a factor, and every factor is now A's or B's
+    return layout, list(layout.axes("A")), list(layout.axes("B"))
 
 
 def collect_parties(m: CMatrix) -> CMatrix:
@@ -214,54 +212,40 @@ def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
     return CMatrix(np.kron(arr_a, arr_b), layout)
 
 
-def _hermitian_deviation(arr: np.ndarray) -> float:
-    """max |a_ij - conj(a_ji)|, read only where a_ij or a_ji is nonzero.
+def _hermitian_pattern(arr: np.ndarray, what: str,
+                       tol: float = TOL.assertion) -> tuple[float, np.ndarray]:
+    """Refuse a non-square, non-finite or non-hermitian matrix; the deviation and pattern.
 
-    Everywhere else the difference is an exact 0, and gathering the nonzero
-    pairs is far cheaper than a transposed copy of a mostly-zero matrix.  A
-    NaN or infinite entry gives a NaN or infinite deviation, without a
-    warning (inf - inf); every caller refuses it.
+    The deviation max |a_ij - conj(a_ji)| is read only on the symmetric nonzero
+    pattern (a != 0) | (a != 0)^T: everywhere else the difference is an exact
+    0, and gathering the nonzero pairs is far cheaper than a transposed copy
+    of a mostly-zero matrix.  A NaN or infinite entry makes its own
+    difference, and so the deviation, NaN or infinite (inf - inf without a
+    warning), and is refused before the ``dev > tol`` test it would pass.
+    ``what`` starts every message; the pattern goes on to _block_eigh.
     """
-    nz = arr != 0
-    pairs = nz | nz.T
-    with np.errstate(invalid="ignore"):
-        diff = arr[pairs] - arr.T[pairs].conj()
-    return float(np.abs(diff).max()) if diff.size else 0.0
-
-
-def _check_square(arr: np.ndarray, what: str) -> None:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} expects a square matrix")
-
-
-def _finite_deviation(arr: np.ndarray, what: str) -> float:
-    """_hermitian_deviation, refusing a matrix with a NaN or infinite entry.
-
-    Such an entry makes its own difference, and so the deviation, NaN or
-    infinite, and a NaN deviation would pass every ``dev > tol`` test.
-    """
-    dev = _hermitian_deviation(arr)
+    nz = arr != 0
+    pattern = nz | nz.T
+    with np.errstate(invalid="ignore"):
+        diff = arr[pattern] - arr.T[pattern].conj()
+    dev = float(np.abs(diff).max()) if diff.size else 0.0
     if not math.isfinite(dev):
         raise ValidationError(f"{what} expects a finite matrix")
-    return dev
-
-
-def _check_hermitian(arr: np.ndarray, what: str) -> None:
-    _check_square(arr, what)
-    dev = _finite_deviation(arr, what)
-    if dev > TOL.assertion:
+    if dev > tol:
         raise ValidationError(f"{what} expects a hermitian matrix, deviation {dev:.3e}")
+    return dev, pattern
 
 
-def _components(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Isolated indices, and the other connected components of the nonzero pattern.
+def _components(adj: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Isolated indices, and the other connected components of a symmetric pattern.
 
-    Breadth-first search with a boolean frontier: each index enters a frontier
-    once and costs one row scan, so detection is O(n^2) even on a path.  Every
-    index set comes back sorted.
+    ``adj`` is _hermitian_pattern's pattern, and its diagonal is cleared in
+    place.  Breadth-first search with a boolean frontier: each index enters a
+    frontier once and costs one row scan, so detection is O(n^2) even on a
+    path.  Every index set comes back sorted.
     """
-    nz = arr != 0
-    adj = nz | nz.T
     np.fill_diagonal(adj, False)
     linked = adj.any(axis=1)
     unseen = linked.copy()
@@ -279,8 +263,11 @@ def _components(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.flatnonzero(~linked), blocks
 
 
-def _block_eigh(arr: np.ndarray, vectors: bool = False):
+def _block_eigh(arr: np.ndarray, pattern: np.ndarray, vectors: bool = False):
     """All eigenvalues of a hermitian matrix, ascending, solved block by block.
+
+    The blocks are the components of ``pattern``, the matrix's symmetric
+    nonzero pattern from _hermitian_pattern.
 
     Returns (w, groups).  ``groups`` is None unless ``vectors`` is set; then it
     holds one (idx, w_b, v_b) per block size, where idx[k] are the sorted
@@ -289,7 +276,7 @@ def _block_eigh(arr: np.ndarray, vectors: bool = False):
     size share one stacked solve, and a matrix that is one block takes the
     dense call, so its eigenvalues are bit-identical to it.
     """
-    single, blocks = _components(arr)
+    single, blocks = _components(pattern)
     if not single.size and len(blocks) == 1:
         if not vectors:
             return np.linalg.eigvalsh(arr), None
@@ -314,24 +301,22 @@ def _block_eigh(arr: np.ndarray, vectors: bool = False):
 def trace_norm(m) -> float:
     """Sum of singular values; for hermitian input the sum of |eigenvalues|."""
     arr = _as_array(m)
-    _check_square(arr, "trace_norm")
-    if _finite_deviation(arr, "trace_norm") <= TOL.assertion:
-        return float(np.abs(_block_eigh(arr)[0]).sum())
+    dev, pattern = _hermitian_pattern(arr, "trace_norm", math.inf)
+    if dev <= TOL.assertion:
+        return float(np.abs(_block_eigh(arr, pattern)[0]).sum())
     return float(np.linalg.svd(arr, compute_uv=False).sum())
 
 
 def op_norm(m) -> float:
     """Largest |eigenvalue| of a hermitian matrix.  Errors on non-hermitian input."""
     arr = _as_array(m)
-    _check_hermitian(arr, "op_norm")
-    return float(np.abs(_block_eigh(arr)[0]).max())
+    return float(np.abs(_block_eigh(arr, _hermitian_pattern(arr, "op_norm")[1])[0]).max())
 
 
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a hermitian matrix.  Errors on non-hermitian input."""
     arr = _as_array(m)
-    _check_hermitian(arr, "min_eigenvalue")
-    return float(_block_eigh(arr)[0][0])
+    return float(_block_eigh(arr, _hermitian_pattern(arr, "min_eigenvalue")[1])[0][0])
 
 
 def spectral_norm(m) -> float:
@@ -347,8 +332,7 @@ def psd_sqrt(m) -> np.ndarray:
     ~3e-9 to every singular value sum downstream.
     """
     arr = _as_array(m)
-    _check_hermitian(arr, "psd_sqrt")
-    w, groups = _block_eigh(arr, vectors=True)
+    w, groups = _block_eigh(arr, _hermitian_pattern(arr, "psd_sqrt")[1], vectors=True)
     if float(w[0]) < -TOL.psd:
         raise ValidationError(f"psd_sqrt got a matrix with eigenvalue {w[0]:.3e}")
     # V_b sqrt(w_b) V_b^dagger goes into block b of a zero matrix
@@ -361,18 +345,17 @@ def psd_sqrt(m) -> np.ndarray:
 
 def _density_eigs(arr: np.ndarray, what: str, trace_tol: float, psd_tol: float,
                   vectors: bool = False):
-    """Check unit trace, hermiticity and positivity from one decomposition.
+    """Check hermiticity, unit trace and positivity from one decomposition.
 
     Returns _block_eigh's (eigenvalues, groups), the groups of eigenvectors
     only when ``vectors`` is set and None otherwise, so callers that need the
     spectrum anyway pay for it only once.
     """
-    _check_square(arr, what)
+    _, pattern = _hermitian_pattern(arr, what)
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(f"{what} must have unit trace, got {tr}")
-    _check_hermitian(arr, what)
-    w, groups = _block_eigh(arr, vectors)
+    w, groups = _block_eigh(arr, pattern, vectors)
     if float(w[0]) < -psd_tol:
         raise ValidationError(f"{what} must be PSD, minimum eigenvalue {w[0]:.3e}")
     return w, groups

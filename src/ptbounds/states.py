@@ -69,11 +69,14 @@ def max_entangled(d: int) -> CMatrix:
     return CMatrix(np.outer(v, v.conj()), SystemLayout.bipartite(d, d))
 
 
+def _swap_columns(d: int) -> np.ndarray:
+    """Column j*d + i of each row i*d + j: where the swap on C^d x C^d has its one entry."""
+    return np.arange(d * d).reshape(d, d).T.reshape(-1)
+
+
 def _swap_operator(d: int) -> np.ndarray:
     f = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
+    f[np.arange(d * d), _swap_columns(d)] = 1.0
     return f
 
 
@@ -124,9 +127,7 @@ def fourier_xy(d_s: int) -> tuple[CMatrix, CMatrix]:
     jk = np.outer(np.arange(d_s), np.arange(d_s))
     u = np.exp(2j * np.pi * jk / d_s) / math.sqrt(d_s)
     x = np.zeros((d_s * d_s, d_s * d_s), dtype=np.complex128)
-    for i in range(d_s):
-        for j in range(d_s):
-            x[i * d_s + j, j * d_s + i] = u[i, j] / (d_s * math.sqrt(d_s))
+    x[np.arange(d_s * d_s), _swap_columns(d_s)] = (u / (d_s * math.sqrt(d_s))).reshape(-1)
     layout = SystemLayout.bipartite(d_s, d_s)
     xm = CMatrix(x, layout)
     ym = CMatrix(math.sqrt(d_s) * partial_transpose(xm).mat, layout)

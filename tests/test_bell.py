@@ -114,6 +114,13 @@ def test_box_and_functional_refuse_sizes_below_one(kind, sizes):
         kind(*sizes, np.zeros(sizes))
 
 
+@pytest.mark.parametrize("kind, noun", [(Box, "box"), (BellFunctional, "coefficient")])
+def test_box_and_functional_refuse_a_table_of_the_wrong_shape(kind, noun):
+    with pytest.raises(ValidationError, match=rf"^{noun} table has shape \(2, 2, 2, 1\), "
+                       rf"expected \(2, 2, 2, 2\)$"):
+        kind(2, 2, 2, 2, np.full((2, 2, 2, 1), 0.5))
+
+
 def test_functional_refuses_coefficients_whose_sum_overflows():
     # each 1e308 is finite, their sum is not: box values and s_0 - s_1 could overflow
     with pytest.raises(ValidationError, match="finite absolute sum"):
@@ -176,12 +183,16 @@ def test_measurement_family_validation():
         MeasurementFamily([[eye]], [[1.0]])
     with pytest.raises(ValidationError, match=r"^alice input 0: effect shape \(2,\)$"):
         MeasurementFamily([[np.ones(2)]], [[eye]])
+    # every later effect must have the first one's shape
+    with pytest.raises(ValidationError, match=r"^bob input 1: effect shape \(3, 3\)$"):
+        MeasurementFamily([[eye]], [[eye], [np.eye(3)]])
 
 
 def test_measurement_family_rejects_non_hermitian_effects():
     # (E + E^+)/2 = I/2 is a fine effect, but E itself is not hermitian
     e = np.array([[0.5, 0.3], [-0.3, 0.5]])
-    with pytest.raises(ValidationError, match="not hermitian"):
+    with pytest.raises(ValidationError, match=r"^alice input 0: effect expects a hermitian "
+                       r"matrix, deviation 6\.000e-01$"):
         MeasurementFamily([[e, np.eye(2) - e]], [[e, np.eye(2) - e]])
 
 
@@ -192,9 +203,9 @@ def test_measurement_family_rejects_non_finite_effects(bad):
     # let such an effect through with only RuntimeWarnings
     eye, zero = np.eye(2), np.zeros((2, 2))
     e = np.diag([bad, 0.0])
-    with pytest.raises(ValidationError, match="^alice input 0: effect is not finite$"):
+    with pytest.raises(ValidationError, match="^alice input 0: effect expects a finite matrix$"):
         MeasurementFamily([[e, eye - e]], [[eye, zero]])
-    with pytest.raises(ValidationError, match="^bob input 1: effect is not finite$"):
+    with pytest.raises(ValidationError, match="^bob input 1: effect expects a finite matrix$"):
         MeasurementFamily([[eye, zero]], [[eye, zero], [eye - e, e]])
 
 
@@ -223,6 +234,12 @@ def test_box_from_product_state_factorizes():
 def test_box_from_reaches_tsirelson(phi_plus, tsirelson_meas, chsh_functional):
     box = box_from(phi_plus, tsirelson_meas)
     assert functional_value(chsh_functional, box) == pytest.approx(TSIRELSON, abs=1e-9)
+    with pytest.raises(ValidationError, match="^state dimensions 3x3 do not match "
+                       "measurements 2x2$"):
+        box_from(max_entangled(3), tsirelson_meas)
+    with pytest.raises(ValidationError, match=r"^functional_value: functional scenario "
+                       r"\(2, 2, 2, 2\) does not match \(1, 1, 1, 1\)$"):
+        functional_value(chsh_functional, Box(1, 1, 1, 1, np.ones((1, 1, 1, 1))))
 
 
 def test_bell_operator_matches_box_value(chsh_functional):
@@ -267,6 +284,10 @@ def test_bell_operator_tsirelson_certificate(tsirelson_meas, chsh_functional):
     assert op_norm(bell_operator(chsh_functional, tsirelson_meas)) == pytest.approx(
         TSIRELSON, abs=1e-9
     )
+    one_input = MeasurementFamily(tsirelson_meas.alice[:1], tsirelson_meas.bob)
+    with pytest.raises(ValidationError,
+                       match="^bell_operator: measurement family has wrong input count$"):
+        bell_operator(chsh_functional, one_input)
 
 
 def test_seesaw_is_monotone_and_deterministic(phi_plus, chsh_functional):
@@ -558,6 +579,8 @@ def test_seesaw_deterministic_restart_reaches_the_classical_value(chsh_functiona
 def test_seesaw_rejects_fewer_than_one_iteration(phi_plus, chsh_functional):
     with pytest.raises(ValidationError):
         seesaw(phi_plus, chsh_functional, max_iters=0)
+    with pytest.raises(ValidationError, match="^seesaw needs at least one restart$"):
+        seesaw(phi_plus, chsh_functional, restarts=0)
 
 
 def test_box_from_matches_kron_trace_on_unequal_dimensions():
@@ -684,6 +707,19 @@ def test_d_eps_membership_values(chsh_functional):
     hid = hiding_state()
     eps = d_eps_membership(hid.rho, hid.sigma_candidate)
     assert eps == pytest.approx(2.0 * hid.params["delta"], abs=1e-9)
+
+
+def test_d_eps_membership_refuses_states_on_different_layouts():
+    # equal dimension, different layouts: without the layout check this gave 1.219
+    arr = random_density(np.random.default_rng(42), 6)
+    rho = CMatrix(arr, SystemLayout.bipartite(2, 3))
+    flipped = CMatrix(arr, SystemLayout.bipartite(3, 2))
+    message = r"^d_eps_membership needs both states on the layout \(\(2, 'A'\), \(3, 'B'\)\)$"
+    for sigma in (flipped, CMatrix(arr), arr):
+        with pytest.raises(ValidationError, match=message):
+            d_eps_membership(rho, sigma)
+    with pytest.raises(ValidationError, match="^d_eps_membership needs a CMatrix with a layout$"):
+        d_eps_membership(CMatrix(arr), rho)
 
 
 def test_seesaw_chain_consistency_on_tensor_pair(chsh_functional):

@@ -25,9 +25,14 @@ from ptbounds import (
     trace_norm,
 )
 from ptbounds.config import TOL
-from ptbounds.linalg import _components
+from ptbounds.linalg import _components, _hermitian_pattern
 
 from conftest import random_density, random_hermitian
+
+
+def components(a):
+    """Isolated indices and blocks of a hermitian matrix, from its checked pattern."""
+    return _components(_hermitian_pattern(a, "components")[1])
 
 
 def dense_spectral(a):
@@ -103,7 +108,7 @@ def test_permuted_block_diagonal_matches_dense(blocks, seed):
 def test_components_are_sorted_and_cover_every_index():
     rng = np.random.default_rng(3)
     a = block_diagonal(rng, BLOCK_SIZES[0], random_hermitian)
-    single, blocks = _components(a)
+    single, blocks = components(a)
     assert single.size == 3
     assert sorted(b.size for b in blocks) == [2, 2, 3, 3, 3, 5]
     assert all(np.array_equal(b, np.sort(b)) for b in blocks)
@@ -122,7 +127,7 @@ def test_tridiagonal_paths_match_dense():
     rng = np.random.default_rng(4)
     # paths of 300, 300, 200 and 224 indices, two of them of equal length
     a = tridiagonal(rng, 1024, cuts=(299, 599, 799))
-    single, blocks = _components(a)
+    single, blocks = components(a)
     assert single.size == 0 and sorted(b.size for b in blocks) == [200, 224, 300, 300]
     assert_spectral_match(a)
     assert_sqrt_match(a)
@@ -130,7 +135,7 @@ def test_tridiagonal_paths_match_dense():
 
 def test_one_long_path_is_one_component():
     a = tridiagonal(np.random.default_rng(5), 1024)
-    single, blocks = _components(a)
+    single, blocks = components(a)
     assert single.size == 0 and len(blocks) == 1 and blocks[0].size == 1024
     assert trace_norm(a) == dense_spectral(a)[trace_norm]
 

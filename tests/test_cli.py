@@ -131,6 +131,13 @@ def test_dimension_cap_exits_three(capsys, monkeypatch):
     monkeypatch.setenv("PTBOUND_DIM_CAP", "8")
     code, _ = run_main(capsys, "repro", "eq10", "--ds", "4")
     assert code == 3
+    # a cap that is not an integer >= 2 is a validation error
+    for raw, message in (("abc", "must be an integer, got 'abc'"),
+                         ("1", "must be at least 2, got 1")):
+        monkeypatch.setenv("PTBOUND_DIM_CAP", raw)
+        code, captured = run_captured(capsys, "make-state", "max-entangled")
+        assert code == 2
+        assert captured.err.splitlines() == [f"error: PTBOUND_DIM_CAP {message}"]
 
 
 def test_prop1_doubled_state_is_capped(capsys, monkeypatch):
@@ -141,6 +148,27 @@ def test_prop1_doubled_state_is_capped(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: tensor needs dimension 256")
     assert len(captured.err.splitlines()) == 1
+
+
+def _raising(exc: BaseException):
+    def builder(*args, **kwargs):
+        raise exc
+    return builder
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (MemoryError(), 3, "error: out of memory"),
+    (MemoryError("Unable to allocate 8.00 GiB"), 3, "error: Unable to allocate 8.00 GiB"),
+    (np.linalg.LinAlgError("Eigenvalues did not converge"), 2,
+     "error: Eigenvalues did not converge"),
+], ids=["memory-bare", "memory-message", "linalg"])
+def test_memory_and_linalg_errors_exit_with_one_line(capsys, monkeypatch, exc, code, message):
+    # the state builder raises; nothing large is allocated
+    monkeypatch.setattr(cli, "max_entangled", _raising(exc))
+    got, captured = run_captured(capsys, "make-state", "max-entangled")
+    assert got == code
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
 
 
 def test_nonlocality_exit_code_follows_convergence(capsys, monkeypatch):
@@ -618,11 +646,14 @@ def test_make_state_bytes_equal_the_matrix_to_json_dump(capsysbinary, family, si
 @pytest.mark.parametrize("output, message", [
     ("no/such/dir/x.json", "no directory"),
     (".", "is a directory"),
-], ids=["missing-directory", "directory"])
+    ("x.json", "is not writable"),
+], ids=["missing-directory", "directory", "not-writable"])
 def test_unwritable_output_exits_two_before_the_command_runs(
         capsys, tmp_path, monkeypatch, command, output, message):
     argv = _command_argv(tmp_path, command)
     monkeypatch.chdir(tmp_path)
+    if message == "is not writable":  # permissions do not bind every user, so deny access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
 
     def never_called(args):
         raise AssertionError("the command ran despite an unwritable --output")
@@ -797,17 +828,32 @@ def test_runtime_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_sweep_script_checks_its_flags_before_creating_the_outdir(tmp_path):
+def run_sweep(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
+    """The sweep script run in a child process from ``cwd``."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_bounds.py"), "--outdir", "r2",
-         "--sed", "7"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_bounds.py"), *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_sweep_script_checks_its_flags_before_creating_the_outdir(tmp_path):
+    proc = run_sweep(tmp_path, "--outdir", "r2", "--sed", "7")
     errors = proc.stderr.splitlines()
     assert proc.returncode == 2
     assert errors[0].startswith("usage: reproduce_bounds.py ")
     assert errors[-1] == "reproduce_bounds.py: error: unrecognized arguments: --sed 7"
     assert proc.stdout == ""
     assert not (tmp_path / "r2").exists()
+
+
+@pytest.mark.parametrize("outdir, reason", [("taken", "File exists"),
+                                            ("taken/sub", "Not a directory")])
+def test_sweep_script_refuses_an_outdir_it_cannot_create(tmp_path, outdir, reason):
+    # a file at the path, or on the way to it: one error line, before any target runs
+    (tmp_path / "taken").write_text("")
+    proc = run_sweep(tmp_path, "--outdir", outdir, "--restarts", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: cannot create --outdir {outdir}: {reason}"]

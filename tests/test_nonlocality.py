@@ -86,6 +86,8 @@ def test_kl_validates_inputs():
             kl(p, q)
     with pytest.raises(ValidationError, match="nonempty"):
         kl([], [])
+    with pytest.raises(ValidationError, match="^kl needs equal-length distributions$"):
+        kl([0.5, 0.5], [0.25, 0.25, 0.5])
 
 
 def test_local_polytope_chsh_vertices():
@@ -480,6 +482,8 @@ def test_filter_apply_rejects_amplifying_filters(phi_plus):
         filter_apply(phi_plus, 2.0 * np.eye(2), np.eye(2))
     with pytest.raises(ValidationError):
         filter_apply(phi_plus, np.eye(2), np.diag([1.0, 1.5]))
+    with pytest.raises(ValidationError, match="^filter shapes must match the party dimensions$"):
+        filter_apply(phi_plus, np.eye(3), np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -901,10 +905,10 @@ def test_nonlocality_reports_its_final_gap():
         assert res.gap == pytest.approx(gap, rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}])
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"mode": "bogus"}])
 def test_nonlocality_rejects_bad_ascent_arguments(kwargs):
     with pytest.raises(ValidationError):
-        nonlocality_N(tsirelson_box(), mode="optimize", **kwargs)
+        nonlocality_N(tsirelson_box(), **{"mode": "optimize", **kwargs})
 
 
 # The face Newton direction solves its least-squares problem from the normal

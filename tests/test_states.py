@@ -53,6 +53,11 @@ def test_max_entangled_transposed_trace_norm(d, expected):
 def test_max_entangled_rejects_small_dim():
     with pytest.raises(ValidationError):
         max_entangled(1)
+    # so do the other d x d families
+    with pytest.raises(ValidationError, match="^werner_state needs d >= 2$"):
+        werner_state(1)
+    with pytest.raises(ValidationError, match="^swap_x needs d >= 2$"):
+        swap_x(1)
 
 
 @pytest.mark.parametrize("d,sym_rank,anti_rank", [(2, 3, 1), (3, 6, 3)])
@@ -128,6 +133,11 @@ def test_private_bit_validates_trace_norm():
     bad = CMatrix(np.eye(4) / 2.0, SystemLayout.bipartite(2, 2))
     with pytest.raises(ValidationError):
         private_bit(bad)
+    x = swap_x(2)
+    with pytest.raises(ValidationError, match="^private_bit needs X with a layout$"):
+        private_bit(CMatrix(x.mat))
+    with pytest.raises(ValidationError, match="^private_bit needs X on parties A and B$"):
+        private_bit(CMatrix(x.mat, SystemLayout(((2, "A"), (2, "C")))))
 
 
 @pytest.mark.parametrize("ds", [4, 9])
