@@ -31,7 +31,7 @@ from .linalg import (
     _hermitian_pattern,
     _json_floats,
     _json_size,
-    _party_axes,
+    _realigned,
     _require_layout,
 )
 from .rand import random_seesaw_starts
@@ -251,22 +251,6 @@ def _scenario_match(f: BellFunctional, nx, ny, na, nb, what: str) -> None:
     if (f.nx, f.ny, f.na, f.nb) != (nx, ny, na, nb):
         raise ValidationError(f"{what}: functional scenario {(f.nx, f.ny, f.na, f.nb)} "
                               f"does not match {(nx, ny, na, nb)}")
-
-
-def _realigned(rho: CMatrix, op: str) -> tuple[np.ndarray, int, int]:
-    """rho realigned as R[(a',a),(b',b)] = rho[(a',b'),(a,b)], plus dim_A and dim_B.
-
-    Then Tr[(A x B) rho] = vec(A^T)^T R vec(B^T), with vec flattening
-    row-major, and R.T is the same form with the parties swapped.  R is one
-    transpose of rho's own factor axes, whatever their interleaving, so the
-    only dense copy made is R itself.  ``op`` names the caller in errors.
-    """
-    layout, axes_a, axes_b = _party_axes(rho, op)
-    n = len(layout.factors)
-    da, db = layout.dim_of("A"), layout.dim_of("B")
-    perm = axes_a + [n + i for i in axes_a] + axes_b + [n + i for i in axes_b]
-    r = rho.mat.reshape(layout.dims + layout.dims).transpose(perm).reshape(da * da, db * db)
-    return r, da, db
 
 
 def bell_operator(f: BellFunctional, meas: MeasurementFamily) -> CMatrix:

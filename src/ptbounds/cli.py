@@ -115,7 +115,7 @@ def _repro_eq10(args: argparse.Namespace) -> list[BoundReport]:
             _seesaw_row(args, f"eq10 ds={ds}", fam.rho, CHSH_Q / math.sqrt(ds)),
             _ppt_row(f"eq10 ds={ds} ppt", fam.rho),
             BoundReport(f"eq10 ds={ds} distance", d_eps_membership(fam.rho, fam.sigma_candidate),
-                        1.0 / math.sqrt(ds), tol=args.tol),
+                        fam.params["distance_bound"], tol=args.tol),
         ]
     return reports
 

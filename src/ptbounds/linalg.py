@@ -1,7 +1,9 @@
 """Matrices on labelled tensor factors: partial transposition, norms, relative entropy.
 
-The partial transpose is carried out as a pure index permutation (reshape,
-axis swap, reshape back), so it is exact: no arithmetic touches the entries.
+Every factor reordering (partial transpose, factor order, party grouping and
+the realignment the seesaw reads) is one call of _regroup, a pure index
+permutation (reshape, axis transpose, reshape back), so it is exact: no
+arithmetic touches the entries.
 
 Every spectral function here (trace_norm, op_norm, min_eigenvalue, psd_sqrt,
 assert_density, rel_entropy) checks its input once, in _hermitian_pattern,
@@ -144,6 +146,20 @@ def _require_layout(m: CMatrix, op: str) -> SystemLayout:
     return m.layout
 
 
+def _regroup(m: CMatrix, op: str, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """m's entries regrouped by tensor axis into a matrix of shape (prod rows, prod cols).
+
+    m is read as a tensor on 2n axes, ``dims + dims``: axis i < n is row factor
+    i and axis n + i is column factor i.  The result takes the axes ``rows`` as
+    its row index and ``cols`` as its column index, both row-major, so it is a
+    pure index permutation and exact; it is a view of m when the order keeps
+    every axis in place.  ``op`` names the caller in errors.
+    """
+    dims = _require_layout(m, op).dims * 2
+    t = m.mat.reshape(dims).transpose(list(rows) + list(cols))
+    return t.reshape(math.prod(dims[i] for i in rows), -1)
+
+
 def partial_transpose(m: CMatrix) -> CMatrix:
     """Transpose the factors of party B, leaving the rest untouched.
 
@@ -151,29 +167,20 @@ def partial_transpose(m: CMatrix) -> CMatrix:
     The transpose on A is the full transpose of this one.
     """
     layout = _require_layout(m, "partial_transpose")
-    axes = layout.axes("B")
-    if not axes:
+    b_axes = set(layout.axes("B"))
+    if not b_axes:
         raise ValidationError("layout has no factors for party 'B'")
-    dims = layout.dims
-    n = len(dims)
-    t = m.mat.reshape(dims + dims)
-    perm = list(range(2 * n))
-    for ax in axes:
-        perm[ax], perm[n + ax] = perm[n + ax], perm[ax]
-    out = t.transpose(perm).reshape(m.dim, m.dim)
-    return CMatrix(out, layout)
+    n = len(layout.factors)
+    rows = [n + i if i in b_axes else i for i in range(n)]
+    cols = [i if i in b_axes else n + i for i in range(n)]
+    return CMatrix(_regroup(m, "partial_transpose", rows, cols), layout)
 
 
 def permute_factors(m: CMatrix, order: Sequence[int]) -> CMatrix:
     """Reorder tensor factors; another pure index permutation."""
-    layout = _require_layout(m, "permute_factors")
-    new_layout = layout.permuted(order)
-    dims = layout.dims
-    n = len(dims)
-    t = m.mat.reshape(dims + dims)
-    perm = list(order) + [n + i for i in order]
-    out = np.ascontiguousarray(t.transpose(perm).reshape(m.dim, m.dim))
-    return CMatrix(out, new_layout)
+    new_layout = _require_layout(m, "permute_factors").permuted(order)
+    n = len(order)
+    return CMatrix(_regroup(m, "permute_factors", order, [n + i for i in order]), new_layout)
 
 
 def _party_axes(m: CMatrix, op: str) -> tuple[SystemLayout, list[int], list[int]]:
@@ -193,12 +200,22 @@ def collect_parties(m: CMatrix) -> CMatrix:
     is what the Bell-operator and box routines consume.
     """
     layout, axes_a, axes_b = _party_axes(m, "collect_parties")
-    order = axes_a + axes_b
-    grouped = m if order == list(range(len(layout.factors))) else permute_factors(m, order)
-    dim_a = layout.dim_of("A")
-    dim_b = layout.dim_of("B")
-    coarse = SystemLayout(((dim_a, "A"), (dim_b, "B")))
-    return CMatrix(grouped.mat, coarse)
+    coarse = SystemLayout.bipartite(layout.dim_of("A"), layout.dim_of("B"))
+    return CMatrix(permute_factors(m, axes_a + axes_b).mat, coarse)
+
+
+def _realigned(rho: CMatrix, op: str) -> tuple[np.ndarray, int, int]:
+    """rho realigned as R[(a',a),(b',b)] = rho[(a',b'),(a,b)], plus dim_A and dim_B.
+
+    Then Tr[(A x B) rho] = vec(A^T)^T R vec(B^T), with vec flattening
+    row-major, and R.T is the same form with the parties swapped.  R is one
+    regrouping of rho's own factor axes, whatever their interleaving, so the
+    only dense copy made is R itself.  ``op`` names the caller in errors.
+    """
+    layout, axes_a, axes_b = _party_axes(rho, op)
+    n = len(layout.factors)
+    r = _regroup(rho, op, axes_a + [n + i for i in axes_a], axes_b + [n + i for i in axes_b])
+    return r, layout.dim_of("A"), layout.dim_of("B")
 
 
 def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -426,16 +443,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _pair_hash(pairs: np.ndarray) -> np.ndarray:
-    """A uint64 hash of each row of (re, im) bit patterns, wrapping modulo 2^64.
-
-    im is rotated by 32 bits, so that negating both parts, which flips the
-    top bit of re * odd and of im alike, does not cancel out.
-    """
-    re, im = pairs[:, 0], pairs[:, 1]
-    return re * np.uint64(0x9E3779B97F4A7C15) ^ (im << np.uint64(32) | im >> np.uint64(32))
-
-
 def _matrix_json_text(m: CMatrix) -> str:
     """``_canonical_json(matrix_to_json(m))``, formatting each distinct entry once.
 
@@ -448,9 +455,8 @@ def _matrix_json_text(m: CMatrix) -> str:
     NaN and Infinity.
     """
     pairs = m.mat.reshape(-1).view(np.uint64).reshape(-1, 2)
-    # equal pairs have equal hashes, so sorting by hash makes them adjacent; a
-    # collision can only split a run of equal pairs, which repeats a token
-    order = np.argsort(_pair_hash(pairs), kind="stable")
+    # an exact sort of the bit patterns puts equal pairs next to each other
+    order = np.lexsort(pairs.T)
     ranked = pairs[order]
     first = np.ones(len(ranked), dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)

@@ -20,11 +20,6 @@ def _haar_unitaries(z: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-like unitary from the QR decomposition of a complex Gaussian."""
-    return _haar_unitaries(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-
-
 def _random_rank(rng: np.random.Generator, d: int) -> int:
     """Rank of a random binary projector: uniform in 1..d-1, or 1 (no draw) at d = 1."""
     return int(rng.integers(1, d)) if d > 1 else 1
@@ -32,7 +27,7 @@ def _random_rank(rng: np.random.Generator, d: int) -> int:
 
 def random_binary_projective(rng: np.random.Generator, d: int) -> list[np.ndarray]:
     """Two-outcome projective measurement with a random rank split."""
-    u = random_unitary(rng, d)
+    u = _haar_unitaries(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     rank = _random_rank(rng, d)
     p = u[:, :rank] @ u[:, :rank].conj().T
     return [p, np.eye(d) - p]

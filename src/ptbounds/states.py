@@ -146,12 +146,8 @@ def _key_shield_canonical(blocks: dict[tuple[int, int], np.ndarray],
     full = np.zeros((4 * n, 4 * n), dtype=np.complex128)
     for (r, c), blk in blocks.items():
         full[r * n:(r + 1) * n, c * n:(c + 1) * n] = blk
-    factors = ((2, "A"), (2, "B")) + shield_factors
-    m = CMatrix(full, SystemLayout(factors))
-    shield_a = [2 + i for i, (_, p) in enumerate(shield_factors) if p == "A"]
-    shield_b = [2 + i for i, (_, p) in enumerate(shield_factors) if p == "B"]
-    order = [0] + shield_a + [1] + shield_b
-    return permute_factors(m, order)
+    layout = SystemLayout(((2, "A"), (2, "B")) + shield_factors)
+    return permute_factors(CMatrix(full, layout), layout.axes("A") + layout.axes("B"))
 
 
 def private_bit(x: CMatrix) -> CMatrix:

@@ -36,4 +36,4 @@ def test_package_exports_exactly_the_public_names():
 def test_rand_holds_only_the_seesaw_start_draws():
     public = {name for name, value in vars(rand).items()
               if inspect.isfunction(value) and not name.startswith("_")}
-    assert public == {"random_unitary", "random_binary_projective", "random_seesaw_starts"}
+    assert public == {"random_binary_projective", "random_seesaw_starts"}

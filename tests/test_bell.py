@@ -37,7 +37,7 @@ from ptbounds import (
     thm1_bound,
     trace_norm,
 )
-from ptbounds.bell import _realigned
+from ptbounds.linalg import _realigned
 from ptbounds.rand import random_binary_projective, random_seesaw_starts
 
 from conftest import (

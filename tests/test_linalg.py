@@ -26,7 +26,7 @@ from ptbounds import (
     tensor,
     trace_norm,
 )
-from ptbounds.linalg import _matrix_json_text, _pair_hash
+from ptbounds.linalg import _matrix_json_text, _realigned
 
 from conftest import random_density, random_hermitian
 
@@ -297,6 +297,43 @@ def test_permute_factors_roundtrip():
     assert np.array_equal(back.mat, m.mat)
 
 
+def test_factor_reorderings_equal_per_entry_loops():
+    """Each reordering against an explicit loop over the multi-indices (i, j) of
+    the entries: unequal, interleaved factors, so a wrong axis order fails
+    here even when it is an involution or commutes with another reordering."""
+    rng = np.random.default_rng(23)
+    layout = SystemLayout(((2, "A"), (3, "B"), (2, "A"), (5, "B")))
+    dims, a_axes, b_axes, order = layout.dims, (0, 2), (1, 3), (3, 0, 2, 1)
+    arr = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
+    m = CMatrix(arr, layout)
+
+    def flat(idx, axes):
+        return int(np.ravel_multi_index([idx[k] for k in axes], [dims[k] for k in axes]))
+
+    pt, perm, grouped = (np.empty_like(arr) for _ in range(3))
+    realigned = np.empty((4 * 4, 15 * 15), dtype=np.complex128)
+    for i in np.ndindex(*dims):
+        for j in np.ndindex(*dims):
+            v = arr[flat(i, range(4)), flat(j, range(4))]
+            i_pt = [j[k] if k in b_axes else i[k] for k in range(4)]
+            j_pt = [i[k] if k in b_axes else j[k] for k in range(4)]
+            pt[flat(i_pt, range(4)), flat(j_pt, range(4))] = v
+            perm[flat(i, order), flat(j, order)] = v
+            grouped[flat(i, a_axes + b_axes), flat(j, a_axes + b_axes)] = v
+            realigned[flat(i, a_axes) * 4 + flat(j, a_axes),
+                      flat(i, b_axes) * 15 + flat(j, b_axes)] = v
+    assert np.array_equal(bits(partial_transpose(m).mat), bits(pt))
+    permuted = permute_factors(m, order)
+    assert permuted.layout.factors == ((5, "B"), (2, "A"), (2, "A"), (3, "B"))
+    assert np.array_equal(bits(permuted.mat), bits(perm))
+    coll = collect_parties(m)
+    assert coll.layout.factors == ((4, "A"), (15, "B"))
+    assert np.array_equal(bits(coll.mat), bits(grouped))
+    r, da, db = _realigned(m, "seesaw")
+    assert (da, db) == (4, 15)
+    assert np.array_equal(bits(r), bits(realigned))
+
+
 def test_tensor_concatenates_layouts(phi_plus):
     prod = tensor(phi_plus, phi_plus)
     assert prod.layout.factors == ((2, "A"), (2, "B"), (2, "A"), (2, "B"))
@@ -387,14 +424,10 @@ def _encoder_cases():
     specials[2, 2] = complex(nan_with_payload(7), -np.inf)
     specials[3, 3] = complex(-0.0, -0.0)
     interleaved = SystemLayout(((2, "A"), (3, "B"), (2, "A")))
-    # two different pairs with one hash, alternating, so the sort cannot group
-    # them: given re, the hash is a bijection of im, so solve for the second im
+    # two different pairs that a 64-bit hash of the bit patterns once mapped to
+    # one value, alternating, so a sort on that hash could not group them
     pair = np.array([[0x3FF0000000000000, 0x4000000000000000],
-                     [0x3FF0000000000001, 0]], dtype=np.uint64)
-    target = _pair_hash(pair[:1])[0]
-    rotated = target ^ _pair_hash(pair[1:])[0]  # the rotated im that hashes to target
-    pair[1, 1] = rotated << np.uint64(32) | rotated >> np.uint64(32)
-    assert _pair_hash(pair)[1] == target
+                     [0x3FF0000000000001, 0x3F4A7C15625779B9]], dtype=np.uint64)
     collision = pair[[0, 1, 1, 0, 0, 1, 0, 1, 1]].view(np.complex128)
     return {
         "no-layout": CMatrix(random_density(rng, 5)),
