@@ -467,11 +467,19 @@ def d_eps_membership(rho: CMatrix, sigma_candidate: CMatrix) -> float:
 
     Both states must carry the same layout: on another layout of equal
     dimension the difference is not that of two states on one system.
+    sigma^Gamma is subtracted in place from the buffer that holds rho^Gamma,
+    so the call holds two transposed matrices, not three.  That buffer is
+    copied first when it is rho's own memory, which is the case when no
+    factor moves, so neither state is ever written.
     """
     layout = _require_layout(rho, "d_eps_membership")
     if not isinstance(sigma_candidate, CMatrix) or sigma_candidate.layout != layout:
         raise ValidationError(f"d_eps_membership needs both states on the layout {layout.factors}")
-    return trace_norm(partial_transpose(rho).mat - partial_transpose(sigma_candidate).mat)
+    diff = partial_transpose(rho).mat
+    if np.shares_memory(diff, rho.mat):
+        diff = diff.copy()
+    diff -= partial_transpose(sigma_candidate).mat
+    return trace_norm(diff)
 
 
 def thm1_bound(f: BellFunctional, meas: MeasurementFamily, rho: CMatrix,

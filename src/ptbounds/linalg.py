@@ -164,7 +164,10 @@ def partial_transpose(m: CMatrix) -> CMatrix:
     """Transpose the factors of party B, leaving the rest untouched.
 
     Implemented as an index permutation, hence exact and an involution.
-    The transpose on A is the full transpose of this one.
+    The transpose on A is the full transpose of this one.  The result may
+    share memory with m: when no axis moves (every factor of B has dimension
+    1) it is a view of m's entries, so a caller that writes into it must copy
+    it first.
     """
     layout = _require_layout(m, "partial_transpose")
     b_axes = set(layout.axes("B"))
@@ -255,29 +258,46 @@ def _hermitian_pattern(arr: np.ndarray, what: str,
     return dev, pattern
 
 
-def _components(adj: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Isolated indices, and the other connected components of a symmetric pattern.
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Pointer jumping on a forest with parent[i] <= i: each index's root."""
+    while True:
+        up = parent[parent]
+        if (up == parent).all():
+            return parent
+        parent = up
+
+
+def _components(adj: np.ndarray) -> np.ndarray:
+    """Each index's component in a symmetric pattern, labelled by its smallest index.
 
     ``adj`` is _hermitian_pattern's pattern, and its diagonal is cleared in
-    place.  Breadth-first search with a boolean frontier: each index enters a
-    frontier once and costs one row scan, so detection is O(n^2) even on a
-    path.  Every index set comes back sorted.
+    place.  Pointing each index i that has a neighbour at the smaller of i
+    and its smallest neighbour, the first True of its row, and jumping
+    pointers gives a forest whose trees lie inside components.  Every edge
+    between two trees has an end outside the largest tree, so only those
+    rows are scanned for such edges, and each round hooks the larger root of
+    every such edge onto the smaller one until none is left.  No step loops
+    over components, and a matrix whose first neighbours already form one
+    tree costs a few row scans.
     """
-    np.fill_diagonal(adj, False)
-    linked = adj.any(axis=1)
-    unseen = linked.copy()
-    blocks = []
-    for start in np.flatnonzero(linked):
-        if not unseen[start]:
-            continue
-        member = np.zeros_like(unseen)
-        frontier = np.array([start])
-        while frontier.size:
-            member[frontier] = True
-            unseen[frontier] = False
-            frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
-        blocks.append(np.flatnonzero(member))
-    return np.flatnonzero(~linked), blocks
+    n = len(adj)
+    index = np.arange(n)
+    adj[index, index] = False
+    first = adj.argmax(axis=1)
+    linked = adj[index, first]
+    label = _roots(np.where(linked, np.minimum(index, first), index))
+    rows = np.flatnonzero(linked & (label != np.bincount(label).argmax()))
+    same = np.zeros((n, n), dtype=bool)
+    same[label, index] = True
+    edges = np.flatnonzero(adj[rows] > same[label[rows]])
+    r, c = rows[edges // n], edges % n
+    while r.size:
+        lr, lc = label[r], label[c]
+        np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
+        label = _roots(label)
+        apart = label[r] != label[c]
+        r, c = r[apart], c[apart]
+    return label
 
 
 def _block_eigh(arr: np.ndarray, pattern: np.ndarray, vectors: bool = False):
@@ -287,27 +307,32 @@ def _block_eigh(arr: np.ndarray, pattern: np.ndarray, vectors: bool = False):
     nonzero pattern from _hermitian_pattern.
 
     Returns (w, groups).  ``groups`` is None unless ``vectors`` is set; then it
-    holds one (idx, w_b, v_b) per block size, where idx[k] are the sorted
-    indices of a block, w_b[k] its eigenvalues and v_b[k] its eigenvectors as
-    columns.  Isolated indices are read off the diagonal, blocks of equal
+    holds one (idx, w_b, v_b) per block size, ascending, where idx[k] are the
+    sorted indices of a block, w_b[k] its eigenvalues and v_b[k] its
+    eigenvectors as columns; a size's blocks come in order of their smallest
+    index.  Isolated indices are read off the diagonal, blocks of equal
     size share one stacked solve, and a matrix that is one block takes the
     dense call, so its eigenvalues are bit-identical to it.
     """
-    single, blocks = _components(pattern)
-    if not single.size and len(blocks) == 1:
+    label = _components(pattern)
+    n = label.size
+    if n > 1 and not label.any():
         if not vectors:
             return np.linalg.eigvalsh(arr), None
         w, v = np.linalg.eigh(arr)
-        return w, [(blocks[0][None], w[None], v[None])]
-    groups = []
-    if single.size:
-        groups.append((single[:, None], arr[single, single].real[:, None],
-                       np.ones((single.size, 1, 1))))
-    by_size: dict[int, list[np.ndarray]] = {}
-    for block in blocks:
-        by_size.setdefault(block.size, []).append(block)
-    for size in sorted(by_size):
-        idx = np.array(by_size[size])
+        return w, [(np.arange(n)[None], w[None], v[None])]
+    count = np.bincount(label)
+    # by size, then by block, then by index: one size's blocks are rows of one array
+    order = np.lexsort((label, count[label]))
+    groups, start = [], 0
+    for size, blocks in enumerate(np.bincount(count).tolist()):
+        if not size or not blocks:
+            continue
+        idx = order[start:start + size * blocks].reshape(blocks, size)
+        start += size * blocks
+        if size == 1:
+            groups.append((idx, arr[idx, idx].real, np.ones((blocks, 1, 1))))
+            continue
         sub = arr[idx[:, :, None], idx[:, None, :]]
         w, v = np.linalg.eigh(sub) if vectors else (np.linalg.eigvalsh(sub), None)
         groups.append((idx, w, v))
@@ -435,40 +460,67 @@ def matrix_to_json(m: CMatrix) -> dict:
     return {**_json_layout(m), "data": m.mat.reshape(-1).view(np.float64).reshape(-1, 2).tolist()}
 
 
+# one encoder for every canonical dump: json.dumps with these arguments builds a
+# new JSONEncoder on each call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical_json(obj) -> str:
     """One line, sorted keys, separators "," and ":".
 
-    One dumps call without indent stays on CPython's C encoder.
+    Without indent the encoder stays on CPython's C encoder.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def _matrix_json_text(m: CMatrix) -> str:
-    """``_canonical_json(matrix_to_json(m))``, formatting each distinct entry once.
+    """``_canonical_json(matrix_to_json(m))``, formatting each distinct item once.
 
     Key/shield states hold a few hundred distinct entries among millions of
-    exact zeros.  Entries are told apart by the bit patterns of their (re, im)
-    pairs, so -0.0, subnormals and NaN payloads stay distinct.  Each distinct
-    pair is formatted once and the tokens are joined back in row-major order.
-    JSON writes a finite float as its repr, which an f-string produces faster
-    than dumps does; the non-finite reprs nan and inf are respelt as JSON's
-    NaN and Infinity.
+    exact zeros.  The text is cut into items: each entry whose (re, im) bit
+    pattern is not (+0.0, +0.0), and each run of (+0.0, +0.0) entries, so
+    -0.0, subnormals and NaN payloads stay entries of their own.  Only the
+    items are sorted, by bit pattern and run length, and each distinct item
+    is formatted once: an entry as its pair, a run as that many repeated
+    ``0.0,0.0`` tokens.  The items are joined back in row-major order, so no
+    step works per zero entry, and a matrix without zeros has one item per
+    entry.  JSON writes a finite float as its repr, which an f-string
+    produces faster than dumps does; the non-finite reprs nan and inf are
+    respelt as JSON's NaN and Infinity.
     """
     pairs = m.mat.reshape(-1).view(np.uint64).reshape(-1, 2)
-    # an exact sort of the bit patterns puts equal pairs next to each other
-    order = np.lexsort(pairs.T)
-    ranked = pairs[order]
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    slot = np.empty(len(ranked), dtype=np.intp)
-    slot[order] = np.cumsum(first) - 1
-    distinct = ranked[first].view(np.float64)
-    tokens = [f"{re!r},{im!r}" for re, im in zip(distinct[:, 0].tolist(), distinct[:, 1].tolist())]
-    if not np.isfinite(distinct).all():
+    layout = _canonical_json(_json_layout(m))[1:]
+    if not len(pairs):
+        return f'{{"data":[],{layout}'
+    # an item starts at every nonzero entry and after one; the end closes the last
+    lead = np.ones(len(pairs) + 1, dtype=bool)
+    nonzero = np.logical_or(pairs[:, 0], pairs[:, 1])
+    np.logical_or(nonzero[1:], nonzero[:-1], out=lead[1:-1])
+    at = lead.nonzero()[0]
+    span = at[1:] - at[:-1]
+    re, im = pairs[at[:-1], 0], pairs[at[:-1], 1]
+    # an exact sort of bit patterns and spans puts equal items next to each other
+    order = np.lexsort((re, im, span))
+    re, im, span = re[order], im[order], span[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.not_equal(span[1:], span[:-1], out=first[1:])
+    first[1:] |= re[1:] != re[:-1]
+    first[1:] |= im[1:] != im[:-1]
+    slot = np.empty_like(order)
+    slot[order] = first.cumsum() - 1
+    re, im, span = re[first].view(np.float64), im[first].view(np.float64), span[first]
+    tokens = [f"{a!r},{b!r}" for a, b in zip(re.tolist(), im.tolist())]
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         tokens = [t.replace("nan", "NaN").replace("inf", "Infinity") for t in tokens]
-    rows = "],[".join(np.array(tokens, dtype=object)[slot].tolist())
-    data = f"[[{rows}]]" if len(pairs) else "[]"
-    return f'{{"data":{data},{_canonical_json(_json_layout(m))[1:]}'
+    for i in (span > 1).nonzero()[0].tolist():
+        tokens[i] += "],[0.0,0.0" * int(span[i] - 1)
+    items = np.array(tokens, dtype=object)[slot].tolist()
+    # the first and last items carry the text around the entries, so one join
+    # writes the whole text
+    items[0] = '{"data":[[' + items[0]
+    items[-1] += f"]],{layout}"
+    return "],[".join(items)
 
 
 def _json_floats(values, what: str, count: int = -1) -> np.ndarray:

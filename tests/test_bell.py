@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -720,6 +721,40 @@ def test_d_eps_membership_refuses_states_on_different_layouts():
             d_eps_membership(rho, sigma)
     with pytest.raises(ValidationError, match="^d_eps_membership needs a CMatrix with a layout$"):
         d_eps_membership(CMatrix(arr), rho)
+
+
+@pytest.mark.parametrize("case", ["view-layout", "ppt-pbit-4", "same-state"])
+def test_d_eps_membership_leaves_both_states_unchanged(case):
+    if case == "ppt-pbit-4":
+        fam = ppt_pbit(4)
+        rho, sigma = fam.rho, fam.sigma_candidate
+    else:
+        # B's one factor has dimension 1, so rho^Gamma is a view of rho's entries
+        rng = np.random.default_rng(43)
+        layout = SystemLayout(((2, "A"), (1, "B")))
+        rho = CMatrix(random_density(rng, 2), layout)
+        sigma = rho if case == "same-state" else CMatrix(random_density(rng, 2), layout)
+        assert np.shares_memory(partial_transpose(rho).mat, rho.mat)
+    before = rho.mat.copy(), sigma.mat.copy()
+    eps = d_eps_membership(rho, sigma)
+    for kept, m in zip(before, (rho, sigma)):
+        assert np.array_equal(kept.view(np.uint64), m.mat.view(np.uint64))
+    assert eps == trace_norm(partial_transpose(rho).mat - partial_transpose(sigma).mat)
+
+
+def test_d_eps_membership_holds_two_transposed_matrices():
+    # rho^Gamma and sigma^Gamma; a separate difference would be a third
+    fam = ppt_pbit(9)
+    rho, sigma = fam.rho, fam.sigma_candidate
+    d_eps_membership(rho, sigma)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        d_eps_membership(rho, sigma)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rho.mat.nbytes
 
 
 def test_seesaw_chain_consistency_on_tensor_pair(chsh_functional):

@@ -3,7 +3,8 @@
 Every spectral function in linalg splits its input into the connected
 components of the exact nonzero pattern and diagonalises each one on its own.
 The oracles here are the same formulas on one plain np.linalg.eigvalsh/eigh
-of the whole matrix.
+of the whole matrix, and for the components themselves a breadth-first search
+with the by-size grouping built from its blocks.
 """
 
 import math
@@ -25,14 +26,88 @@ from ptbounds import (
     trace_norm,
 )
 from ptbounds.config import TOL
-from ptbounds.linalg import _components, _hermitian_pattern
+from ptbounds.linalg import _block_eigh, _components, _hermitian_pattern
 
 from conftest import random_density, random_hermitian
 
 
+def bfs_components(adj):
+    """Isolated indices and the other components of a symmetric pattern, each sorted.
+
+    Breadth-first search with a boolean frontier, one component at a time, in
+    order of their smallest index; ``adj`` is left as it was.
+    """
+    adj = adj.copy()
+    np.fill_diagonal(adj, False)
+    linked = adj.any(axis=1)
+    unseen = linked.copy()
+    blocks = []
+    for start in np.flatnonzero(linked):
+        if not unseen[start]:
+            continue
+        member = np.zeros_like(unseen)
+        frontier = np.array([start])
+        while frontier.size:
+            member[frontier] = True
+            unseen[frontier] = False
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
+        blocks.append(np.flatnonzero(member))
+    return np.flatnonzero(~linked), blocks
+
+
+def bfs_groups(arr, pattern, vectors):
+    """_block_eigh's groups from the breadth-first components: isolated indices
+    first, then one stacked solve per block size, ascending, each size's
+    blocks in order of their smallest index; eigenvalues only unless
+    ``vectors``."""
+    solve = np.linalg.eigh if vectors else (lambda a: (np.linalg.eigvalsh(a), None))
+    single, blocks = bfs_components(pattern)
+    if not single.size and len(blocks) == 1:
+        w, v = solve(arr)
+        return [(blocks[0][None], w[None], None if v is None else v[None])]
+    groups = []
+    if single.size:
+        groups.append((single[:, None], arr[single, single].real[:, None],
+                       np.ones((single.size, 1, 1)) if vectors else None))
+    by_size = {}
+    for block in blocks:
+        by_size.setdefault(block.size, []).append(block)
+    for size in sorted(by_size):
+        idx = np.array(by_size[size])
+        groups.append((idx, *solve(arr[idx[:, :, None], idx[:, None, :]])))
+    return groups
+
+
+def pattern_of(a):
+    return _hermitian_pattern(a, "components")[1]
+
+
 def components(a):
-    """Isolated indices and blocks of a hermitian matrix, from its checked pattern."""
-    return _components(_hermitian_pattern(a, "components")[1])
+    """Isolated indices and blocks of a hermitian matrix, from _components' labels."""
+    label = _components(pattern_of(a))
+    size = np.bincount(label)
+    single = np.flatnonzero(size[label] == 1)
+    return single, [np.flatnonzero(label == root) for root in np.flatnonzero(size > 1)]
+
+
+def assert_components_match_bfs(a):
+    """_components labels each index by its component's smallest index, and
+    _block_eigh's groups are those of the breadth-first search, bit for bit."""
+    pattern = pattern_of(a)
+    single, blocks = bfs_components(pattern)
+    expected = np.empty(len(a), dtype=np.intp)
+    expected[single] = single
+    for block in blocks:
+        expected[block] = block[0]
+    assert np.array_equal(_components(pattern.copy()), expected)
+    for vectors in (False, True):
+        w, groups = _block_eigh(a, pattern.copy(), vectors)
+        oracle = bfs_groups(a, pattern, vectors)
+        assert np.array_equal(w, np.sort(np.concatenate([g[1].reshape(-1) for g in oracle])))
+        if vectors:
+            assert len(groups) == len(oracle)
+            for got, want in zip(groups, oracle):
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def dense_spectral(a):
@@ -95,7 +170,9 @@ BLOCK_SIZES = [(1, 1, 1, 2, 2, 3, 3, 3, 5), (4, 4, 4, 4), (1, 6, 2, 6, 1, 9)]
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_permuted_block_diagonal_matches_dense(blocks, seed):
     rng = np.random.default_rng(seed)
-    assert_spectral_match(block_diagonal(rng, blocks, random_hermitian))
+    a = block_diagonal(rng, blocks, random_hermitian)
+    assert_components_match_bfs(a)
+    assert_spectral_match(a)
     rho = block_diagonal(rng, blocks, random_density) / len(blocks)
     sigma = block_diagonal(rng, blocks, random_density) / len(blocks)
     assert_sqrt_match(rho)
@@ -115,6 +192,20 @@ def test_components_are_sorted_and_cover_every_index():
     assert np.array_equal(np.sort(np.concatenate([single, *blocks])), np.arange(21))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_labels_match_breadth_first_search_on_random_patterns(seed):
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(25):
+        n = int(rng.integers(1, 48))
+        a = np.diag(rng.normal(size=n)).astype(np.complex128)
+        # sparse patterns give many small components, forests of several trees
+        # and long chains; dense ones give few components of many trees
+        upper = np.triu(rng.random((n, n)) < rng.choice([0.0, 0.02, 0.05, 0.1, 0.3, 0.8]), 1)
+        a[upper] = rng.normal(size=upper.sum()) + 1j * rng.normal(size=upper.sum())
+        a = a + np.triu(a, 1).conj().T
+        assert_components_match_bfs(a)
+
+
 def tridiagonal(rng, n, cuts=()):
     """Diagonally dominant, so PSD; the couplings at ``cuts`` are exact zeros."""
     off = (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)) / 3.0
@@ -129,6 +220,11 @@ def test_tridiagonal_paths_match_dense():
     a = tridiagonal(rng, 1024, cuts=(299, 599, 799))
     single, blocks = components(a)
     assert single.size == 0 and sorted(b.size for b in blocks) == [200, 224, 300, 300]
+    assert_components_match_bfs(a)
+    # the same paths with shuffled indices: the first-neighbour forest splits
+    # into many trees that the hooking rounds must join
+    perm = rng.permutation(1024)
+    assert_components_match_bfs(a[np.ix_(perm, perm)])
     assert_spectral_match(a)
     assert_sqrt_match(a)
 
@@ -226,6 +322,8 @@ def shipped_pair(family, k):
 def test_shipped_families_match_dense(family, k):
     rho, sigma = shipped_pair(family, k)
     rg, sg = partial_transpose(rho).mat, partial_transpose(sigma).mat
+    for a in (rho.mat, rg, sigma.mat, sg, rg - sg):
+        assert_components_match_bfs(a)
     assert_spectral_match(rg)
     assert_spectral_match(rg - sg)
     assert_spectral_match(sg)
@@ -233,3 +331,10 @@ def test_shipped_families_match_dense(family, k):
     assert_sqrt_match(sigma.mat)
     assert close(rel_entropy(rho, sigma), dense_rel_entropy(rho.mat, sigma.mat))
     assert close(rel_entropy(sigma, rho), dense_rel_entropy(sigma.mat, rho.mat))
+
+
+def test_ppt_pbit_16_components_match_breadth_first_search():
+    rho, sigma = shipped_pair("ppt-pbit", 16)
+    rg = partial_transpose(rho).mat
+    for a in (rho.mat, rg, rg - partial_transpose(sigma).mat):
+        assert_components_match_bfs(a)

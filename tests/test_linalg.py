@@ -413,8 +413,10 @@ def nan_with_payload(payload):
 
 def _encoder_cases():
     """Beside the edge_matrix cases: no layout, all entries distinct, NaN and
-    inf under several bit patterns, mostly zeros, a hash collision, and the
-    empty matrix."""
+    inf under several bit patterns, mostly zeros, a hash collision, the empty
+    matrix, and the zero runs the encoder writes without sorting: all zeros,
+    runs at the start and the end, no zero at all, -0.0 inside runs of +0.0,
+    1x1 matrices, and NaN and +-inf between runs."""
     rng = np.random.default_rng(21)
     n = 30
     dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -429,6 +431,14 @@ def _encoder_cases():
     pair = np.array([[0x3FF0000000000000, 0x4000000000000000],
                      [0x3FF0000000000001, 0x3F4A7C15625779B9]], dtype=np.uint64)
     collision = pair[[0, 1, 1, 0, 0, 1, 0, 1, 1]].view(np.complex128)
+    inner = np.zeros((5, 5), dtype=np.complex128)
+    inner[1, 3], inner[2, 0], inner[3, 1] = 0.5, 0.25j, 0.5
+    signed_zeros = np.zeros((4, 4), dtype=np.complex128)
+    signed_zeros.real[1, 1] = -0.0
+    signed_zeros.imag[2, 2] = -0.0
+    signed_zeros[3, 0] = complex(-0.0, -0.0)
+    between = np.zeros(16, dtype=np.complex128)
+    between[[3, 7, 8, 12]] = [np.nan, np.inf, complex(0.0, -np.inf), nan_with_payload(3)]
     return {
         "no-layout": CMatrix(random_density(rng, 5)),
         "dense-distinct": CMatrix(dense, SystemLayout.bipartite(5, 6)),
@@ -436,6 +446,13 @@ def _encoder_cases():
         "mostly-zero": CMatrix(np.diag(np.arange(12) % 3 - 1.0), interleaved),
         "hash-collision": CMatrix(collision.reshape(3, 3)),
         "empty": CMatrix(np.zeros((0, 0))),
+        "all-zero": CMatrix(np.zeros((6, 6)), SystemLayout.bipartite(2, 3)),
+        "runs-at-both-ends": CMatrix(inner),
+        "all-ones": CMatrix(np.ones((8, 8))),
+        "minus-zero-in-runs": CMatrix(signed_zeros),
+        "1x1-zero": CMatrix(np.zeros((1, 1))),
+        "1x1-nonzero": CMatrix(np.full((1, 1), -1.5 + 2j)),
+        "nan-inf-between-runs": CMatrix(between.reshape(4, 4)),
     }
 
 
