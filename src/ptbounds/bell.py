@@ -57,6 +57,7 @@ __all__ = [
 # thread, and longer as the other party's table grows (2.3 s at 16x200)
 _ENUM_GUARD = 2**16
 _STEP_TOL = 1e-13  # a seesaw restart stops once a sweep gains less
+_MAX_SWEEPS = 400  # or after this many sweeps
 
 
 @dataclass
@@ -70,16 +71,8 @@ class BellFunctional:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        expected = (self.nx, self.ny, self.na, self.nb)
-        if min(expected) < 1:
-            raise ValidationError(f"functional sizes must be at least 1, got {expected}")
-        if self.coeffs.shape != expected:
-            raise ValidationError(
-                f"coefficient table has shape {self.coeffs.shape}, expected {expected}"
-            )
-        if not np.isfinite(self.coeffs).all():
-            raise ValidationError("functional coefficients must be finite")
+        self.coeffs = _table(self.coeffs, (self.nx, self.ny, self.na, self.nb),
+                             "functional", "coefficient")
         # sum |s| bounds every box value and every s_0 - s_1 the seesaw forms
         with np.errstate(over="ignore"):
             total = float(np.abs(self.coeffs).sum())
@@ -88,7 +81,7 @@ class BellFunctional:
 
     def to_json(self) -> dict:
         return {"nx": self.nx, "ny": self.ny, "na": self.na, "nb": self.nb,
-                "coeffs": [float(c) for c in self.coeffs.reshape(-1)]}
+                "coeffs": self.coeffs.reshape(-1).tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "BellFunctional":
@@ -101,19 +94,36 @@ def _json_table(obj: dict, key: str, what: str, noun: str) -> np.ndarray:
     """The [x, y, a, b] table stored flat (or nested) under ``key`` of a functional or box.
 
     The sizes nx, ny, na and nb must be JSON integers >= 1 and the table must
-    hold their product of numbers; ``what`` names the object in the error
-    messages and ``noun`` its entries.
+    hold their product of numbers, booleans excluded; ``what`` names the
+    object in the error messages and ``noun`` its entries.
     """
     try:
         sizes = tuple(_json_size(obj[k], k) for k in ("nx", "ny", "na", "nb"))
         entries = np.asarray(obj[key], dtype=object).reshape(-1)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad {what} JSON: {exc}") from exc
+    if bool in set(map(type, entries)):
+        raise ValidationError(f"{what} JSON {noun} must be numbers, not booleans")
     flat = _json_floats(entries, f"{what} JSON {noun} must be numbers")
     expected = math.prod(sizes)
     if flat.size != expected:
         raise ValidationError(f"{what} JSON has {flat.size} {noun}, expected {expected}")
     return flat.reshape(sizes)
+
+
+def _table(values, sizes: tuple[int, int, int, int], what: str, noun: str) -> np.ndarray:
+    """``values`` as a finite float64 [x, y, a, b] table of ``sizes``, each at least 1.
+
+    ``what`` names the object in the error messages and ``noun`` its table.
+    """
+    table = np.asarray(values, dtype=np.float64)
+    if min(sizes) < 1:
+        raise ValidationError(f"{what} sizes must be at least 1, got {sizes}")
+    if table.shape != sizes:
+        raise ValidationError(f"{noun} table has shape {table.shape}, expected {sizes}")
+    if not np.isfinite(table).all():
+        raise ValidationError(f"{noun} table has non-finite entries")
+    return table
 
 
 def chsh() -> BellFunctional:
@@ -221,14 +231,7 @@ class Box:
     p: np.ndarray
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=np.float64)
-        expected = (self.nx, self.ny, self.na, self.nb)
-        if min(expected) < 1:
-            raise ValidationError(f"box sizes must be at least 1, got {expected}")
-        if self.p.shape != expected:
-            raise ValidationError(f"box table has shape {self.p.shape}, expected {expected}")
-        if not np.isfinite(self.p).all():
-            raise ValidationError("box has non-finite entries")
+        self.p = _table(self.p, (self.nx, self.ny, self.na, self.nb), "box", "box")
         if float(self.p.min()) < -TOL.assertion:
             raise ValidationError(f"box has negative probability {self.p.min():.3e}")
         with np.errstate(over="ignore"):  # entries near the float limit sum to inf, refused below
@@ -239,7 +242,7 @@ class Box:
 
     def to_json(self) -> dict:
         return {"nx": self.nx, "ny": self.ny, "na": self.na, "nb": self.nb,
-                "p": [float(v) for v in self.p.reshape(-1)]}
+                "p": self.p.reshape(-1).tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "Box":
@@ -326,8 +329,7 @@ def _best_response(r: np.ndarray, coeffs: np.ndarray,
     return proj, values
 
 
-def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
-           max_iters: int = 400) -> SeesawResult:
+def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -> SeesawResult:
     """Alternating optimization of binary projective measurements.
 
     Each half-step fixes one party and replaces the other party's POVM for
@@ -353,7 +355,7 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
     stacked eigh.  A restart's value comes from the eigenvalues already
     computed: sum_x Tr K_(1|x) plus the positive eigenvalues of
     K_(0|x) - K_(1|x).  Each restart stops on its own, once a sweep gains
-    less than _STEP_TOL, or after ``max_iters`` sweeps.
+    less than _STEP_TOL, or after _MAX_SWEEPS sweeps.
 
     Parameters
     ----------
@@ -361,7 +363,7 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
         Bipartite state (any factor interleaving; it is regrouped).
     f : BellFunctional
         Must have binary outcomes on both sides.
-    restarts, seed, max_iters
+    restarts, seed
         Optimization knobs; defaults reproduce the shipped experiments.
 
     Returns
@@ -375,8 +377,6 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
         raise ValidationError("seesaw handles binary outcomes only")
     if restarts < 1:
         raise ValidationError("seesaw needs at least one restart")
-    if max_iters < 1:
-        raise ValidationError("seesaw needs at least one iteration")
     _, bob_outputs = _optimal_deterministic(f)
     r, da, db = _realigned(rho, "seesaw")
     bob = np.concatenate([
@@ -393,14 +393,14 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0,
     alice_out = np.empty((n, f.nx, da, da), dtype=np.complex128)
     bob_out = np.empty_like(bob)
     trail = []  # per sweep, both half-step values of every restart, NaN once it stopped
-    for sweep in range(1, max_iters + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         alice, val_a = _best_response(r.T, f.coeffs, bob)
         bob, val_b = _best_response(r, coeffs_bob, alice)
         step = np.full((2, n), np.nan)
         step[:, active] = val_a, val_b
         trail.append(step)
         done = val_b - prev < _STEP_TOL
-        stop = done | (sweep == max_iters)
+        stop = done | (sweep == _MAX_SWEEPS)
         ids = active[stop]
         finals[ids], iterations[ids], converged[ids] = val_b[stop], sweep, done[stop]
         alice_out[ids], bob_out[ids] = alice[stop], bob[stop]

@@ -17,7 +17,7 @@ eigenvectors supported on single blocks; so nothing is dropped or
 approximated.  Each block keeps its indices in ascending order, so its lower
 triangle, the one eigvalsh and eigh read, is the full matrix's.  Key/shield
 states are almost all exact zeros and split into many small blocks; a matrix
-that is one component takes the dense call unchanged.
+that is one component is a stack of one block, bit-identical to the dense call.
 """
 
 from __future__ import annotations
@@ -310,17 +310,11 @@ def _block_eigh(arr: np.ndarray, pattern: np.ndarray, vectors: bool = False):
     holds one (idx, w_b, v_b) per block size, ascending, where idx[k] are the
     sorted indices of a block, w_b[k] its eigenvalues and v_b[k] its
     eigenvectors as columns; a size's blocks come in order of their smallest
-    index.  Isolated indices are read off the diagonal, blocks of equal
-    size share one stacked solve, and a matrix that is one block takes the
-    dense call, so its eigenvalues are bit-identical to it.
+    index.  Isolated indices are read off the diagonal and blocks of equal
+    size share one stacked solve; a matrix that is one block is a stack of
+    one, bit-identical to the dense call.
     """
     label = _components(pattern)
-    n = label.size
-    if n > 1 and not label.any():
-        if not vectors:
-            return np.linalg.eigvalsh(arr), None
-        w, v = np.linalg.eigh(arr)
-        return w, [(np.arange(n)[None], w[None], v[None])]
     count = np.bincount(label)
     # by size, then by block, then by index: one size's blocks are rows of one array
     order = np.lexsort((label, count[label]))
@@ -524,10 +518,11 @@ def _matrix_json_text(m: CMatrix) -> str:
 
 
 def _json_floats(values, what: str, count: int = -1) -> np.ndarray:
-    """The JSON numbers in ``values`` as float64; any other value is a ValidationError.
+    """The JSON numbers in ``values`` as float64; any other value but a boolean raises.
 
     Unary plus takes numbers only, so "1.5" or None raise here instead of
     being converted by numpy, and an integer too large for a float overflows.
+    It takes true and false as 1 and 0, so callers refuse booleans themselves.
     ``what`` starts the message.
     """
     try:

@@ -45,7 +45,6 @@ __all__ = [
     "LocalPolytope",
     "NlResult",
     "ChainCheck",
-    "kl",
     "nonlocality_N",
     "er_upper",
     "continuity_bound",
@@ -64,29 +63,6 @@ _OUTER_STEPS = 2_000  # step cap of the multiplicative-weights loop of mode="opt
 # Cholesky pivot of their unit-diagonal Gram matrix is above this, by lstsq
 # otherwise (see _face_direction).
 _CHOLESKY_PIVOT_MIN = 1e-4
-
-
-def kl(p, q) -> float:
-    """Relative entropy sum p log2(p/q) between probability vectors.
-
-    Zero p entries contribute nothing; p > 0 over a zero q entry gives
-    ``math.inf``.  Entries must be finite and nonnegative and sum to one
-    within 1e-9; empty vectors are refused.
-    """
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if p.shape != q.shape:
-        raise ValidationError("kl needs equal-length distributions")
-    if p.size == 0:
-        raise ValidationError("kl needs nonempty distributions")
-    for name, vec in (("p", p), ("q", q)):
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError(f"kl: {name} has a non-finite entry")
-        if float(vec.min()) < -TOL.structural:
-            raise ValidationError(f"kl: {name} has negative entry {vec.min():.3e}")
-        if abs(float(vec.sum()) - 1.0) > TOL.assertion:
-            raise ValidationError(f"kl: {name} sums to {vec.sum()}, expected 1")
-    return float(_pair_kl(np.clip(p, 0.0, None)[None], np.clip(q, 0.0, None)[None])[0])
 
 
 def _pair_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -22,13 +22,27 @@ PUBLIC_NAMES = {
     "functional_value", "seesaw", "seesaw_bound", "thm1_bound",
     # nonlocality
     "ChainCheck", "LocalPolytope", "NlResult", "continuity_bound", "er_upper", "filter_apply",
-    "kl", "nonlocality_N", "thm2_chain_check",
+    "nonlocality_N", "thm2_chain_check",
     "__version__",
+}
+
+# every public callable's parameters that have a default, in signature order
+PUBLIC_KNOBS = {
+    "seesaw": ("restarts", "seed"),
+    "nonlocality_N": ("mode", "gap_tol", "restarts"),
+    "hiding_state": ("m", "d_shield", "k", "q"),
+    "thm2_chain_check": ("mode",),
+    "werner_state": ("kind",),
+    "CMatrix": ("layout", "hermitian"),
+    "BoundReport": ("tol",),
+    "StateFamilyResult": ("params", "notes"),
+    "Tolerances": ("assertion", "structural", "psd", "eig_floor", "support", "verdict",
+                   "fw_gap"),
 }
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(ptbounds.__all__) == len(PUBLIC_NAMES) == 54
+    assert len(ptbounds.__all__) == len(PUBLIC_NAMES) == 53
     assert set(ptbounds.__all__) == PUBLIC_NAMES
     assert all(hasattr(ptbounds, name) for name in PUBLIC_NAMES)
 
@@ -37,3 +51,17 @@ def test_rand_holds_only_the_seesaw_start_draws():
     public = {name for name, value in vars(rand).items()
               if inspect.isfunction(value) and not name.startswith("_")}
     assert public == {"random_binary_projective", "random_seesaw_starts"}
+
+
+def test_public_callables_have_exactly_the_pinned_knobs():
+    knobs = {}
+    for name in ptbounds.__all__:
+        obj = getattr(ptbounds, name)
+        # exception classes are builtin-derived and have no signature to read
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        defaulted = tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+        if defaulted:
+            knobs[name] = defaulted
+    assert knobs == PUBLIC_KNOBS

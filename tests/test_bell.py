@@ -38,6 +38,7 @@ from ptbounds import (
     thm1_bound,
     trace_norm,
 )
+import ptbounds.bell as bell_module
 from ptbounds.linalg import _realigned
 from ptbounds.rand import random_binary_projective, random_seesaw_starts
 
@@ -535,10 +536,12 @@ def sequential_seesaw(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
     return runs
 
 
-def assert_matches_sequential(rho, f, restarts, seed=0, **knobs):
-    """Lockstep and sequential restarts agree; returns the reference runs."""
-    res = seesaw(rho, f, restarts=restarts, seed=seed, **knobs)
-    runs = sequential_seesaw(rho, f, restarts, seed, **knobs)
+def assert_matches_sequential(rho, f, restarts, seed=0, max_iters=400):
+    """Lockstep and sequential restarts agree, the reference capped at
+    ``max_iters`` sweeps as the library is at _MAX_SWEEPS; returns the
+    reference runs."""
+    res = seesaw(rho, f, restarts=restarts, seed=seed)
+    runs = sequential_seesaw(rho, f, restarts, seed, max_iters=max_iters)
     assert len(res.restart_values) == len(runs) == restarts + 1
     assert np.abs(np.array(res.restart_values) - [run[0] for run in runs]).max() <= 1e-12
     # the best restart's audit trail, taken at the index the library chose: a
@@ -556,7 +559,9 @@ def test_seesaw_matches_sequential_reference_on_shipped_states(name, chsh_functi
 
 
 @pytest.mark.parametrize("restarts, max_iters", [(6, 400), (1, 400), (6, 1), (1, 1)])
-def test_seesaw_matches_sequential_reference_on_asymmetric_functional(restarts, max_iters):
+def test_seesaw_matches_sequential_reference_on_asymmetric_functional(monkeypatch, restarts,
+                                                                      max_iters):
+    monkeypatch.setattr(bell_module, "_MAX_SWEEPS", max_iters)
     runs = assert_matches_sequential(random_2x3_state(), asymmetric_functional(),
                                      restarts=restarts, max_iters=max_iters)
     if max_iters == 1:
@@ -577,9 +582,7 @@ def test_seesaw_deterministic_restart_reaches_the_classical_value(chsh_functiona
     assert res.value >= classical_value(chsh_functional) - 1e-9
 
 
-def test_seesaw_rejects_fewer_than_one_iteration(phi_plus, chsh_functional):
-    with pytest.raises(ValidationError):
-        seesaw(phi_plus, chsh_functional, max_iters=0)
+def test_seesaw_rejects_fewer_than_one_restart(phi_plus, chsh_functional):
     with pytest.raises(ValidationError, match="^seesaw needs at least one restart$"):
         seesaw(phi_plus, chsh_functional, restarts=0)
 

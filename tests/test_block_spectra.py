@@ -8,6 +8,7 @@ with the by-size grouping built from its blocks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,31 @@ def test_dense_input_is_bit_identical_to_the_dense_call():
         assert fast(rho - sigma) == expected, fast.__name__
     assert np.array_equal(psd_sqrt(rho), dense_psd_sqrt(rho))
     assert rel_entropy(rho, sigma) == dense_rel_entropy(rho, sigma)
+
+
+def traced_peak(fn, a):
+    """Peak traced allocation of fn(a), after one untraced warm-up call."""
+    fn(a)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(a)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_input_holds_no_extra_copy():
+    # measured: 3.13 and 5.01 matrices for the public calls, the first set by
+    # the hermitian check's gathers; 1.13 and 2.01 for the one-block solve
+    # itself, the gathered block and then its eigenvectors.  One more copy of
+    # the matrix does not fit any bound.
+    a = random_density(np.random.default_rng(8), 256)
+    assert traced_peak(min_eigenvalue, a) <= 3.3 * a.nbytes
+    assert traced_peak(psd_sqrt, a) <= 5.2 * a.nbytes
+    pattern = pattern_of(a)
+    assert traced_peak(lambda m: _block_eigh(m, pattern), a) <= 1.25 * a.nbytes
+    assert traced_peak(lambda m: _block_eigh(m, pattern, vectors=True), a) <= 2.1 * a.nbytes
 
 
 @pytest.mark.parametrize("a", [

@@ -280,6 +280,22 @@ def test_seesaw_rejects_functional_whose_sum_overflows(tmp_path):
     assert errors == ["error: functional coefficients must have a finite absolute sum"]
 
 
+# unary plus reads true as 1 and false as 0: a box of booleans would pass as a
+# deterministic box, and a functional of them as sixteen ones
+def test_nonlocality_refuses_boolean_box_entries(tmp_path):
+    box = {"nx": 1, "ny": 1, "na": 2, "nb": 2, "p": [True, False, False, False]}
+    code, errors = _main_on_files(tmp_path, "nonlocality", [box])
+    assert code == 2
+    assert errors == ["error: box JSON entries must be numbers, not booleans"]
+
+
+def test_seesaw_refuses_boolean_functional_coefficients(tmp_path):
+    functional = {"nx": 2, "ny": 2, "na": 2, "nb": 2, "coeffs": [True] * 16}
+    code, errors = _main_on_files(tmp_path, "seesaw", [_PHI_PAYLOAD, functional])
+    assert code == 2
+    assert errors == ["error: functional JSON coefficients must be numbers, not booleans"]
+
+
 def _matrix_payload(entries):
     return {"dims": [2, 2], "parties": ["A", "B"], "data": [[re, im] for re, im in entries]}
 
