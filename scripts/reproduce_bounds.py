@@ -29,6 +29,9 @@ def run(argv=None) -> int:
     parser.parse_args(argv)  # a misspelt flag exits 2 here, with this script's usage
     args, repro_flags = outdir_parser.parse_known_args(argv)
 
+    if not args.outdir:  # pathlib reads "" as the current directory
+        print("error: cannot create --outdir : empty path", file=sys.stderr)
+        return 2
     outdir = pathlib.Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -9,9 +9,7 @@ command's name when it runs.  ``make-state`` families come from one table,
 ``_FAMILIES``, whose keys are the command's choices.  Each repro target
 states its closed-form excess over the classical value once, next to its
 state family, and builds its rows with ``_seesaw_row`` (the library's
-``seesaw_bound`` on CHSH) and ``_ppt_row``.  ``repro eq13`` emits one row,
-``eq13 monotone``: the largest decrease of the continuity bound along its
-eps and d grid, which must be 0.
+``seesaw_bound`` on CHSH) and ``_ppt_row``.
 
 Commands return (payload, CSV lines or None, exit code) and write nothing;
 ``main`` alone writes the CSV (under ``--out csv``) or JSON to ``--output``
@@ -65,21 +63,21 @@ from .states import (
     swap_x,
     werner_state,
 )
-from .nonlocality import continuity_bound, nonlocality_N
+from .nonlocality import nonlocality_N
 
 __all__ = ["main"]
 
 CHSH_Q = 2.0 * math.sqrt(2.0)
 
 
-def _parse_list(text: str, kind, noun: str) -> list:
-    """Nonempty comma-separated list; empty parts are skipped."""
+def _parse_list(text: str) -> list[int]:
+    """Nonempty comma-separated list of integers; empty parts are skipped."""
     try:
-        values = [kind(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         values = []
     if not values:
-        raise ValidationError(f"expected comma-separated {noun}, got {text!r}")
+        raise ValidationError(f"expected comma-separated integers, got {text!r}")
     return values
 
 
@@ -122,7 +120,7 @@ def _repro_eq10(args: argparse.Namespace) -> list[BoundReport]:
 
 def _repro_prop1(args: argparse.Namespace) -> list[BoundReport]:
     m = args.m
-    fam = hiding_state(m=m, d_shield=2, k=1, q=args.q)
+    fam = hiding_state(m=m, d_shield=2, q=args.q)
     doubled = tensor(fam.rho, partial_transpose(fam.rho))
     return [
         _seesaw_row(args, f"prop1 m={m}", doubled, CHSH_Q / 2.0 ** (m - 1)),
@@ -131,32 +129,17 @@ def _repro_prop1(args: argparse.Namespace) -> list[BoundReport]:
     ]
 
 
-def _repro_eq13(args: argparse.Namespace) -> list[BoundReport]:
-    # continuity_bound is a closed form, so the claim about it that can fail
-    # is its shape: it may not decrease in eps or in d along the grid
-    grid = {(eps, d): continuity_bound(eps, d) for eps in args.eps for d in args.d}
-    eps_sorted = sorted(set(args.eps))
-    d_sorted = sorted(set(args.d))
-    drops = [grid[lo, d] - grid[hi, d]
-             for d in d_sorted for lo, hi in zip(eps_sorted, eps_sorted[1:])]
-    drops += [grid[eps, lo] - grid[eps, hi]
-              for eps in eps_sorted for lo, hi in zip(d_sorted, d_sorted[1:])]
-    return [BoundReport("eq13 monotone", max([0.0, *drops]), 0.0, tol=args.tol)]
-
-
 _REPRO_TARGETS = {
     "eq8": _repro_eq8,
     "eq10": _repro_eq10,
     "prop1": _repro_prop1,
-    "eq13": _repro_eq13,
 }
 
 
 def cmd_repro(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     # every grid is parsed, whether the target reads it or not
-    args.d = _parse_list(args.d, int, "integers")
-    args.ds = _parse_list(args.ds, int, "integers")
-    args.eps = _parse_list(args.eps, float, "numbers")
+    args.d = _parse_list(args.d)
+    args.ds = _parse_list(args.ds)
     reports = _REPRO_TARGETS[args.target](args)
     payload = {"command": args.command, "target": args.target, "seed": args.seed,
                "restarts": args.restarts, "reports": [r.to_json() for r in reports]}
@@ -224,7 +207,7 @@ _FAMILIES = {
     "fourier-xy": lambda d, ds, m, q: dict(zip("XY", fourier_xy(ds)), params={"d_s": ds}),
     "private-bit": lambda d, ds, m, q: {"rho": private_bit(swap_x(d)), "params": {"d": d}},
     "ppt-pbit": lambda d, ds, m, q: vars(ppt_pbit(ds)),
-    "hiding": lambda d, ds, m, q: vars(hiding_state(m=m, d_shield=d, k=1, q=q)),
+    "hiding": lambda d, ds, m, q: vars(hiding_state(m=m, d_shield=d, q=q)),
 }
 
 
@@ -263,8 +246,6 @@ def _add_repro_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=float, default=1.0 / 3.0,
                         help="corner weight in (0, 1/2), default 1/3: the state "
                         "is PPT only for q <= 1/3, and delta <= 2^-m for every m only for q >= 1/3")
-    parser.add_argument("--eps", default="0,0.1,0.25,0.4",
-                        help="comma-separated epsilon grid (default 0,0.1,0.25,0.4)")
     parser.add_argument("--tol", type=float, default=TOL.verdict,
                         help="verdict tolerance, positive and finite (default 1e-9)")
     _add_report_flags(parser, seesaw=True)
@@ -308,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_output(path: str) -> None:
     """Refuse an --output path that cannot be written, before the command runs."""
+    if not path:
+        raise ValidationError("--output needs a path, got ''")
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise ValidationError(f"--output {path} is a directory")
@@ -336,7 +319,7 @@ def main(argv=None) -> int:
     # runs although the parser is built once
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        if args.output:
+        if args.output is not None:
             _check_output(args.output)
         # only the commands that read --restarts, --seed and --tol have them
         if "restarts" in args and args.restarts < 1:

@@ -542,11 +542,14 @@ def matrix_from_json(obj: dict) -> CMatrix:
     """Inverse of matrix_to_json, validating shape and finiteness."""
     try:
         dims = [_json_size(d, "matrix JSON dims entry") for d in obj["dims"]]
-        parties = [str(p) for p in obj["parties"]]
+        parties = obj["parties"]
         data = obj["data"]
         n_entries = len(data)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"matrix JSON is missing a field: {exc}") from exc
+    # "AB" or {"A": .., "B": ..} would iterate as two labels
+    if type(parties) is not list or not all(type(p) is str for p in parties):
+        raise ValidationError(f"matrix JSON parties must be a list of strings, got {parties!r}")
     if len(dims) != len(parties):
         raise ValidationError("dims and parties must have equal length")
     dim = math.prod(dims)

@@ -47,7 +47,6 @@ __all__ = [
     "ChainCheck",
     "nonlocality_N",
     "er_upper",
-    "continuity_bound",
     "thm2_chain_check",
     "filter_apply",
 ]
@@ -397,25 +396,6 @@ def er_upper(rho: CMatrix, sigma_candidate: CMatrix) -> float:
         warnings.warn("candidate does not support the state; the upper bound "
                       "is infinite", RuntimeWarning, stacklevel=2)
     return value
-
-
-def _binary_entropy(eps: float) -> float:
-    if eps in (0.0, 1.0):
-        return 0.0
-    return float(-eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps))
-
-
-def continuity_bound(eps: float, d: int) -> float:
-    """4 eps log2(d) + 2 h(eps) for eps in [0, 1/2), d >= 2.
-
-    Controls how much a relative-entropy-type quantity can grow when the
-    state moves at most eps in transposed trace distance.
-    """
-    if not 0.0 <= eps < 0.5:
-        raise ValidationError(f"continuity_bound needs 0 <= eps < 1/2, got {eps}")
-    if d < 2:
-        raise ValidationError(f"continuity_bound needs d >= 2, got {d}")
-    return 4.0 * eps * math.log2(d) + 2.0 * _binary_entropy(eps)
 
 
 @dataclass

@@ -222,12 +222,12 @@ def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
     return reduce(np.kron, [m] * n)
 
 
-def hiding_state(m: int = 1, d_shield: int = 2, k: int = 1,
-                 q: float = 1.0 / 3.0) -> StateFamilyResult:
+def hiding_state(m: int = 1, d_shield: int = 2, q: float = 1.0 / 3.0) -> StateFamilyResult:
     """PPT key-correlated state built from Werner-pair shields.
 
     The four key sectors carry m-fold tensor powers of mixtures of
-    tau_1 = ((werner_anti + werner_sym)/2)^(k) and tau_2 = werner_sym^(k):
+    tau_1 = (werner_anti + werner_sym)/2 and tau_2 = werner_sym, one Werner
+    pair per repetition:
 
         corners   [q (tau_1 - tau_2)/2]^m
         00/11     [q (tau_1 + tau_2)/2]^m
@@ -246,22 +246,17 @@ def hiding_state(m: int = 1, d_shield: int = 2, k: int = 1,
         Number of shield repetitions (>= 1).
     d_shield : int
         Local dimension of each Werner pair (>= 2).
-    k : int
-        Werner pairs per repetition (>= 1).
     q : float
         Corner weight, strictly between 0 and 1/2; values other than 1/3
         are accepted so that the PPT and delta checks on them can fail.
     """
-    if m < 1 or k < 1 or d_shield < 2:
-        raise ValidationError("hiding_state needs m >= 1, k >= 1, d_shield >= 2")
+    if m < 1 or d_shield < 2:
+        raise ValidationError("hiding_state needs m >= 1, d_shield >= 2")
     if not (0.0 < q < 0.5):
         raise ValidationError(f"hiding_state needs 0 < q < 1/2, got {q}")
-    total = 4 * d_shield ** (2 * k * m)
-    check_dim(total, "hiding_state")
-    r_sym = werner_state(d_shield, "symmetric").mat
-    r_anti = werner_state(d_shield, "antisymmetric").mat
-    tau1 = _tensor_power((r_anti + r_sym) / 2.0, k)
-    tau2 = _tensor_power(r_sym, k)
+    check_dim(4 * d_shield ** (2 * m), "hiding_state")
+    tau2 = werner_state(d_shield, "symmetric").mat
+    tau1 = (werner_state(d_shield, "antisymmetric").mat + tau2) / 2.0
     corner = _tensor_power(q * (tau1 - tau2) / 2.0, m)
     outer = _tensor_power(q * (tau1 + tau2) / 2.0, m)
     middle = _tensor_power((0.5 - q) * tau2, m)
@@ -274,13 +269,10 @@ def hiding_state(m: int = 1, d_shield: int = 2, k: int = 1,
         (1, 1): middle / norm,
         (2, 2): middle / norm,
     }
-    shield_factors = tuple(
-        (d_shield, p) for _ in range(k * m) for p in ("A", "B")
-    )
+    shield_factors = ((d_shield, "A"), (d_shield, "B")) * m
     params = {
         "m": m,
         "d_shield": d_shield,
-        "k": k,
         "q": q,
         "delta": (0.5 - q) ** m / norm,
         "normalization": norm,

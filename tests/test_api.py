@@ -21,7 +21,7 @@ PUBLIC_NAMES = {
     "bell_operator", "box_from", "chsh", "classical_value", "d_eps_membership",
     "functional_value", "seesaw", "seesaw_bound", "thm1_bound",
     # nonlocality
-    "ChainCheck", "LocalPolytope", "NlResult", "continuity_bound", "er_upper", "filter_apply",
+    "ChainCheck", "LocalPolytope", "NlResult", "er_upper", "filter_apply",
     "nonlocality_N", "thm2_chain_check",
     "__version__",
 }
@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
 PUBLIC_KNOBS = {
     "seesaw": ("restarts", "seed"),
     "nonlocality_N": ("mode", "gap_tol", "restarts"),
-    "hiding_state": ("m", "d_shield", "k", "q"),
+    "hiding_state": ("m", "d_shield", "q"),
     "thm2_chain_check": ("mode",),
     "werner_state": ("kind",),
     "CMatrix": ("layout", "hermitian"),
@@ -42,7 +42,7 @@ PUBLIC_KNOBS = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(ptbounds.__all__) == len(PUBLIC_NAMES) == 53
+    assert len(ptbounds.__all__) == len(PUBLIC_NAMES) == 52
     assert set(ptbounds.__all__) == PUBLIC_NAMES
     assert all(hasattr(ptbounds, name) for name in PUBLIC_NAMES)
 

@@ -333,7 +333,7 @@ def shipped_pair(family, k):
     if family == "ppt-pbit":
         fam = ppt_pbit(k)
     elif family == "hiding":
-        fam = hiding_state(m=k, d_shield=2, k=1, q=1.0 / 3.0)
+        fam = hiding_state(m=k, d_shield=2, q=1.0 / 3.0)
     else:
         rho = private_bit(swap_x(k))
         return rho, key_dephased(rho)

@@ -37,17 +37,6 @@ def run_main(capsys, *argv):
     return code, captured.out
 
 
-def test_repro_eq13_passes_and_reports(capsys):
-    code, out = run_main(capsys, "repro", "eq13")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["command"] == "repro"
-    assert payload["target"] == "eq13"
-    assert all(rep["verdict"] for rep in payload["reports"])
-    contexts = [rep["context"] for rep in payload["reports"]]
-    assert "eq13 monotone" in contexts
-
-
 def test_repro_eq10_csv_row_values(capsys):
     code, out = run_main(capsys, "repro", "eq10", "--ds", "4", "--restarts", "8",
                          "--out", "csv")
@@ -379,6 +368,15 @@ def test_seesaw_rejects_bad_matrix_dims(capsys, tmp_path, dims):
     assert len(errors) == 1 and errors[0].startswith("error: matrix JSON dims entry")
 
 
+@pytest.mark.parametrize("parties", ["AB", ["A", 7], ["A", True], {"A": 0, "B": 0}],
+                         ids=["string", "integer", "boolean", "object"])
+def test_seesaw_rejects_party_labels_that_are_not_strings(tmp_path, parties):
+    # a string or an object would iterate as a list of labels
+    code, errors = _main_on_files(tmp_path, "seesaw", [{**_PHI_PAYLOAD, "parties": parties}])
+    assert code == 2
+    assert errors == [f"error: matrix JSON parties must be a list of strings, got {parties!r}"]
+
+
 # Fuzzed input files start valid, from a tiny scenario or state, and get up to
 # two edits: a field or one list element replaced by an arbitrary JSON value,
 # a list shortened, a field dropped, or the whole file replaced.
@@ -472,14 +470,15 @@ def test_make_state_hiding_reloads_bit_for_bit(capsys, tmp_path):
     code, _ = run_main(capsys, "make-state", "hiding", "--m", "2", "--output", str(state_file))
     assert code == 0
     payload = json.loads(state_file.read_text())
-    fam = hiding_state(m=2, d_shield=2, k=1, q=1.0 / 3.0)
+    fam = hiding_state(m=2, d_shield=2, q=1.0 / 3.0)
     for key, expected in (("rho", fam.rho), ("sigma_candidate", fam.sigma_candidate)):
         loaded = matrix_from_json(payload[key])
         assert loaded.layout == expected.layout
         assert np.array_equal(loaded.mat.view(np.uint64), expected.mat.view(np.uint64))
 
 
-@pytest.mark.parametrize("argv", [("repro", "eq13"), ("make-state", "hiding", "--m", "1")])
+@pytest.mark.parametrize("argv", [("repro", "eq8", "--d", "2", "--restarts", "1"),
+                                  ("make-state", "hiding", "--m", "1")])
 def test_json_output_is_one_line(capsys, argv):
     code, out = run_main(capsys, *argv)
     assert code == 0
@@ -495,17 +494,16 @@ def test_repro_prop1_outside_ppt_range_fails_the_ppt_row(capsys):
 
 
 def test_negative_tolerance_exits_two(capsys):
-    code, _ = run_main(capsys, "repro", "eq13", "--tol", "-1.0")
+    code, _ = run_main(capsys, "repro", "eq8", "--d", "2", "--restarts", "1", "--tol", "-1.0")
     assert code == 2
 
 
 def test_repro_output_files_are_deterministic(capsys, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    assert run_main(capsys, "repro", "eq13", "--seed", "7",
-                    "--output", str(first))[0] == 0
-    assert run_main(capsys, "repro", "eq13", "--seed", "7",
-                    "--output", str(second))[0] == 0
+    argv = ("repro", "eq8", "--d", "2", "--restarts", "1", "--seed", "7")
+    assert run_main(capsys, *argv, "--output", str(first))[0] == 0
+    assert run_main(capsys, *argv, "--output", str(second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -559,8 +557,8 @@ _CALL_SEQUENCE = [
     ("repro", "eq8", "--restarts", "2"),
     ("repro", "eq10", "--restarts", "2", "--out", "csv"),
     ("make-state", "hiding"),
-    ("repro", "eq13", "--eps", "0,0.2"),
-    ("repro", "eq13"),
+    ("repro", "eq8", "--d", "2", "--restarts", "1", "--tol", "0.5"),
+    ("repro", "eq8", "--d", "2", "--restarts", "1"),
 ]
 
 
@@ -593,7 +591,7 @@ def test_a_parse_error_leaves_the_next_call_unaffected(capsysbinary, bad):
 
 def test_module_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "ptbounds.cli", "repro", "eq13", "--eps", "0.0,0.1"],
+        [sys.executable, "-m", "ptbounds.cli", "repro", "eq8", "--d", "2", "--restarts", "1"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
@@ -610,7 +608,7 @@ _FAMILY_PAYLOADS = {
     "fourier-xy": ({"X", "Y"}, {"d_s": 4}),
     "private-bit": ({"rho"}, {"d": 2}),
     "ppt-pbit": ({"rho", "sigma_candidate"}, ppt_pbit(4).params),
-    "hiding": ({"rho", "sigma_candidate"}, hiding_state(m=1, d_shield=2, k=1, q=1.0 / 3.0).params),
+    "hiding": ({"rho", "sigma_candidate"}, hiding_state(m=1, d_shield=2, q=1.0 / 3.0).params),
 }
 
 
@@ -663,7 +661,8 @@ def test_make_state_bytes_equal_the_matrix_to_json_dump(capsysbinary, family, si
     ("no/such/dir/x.json", "no directory"),
     (".", "is a directory"),
     ("x.json", "is not writable"),
-], ids=["missing-directory", "directory", "not-writable"])
+    ("", "needs a path"),
+], ids=["missing-directory", "directory", "not-writable", "empty"])
 def test_unwritable_output_exits_two_before_the_command_runs(
         capsys, tmp_path, monkeypatch, command, output, message):
     argv = _command_argv(tmp_path, command)
@@ -698,7 +697,7 @@ def _command_argv(tmp_path, command: str) -> list[str]:
     box_file = tmp_path / "box.json"
     box_file.write_text(json.dumps({"nx": 2, "ny": 2, "na": 2, "nb": 2, "p": [0.25] * 16}))
     return {
-        "repro": ["repro", "eq13"],
+        "repro": ["repro", "eq8", "--d", "2", "--restarts", "1"],
         "seesaw": ["seesaw", str(state_file)],
         "nonlocality": ["nonlocality", str(box_file)],
         "make-state": ["make-state", "max-entangled"],
@@ -738,11 +737,23 @@ def test_removed_flags_exit_two(capsys, tmp_path, command, flag):
         f"ptbounds: error: unrecognized arguments: {flag} 1")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("repro", "eq13"), "ptbounds repro: error: argument target: invalid choice: 'eq13'"),
+    (("repro", "eq8", "--eps", "0.1"), "ptbounds: error: unrecognized arguments: --eps 0.1"),
+], ids=["eq13", "eps"])
+def test_retired_target_and_flag_exit_two(capsys, argv, message):
+    # repro has no eq13 target and no --eps flag
+    code, captured = run_captured(capsys, *argv)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(message)
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_repro_refuses_non_finite_tol(capsys, tol):
     # the prop1 m=2, q=0.2 delta row fails (0.346 > 0.25); a tol of inf would
     # pass it, and a tol of nan would fail every row
-    fam = hiding_state(m=2, d_shield=2, k=1, q=0.2)
+    fam = hiding_state(m=2, d_shield=2, q=0.2)
     row = BoundReport("prop1 m=2 delta", fam.params["delta"], 0.25, tol=TOL.verdict)
     assert row.verdict is False
     code, captured = run_captured(capsys, "repro", "prop1", "--m", "2", "--q", "0.2",
@@ -782,28 +793,12 @@ def test_unreadable_input_files_are_named(capsys, tmp_path, command, text, messa
     assert len(errors) == 1 and errors[0].startswith(f"error: {path}: {message}"), errors
 
 
-def test_repro_eq13_is_the_monotone_row(capsys):
-    code, out = run_main(capsys, "repro", "eq13")
-    assert code == 0
-    [row] = json.loads(out)["reports"]
-    assert (row["context"], row["lhs"], row["rhs"]) == ("eq13 monotone", 0.0, 0.0)
-
-
-@pytest.mark.parametrize("decreasing", [lambda eps, d: 1.0 - eps, lambda eps, d: 1.0 / d],
-                         ids=["in-eps", "in-d"])
-def test_repro_eq13_fails_when_the_bound_decreases(capsys, monkeypatch, decreasing):
-    monkeypatch.setattr(cli, "continuity_bound", decreasing)
-    code, out = run_main(capsys, "repro", "eq13", "--out", "csv")
-    assert code == 1
-    assert out.splitlines()[1].startswith("eq13 monotone,") and out.endswith(",False\n")
-
-
 @pytest.mark.parametrize("argv, message", [
     (["make-state", "max-entangled", "--d", ","],
      "ptbounds make-state: error: argument --d: invalid int value: ','"),
     (["repro", "eq8", "--d", ","], "error: expected comma-separated integers, got ','"),
-    (["repro", "eq13", "--eps", ","], "error: expected comma-separated numbers, got ','"),
-], ids=["make-state-d", "eq8-d", "eq13-eps"])
+    (["repro", "eq10", "--ds", ","], "error: expected comma-separated integers, got ','"),
+], ids=["make-state-d", "eq8-d", "eq10-ds"])
 def test_empty_grids_exit_two(capsys, argv, message):
     code, captured = run_captured(capsys, *argv)
     errors = captured.err.splitlines()
@@ -865,9 +860,11 @@ def test_sweep_script_checks_its_flags_before_creating_the_outdir(tmp_path):
 
 
 @pytest.mark.parametrize("outdir, reason", [("taken", "File exists"),
-                                            ("taken/sub", "Not a directory")])
+                                            ("taken/sub", "Not a directory"),
+                                            ("", "empty path")])
 def test_sweep_script_refuses_an_outdir_it_cannot_create(tmp_path, outdir, reason):
-    # a file at the path, or on the way to it: one error line, before any target runs
+    # a file at the path, or on the way to it, or no path at all (which pathlib
+    # would read as the current directory): one error line, before any target runs
     (tmp_path / "taken").write_text("")
     proc = run_sweep(tmp_path, "--outdir", outdir, "--restarts", "1")
     assert proc.returncode == 2

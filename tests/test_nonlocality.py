@@ -20,7 +20,6 @@ from ptbounds import (
     ValidationError,
     box_from,
     chsh,
-    continuity_bound,
     er_upper,
     filter_apply,
     hiding_state,
@@ -34,7 +33,6 @@ from ptbounds import (
 )
 import ptbounds.nonlocality as nonlocality_module
 from ptbounds.nonlocality import (
-    _binary_entropy,
     _face_direction,
     _inner_infimum,
     _line_search,
@@ -198,28 +196,6 @@ def test_er_upper_on_transposed_private_bit_pair():
     rho_pt = partial_transpose(fam.rho)
     sigma_pt = partial_transpose(fam.sigma_candidate)
     assert er_upper(rho_pt, sigma_pt) == pytest.approx(1.0 / 3.0, abs=1e-9)
-
-
-def test_continuity_bound_values():
-    assert continuity_bound(0.0, 4) == 0.0
-    expected = 4 * 0.25 * 1.0 + 2 * _binary_entropy(0.25)
-    assert continuity_bound(0.25, 2) == pytest.approx(expected, abs=1e-12)
-    assert continuity_bound(0.25, 2) == pytest.approx(2.6225562489, abs=1e-9)
-
-
-def test_continuity_bound_domain():
-    with pytest.raises(ValidationError):
-        continuity_bound(0.5, 2)
-    with pytest.raises(ValidationError):
-        continuity_bound(-0.1, 2)
-    with pytest.raises(ValidationError):
-        continuity_bound(0.1, 1)
-
-
-def test_binary_entropy_symmetry():
-    assert _binary_entropy(0.3) == pytest.approx(_binary_entropy(0.7), abs=1e-15)
-    assert _binary_entropy(0.0) == 0.0
-    assert _binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_chain_check_on_identical_separable_states(tsirelson_meas):

@@ -190,7 +190,7 @@ def test_hiding_state_validates_parameters():
     with pytest.raises(ValidationError):
         hiding_state(m=0)
     with pytest.raises(DimensionCapError):
-        hiding_state(m=3, d_shield=4, k=2)
+        hiding_state(m=6, d_shield=4)
 
 
 def test_hiding_state_candidate_matches_layout():
@@ -215,11 +215,12 @@ def _private_bit_of(make_x, *args) -> CMatrix:
 def _density_cases():
     """Every constructor output that is a state, over the parameter grid whose
     density-matrix property the constructors do not re-check at run time."""
-    for m, d, k in itertools.product((1, 2, 3), (2, 3), (1, 2)):
-        if 4 * d ** (2 * k * m) <= 1024:
+    for m, d in itertools.product((1, 2, 3), (2, 3)):
+        if 4 * d ** (2 * m) <= 1024:
             for q in (0.01, 0.2, 1.0 / 3.0, 0.45, 0.49):
-                yield pytest.param(partial(hiding_state, m, d, k, q),
-                                   id=f"hiding-m{m}-d{d}-k{k}-q{q:.3g}")
+                # k1: one Werner pair per repetition
+                yield pytest.param(partial(hiding_state, m, d, q),
+                                   id=f"hiding-m{m}-d{d}-k1-q{q:.3g}")
     for ds in (4, 9):
         yield pytest.param(partial(ppt_pbit, ds), id=f"ppt-pbit-{ds}")
     for d in (2, 3, 4):
