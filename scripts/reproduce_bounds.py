@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Run every reproduction target and collect the JSON reports in one directory.
+"""Run every reproduction target and collect the reports in one directory.
 
 Thin wrapper over the package CLI so a full sweep is one command:
 
     python3 scripts/reproduce_bounds.py --outdir results --seed 7
 
-Every flag other than --outdir is passed unchanged to each
-``ptbounds repro`` run, so the CLI alone declares them and their defaults.
+Each target runs its default grid.  The other flags are those every
+``ptbounds repro`` target reads, as the CLI declares them, and go to each
+run; each report is named ``<target>.<out>`` (``eq8.json``, ``eq8.csv``).
 All flags are checked before the output directory is created, and an
 output directory that cannot be created exits 2 before any target runs.
 """
@@ -19,15 +20,13 @@ from ptbounds.cli import _REPRO_TARGETS, _add_repro_flags, main as cli_main
 
 
 def run(argv=None) -> int:
-    outdir_parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    outdir_parser.add_argument("--outdir", default="results",
-                               help="directory for the JSON reports (default results)")
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0], parents=[outdir_parser], allow_abbrev=False,
-        epilog="The other flags go to every `ptbounds repro` run.")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False,
+                                     epilog="The other flags go to every `ptbounds repro` run.")
+    parser.add_argument("--outdir", default="results",
+                        help="directory for the reports (default results)")
     _add_repro_flags(parser)
-    parser.parse_args(argv)  # a misspelt flag exits 2 here, with this script's usage
-    args, repro_flags = outdir_parser.parse_known_args(argv)
+    args = parser.parse_args(argv)  # a misspelt flag exits 2 here, with this script's usage
+    repro_flags = [f"--{key}={value}" for key, value in vars(args).items() if key != "outdir"]
 
     if not args.outdir:  # pathlib reads "" as the current directory
         print("error: cannot create --outdir : empty path", file=sys.stderr)
@@ -41,7 +40,7 @@ def run(argv=None) -> int:
 
     worst = 0
     for target in _REPRO_TARGETS:
-        out_file = outdir / f"{target}.json"
+        out_file = outdir / f"{target}.{args.out}"
         code = cli_main(["repro", target, *repro_flags, "--output", str(out_file)])
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{target}: {status} -> {out_file}")

@@ -1,12 +1,13 @@
 """Command-line front end: reproduction targets and ad-hoc library calls.
 
-Each flag and its default are declared once, on the commands that read it,
-and no parser takes abbreviations; commands read the parsed namespace
-directly.  ``build_parser`` is cached, so a process that calls ``main``
-many times (the sweep script, a benchmark) builds the parser once; parsing
-leaves it unchanged, and ``main`` finds the ``cmd_*`` function by the
-command's name when it runs.  ``make-state`` families come from one table,
-``_FAMILIES``, whose keys are the command's choices.  Each repro target
+Each flag and its default are declared once.  Each command, ``repro``
+target and ``make-state`` family takes only the flags it reads, after its
+name, and no parser takes abbreviations; a target's or family's entry in
+``_REPRO_TARGETS`` or ``_FAMILIES`` lists its flags next to its builder.
+Commands read the parsed namespace directly.  ``build_parser`` is cached,
+so a process that calls ``main`` many times (the sweep script, a benchmark)
+builds the parser once; parsing leaves it unchanged, and ``main`` finds the
+``cmd_*`` function by the command's name when it runs.  Each repro target
 states its closed-form excess over the classical value once, next to its
 state family, and builds its rows with ``_seesaw_row`` (the library's
 ``seesaw_bound`` on CHSH) and ``_ppt_row``.
@@ -97,17 +98,29 @@ def _ppt_row(context: str, state: CMatrix) -> BoundReport:
     return BoundReport(context, -min_eigenvalue(partial_transpose(state)), TOL.psd, tol=0.0)
 
 
+# Flags that only some choices read, as (name, add_argument keywords)
+_D_GRID = ("--d", dict(default="2,3,4", help="comma-separated local dimensions (default 2,3,4)"))
+_DS_GRID = ("--ds", dict(default="4", help="comma-separated shield dimensions (default 4)"))
+_M = ("--m", dict(type=int, default=1, help="shield repetition count (default 1)"))
+_Q = ("--q", dict(type=float, default=1.0 / 3.0, help="corner weight in (0, 1/2), default 1/3: "
+                  "the state is PPT only for q <= 1/3, and delta <= 2^-m for every m only "
+                  "for q >= 1/3"))
+_D = ("--d", dict(type=int, default=2, help="local dimension (default 2)"))
+_DS = ("--ds", dict(type=int, default=4, help="shield dimension (default 4)"))
+_D_PAIR = ("--d", dict(type=int, default=2, help="each Werner pair's local dimension (default 2)"))
+
+
 def _repro_eq8(args: argparse.Namespace) -> list[BoundReport]:
     return [
         _seesaw_row(args, f"eq8 d={d}", private_bit(swap_x(d)),
                     (math.sqrt(2.0) + 1.0) / (2.0 * math.sqrt(2.0) * d))
-        for d in args.d
+        for d in _parse_list(args.d)
     ]
 
 
 def _repro_eq10(args: argparse.Namespace) -> list[BoundReport]:
     reports = []
-    for ds in args.ds:
+    for ds in _parse_list(args.ds):
         fam = ppt_pbit(ds)
         reports += [
             _seesaw_row(args, f"eq10 ds={ds}", fam.rho, CHSH_Q / math.sqrt(ds)),
@@ -129,18 +142,16 @@ def _repro_prop1(args: argparse.Namespace) -> list[BoundReport]:
     ]
 
 
+# repro targets: name -> (the flags it reads, its report rows)
 _REPRO_TARGETS = {
-    "eq8": _repro_eq8,
-    "eq10": _repro_eq10,
-    "prop1": _repro_prop1,
+    "eq8": ((_D_GRID,), _repro_eq8),
+    "eq10": ((_DS_GRID,), _repro_eq10),
+    "prop1": ((_M, _Q), _repro_prop1),
 }
 
 
 def cmd_repro(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    # every grid is parsed, whether the target reads it or not
-    args.d = _parse_list(args.d)
-    args.ds = _parse_list(args.ds)
-    reports = _REPRO_TARGETS[args.target](args)
+    reports = _REPRO_TARGETS[args.target][1](args)
     payload = {"command": args.command, "target": args.target, "seed": args.seed,
                "restarts": args.restarts, "reports": [r.to_json() for r in reports]}
     lines = [BoundReport.csv_header(), *(r.csv_row() for r in reports)]
@@ -194,25 +205,25 @@ def cmd_nonlocality(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, _key_value_csv(rows), 0 if result.converged else 1
 
 
-# make-state families: name -> (d, ds, m, q) -> payload fields, matrices as
-# CMatrix.  The entries look their builders up by name at call time, so a
-# rebound module attribute (a timing wrapper, say) is what runs.
+# make-state families: name -> (the flags it reads, namespace -> payload fields,
+# matrices as CMatrix).  The entries look their builders up by name at call
+# time, so a rebound module attribute (a timing wrapper, say) is what runs.
 _FAMILIES = {
-    "max-entangled": lambda d, ds, m, q: {"rho": max_entangled(d), "params": {"d": d}},
-    "werner-symmetric": lambda d, ds, m, q: {
-        "rho": werner_state(d, "symmetric"), "params": {"d": d}},
-    "werner-antisymmetric": lambda d, ds, m, q: {
-        "rho": werner_state(d, "antisymmetric"), "params": {"d": d}},
-    "swap-x": lambda d, ds, m, q: {"operator": swap_x(d), "params": {"d": d}},
-    "fourier-xy": lambda d, ds, m, q: dict(zip("XY", fourier_xy(ds)), params={"d_s": ds}),
-    "private-bit": lambda d, ds, m, q: {"rho": private_bit(swap_x(d)), "params": {"d": d}},
-    "ppt-pbit": lambda d, ds, m, q: vars(ppt_pbit(ds)),
-    "hiding": lambda d, ds, m, q: vars(hiding_state(m=m, d_shield=d, q=q)),
+    "max-entangled": ((_D,), lambda a: {"rho": max_entangled(a.d), "params": {"d": a.d}}),
+    "werner-symmetric": ((_D,), lambda a: {
+        "rho": werner_state(a.d, "symmetric"), "params": {"d": a.d}}),
+    "werner-antisymmetric": ((_D,), lambda a: {
+        "rho": werner_state(a.d, "antisymmetric"), "params": {"d": a.d}}),
+    "swap-x": ((_D,), lambda a: {"operator": swap_x(a.d), "params": {"d": a.d}}),
+    "fourier-xy": ((_DS,), lambda a: dict(zip("XY", fourier_xy(a.ds)), params={"d_s": a.ds})),
+    "private-bit": ((_D,), lambda a: {"rho": private_bit(swap_x(a.d)), "params": {"d": a.d}}),
+    "ppt-pbit": ((_DS,), lambda a: vars(ppt_pbit(a.ds))),
+    "hiding": ((_D_PAIR, _M, _Q), lambda a: vars(hiding_state(m=a.m, d_shield=a.d, q=a.q))),
 }
 
 
 def cmd_make_state(args: argparse.Namespace) -> tuple[dict, None, int]:
-    fields = _FAMILIES[args.family](args.d, args.ds, args.m, args.q)
+    fields = _FAMILIES[args.family][1](args)
     payload = {"command": "make-state", "family": args.family}
     # a family without a separable companion has None there; matrices stay
     # CMatrix, and main encodes them
@@ -220,9 +231,11 @@ def cmd_make_state(args: argparse.Namespace) -> tuple[dict, None, int]:
     return payload, None, 0
 
 
-def _subcommand(subs, name: str, help: str) -> argparse.ArgumentParser:
-    """A subcommand parser without abbreviations, writing to --output or stdout."""
+def _subcommand(subs, name: str, help: str | None = None, flags=()) -> argparse.ArgumentParser:
+    """A subcommand parser without abbreviations, taking the flags and --output."""
     sub = subs.add_parser(name, help=help, allow_abbrev=False)
+    for flag, spec in flags:
+        sub.add_argument(flag, **spec)
     sub.add_argument("--output", help="write output to this path instead of stdout")
     return sub
 
@@ -238,14 +251,7 @@ def _add_report_flags(sub: argparse.ArgumentParser, seesaw: bool) -> None:
 
 
 def _add_repro_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags of ``repro`` but its target and --output, shared with the sweep script."""
-    parser.add_argument("--d", default="2,3,4",
-                        help="comma-separated local dimensions (default 2,3,4)")
-    parser.add_argument("--ds", default="4", help="comma-separated shield dimensions (default 4)")
-    parser.add_argument("--m", type=int, default=1, help="shield repetition count (default 1)")
-    parser.add_argument("--q", type=float, default=1.0 / 3.0,
-                        help="corner weight in (0, 1/2), default 1/3: the state "
-                        "is PPT only for q <= 1/3, and delta <= 2^-m for every m only for q >= 1/3")
+    """--tol, --restarts, --seed and --out: what every repro target and the sweep script read."""
     parser.add_argument("--tol", type=float, default=TOL.verdict,
                         help="verdict tolerance, positive and finite (default 1e-9)")
     _add_report_flags(parser, seesaw=True)
@@ -261,9 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    rep = _subcommand(subs, "repro", "run a named reproduction target")
-    rep.add_argument("target", choices=sorted(_REPRO_TARGETS))
-    _add_repro_flags(rep)
+    rep = subs.add_parser("repro", help="run a named reproduction target", allow_abbrev=False)
+    targets = rep.add_subparsers(dest="target", required=True)
+    for target, (flags, _) in _REPRO_TARGETS.items():
+        _add_repro_flags(_subcommand(targets, target, flags=flags))
 
     see = _subcommand(subs, "seesaw", "optimize measurements for a state file")
     see.add_argument("state_file", help="matrix JSON for the state")
@@ -277,12 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="input-distribution handling (default uniform)")
     _add_report_flags(non, seesaw=False)
 
-    mk = _subcommand(subs, "make-state", "emit a state family as matrix JSON")
-    mk.add_argument("family", choices=_FAMILIES)
-    mk.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
-    mk.add_argument("--ds", type=int, default=4, help="shield dimension (default 4)")
-    mk.add_argument("--m", type=int, default=1, help="shield repetition count (default 1)")
-    mk.add_argument("--q", type=float, default=1.0 / 3.0, help="corner weight (default 1/3)")
+    mk = subs.add_parser("make-state", help="emit a state family as matrix JSON",
+                         allow_abbrev=False)
+    families = mk.add_subparsers(dest="family", required=True)
+    for family, (flags, _) in _FAMILIES.items():
+        _subcommand(families, family, flags=flags)
 
     return parser
 

@@ -1,5 +1,6 @@
 """Tests for the command line interface: exit codes, output formats, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -109,11 +110,12 @@ def test_make_state_rejects_csv_output(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flag, value", [("--d", "3,5"), ("--ds", "4,9")])
 def test_make_state_sizes_take_one_integer(capsys, flag, value):
-    code, captured = run_captured(capsys, "make-state", "ppt-pbit", flag, value)
+    family = {"--d": "private-bit", "--ds": "ppt-pbit"}[flag]
+    code, captured = run_captured(capsys, "make-state", family, flag, value)
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == (
-        f"ptbounds make-state: error: argument {flag}: invalid int value: '{value}'")
+        f"ptbounds make-state {family}: error: argument {flag}: invalid int value: '{value}'")
 
 
 def test_dimension_cap_exits_three(capsys, monkeypatch):
@@ -577,6 +579,8 @@ def test_consecutive_calls_write_what_fresh_calls_write(capsysbinary):
     ("repro", "eq8", "--restarts", "two"),
     ("repro", "eq9"),
     ("make-state", "hiding", "--out", "csv"),
+    # a target's flags come after its name
+    ("repro", "--restarts", "4", "eq8"),
 ])
 def test_a_parse_error_leaves_the_next_call_unaffected(capsysbinary, bad):
     argv = ("repro", "eq8", "--d", "2", "--restarts", "2")
@@ -633,7 +637,7 @@ def test_make_state_family_payload(capsys, family):
 def oracle_make_state_bytes(family: str, d=2, ds=4, m=1, q=1.0 / 3.0) -> bytes:
     """make-state's output as the canonical dump with every matrix through matrix_to_json."""
     payload = {"command": "make-state", "family": family}
-    for key, value in cli._FAMILIES[family](d, ds, m, q).items():
+    for key, value in cli._FAMILIES[family][1](argparse.Namespace(d=d, ds=ds, m=m, q=q)).items():
         if value is not None:
             payload[key] = matrix_to_json(value) if isinstance(value, CMatrix) else value
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
@@ -656,6 +660,64 @@ def test_make_state_bytes_equal_the_matrix_to_json_dump(capsysbinary, family, si
     assert capsysbinary.readouterr().out == oracle_make_state_bytes(family, **sizes)
 
 
+# repro target -> the grid flags it reads (_FAMILY_SIZES names each make-state
+# family's), and a valid value of every grid and size flag
+_REPRO_GRIDS = {"eq8": {"d"}, "eq10": {"ds"}, "prop1": {"m", "q"}}
+_GRID_VALUES = {"d": "2", "ds": "4", "m": "1", "q": "0.25"}
+_REPRO_FLAGS = {"--tol", "--restarts", "--seed", "--out", "--output"}
+
+# every parser's prog -> its option strings but -h/--help
+CLI_FLAGS = {
+    "ptbounds": set(), "ptbounds repro": set(), "ptbounds make-state": set(),
+    "ptbounds seesaw": {"--restarts", "--seed", "--out", "--output"},
+    "ptbounds nonlocality": {"--mode", "--out", "--output"},
+    **{f"ptbounds repro {target}": {f"--{key}" for key in grids} | _REPRO_FLAGS
+       for target, grids in _REPRO_GRIDS.items()},
+    **{f"ptbounds make-state {family}": {f"--{key}" for key in sizes} | {"--output"}
+       for family, sizes in _FAMILY_SIZES.items()},
+}
+
+
+def _flag_surface(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """prog -> option strings but -h/--help, for the parser and every subcommand under it."""
+    surface = {parser.prog: {flag for action in parser._actions for flag in action.option_strings
+                             if flag not in ("-h", "--help")}}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                surface.update(_flag_surface(sub))
+    return surface
+
+
+def test_each_command_target_and_family_takes_exactly_the_pinned_flags():
+    assert _flag_surface(cli.build_parser()) == CLI_FLAGS
+    # 14 (choice, grid or size flag) pairs, each read by its choice
+    assert sum(len(grids) for grids in (*_REPRO_GRIDS.values(), *_FAMILY_SIZES.values())) == 14
+
+
+def _must_not_run(args):
+    raise AssertionError("the command ran although its arguments were refused")
+
+
+@pytest.mark.parametrize("argv, key", [
+    *[(("repro", target, "--restarts", "1"), key)
+      for target, grids in _REPRO_GRIDS.items() for key in _GRID_VALUES if key not in grids],
+    *[(("make-state", family), key)
+      for family, sizes in _FAMILY_SIZES.items() for key in _GRID_VALUES if key not in sizes],
+], ids=lambda value: value[1] if isinstance(value, tuple) else value)
+def test_unread_grid_and_size_flags_exit_two_before_the_command_runs(
+        capsys, tmp_path, monkeypatch, argv, key):
+    monkeypatch.setattr(cli, f"cmd_{argv[0].replace('-', '_')}", _must_not_run)
+    out_file = tmp_path / "out.json"
+    flag = (f"--{key}", _GRID_VALUES[key])
+    code, captured = run_captured(capsys, *argv, *flag, "--output", str(out_file))
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "ptbounds: error: unrecognized arguments: " + " ".join(flag))
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("command", ["repro", "nonlocality", "make-state"])
 @pytest.mark.parametrize("output, message", [
     ("no/such/dir/x.json", "no directory"),
@@ -669,11 +731,7 @@ def test_unwritable_output_exits_two_before_the_command_runs(
     monkeypatch.chdir(tmp_path)
     if message == "is not writable":  # permissions do not bind every user, so deny access
         monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
-
-    def never_called(args):
-        raise AssertionError("the command ran despite an unwritable --output")
-
-    monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", never_called)
+    monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", _must_not_run)
     code, captured = run_captured(capsys, *argv, "--output", output)
     assert code == 2
     assert captured.out == ""
@@ -795,7 +853,7 @@ def test_unreadable_input_files_are_named(capsys, tmp_path, command, text, messa
 
 @pytest.mark.parametrize("argv, message", [
     (["make-state", "max-entangled", "--d", ","],
-     "ptbounds make-state: error: argument --d: invalid int value: ','"),
+     "ptbounds make-state max-entangled: error: argument --d: invalid int value: ','"),
     (["repro", "eq8", "--d", ","], "error: expected comma-separated integers, got ','"),
     (["repro", "eq10", "--ds", ","], "error: expected comma-separated integers, got ','"),
 ], ids=["make-state-d", "eq8-d", "eq10-ds"])
@@ -857,6 +915,26 @@ def test_sweep_script_checks_its_flags_before_creating_the_outdir(tmp_path):
     assert errors[-1] == "reproduce_bounds.py: error: unrecognized arguments: --sed 7"
     assert proc.stdout == ""
     assert not (tmp_path / "r2").exists()
+
+
+@pytest.mark.parametrize("key", sorted(_GRID_VALUES))
+def test_sweep_script_takes_no_grid_flags(tmp_path, key):
+    # each target runs its default grid
+    proc = run_sweep(tmp_path, "--outdir", "r3", f"--{key}", _GRID_VALUES[key])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        f"reproduce_bounds.py: error: unrecognized arguments: --{key} {_GRID_VALUES[key]}")
+    assert not (tmp_path / "r3").exists()
+
+
+def test_sweep_script_names_each_report_after_its_format(capsysbinary, tmp_path):
+    proc = run_sweep(tmp_path, "--outdir", "r", "--restarts", "1", "--out", "csv")
+    assert proc.returncode == 0
+    assert sorted(path.name for path in (tmp_path / "r").iterdir()) == [
+        "eq10.csv", "eq8.csv", "prop1.csv"]
+    for target in _REPRO_GRIDS:
+        assert main(["repro", target, "--restarts", "1", "--out", "csv"]) == 0
+        assert (tmp_path / "r" / f"{target}.csv").read_bytes() == capsysbinary.readouterr().out
 
 
 @pytest.mark.parametrize("outdir, reason", [("taken", "File exists"),
