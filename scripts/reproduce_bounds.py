@@ -5,9 +5,10 @@ Thin wrapper over the package CLI so a full sweep is one command:
 
     python3 scripts/reproduce_bounds.py --outdir results --seed 7
 
-Each target runs its default grid.  The other flags are those every
-``ptbounds repro`` target reads, as the CLI declares them, and go to each
-run; each report is named ``<target>.<out>`` (``eq8.json``, ``eq8.csv``).
+Each target runs its default grid.  The other flags (``--restarts``, ``--seed``,
+``--out``) are those every ``ptbounds repro`` target reads, as the CLI declares
+them, and go to each run; each report is named ``<target>.<out>`` (``eq8.json``,
+``eq8.csv``).  No flag loosens a verdict: rows use the library's one tolerance.
 All flags are checked before the output directory is created, and an
 output directory that cannot be created exits 2 before any target runs.
 """
@@ -16,7 +17,7 @@ import argparse
 import pathlib
 import sys
 
-from ptbounds.cli import _REPRO_TARGETS, _add_repro_flags, main as cli_main
+from ptbounds.cli import _REPRO_TARGETS, _add_report_flags, main as cli_main
 
 
 def run(argv=None) -> int:
@@ -24,7 +25,7 @@ def run(argv=None) -> int:
                                      epilog="The other flags go to every `ptbounds repro` run.")
     parser.add_argument("--outdir", default="results",
                         help="directory for the reports (default results)")
-    _add_repro_flags(parser)
+    _add_report_flags(parser, seesaw=True)
     args = parser.parse_args(argv)  # a misspelt flag exits 2 here, with this script's usage
     repro_flags = [f"--{key}={value}" for key, value in vars(args).items() if key != "outdir"]
 

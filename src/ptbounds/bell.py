@@ -451,15 +451,15 @@ class BoundReport:
 
 
 def seesaw_bound(f: BellFunctional, rho: CMatrix, excess: float, context: str,
-                 restarts: int, seed: int, tol: float) -> BoundReport:
-    """Seesaw value of rho against classical_value(f) + excess.
+                 restarts: int, seed: int) -> BoundReport:
+    """Seesaw value of rho against classical_value(f) + excess, up to TOL.verdict.
 
     Every violation bound here has this shape: the best value the seesaw
     finds on the state, at most the classical value plus a closed-form
     excess (a shrunk maximal quantum violation).
     """
     lhs = seesaw(rho, f, restarts=restarts, seed=seed).value
-    return BoundReport(context, lhs, classical_value(f) + excess, tol=tol)
+    return BoundReport(context, lhs, classical_value(f) + excess)
 
 
 def d_eps_membership(rho: CMatrix, sigma_candidate: CMatrix) -> float:

@@ -90,7 +90,7 @@ def _key_value_csv(rows: dict) -> list[str]:
 def _seesaw_row(args: argparse.Namespace, context: str, state: CMatrix,
                 excess: float) -> BoundReport:
     """Seesaw CHSH value of the state against the classical value plus excess."""
-    return seesaw_bound(chsh(), state, excess, context, args.restarts, args.seed, args.tol)
+    return seesaw_bound(chsh(), state, excess, context, args.restarts, args.seed)
 
 
 def _ppt_row(context: str, state: CMatrix) -> BoundReport:
@@ -126,7 +126,7 @@ def _repro_eq10(args: argparse.Namespace) -> list[BoundReport]:
             _seesaw_row(args, f"eq10 ds={ds}", fam.rho, CHSH_Q / math.sqrt(ds)),
             _ppt_row(f"eq10 ds={ds} ppt", fam.rho),
             BoundReport(f"eq10 ds={ds} distance", d_eps_membership(fam.rho, fam.sigma_candidate),
-                        fam.params["distance_bound"], tol=args.tol),
+                        fam.params["distance_bound"]),
         ]
     return reports
 
@@ -138,7 +138,7 @@ def _repro_prop1(args: argparse.Namespace) -> list[BoundReport]:
     return [
         _seesaw_row(args, f"prop1 m={m}", doubled, CHSH_Q / 2.0 ** (m - 1)),
         _ppt_row(f"prop1 m={m} ppt", fam.rho),
-        BoundReport(f"prop1 m={m} delta", fam.params["delta"], 0.5**m, tol=args.tol),
+        BoundReport(f"prop1 m={m} delta", fam.params["delta"], 0.5**m),
     ]
 
 
@@ -241,20 +241,14 @@ def _subcommand(subs, name: str, help: str | None = None, flags=()) -> argparse.
 
 
 def _add_report_flags(sub: argparse.ArgumentParser, seesaw: bool) -> None:
-    """--out, plus --restarts and --seed on the commands that run the seesaw."""
+    """--out, plus --restarts and --seed where the seesaw runs: ``seesaw``, each repro
+    target and the sweep script.  No flag loosens a verdict's tolerance, TOL.verdict."""
     if seesaw:
         sub.add_argument("--restarts", type=int, default=32, help="random seesaw restarts, "
                          "plus one from a deterministic strategy (default 32)")
         sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub.add_argument("--out", choices=("json", "csv"), default="json",
                      help="output format (default json)")
-
-
-def _add_repro_flags(parser: argparse.ArgumentParser) -> None:
-    """--tol, --restarts, --seed and --out: what every repro target and the sweep script read."""
-    parser.add_argument("--tol", type=float, default=TOL.verdict,
-                        help="verdict tolerance, positive and finite (default 1e-9)")
-    _add_report_flags(parser, seesaw=True)
 
 
 @functools.cache
@@ -270,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = subs.add_parser("repro", help="run a named reproduction target", allow_abbrev=False)
     targets = rep.add_subparsers(dest="target", required=True)
     for target, (flags, _) in _REPRO_TARGETS.items():
-        _add_repro_flags(_subcommand(targets, target, flags=flags))
+        _add_report_flags(_subcommand(targets, target, flags=flags), seesaw=True)
 
     see = _subcommand(subs, "seesaw", "optimize measurements for a state file")
     see.add_argument("state_file", help="matrix JSON for the state")
@@ -327,13 +321,11 @@ def main(argv=None) -> int:
     try:
         if args.output is not None:
             _check_output(args.output)
-        # only the commands that read --restarts, --seed and --tol have them
+        # only the commands that read --restarts and --seed have them
         if "restarts" in args and args.restarts < 1:
             raise ValidationError("restarts must be at least 1")
         if "seed" in args and args.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if "tol" in args and not 0.0 < args.tol < math.inf:
-            raise ValidationError("tol must be positive and finite")
         payload, csv_lines, code = command(args)
         text = ("\n".join(csv_lines) if "out" in args and args.out == "csv"
                 else _json_text(payload))

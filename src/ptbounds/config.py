@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -47,6 +49,9 @@ TOL = Tolerances()
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "PTBOUND_DIM_CAP"
+# the largest cap whose cap x cap complex128 matrix numpy can size: above it,
+# numpy raises "array is too big" instead of failing to allocate
+_MAX_DIM_CAP = math.isqrt(sys.maxsize // 16)
 
 
 def dim_cap() -> int:
@@ -60,6 +65,8 @@ def dim_cap() -> int:
         raise ValidationError(f"{DIM_CAP_ENV} must be an integer, got {raw!r}") from exc
     if value < 2:
         raise ValidationError(f"{DIM_CAP_ENV} must be at least 2, got {value}")
+    if value > _MAX_DIM_CAP:
+        raise ValidationError(f"{DIM_CAP_ENV} must be at most {_MAX_DIM_CAP}, got {value}")
     return value
 
 
@@ -72,9 +79,10 @@ class DimensionCapError(RuntimeError):
 
 
 def check_dim(dim: int, what: str) -> None:
+    """Refuse a dimension above the cap.  One of 2**64 or more, which no cap
+    allows, is named by that bound, so a caller may stop computing it there."""
     cap = dim_cap()
     if dim > cap:
+        shown = dim if dim < 2**64 else "at least 2^64"
         raise DimensionCapError(
-            f"{what} needs dimension {dim}, above the cap {cap} "
-            f"(set {DIM_CAP_ENV} to raise it)"
-        )
+            f"{what} needs dimension {shown}, above the cap {cap} (set {DIM_CAP_ENV} to raise it)")

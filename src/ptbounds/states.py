@@ -16,7 +16,7 @@ Inputs (X, the family parameters, the dimension cap) are still validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -55,8 +55,8 @@ class StateFamilyResult:
 
     rho: CMatrix
     sigma_candidate: CMatrix | None
-    params: dict = field(default_factory=dict)
-    notes: str = ""
+    params: dict
+    notes: str
 
 
 def max_entangled(d: int) -> CMatrix:
@@ -254,7 +254,7 @@ def hiding_state(m: int = 1, d_shield: int = 2, q: float = 1.0 / 3.0) -> StateFa
         raise ValidationError("hiding_state needs m >= 1, d_shield >= 2")
     if not (0.0 < q < 0.5):
         raise ValidationError(f"hiding_state needs 0 < q < 1/2, got {q}")
-    check_dim(4 * d_shield ** (2 * m), "hiding_state")
+    check_dim(4 * d_shield ** min(2 * m, 64), "hiding_state")  # exact below 2**64
     tau2 = werner_state(d_shield, "symmetric").mat
     tau1 = (werner_state(d_shield, "antisymmetric").mat + tau2) / 2.0
     corner = _tensor_power(q * (tau1 - tau2) / 2.0, m)

@@ -18,7 +18,6 @@ from ptbounds import (
     LocalPolytope,
     MeasurementFamily,
     SystemLayout,
-    TOL,
     ValidationError,
     assert_density,
     bell_operator,
@@ -172,7 +171,7 @@ def test_criterion_05_ppt_private_bit_family():
                f"ds={ds}: PT distance {dist:.8f}")
         rep = seesaw_bound(chsh(), fam.rho,
                            TSIRELSON * d_eps_membership(fam.rho, fam.sigma_candidate),
-                           "candidate-relaxed violation bound", 4, 0, TOL.verdict)
+                           "candidate-relaxed violation bound", 4, 0)
         _check(failures, rep.verdict, f"ds={ds}: report verdict false")
     elapsed = time.perf_counter() - t0
     _check(failures, elapsed < 30.0, f"checks took {elapsed:.1f} s")
@@ -197,7 +196,7 @@ def test_criterion_06_hiding_family_structure():
     eps = d_eps_membership(doubled, tensor(fam.sigma_candidate,
                                            partial_transpose(fam.sigma_candidate)))
     rep = seesaw_bound(chsh(), doubled, TSIRELSON * eps, "candidate-relaxed violation bound",
-                       8, 0, TOL.verdict)
+                       8, 0)
     _check(failures, rep.verdict, "doubled-state report verdict false")
     _check(failures, rep.rhs <= 2.0 + TSIRELSON + 1e-9,
            f"rhs {rep.rhs:.8f} exceeds classical plus full quantum gap")

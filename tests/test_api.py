@@ -35,7 +35,6 @@ PUBLIC_KNOBS = {
     "werner_state": ("kind",),
     "CMatrix": ("layout", "hermitian"),
     "BoundReport": ("tol",),
-    "StateFamilyResult": ("params", "notes"),
     "Tolerances": ("assertion", "structural", "psd", "eig_floor", "support", "verdict",
                    "fw_gap"),
 }

@@ -645,7 +645,7 @@ def test_thm1_random_sweep_small():
 def candidate_relaxed_bound(f, rho, sigma_candidate, restarts):
     """The seesaw value of rho against classical + Tsirelson x its PT distance to the candidate."""
     return seesaw_bound(f, rho, TSIRELSON * d_eps_membership(rho, sigma_candidate),
-                        "candidate-relaxed violation bound", restarts, 0, TOL.verdict)
+                        "candidate-relaxed violation bound", restarts, 0)
 
 
 def test_cor1_zero_distance_candidate_gives_classical_rhs(chsh_functional):
@@ -682,7 +682,7 @@ def test_pbit_observation_bound_rhs_values(chsh_functional):
         # the key-correlated state of X against classical + Tsirelson ||X^PT||_1
         return seesaw_bound(chsh_functional, private_bit(x),
                             TSIRELSON * trace_norm(partial_transpose(x)),
-                            "key-state observation bound", 24, 0, TOL.verdict)
+                            "key-state observation bound", 24, 0)
 
     rep2 = observation_bound(swap_x(2))
     assert rep2.rhs == pytest.approx(2.0 + TSIRELSON * 0.5, abs=1e-9)
@@ -694,8 +694,8 @@ def test_pbit_observation_bound_rhs_values(chsh_functional):
 
 def test_seesaw_bound_is_the_seesaw_value_against_classical_plus_excess(chsh_functional):
     fam = ppt_pbit(4)
-    rep = seesaw_bound(chsh_functional, fam.rho, 0.25, "row", 4, 3, 1e-6)
-    assert (rep.context, rep.tol) == ("row", 1e-6)
+    rep = seesaw_bound(chsh_functional, fam.rho, 0.25, "row", 4, 3)
+    assert (rep.context, rep.tol) == ("row", TOL.verdict)
     assert rep.lhs == seesaw(fam.rho, chsh_functional, restarts=4, seed=3).value
     assert rep.rhs == classical_value(chsh_functional) + 0.25
 

@@ -16,9 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptbounds import cli
-from ptbounds.bell import BoundReport, chsh
+from ptbounds.bell import chsh
 from ptbounds.cli import main
-from ptbounds.config import TOL
 from ptbounds.linalg import CMatrix, matrix_from_json, matrix_to_json
 from ptbounds.nonlocality import NlResult
 from ptbounds.states import hiding_state, ppt_pbit
@@ -139,6 +138,35 @@ def test_prop1_doubled_state_is_capped(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: tensor needs dimension 256")
     assert len(captured.err.splitlines()) == 1
+
+
+_OVER_2_64 = "needs dimension at least 2^64, above the cap 4096 (set PTBOUND_DIM_CAP to raise it)"
+
+
+@pytest.mark.parametrize("argv, cap, code, message", [
+    (("make-state", "hiding", "--m", "7100"), None, 3, f"hiding_state {_OVER_2_64}"),
+    (("make-state", "hiding", "--m", "7200"), None, 3, f"hiding_state {_OVER_2_64}"),
+    (("repro", "prop1", "--m", "7200", "--restarts", "1"), None, 3,
+     f"hiding_state {_OVER_2_64}"),
+    (("make-state", "max-entangled", "--d", "1" + "0" * 2200), None, 3,
+     f"max_entangled {_OVER_2_64}"),
+    (("make-state", "hiding", "--m", "1000000000"), None, 3, f"hiding_state {_OVER_2_64}"),
+    (("make-state", "hiding", "--d", "3", "--m", "100000000"), None, 3,
+     f"hiding_state {_OVER_2_64}"),
+    (("make-state", "max-entangled", "--d", str(10**20)), str(10**50), 2,
+     f"PTBOUND_DIM_CAP must be at most 759250124, got {10**50}"),
+], ids=["hiding-m7100", "hiding-m7200", "prop1-m7200", "max-entangled-2201-digits",
+        "hiding-m1e9", "hiding-d3-m1e8", "cap-1e50"])
+def test_huge_sizes_and_caps_exit_at_once_with_one_short_line(tmp_path, argv, cap, code, message):
+    # dimensions past Python's 4,300-digit str() limit, powers too large to
+    # compute in full, and a cap whose square numpy cannot size: each exits
+    # at once, 3 at the cap or 2 for the cap itself, with one short line
+    env = {"PTBOUND_DIM_CAP": cap} if cap else {}
+    proc = run_child(tmp_path, "-m", "ptbounds.cli", *argv, timeout=10, **env)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert len(proc.stderr) <= 200
 
 
 def _raising(exc: BaseException):
@@ -495,11 +523,6 @@ def test_repro_prop1_outside_ppt_range_fails_the_ppt_row(capsys):
     assert verdicts["prop1 m=1 ppt"] is False
 
 
-def test_negative_tolerance_exits_two(capsys):
-    code, _ = run_main(capsys, "repro", "eq8", "--d", "2", "--restarts", "1", "--tol", "-1.0")
-    assert code == 2
-
-
 def test_repro_output_files_are_deterministic(capsys, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -559,7 +582,7 @@ _CALL_SEQUENCE = [
     ("repro", "eq8", "--restarts", "2"),
     ("repro", "eq10", "--restarts", "2", "--out", "csv"),
     ("make-state", "hiding"),
-    ("repro", "eq8", "--d", "2", "--restarts", "1", "--tol", "0.5"),
+    ("repro", "eq8", "--d", "2", "--restarts", "1", "--seed", "5"),
     ("repro", "eq8", "--d", "2", "--restarts", "1"),
 ]
 
@@ -664,7 +687,7 @@ def test_make_state_bytes_equal_the_matrix_to_json_dump(capsysbinary, family, si
 # family's), and a valid value of every grid and size flag
 _REPRO_GRIDS = {"eq8": {"d"}, "eq10": {"ds"}, "prop1": {"m", "q"}}
 _GRID_VALUES = {"d": "2", "ds": "4", "m": "1", "q": "0.25"}
-_REPRO_FLAGS = {"--tol", "--restarts", "--seed", "--out", "--output"}
+_REPRO_FLAGS = {"--restarts", "--seed", "--out", "--output"}
 
 # every parser's prog -> its option strings but -h/--help
 CLI_FLAGS = {
@@ -762,15 +785,12 @@ def _command_argv(tmp_path, command: str) -> list[str]:
     }[command]
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("repro", "--restarts"), ("repro", "--tol"), ("seesaw", "--restarts"),
-])
+@pytest.mark.parametrize("command, flag", [("repro", "--restarts"), ("seesaw", "--restarts")])
 def test_restarts_and_tol_are_checked_on_every_command(capsys, tmp_path, command, flag):
-    """On every command that takes the flag."""
+    """On every command that takes --restarts; no command takes a tolerance."""
     code, errors = run_main_errors(capsys, *_command_argv(tmp_path, command), flag, "0")
     assert code == 2
-    assert errors == [{"--restarts": "error: restarts must be at least 1",
-                       "--tol": "error: tol must be positive and finite"}[flag]]
+    assert errors == ["error: restarts must be at least 1"]
 
 
 @pytest.mark.parametrize("command", ["repro", "seesaw"])
@@ -783,16 +803,19 @@ def test_negative_seed_exits_two(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("command, flag", [
     ("make-state", "--restarts"), ("make-state", "--seed"), ("make-state", "--tol"),
-    ("seesaw", "--tol"), ("nonlocality", "--tol"),
+    ("seesaw", "--tol"), ("nonlocality", "--tol"), ("repro", "--tol"),
     ("nonlocality", "--restarts"), ("nonlocality", "--seed"),
 ])
 def test_removed_flags_exit_two(capsys, tmp_path, command, flag):
-    # commands that do not read a flag do not take it
-    code, captured = run_captured(capsys, *_command_argv(tmp_path, command), flag, "1")
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.splitlines()[-1] == (
-        f"ptbounds: error: unrecognized arguments: {flag} 1")
+    # commands that do not read a flag do not take it; no repro target takes --tol
+    argvs = ([("repro", target, "--restarts", "1") for target in _REPRO_GRIDS]
+             if command == "repro" else [_command_argv(tmp_path, command)])
+    for argv in argvs:
+        code, captured = run_captured(capsys, *argv, flag, "1")
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"ptbounds: error: unrecognized arguments: {flag} 1")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -807,18 +830,21 @@ def test_retired_target_and_flag_exit_two(capsys, argv, message):
     assert captured.err.splitlines()[-1].startswith(message)
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan"])
-def test_repro_refuses_non_finite_tol(capsys, tol):
-    # the prop1 m=2, q=0.2 delta row fails (0.346 > 0.25); a tol of inf would
-    # pass it, and a tol of nan would fail every row
-    fam = hiding_state(m=2, d_shield=2, q=0.2)
-    row = BoundReport("prop1 m=2 delta", fam.params["delta"], 0.25, tol=TOL.verdict)
-    assert row.verdict is False
-    code, captured = run_captured(capsys, "repro", "prop1", "--m", "2", "--q", "0.2",
-                                  "--tol", tol)
+def test_no_flag_passes_a_failing_verdict(capsys, tmp_path, monkeypatch):
+    # the prop1 m=2, q=0.2 delta row fails (0.346 > 0.25), and no --tol can
+    # pass it: the flag exits 2 before the command runs or --output is written
+    argv = ("repro", "prop1", "--m", "2", "--q", "0.2", "--restarts", "1")
+    code, out = run_main(capsys, *argv)
+    assert code == 1
+    verdicts = {rep["context"]: rep["verdict"] for rep in json.loads(out)["reports"]}
+    assert verdicts["prop1 m=2 delta"] is False
+    monkeypatch.setattr(cli, "cmd_repro", _must_not_run)
+    out_file = tmp_path / "out.json"
+    code, captured = run_captured(capsys, *argv, "--tol", "1", "--output", str(out_file))
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: tol must be positive and finite"]
+    assert captured.err.splitlines()[-1] == "ptbounds: error: unrecognized arguments: --tol 1"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("command", ["seesaw", "nonlocality"])
@@ -897,14 +923,21 @@ def test_runtime_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(cwd: Path, *argv: str, timeout: float = 120,
+              **env: str) -> subprocess.CompletedProcess:
+    """``python argv`` in a child process from ``cwd``, with src on its path and ``env`` set."""
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
 def run_sweep(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
     """The sweep script run in a child process from ``cwd``."""
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_bounds.py"), *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return run_child(cwd, str(ROOT / "scripts" / "reproduce_bounds.py"), *argv)
 
 
 def test_sweep_script_checks_its_flags_before_creating_the_outdir(tmp_path):
@@ -917,13 +950,14 @@ def test_sweep_script_checks_its_flags_before_creating_the_outdir(tmp_path):
     assert not (tmp_path / "r2").exists()
 
 
-@pytest.mark.parametrize("key", sorted(_GRID_VALUES))
+@pytest.mark.parametrize("key", [*sorted(_GRID_VALUES), "tol"])
 def test_sweep_script_takes_no_grid_flags(tmp_path, key):
-    # each target runs its default grid
-    proc = run_sweep(tmp_path, "--outdir", "r3", f"--{key}", _GRID_VALUES[key])
+    # each target runs its default grid, and no flag loosens a verdict
+    value = _GRID_VALUES.get(key, "1")
+    proc = run_sweep(tmp_path, "--outdir", "r3", f"--{key}", value)
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[-1] == (
-        f"reproduce_bounds.py: error: unrecognized arguments: --{key} {_GRID_VALUES[key]}")
+        f"reproduce_bounds.py: error: unrecognized arguments: --{key} {value}")
     assert not (tmp_path / "r3").exists()
 
 
