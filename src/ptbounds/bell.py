@@ -62,17 +62,17 @@ _MAX_SWEEPS = 400  # or after this many sweeps
 
 @dataclass
 class BellFunctional:
-    """Coefficients s[x, y, a, b] on conditional probabilities p(ab|xy)."""
+    """Coefficients s[x, y, a, b] on probabilities p(ab|xy); nx, ny, na and nb are its shape."""
 
-    nx: int
-    ny: int
-    na: int
-    nb: int
     coeffs: np.ndarray
+    nx: int = field(init=False)
+    ny: int = field(init=False)
+    na: int = field(init=False)
+    nb: int = field(init=False)
 
     def __post_init__(self):
-        self.coeffs = _table(self.coeffs, (self.nx, self.ny, self.na, self.nb),
-                             "functional", "coefficient")
+        self.coeffs = _table(self.coeffs, "coefficient")
+        self.nx, self.ny, self.na, self.nb = self.coeffs.shape
         # sum |s| bounds every box value and every s_0 - s_1 the seesaw forms
         with np.errstate(over="ignore"):
             total = float(np.abs(self.coeffs).sum())
@@ -86,8 +86,7 @@ class BellFunctional:
     @staticmethod
     def from_json(obj: dict) -> "BellFunctional":
         """The functional of a JSON object; keys other than the sizes and coeffs are ignored."""
-        coeffs = _json_table(obj, "coeffs", "functional", "coefficients")
-        return BellFunctional(*coeffs.shape, coeffs)
+        return BellFunctional(_json_table(obj, "coeffs", "functional", "coefficients"))
 
 
 def _json_table(obj: dict, key: str, what: str, noun: str) -> np.ndarray:
@@ -111,16 +110,16 @@ def _json_table(obj: dict, key: str, what: str, noun: str) -> np.ndarray:
     return flat.reshape(sizes)
 
 
-def _table(values, sizes: tuple[int, int, int, int], what: str, noun: str) -> np.ndarray:
-    """``values`` as a finite float64 [x, y, a, b] table of ``sizes``, each at least 1.
+def _table(values, noun: str) -> np.ndarray:
+    """``values`` as a finite float64 [x, y, a, b] table with each size at least 1.
 
-    ``what`` names the object in the error messages and ``noun`` its table.
+    The shape is the scenario, so no other source of sizes is checked against
+    it.  ``noun`` names the table in the error messages.
     """
     table = np.asarray(values, dtype=np.float64)
-    if min(sizes) < 1:
-        raise ValidationError(f"{what} sizes must be at least 1, got {sizes}")
-    if table.shape != sizes:
-        raise ValidationError(f"{noun} table has shape {table.shape}, expected {sizes}")
+    if table.ndim != 4 or min(table.shape) < 1:
+        raise ValidationError(f"{noun} table must have 4 indices, each of size at least 1, "
+                              f"got shape {table.shape}")
     if not np.isfinite(table).all():
         raise ValidationError(f"{noun} table has non-finite entries")
     return table
@@ -134,7 +133,7 @@ def chsh() -> BellFunctional:
     grid = np.fromfunction(
         lambda x, y, a, b: (-1.0) ** ((x * y + a + b) % 2), (2, 2, 2, 2)
     )
-    return BellFunctional(2, 2, 2, 2, grid)
+    return BellFunctional(grid)
 
 
 def _optimal_deterministic(f: BellFunctional) -> tuple[float, list[int]]:
@@ -171,67 +170,63 @@ def classical_value(f: BellFunctional) -> float:
 
 @dataclass
 class MeasurementFamily:
-    """Per-input POVMs for both parties: alice[x][a] and bob[y][b]."""
+    """Per-input POVMs of both parties, stacked: alice[x, a] and bob[y, b] are effects.
 
-    alice: list[list[np.ndarray]]
-    bob: list[list[np.ndarray]]
+    Each party is one C-contiguous complex128 array of shape [input, outcome,
+    d, d]; the constructor takes anything that stacks into that shape, such
+    as a list of [E_0, E_1] per input.  A ragged, empty or non-square stack
+    is refused with one message per side, before any effect is read.
+    """
+
+    alice: np.ndarray
+    bob: np.ndarray
 
     def __post_init__(self):
-        self.alice = [[np.asarray(e, dtype=np.complex128) for e in povm] for povm in self.alice]
-        self.bob = [[np.asarray(e, dtype=np.complex128) for e in povm] for povm in self.bob]
-        for side, povms in (("alice", self.alice), ("bob", self.bob)):
-            # an empty POVM past input 0 fails the outcome-count check below
-            if not povms:
-                raise ValidationError(f"{side} has no inputs")
-            if not povms[0]:
-                raise ValidationError(f"{side} input 0: POVM has no outcomes")
-            if povms[0][0].ndim != 2:
-                raise ValidationError(f"{side} input 0: effect shape {povms[0][0].shape}")
-            d = povms[0][0].shape[0]
+        for side in ("alice", "bob"):
+            try:
+                povms = np.ascontiguousarray(getattr(self, side), dtype=np.complex128)
+            except (TypeError, ValueError, OverflowError):
+                povms = np.empty(0)
+            if povms.ndim != 4 or not povms.size or povms.shape[2] != povms.shape[3]:
+                raise ValidationError(f"{side} POVMs do not stack as [input, outcome, d, d]")
+            setattr(self, side, povms)
             for i, povm in enumerate(povms):
-                if len(povm) != len(povms[0]):
-                    raise ValidationError(f"{side} input {i}: {len(povm)} outcomes, "
-                                          f"input 0 has {len(povms[0])}")
                 for e in povm:
-                    if e.shape != (d, d):
-                        raise ValidationError(f"{side} input {i}: effect shape {e.shape}")
                     _hermitian_pattern(e, f"{side} input {i}: effect", TOL.structural)
-                    w = np.linalg.eigvalsh(e)
-                    if float(w.min()) < -TOL.psd:
-                        raise ValidationError(
-                            f"{side} input {i}: effect has eigenvalue {w.min():.3e}"
-                        )
-                if np.abs(sum(povm) - np.eye(d)).max() > TOL.assertion:
+                    w = float(np.linalg.eigvalsh(e).min())
+                    if w < -TOL.psd:
+                        raise ValidationError(f"{side} input {i}: effect has eigenvalue {w:.3e}")
+                if np.abs(povm.sum(axis=0) - np.eye(povms.shape[-1])).max() > TOL.assertion:
                     raise ValidationError(f"{side} input {i}: POVM does not sum to identity")
 
     @property
     def dim_a(self) -> int:
-        return self.alice[0][0].shape[0]
+        return self.alice.shape[-1]
 
     @property
     def dim_b(self) -> int:
-        return self.bob[0][0].shape[0]
+        return self.bob.shape[-1]
 
     def to_json(self) -> dict:
-        def ser(povms):
-            return [[[[float(z.real), float(z.imag)] for z in e.reshape(-1)] for e in povm]
-                    for povm in povms]
-        return {"dim_a": self.dim_a, "dim_b": self.dim_b,
-                "alice": ser(self.alice), "bob": ser(self.bob)}
+        """Each effect as its row-major entries, each entry a [real, imag] pair."""
+        alice, bob = (e.reshape(*e.shape[:2], -1, 1).view(np.float64).tolist()
+                      for e in (self.alice, self.bob))
+        return {"dim_a": self.dim_a, "dim_b": self.dim_b, "alice": alice, "bob": bob}
 
 
 @dataclass
 class Box:
-    """Conditional distribution table p[x, y, a, b]."""
+    """Conditional distribution table p[x, y, a, b]; nx, ny, na and nb are its shape."""
 
-    nx: int
-    ny: int
-    na: int
-    nb: int
     p: np.ndarray
+    nx: int = field(init=False)
+    ny: int = field(init=False)
+    na: int = field(init=False)
+    nb: int = field(init=False)
 
     def __post_init__(self):
-        self.p = _table(self.p, (self.nx, self.ny, self.na, self.nb), "box", "box")
+        self.p = _table(self.p, "box")
+        self.nx, self.ny, self.na, self.nb = self.p.shape
         if float(self.p.min()) < -TOL.assertion:
             raise ValidationError(f"box has negative probability {self.p.min():.3e}")
         with np.errstate(over="ignore"):  # entries near the float limit sum to inf, refused below
@@ -246,24 +241,22 @@ class Box:
 
     @staticmethod
     def from_json(obj: dict) -> "Box":
-        p = _json_table(obj, "p", "box", "entries")
-        return Box(*p.shape, p)
+        return Box(_json_table(obj, "p", "box", "entries"))
 
 
-def _scenario_match(f: BellFunctional, nx, ny, na, nb, what: str) -> None:
-    if (f.nx, f.ny, f.na, f.nb) != (nx, ny, na, nb):
-        raise ValidationError(f"{what}: functional scenario {(f.nx, f.ny, f.na, f.nb)} "
-                              f"does not match {(nx, ny, na, nb)}")
+def _scenario_match(f: BellFunctional, shape: tuple[int, ...], what: str) -> None:
+    """Refuse a box or measurement scenario ``shape`` (nx, ny, na, nb) other than f's."""
+    if f.coeffs.shape != shape:
+        raise ValidationError(f"{what}: functional scenario {f.coeffs.shape} "
+                              f"does not match {shape}")
 
 
 def bell_operator(f: BellFunctional, meas: MeasurementFamily) -> CMatrix:
     """Assemble sum_xyab s[x,y,a,b] A_(a|x) x B_(b|y), hermitian as the effects are."""
-    _scenario_match(f, f.nx, f.ny, len(meas.alice[0]), len(meas.bob[0]), "bell_operator")
-    if len(meas.alice) != f.nx or len(meas.bob) != f.ny:
-        raise ValidationError("bell_operator: measurement family has wrong input count")
+    (nx, na), (ny, nb) = meas.alice.shape[:2], meas.bob.shape[:2]
+    _scenario_match(f, (nx, ny, na, nb), "bell_operator")
     da, db = meas.dim_a, meas.dim_b
-    out = np.einsum("xyab,xaij,ybkl->ikjl", f.coeffs, np.array(meas.alice), np.array(meas.bob),
-                    optimize=True)
+    out = np.einsum("xyab,xaij,ybkl->ikjl", f.coeffs, meas.alice, meas.bob, optimize=True)
     return CMatrix(out.reshape(da * db, da * db), SystemLayout.bipartite(da, db))
 
 
@@ -273,19 +266,15 @@ def box_from(rho: CMatrix, meas: MeasurementFamily) -> Box:
     if (da, db) != (meas.dim_a, meas.dim_b):
         raise ValidationError(f"state dimensions {da}x{db} do not match measurements "
                               f"{meas.dim_a}x{meas.dim_b}")
-    alice = np.array(meas.alice)
-    bob = np.array(meas.bob)
-    nx, na = alice.shape[:2]
-    ny, nb = bob.shape[:2]
-    va = alice.transpose(0, 1, 3, 2).reshape(nx * na, da * da)
-    vb = bob.transpose(0, 1, 3, 2).reshape(ny * nb, db * db)
-    p = (va @ r @ vb.T).real.reshape(nx, na, ny, nb).transpose(0, 2, 1, 3)
-    return Box(nx, ny, na, nb, p)
+    (nx, na), (ny, nb) = meas.alice.shape[:2], meas.bob.shape[:2]
+    va = meas.alice.transpose(0, 1, 3, 2).reshape(nx * na, da * da)
+    vb = meas.bob.transpose(0, 1, 3, 2).reshape(ny * nb, db * db)
+    return Box((va @ r @ vb.T).real.reshape(nx, na, ny, nb).transpose(0, 2, 1, 3))
 
 
 def functional_value(f: BellFunctional, box: Box) -> float:
     """Sum of coefficients times probabilities."""
-    _scenario_match(f, box.nx, box.ny, box.na, box.nb, "functional_value")
+    _scenario_match(f, box.p.shape, "functional_value")
     return float((f.coeffs * box.p).sum())
 
 
@@ -409,11 +398,11 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -
             break
 
     best = int(np.argmax(finals))
-    eye_a, eye_b = np.eye(da), np.eye(db)
+    alice, bob = alice_out[best], bob_out[best]
     return SeesawResult(
         value=float(finals[best]),
-        measurements=MeasurementFamily([[e, eye_a - e] for e in alice_out[best]],
-                                       [[e, eye_b - e] for e in bob_out[best]]),
+        measurements=MeasurementFamily(np.stack([alice, np.eye(da) - alice], axis=1),
+                                       np.stack([bob, np.eye(db) - bob], axis=1)),
         history=tuple(np.array(trail)[:iterations[best], :, best].reshape(-1).tolist()),
         restart_values=tuple(finals.tolist()),
         converged=bool(converged[best]),

@@ -25,7 +25,9 @@ or a ``nonlocality`` solve did not converge (its report is still written),
 2 for validation or parse failures and for a numpy LinAlgError, 3 when a
 construction would exceed the dense-dimension cap (PTBOUND_DIM_CAP raises it)
 or memory runs out; the cap also applies to the doubled state rho x rho^PT of
-``repro prop1``.  Each failure writes one ``error:`` line to stderr.
+``repro prop1``.  Each failure writes one ``error:`` line to stderr, cut to
+200 characters with its newline (ending in "...") when the message echoes a
+huge input.
 
 All JSON output is canonical and compact: one line with sorted keys, the
 separators "," and ":" and no timestamps, so identical invocations produce
@@ -69,6 +71,7 @@ from .nonlocality import nonlocality_N
 __all__ = ["main"]
 
 CHSH_Q = 2.0 * math.sqrt(2.0)
+_ERROR_WIDTH = 200  # characters of an error line, its newline included
 
 
 def _parse_list(text: str) -> list[int]:
@@ -336,11 +339,12 @@ def main(argv=None) -> int:
             print(text)
         return code
     except (DimensionCapError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 3
+        message, code = str(exc) or "out of memory", 3
     except (ValidationError, OSError, LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = str(exc), 2
+    line = f"error: {message}"  # a message that echoes a huge input is cut
+    print(line if len(line) < _ERROR_WIDTH else line[:_ERROR_WIDTH - 4] + "...", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -81,8 +81,9 @@ def _pair_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalPolytope:
-    """Deterministic boxes of a scenario, one row per strategy pair.
+    """Deterministic boxes of a scenario, one flattened [x, y, a, b] row per strategy pair.
 
+    The polytope is its two arrays; the sizes are those given to ``for_scenario``.
     ``start`` is the cold start of the inner solve: weight 1/(na*nb) on each
     constant strategy pair (a(x) = a, b(y) = b), whose mixture is the
     uniform box.  It gives the same q, objective and first gradient as
@@ -92,10 +93,6 @@ class LocalPolytope:
     frozen and its arrays are read-only.
     """
 
-    nx: int
-    ny: int
-    na: int
-    nb: int
     vertices: np.ndarray  # (n_vertices, nx*ny*na*nb)
     start: np.ndarray  # (n_vertices,)
 
@@ -117,7 +114,7 @@ class LocalPolytope:
         start[(ia[:, None] * len(fb) + ib).reshape(-1)] = 1.0 / (na * nb)
         vertices = rows.reshape(count, -1)
         vertices.flags.writeable = start.flags.writeable = False
-        return LocalPolytope(nx, ny, na, nb, vertices, start)
+        return LocalPolytope(vertices, start)
 
 
 @dataclass

@@ -80,7 +80,7 @@ def _swap_operator(d: int) -> np.ndarray:
     return f
 
 
-def werner_state(d: int, kind: str = "symmetric") -> CMatrix:
+def werner_state(d: int, kind: str) -> CMatrix:
     """Normalized projector onto the symmetric or antisymmetric subspace of C^d x C^d."""
     if d < 2:
         raise ValidationError("werner_state needs d >= 2")

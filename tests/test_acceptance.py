@@ -111,13 +111,13 @@ def test_criterion_03_transposition_bound_sweep():
     t0 = time.perf_counter()
     worst = math.inf
     for _ in range(200):
-        f = BellFunctional(2, 2, 2, 2, rng.normal(size=(2, 2, 2, 2)))
+        f = BellFunctional(rng.normal(size=(2, 2, 2, 2)))
         rep = thm1_bound(f, _random_meas(rng, 2),
                          random_bipartite_density(rng, 2, 2),
                          random_bipartite_density(rng, 2, 2))
         worst = min(worst, rep.slack)
     for _ in range(50):
-        f = BellFunctional(2, 2, 2, 2, rng.normal(size=(2, 2, 2, 2)))
+        f = BellFunctional(rng.normal(size=(2, 2, 2, 2)))
         rep = thm1_bound(f, _random_meas(rng, 3),
                          random_bipartite_density(rng, 3, 3),
                          random_bipartite_density(rng, 3, 3))
@@ -214,7 +214,7 @@ def test_criterion_07_nonlocality_measure():
     for _ in range(50):
         w = rng.dirichlet(np.ones(poly.vertices.shape[0]))
         p = (w @ poly.vertices).reshape(2, 2, 2, 2)
-        worst = max(worst, nonlocality_N(Box(2, 2, 2, 2, p)).value)
+        worst = max(worst, nonlocality_N(Box(p)).value)
     _check(failures, worst <= 1e-7, f"local mixture measured {worst:.2e}")
     box = box_from(max_entangled(2), tsirelson_measurements())
     uni = nonlocality_N(box, mode="uniform").value

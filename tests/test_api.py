@@ -32,7 +32,6 @@ PUBLIC_KNOBS = {
     "nonlocality_N": ("mode", "gap_tol", "restarts"),
     "hiding_state": ("m", "d_shield", "q"),
     "thm2_chain_check": ("mode",),
-    "werner_state": ("kind",),
     "CMatrix": ("layout", "hermitian"),
     "BoundReport": ("tol",),
     "Tolerances": ("assertion", "structural", "psd", "eig_floor", "support", "verdict",
@@ -50,6 +49,22 @@ def test_rand_holds_only_the_seesaw_start_draws():
     public = {name for name, value in vars(rand).items()
               if inspect.isfunction(value) and not name.startswith("_")}
     assert public == {"random_binary_projective", "random_seesaw_starts"}
+
+
+# the Bell-scenario objects are their arrays: no constructor takes a size that
+# the array's shape already gives
+ARRAY_CONSTRUCTORS = {
+    "BellFunctional": ("coeffs",),
+    "Box": ("p",),
+    "MeasurementFamily": ("alice", "bob"),
+    "LocalPolytope": ("vertices", "start"),
+}
+
+
+def test_bell_scenario_objects_take_only_their_arrays():
+    params = {name: tuple(inspect.signature(getattr(ptbounds, name)).parameters)
+              for name in ARRAY_CONSTRUCTORS}
+    assert params == ARRAY_CONSTRUCTORS
 
 
 def test_public_callables_have_exactly_the_pinned_knobs():

@@ -1,6 +1,7 @@
 """Tests for functionals, boxes, the seesaw, and the transposition bound reports."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -55,7 +56,7 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 def random_box(rng, nx=2, ny=2, na=2, nb=2) -> Box:
     p = rng.random(size=(nx, ny, na, nb))
     p /= p.sum(axis=(2, 3), keepdims=True)
-    return Box(nx, ny, na, nb, p)
+    return Box(p)
 
 
 def brute_force_classical(f: BellFunctional) -> float:
@@ -74,24 +75,24 @@ def test_chsh_classical_value_is_exactly_two():
 
 
 def test_classical_value_trivial_scenarios():
-    zero = BellFunctional(2, 2, 2, 2, np.zeros((2, 2, 2, 2)))
+    zero = BellFunctional(np.zeros((2, 2, 2, 2)))
     assert classical_value(zero) == 0.0
-    single = BellFunctional(1, 1, 1, 1, np.full((1, 1, 1, 1), 7.0))
+    single = BellFunctional(np.full((1, 1, 1, 1), 7.0))
     assert classical_value(single) == 7.0
 
 
 def test_classical_value_matches_brute_force_on_asymmetric_scenarios():
     rng = np.random.default_rng(31)
     for nx, ny, na, nb in ((1, 2, 3, 2), (2, 1, 2, 3), (2, 2, 3, 2)):
-        f = BellFunctional(nx, ny, na, nb, rng.normal(size=(nx, ny, na, nb)))
+        f = BellFunctional(rng.normal(size=(nx, ny, na, nb)))
         assert classical_value(f) == pytest.approx(brute_force_classical(f), abs=1e-12)
 
 
 def test_classical_value_enumeration_guard():
     # the guard counts the strategies enumerated, the smaller party's: 2 here
-    lopsided = BellFunctional(23, 1, 2, 2, np.zeros((23, 1, 2, 2)))
+    lopsided = BellFunctional(np.zeros((23, 1, 2, 2)))
     assert classical_value(lopsided) == 0.0
-    big = BellFunctional(17, 17, 2, 2, np.zeros((17, 17, 2, 2)))
+    big = BellFunctional(np.zeros((17, 17, 2, 2)))
     with pytest.raises(ValidationError, match="131072 deterministic strategies"):
         classical_value(big)
     with pytest.raises(ValidationError, match="131072 deterministic strategies"):
@@ -104,7 +105,7 @@ def test_classical_value_and_seesaw_reach_a_planted_optimum():
     alice_out, bob_out = rng.integers(0, 2, size=12), rng.integers(0, 2, size=12)
     coeffs = np.zeros((12, 12, 2, 2))
     coeffs[np.arange(12)[:, None], np.arange(12), alice_out[:, None], bob_out] = 1.0
-    f = BellFunctional(12, 12, 2, 2, coeffs)
+    f = BellFunctional(coeffs)
     assert classical_value(f) == 144.0
     assert seesaw(max_entangled(2), f, restarts=1).value >= 144.0 - 1e-9
 
@@ -113,26 +114,27 @@ def test_classical_value_and_seesaw_reach_a_planted_optimum():
 @pytest.mark.parametrize("kind", [Box, BellFunctional])
 def test_box_and_functional_refuse_sizes_below_one(kind, sizes):
     with pytest.raises(ValidationError, match="at least 1"):
-        kind(*sizes, np.zeros(sizes))
+        kind(np.zeros(sizes))
 
 
 @pytest.mark.parametrize("kind, noun", [(Box, "box"), (BellFunctional, "coefficient")])
 def test_box_and_functional_refuse_a_table_of_the_wrong_shape(kind, noun):
-    with pytest.raises(ValidationError, match=rf"^{noun} table has shape \(2, 2, 2, 1\), "
-                       rf"expected \(2, 2, 2, 2\)$"):
-        kind(2, 2, 2, 2, np.full((2, 2, 2, 1), 0.5))
+    # the table's shape is the scenario, so only its number of indices can be wrong
+    with pytest.raises(ValidationError, match=rf"^{noun} table must have 4 indices, each of "
+                       rf"size at least 1, got shape \(2, 2, 4\)$"):
+        kind(np.full((2, 2, 4), 0.25))
 
 
 def test_functional_refuses_coefficients_whose_sum_overflows():
     # each 1e308 is finite, their sum is not: box values and s_0 - s_1 could overflow
     with pytest.raises(ValidationError, match="finite absolute sum"):
-        BellFunctional(2, 2, 2, 2, np.full((2, 2, 2, 2), 1e308))
-    BellFunctional(2, 2, 2, 2, np.full((2, 2, 2, 2), 1e307))
+        BellFunctional(np.full((2, 2, 2, 2), 1e308))
+    BellFunctional(np.full((2, 2, 2, 2), 1e307))
 
 
 def test_functional_and_box_json_roundtrip():
     rng = np.random.default_rng(34)
-    f = BellFunctional(2, 2, 2, 2, rng.normal(size=(2, 2, 2, 2)))
+    f = BellFunctional(rng.normal(size=(2, 2, 2, 2)))
     back = BellFunctional.from_json(f.to_json())
     assert np.array_equal(back.coeffs, f.coeffs)
     box = random_box(rng)
@@ -146,14 +148,14 @@ def test_functional_and_box_json_roundtrip():
 
 def test_box_validation_rejects_bad_tables():
     good = np.full((2, 2, 2, 2), 0.25)
-    Box(2, 2, 2, 2, good)
+    Box(good)
     with pytest.raises(ValidationError):
-        Box(2, 2, 2, 2, good * 2.0)
+        Box(good * 2.0)
     bad = good.copy()
     bad[0, 0, 0, 0] = -0.1
     bad[0, 0, 1, 1] = 0.6
     with pytest.raises(ValidationError):
-        Box(2, 2, 2, 2, bad)
+        Box(bad)
 
 
 def test_measurement_family_validation():
@@ -164,30 +166,29 @@ def test_measurement_family_validation():
     neg = np.diag([1.5, -0.5])
     with pytest.raises(ValidationError):
         MeasurementFamily([[neg, eye - neg]], [[eye]])
-    # every POVM of a party needs the same outcome count, or box_from cannot stack them
-    with pytest.raises(ValidationError, match="^alice input 1: 1 outcomes, input 0 has 2$"):
-        MeasurementFamily([[eye / 2, eye / 2], [eye]], [[eye / 2, eye / 2], [eye / 2, eye / 2]])
-    with pytest.raises(ValidationError, match="^bob input 1: 3 outcomes"):
-        MeasurementFamily([[eye]], [[eye / 2, eye / 2], [eye / 2, eye / 4, eye / 4]])
-    # an empty party or POVM is refused before any effect is read
-    with pytest.raises(ValidationError, match="^alice has no inputs$"):
-        MeasurementFamily([], [[eye]])
-    with pytest.raises(ValidationError, match="^bob has no inputs$"):
-        MeasurementFamily([[eye]], [])
-    with pytest.raises(ValidationError, match="^alice input 0: POVM has no outcomes$"):
-        MeasurementFamily([[]], [[eye]])
-    with pytest.raises(ValidationError, match="^bob input 1: 0 outcomes, input 0 has 1$"):
-        MeasurementFamily([[eye]], [[eye], []])
-    # the first effect sets the dimension, so its shape is checked before it is read
-    with pytest.raises(ValidationError, match=r"^alice input 0: effect shape \(\)$"):
-        MeasurementFamily([[np.float64(1.0)]], [[eye]])
-    with pytest.raises(ValidationError, match=r"^bob input 0: effect shape \(\)$"):
-        MeasurementFamily([[eye]], [[1.0]])
-    with pytest.raises(ValidationError, match=r"^alice input 0: effect shape \(2,\)$"):
-        MeasurementFamily([[np.ones(2)]], [[eye]])
-    # every later effect must have the first one's shape
-    with pytest.raises(ValidationError, match=r"^bob input 1: effect shape \(3, 3\)$"):
-        MeasurementFamily([[eye]], [[eye], [np.eye(3)]])
+    # each party must stack as [input, outcome, d, d]: ragged outcome counts,
+    # an empty party or POVM, effects that are not square matrices and effects
+    # of two dimensions all get one message, before any effect is read
+    unstackable = [
+        ([[eye / 2, eye / 2], [eye]], [[eye / 2, eye / 2], [eye / 2, eye / 2]], "alice"),
+        ([[eye]], [[eye / 2, eye / 2], [eye / 2, eye / 4, eye / 4]], "bob"),
+        ([], [[eye]], "alice"),
+        ([[eye]], [], "bob"),
+        ([[]], [[eye]], "alice"),
+        ([[eye]], [[eye], []], "bob"),
+        ([[np.float64(1.0)]], [[eye]], "alice"),
+        ([[eye]], [[1.0]], "bob"),
+        ([[np.ones(2)]], [[eye]], "alice"),
+        ([[eye]], [[eye], [np.eye(3)]], "bob"),
+        ([[np.ones((2, 3))]], [[eye]], "alice"),
+        ([[eye]], np.zeros((1, 1, 0, 0)), "bob"),
+        ([["1"]], [[eye]], "alice"),
+        ([[eye]], [[10**400]], "bob"),
+    ]
+    for alice, bob, side in unstackable:
+        with pytest.raises(ValidationError,
+                           match=rf"^{side} POVMs do not stack as \[input, outcome, d, d\]$"):
+            MeasurementFamily(alice, bob)
 
 
 def test_measurement_family_rejects_non_hermitian_effects():
@@ -209,6 +210,37 @@ def test_measurement_family_rejects_non_finite_effects(bad):
         MeasurementFamily([[e, eye - e]], [[eye, zero]])
     with pytest.raises(ValidationError, match="^bob input 1: effect expects a finite matrix$"):
         MeasurementFamily([[eye, zero]], [[eye, zero], [eye - e, e]])
+
+
+def test_measurement_family_json_is_one_pair_per_entry():
+    # the oracle is the writer of nested effect lists: [re, im] of each entry in
+    # row-major order; the stacked writer must give the same floats, -0.0 included
+    rng = np.random.default_rng(46)
+    meas = MeasurementFamily([random_binary_povm(rng, 3) for _ in range(2)],
+                             [random_binary_povm(rng, 2) for _ in range(3)])
+    meas.alice.imag[1, 0, 2, 2] = -0.0
+    meas.bob.real[2, 1, 0, 1] = -0.0
+
+    def per_entry(povms):
+        return [[[[float(z.real), float(z.imag)] for z in e.reshape(-1)] for e in povm]
+                for povm in povms]
+
+    expected = {"dim_a": 3, "dim_b": 2, "alice": per_entry(meas.alice),
+                "bob": per_entry(meas.bob)}
+    assert json.dumps(meas.to_json()) == json.dumps(expected)
+    assert json.dumps(expected).count("-0.0") >= 2
+
+
+def test_seesaw_measurements_are_stacked_arrays():
+    rng = np.random.default_rng(47)
+    f = BellFunctional(rng.normal(size=(2, 3, 2, 2)))
+    res = seesaw(random_bipartite_density(rng, 3, 2), f, restarts=2, seed=1)
+    for povms, shape in ((res.measurements.alice, (2, 2, 3, 3)),
+                         (res.measurements.bob, (3, 2, 2, 2))):
+        assert isinstance(povms, np.ndarray)
+        assert povms.dtype == np.complex128 and povms.shape == shape
+        assert np.array_equal(povms[:, 1], np.eye(shape[-1]) - povms[:, 0])
+    assert (res.measurements.dim_a, res.measurements.dim_b) == (3, 2)
 
 
 def test_box_from_maximally_mixed_is_uniform(tsirelson_meas):
@@ -241,7 +273,7 @@ def test_box_from_reaches_tsirelson(phi_plus, tsirelson_meas, chsh_functional):
         box_from(max_entangled(3), tsirelson_meas)
     with pytest.raises(ValidationError, match=r"^functional_value: functional scenario "
                        r"\(2, 2, 2, 2\) does not match \(1, 1, 1, 1\)$"):
-        functional_value(chsh_functional, Box(1, 1, 1, 1, np.ones((1, 1, 1, 1))))
+        functional_value(chsh_functional, Box(np.ones((1, 1, 1, 1))))
 
 
 def test_bell_operator_matches_box_value(chsh_functional):
@@ -273,7 +305,7 @@ def test_bell_operator_of_transposed_bob_equals_partial_transpose(chsh_functiona
 def test_bell_operator_nonnegative_coefficients_give_psd():
     rng = np.random.default_rng(37)
     for _ in range(10):
-        f = BellFunctional(2, 2, 2, 2, rng.random(size=(2, 2, 2, 2)))
+        f = BellFunctional(rng.random(size=(2, 2, 2, 2)))
         meas = MeasurementFamily(
             [random_binary_povm(rng, 2) for _ in range(2)],
             [random_binary_povm(rng, 2) for _ in range(2)],
@@ -287,8 +319,8 @@ def test_bell_operator_tsirelson_certificate(tsirelson_meas, chsh_functional):
         TSIRELSON, abs=1e-9
     )
     one_input = MeasurementFamily(tsirelson_meas.alice[:1], tsirelson_meas.bob)
-    with pytest.raises(ValidationError,
-                       match="^bell_operator: measurement family has wrong input count$"):
+    with pytest.raises(ValidationError, match=r"^bell_operator: functional scenario "
+                       r"\(2, 2, 2, 2\) does not match \(1, 2, 2, 2\)$"):
         bell_operator(chsh_functional, one_input)
 
 
@@ -303,7 +335,7 @@ def test_seesaw_is_monotone_and_deterministic(phi_plus, chsh_functional):
 
 
 def test_seesaw_rejects_non_binary_outcomes(phi_plus):
-    f = BellFunctional(2, 2, 3, 2, np.zeros((2, 2, 3, 2)))
+    f = BellFunctional(np.zeros((2, 2, 3, 2)))
     with pytest.raises(ValidationError):
         seesaw(phi_plus, f)
 
@@ -464,7 +496,7 @@ def test_seesaw_runs_on_unequal_local_dimensions(chsh_functional):
 
 def asymmetric_functional():
     """Two Alice inputs, three Bob inputs, no symmetry between the parties."""
-    return BellFunctional(2, 3, 2, 2, np.random.default_rng(44).normal(size=(2, 3, 2, 2)))
+    return BellFunctional(np.random.default_rng(44).normal(size=(2, 3, 2, 2)))
 
 
 @pytest.mark.parametrize("da, db", [(2, 1), (1, 2), (3, 2), (2, 3), (2, 8), (8, 3)])
@@ -772,7 +804,7 @@ def test_seesaw_chain_consistency_on_tensor_pair(chsh_functional):
 @given(st.integers(0, 10_000))
 def test_thm1_property(seed):
     rng = np.random.default_rng(seed)
-    f = BellFunctional(2, 2, 2, 2, rng.normal(size=(2, 2, 2, 2)))
+    f = BellFunctional(rng.normal(size=(2, 2, 2, 2)))
     rho = random_bipartite_density(rng, 2, 2)
     sigma = random_bipartite_density(rng, 2, 2)
     meas = MeasurementFamily(

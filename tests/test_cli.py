@@ -155,17 +155,39 @@ _OVER_2_64 = "needs dimension at least 2^64, above the cap 4096 (set PTBOUND_DIM
      f"hiding_state {_OVER_2_64}"),
     (("make-state", "max-entangled", "--d", str(10**20)), str(10**50), 2,
      f"PTBOUND_DIM_CAP must be at most 759250124, got {10**50}"),
+    # messages that echo a huge input in full: main cuts the line
+    (("repro", "eq10", "--ds", "2" + "0" * 2200), None, 2,
+     f"fourier_xy needs a perfect square d_s >= 4, got {2 * 10**2200}"),
+    (("make-state", "max-entangled"), "9" * 4000, 2,
+     f"PTBOUND_DIM_CAP must be at most 759250124, got {'9' * 4000}"),
+    (("repro", "eq8", "--d", "x" * 3000), None, 2,
+     f"expected comma-separated integers, got {'x' * 3000!r}"),
+    (("seesaw", "parties.json", "--restarts", "1"), None, 2,
+     f"matrix JSON parties must be a list of strings, got {'P' * 5000!r}"),
+    (("seesaw", "dims.json", "--restarts", "1"), None, 2,
+     f"matrix JSON dims entry must be an integer >= 1, got {[2] * 3000!r}"),
+    (("nonlocality", "nx.json"), None, 2,
+     f"bad box JSON: nx must be an integer >= 1, got {[1] * 3000!r}"),
 ], ids=["hiding-m7100", "hiding-m7200", "prop1-m7200", "max-entangled-2201-digits",
-        "hiding-m1e9", "hiding-d3-m1e8", "cap-1e50"])
+        "hiding-m1e9", "hiding-d3-m1e8", "cap-1e50", "eq10-2201-digit-ds", "cap-4000-nines",
+        "eq8-3000-char-d", "parties-5000-chars", "dims-entry-3000-twos", "box-nx-3000-ones"])
 def test_huge_sizes_and_caps_exit_at_once_with_one_short_line(tmp_path, argv, cap, code, message):
     # dimensions past Python's 4,300-digit str() limit, powers too large to
-    # compute in full, and a cap whose square numpy cannot size: each exits
-    # at once, 3 at the cap or 2 for the cap itself, with one short line
+    # compute in full, a cap whose square numpy cannot size, and inputs that
+    # the message echoes: each exits at once, 3 at the cap or 2 otherwise,
+    # with one line of at most 200 characters, its newline included; a longer
+    # line is cut to its first 196 characters and "..."
+    for name, payload in (("parties.json", {**_PHI_PAYLOAD, "parties": "P" * 5000}),
+                          ("dims.json", {**_PHI_PAYLOAD, "dims": [[2] * 3000, 2]}),
+                          ("nx.json", {"nx": [1] * 3000, "ny": 2, "na": 2, "nb": 2,
+                                       "p": [0.25] * 16})):
+        (tmp_path / name).write_text(json.dumps(payload))
     env = {"PTBOUND_DIM_CAP": cap} if cap else {}
     proc = run_child(tmp_path, "-m", "ptbounds.cli", *argv, timeout=10, **env)
+    line = f"error: {message}"
     assert proc.returncode == code
     assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert proc.stderr.splitlines() == [line if len(line) < 200 else line[:196] + "..."]
     assert len(proc.stderr) <= 200
 
 

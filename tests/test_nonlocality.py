@@ -57,11 +57,9 @@ def tsirelson_box() -> Box:
     return box_from(phi, tsirelson_measurements())
 
 
-def vertex_box(polytope: LocalPolytope, index: int) -> Box:
-    p = polytope.vertices[index].reshape(
-        polytope.nx, polytope.ny, polytope.na, polytope.nb
-    )
-    return Box(polytope.nx, polytope.ny, polytope.na, polytope.nb, p)
+def vertex_box(sizes: tuple[int, int, int, int], index: int) -> Box:
+    """The deterministic box of row ``index`` of the polytope of scenario ``sizes``."""
+    return Box(LocalPolytope.for_scenario(*sizes).vertices[index].reshape(sizes))
 
 
 def test_kl_basic_values():
@@ -79,7 +77,7 @@ def test_local_polytope_chsh_vertices():
     assert poly.vertices.shape == (16, 16)
     seen = set()
     for i in range(poly.vertices.shape[0]):
-        box = vertex_box(poly, i)
+        box = vertex_box((2, 2, 2, 2), i)
         table = box.p
         assert set(np.unique(table)).issubset({0.0, 1.0})
         assert np.abs(table.sum(axis=(2, 3)) - 1.0).max() <= 1e-12
@@ -93,9 +91,8 @@ def test_local_polytope_vertex_guard():
 
 
 def test_nonlocality_vanishes_on_vertices():
-    poly = LocalPolytope.for_scenario(2, 2, 2, 2)
     for i in (0, 5, 10, 15):
-        res = nonlocality_N(vertex_box(poly, i))
+        res = nonlocality_N(vertex_box((2, 2, 2, 2), i))
         assert res.value <= 1e-9
         assert res.converged
 
@@ -106,7 +103,7 @@ def test_nonlocality_vanishes_on_local_mixtures():
     for _ in range(10):
         w = rng.dirichlet(np.ones(16))
         p = (w @ poly.vertices).reshape(2, 2, 2, 2)
-        res = nonlocality_N(Box(2, 2, 2, 2, p))
+        res = nonlocality_N(Box(p))
         assert res.value <= 1e-7
 
 
@@ -145,7 +142,7 @@ def test_nonlocality_classical_data_processing():
         kb = rng.random(size=(2, 2))
         kb /= kb.sum(axis=0, keepdims=True)
         q = np.einsum("ca,db,xyab->xycd", ka, kb, box.p)
-        processed = nonlocality_N(Box(2, 2, 2, 2, q)).value
+        processed = nonlocality_N(Box(q)).value
         assert processed <= base + 1e-9
 
 
@@ -372,7 +369,7 @@ def _tiny_entry_boxes(eps: float) -> list[Box]:
     deterministic[0] = [1 - eps, 0, 0, eps]
     noisy_pr = 0.8 * np.array([[0.5, 0, 0, 0.5]] * 3 + [[0, 0.5, 0.5, 0]]) + 0.05
     noisy_pr[0] = [1 - eps, 0, 0, eps]
-    return [Box(2, 2, 2, 2, rows.reshape(2, 2, 2, 2))
+    return [Box(rows.reshape(2, 2, 2, 2))
             for rows in (pattern, deterministic, noisy_pr)]
 
 
@@ -495,7 +492,7 @@ def test_nonlocality_below_max_pair_kl_property(seed):
     rng = np.random.default_rng(seed)
     p = rng.random(size=(2, 2, 2, 2))
     p /= p.sum(axis=(2, 3), keepdims=True)
-    box = Box(2, 2, 2, 2, p)
+    box = Box(p)
     res = nonlocality_N(box)
     poly = LocalPolytope.for_scenario(2, 2, 2, 2)
     best = min(_pair_kl(p.reshape(4, 4), q.reshape(4, 4)).mean() for q in poly.vertices)
@@ -566,7 +563,7 @@ def _pr_vertex_mixtures(seed, count, t_range):
         w = np.zeros(16)
         w[rng.choice(16, size=2, replace=False)] = rng.dirichlet(np.ones(2))
         t = rng.uniform(*t_range)
-        box = Box(2, 2, 2, 2, ((1.0 - t) * (w @ poly.vertices) + t * pr).reshape(2, 2, 2, 2))
+        box = Box(((1.0 - t) * (w @ poly.vertices) + t * pr).reshape(2, 2, 2, 2))
         assert (box.p == 0.0).any()
         yield box
 

@@ -55,7 +55,7 @@ def test_max_entangled_rejects_small_dim():
         max_entangled(1)
     # so do the other d x d families
     with pytest.raises(ValidationError, match="^werner_state needs d >= 2$"):
-        werner_state(1)
+        werner_state(1, "symmetric")
     with pytest.raises(ValidationError, match="^swap_x needs d >= 2$"):
         swap_x(1)
 
