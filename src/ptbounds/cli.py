@@ -1,16 +1,17 @@
-"""Command-line front end: reproduction targets and ad-hoc library calls.
+"""Command-line front end: reproduction targets, their sweep and ad-hoc library calls.
 
 Each flag and its default are declared once.  Each command, ``repro``
 target and ``make-state`` family takes only the flags it reads, after its
 name, and no parser takes abbreviations; a target's or family's entry in
 ``_REPRO_TARGETS`` or ``_FAMILIES`` lists its flags next to its builder.
 Commands read the parsed namespace directly.  ``build_parser`` is cached,
-so a process that calls ``main`` many times (the sweep script, a benchmark)
-builds the parser once; parsing leaves it unchanged, and ``main`` finds the
-``cmd_*`` function by the command's name when it runs.  Each repro target
-states its closed-form excess over the classical value once, next to its
-state family, and builds its rows with ``_seesaw_row`` (the library's
-``seesaw_bound`` on CHSH) and ``_ppt_row``.
+so a process that calls ``main`` many times (``sweep``, which runs every
+repro target through it, or a benchmark) builds the parser once; parsing
+leaves it unchanged, and ``main`` finds the ``cmd_*`` function by the
+command's name when it runs.  Each repro target states its closed-form
+excess over the classical value once, next to its state family, and builds
+its rows with ``_seesaw_row`` (the library's ``seesaw_bound`` on CHSH) and
+``_ppt_row``.
 
 Commands return (payload, CSV lines or None, exit code) and write nothing;
 ``main`` alone writes the CSV (under ``--out csv``) or JSON to ``--output``
@@ -25,9 +26,10 @@ or a ``nonlocality`` solve did not converge (its report is still written),
 2 for validation or parse failures and for a numpy LinAlgError, 3 when a
 construction would exceed the dense-dimension cap (PTBOUND_DIM_CAP raises it)
 or memory runs out; the cap also applies to the doubled state rho x rho^PT of
-``repro prop1``.  Each failure writes one ``error:`` line to stderr, cut to
-200 characters with its newline (ending in "...") when the message echoes a
-huge input.
+``repro prop1``; ``sweep`` exits with the worst of its targets' codes.  Each
+failure, a parse error included, writes one ``error:`` line to stderr and
+no usage block, cut to 200 characters with its newline (ending in "...")
+when the message echoes a huge input.
 
 All JSON output is canonical and compact: one line with sorted keys, the
 separators "," and ":" and no timestamps, so identical invocations produce
@@ -234,6 +236,30 @@ def cmd_make_state(args: argparse.Namespace) -> tuple[dict, None, int]:
     return payload, None, 0
 
 
+def cmd_sweep(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    """Every repro target at its default grid, each report to <outdir>/<target>.<out>."""
+    if not args.outdir:  # os.makedirs("") would say "No such file or directory"
+        raise ValidationError("cannot create --outdir : empty path")
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:  # a file at the path or on the way to it
+        raise ValidationError(f"cannot create --outdir {args.outdir}: {exc.strerror}") from None
+    codes = {target: main(["repro", target, f"--restarts={args.restarts}", f"--seed={args.seed}",
+                           f"--out={args.out}", "--output",
+                           os.path.join(args.outdir, f"{target}.{args.out}")])
+             for target in _REPRO_TARGETS}  # a failing target writes its own error line
+    payload = {"command": "sweep", "outdir": args.outdir, "exit_codes": codes}
+    lines = ["target,exit", *(f"{target},{code}" for target, code in codes.items())]
+    return payload, lines, max(codes.values())
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ValidationErrors, written by ``main`` as any other."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _subcommand(subs, name: str, help: str | None = None, flags=()) -> argparse.ArgumentParser:
     """A subcommand parser without abbreviations, taking the flags and --output."""
     sub = subs.add_parser(name, help=help, allow_abbrev=False)
@@ -245,7 +271,7 @@ def _subcommand(subs, name: str, help: str | None = None, flags=()) -> argparse.
 
 def _add_report_flags(sub: argparse.ArgumentParser, seesaw: bool) -> None:
     """--out, plus --restarts and --seed where the seesaw runs: ``seesaw``, each repro
-    target and the sweep script.  No flag loosens a verdict's tolerance, TOL.verdict."""
+    target and ``sweep``.  No flag loosens a verdict's tolerance, TOL.verdict."""
     if seesaw:
         sub.add_argument("--restarts", type=int, default=32, help="random seesaw restarts, "
                          "plus one from a deterministic strategy (default 32)")
@@ -256,7 +282,7 @@ def _add_report_flags(sub: argparse.ArgumentParser, seesaw: bool) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptbounds",
         description="Transposition-based bounds on Bell-inequality violation: "
                     "reproduction targets and library access.",
@@ -286,6 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     families = mk.add_subparsers(dest="family", required=True)
     for family, (flags, _) in _FAMILIES.items():
         _subcommand(families, family, flags=flags)
+
+    sweep = subs.add_parser("sweep", help="run every repro target, one report file each",
+                            allow_abbrev=False)
+    sweep.add_argument("--outdir", default="results",
+                       help="directory for the reports (default results)")
+    _add_report_flags(sweep, seesaw=True)
 
     return parser
 
@@ -317,13 +349,14 @@ def _json_text(payload: dict) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up by name at call time, so a rebound cmd_* attribute is what
-    # runs although the parser is built once
-    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        if args.output is not None:
-            _check_output(args.output)
+        args = build_parser().parse_args(argv)
+        # looked up by name at call time, so a rebound cmd_* attribute is what
+        # runs although the parser is built once
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        output = getattr(args, "output", None)  # sweep names its own files
+        if output is not None:
+            _check_output(output)
         # only the commands that read --restarts and --seed have them
         if "restarts" in args and args.restarts < 1:
             raise ValidationError("restarts must be at least 1")
@@ -332,8 +365,8 @@ def main(argv=None) -> int:
         payload, csv_lines, code = command(args)
         text = ("\n".join(csv_lines) if "out" in args and args.out == "csv"
                 else _json_text(payload))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
                 print(text, file=fh)
         else:
             print(text)

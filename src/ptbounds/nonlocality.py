@@ -410,18 +410,18 @@ class ChainCheck:
                 "rhs": self.rhs, "verdict": self.verdict}
 
 
-def thm2_chain_check(rho: CMatrix, sigma_candidate: CMatrix, meas: MeasurementFamily,
-                     mode: str = "uniform") -> ChainCheck:
+def thm2_chain_check(rho: CMatrix, sigma_candidate: CMatrix,
+                     meas: MeasurementFamily) -> ChainCheck:
     """Single-copy chain: N(box(rho)) <= sum_xy p KL(P_xy||Q_xy) <= S(rho||sigma).
 
-    The middle term uses the input distribution returned by the measure
-    optimizer and the box of the candidate under the same measurements; the
-    last term is measurement-independent by data processing.  Both links
-    get TOL.fw_gap of slack, since N is certified only to the Frank-Wolfe gap.
+    N is the uniform-mode measure, so p is uniform, and Q is the box of the
+    candidate under the same measurements; the last term is
+    measurement-independent by data processing.  Both links get TOL.fw_gap
+    of slack, since N is certified only to the Frank-Wolfe gap.
     """
     box_r = box_from(rho, meas)
     box_s = box_from(sigma_candidate, meas)
-    nl = nonlocality_N(box_r, mode=mode)
+    nl = nonlocality_N(box_r)
     n_pairs = box_r.nx * box_r.ny
     per_pair = _pair_kl(box_r.p.reshape(n_pairs, -1), box_s.p.reshape(n_pairs, -1))
     p = nl.input_dist

@@ -31,7 +31,6 @@ PUBLIC_KNOBS = {
     "seesaw": ("restarts", "seed"),
     "nonlocality_N": ("mode", "gap_tol", "restarts"),
     "hiding_state": ("m", "d_shield", "q"),
-    "thm2_chain_check": ("mode",),
     "CMatrix": ("layout", "hermitian"),
     "BoundReport": ("tol",),
     "Tolerances": ("assertion", "structural", "psd", "eig_floor", "support", "verdict",

@@ -25,10 +25,7 @@ from ptbounds.states import hiding_state, ppt_pbit
 
 def run_captured(capsys, *argv):
     """Exit code of main and its captured stdout and stderr."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse reports usage errors this way
-        code = int(exc.code)
+    code = main(list(argv))
     return code, capsys.readouterr()
 
 
@@ -113,8 +110,8 @@ def test_make_state_sizes_take_one_integer(capsys, flag, value):
     code, captured = run_captured(capsys, "make-state", family, flag, value)
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == (
-        f"ptbounds make-state {family}: error: argument {flag}: invalid int value: '{value}'")
+    assert captured.err.splitlines() == [
+        f"error: ptbounds make-state {family}: argument {flag}: invalid int value: '{value}'"]
 
 
 def test_dimension_cap_exits_three(capsys, monkeypatch):
@@ -168,9 +165,17 @@ _OVER_2_64 = "needs dimension at least 2^64, above the cap 4096 (set PTBOUND_DIM
      f"matrix JSON dims entry must be an integer >= 1, got {[2] * 3000!r}"),
     (("nonlocality", "nx.json"), None, 2,
      f"bad box JSON: nx must be an integer >= 1, got {[1] * 3000!r}"),
+    # parse errors go through main like every other error line
+    (("repro", "eq8", "--restarts", "x" * 3000), None, 2,
+     f"ptbounds repro eq8: argument --restarts: invalid int value: {'x' * 3000!r}"),
+    (("repro", "eq8", "--restarts", "1" + "0" * 5000), None, 2,
+     f"ptbounds repro eq8: argument --restarts: invalid int value: '1{'0' * 5000}'"),
+    (("sweep", "--outdir", "x" * 5000), None, 2,
+     f"cannot create --outdir {'x' * 5000}: File name too long"),
 ], ids=["hiding-m7100", "hiding-m7200", "prop1-m7200", "max-entangled-2201-digits",
         "hiding-m1e9", "hiding-d3-m1e8", "cap-1e50", "eq10-2201-digit-ds", "cap-4000-nines",
-        "eq8-3000-char-d", "parties-5000-chars", "dims-entry-3000-twos", "box-nx-3000-ones"])
+        "eq8-3000-char-d", "parties-5000-chars", "dims-entry-3000-twos", "box-nx-3000-ones",
+        "eq8-3000-char-restarts", "eq8-5001-digit-restarts", "sweep-5000-char-outdir"])
 def test_huge_sizes_and_caps_exit_at_once_with_one_short_line(tmp_path, argv, cap, code, message):
     # dimensions past Python's 4,300-digit str() limit, powers too large to
     # compute in full, a cap whose square numpy cannot size, and inputs that
@@ -630,12 +635,22 @@ def test_consecutive_calls_write_what_fresh_calls_write(capsysbinary):
 def test_a_parse_error_leaves_the_next_call_unaffected(capsysbinary, bad):
     argv = ("repro", "eq8", "--d", "2", "--restarts", "2")
     expected = _fresh_parser_bytes(capsysbinary, argv)
-    with pytest.raises(SystemExit) as exc:
-        main(list(bad))
-    assert exc.value.code == 2
-    assert capsysbinary.readouterr().out == b""
+    assert main(list(bad)) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(b"error: ptbounds")
     code = main(list(argv))
     assert (code, capsysbinary.readouterr().out) == expected
+
+
+def test_help_prints_the_usage_and_exits_zero(capsys):
+    # parse errors return 2 from main; --help still ends the process with 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ptbounds sweep [-h] [--outdir OUTDIR]")
+    assert captured.err == ""
 
 
 def test_module_entry_point_runs():
@@ -720,6 +735,7 @@ CLI_FLAGS = {
        for target, grids in _REPRO_GRIDS.items()},
     **{f"ptbounds make-state {family}": {f"--{key}" for key in sizes} | {"--output"}
        for family, sizes in _FAMILY_SIZES.items()},
+    "ptbounds sweep": {"--outdir", "--restarts", "--seed", "--out"},
 }
 
 
@@ -758,8 +774,8 @@ def test_unread_grid_and_size_flags_exit_two_before_the_command_runs(
     code, captured = run_captured(capsys, *argv, *flag, "--output", str(out_file))
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == (
-        "ptbounds: error: unrecognized arguments: " + " ".join(flag))
+    assert captured.err.splitlines() == [
+        "error: ptbounds: unrecognized arguments: " + " ".join(flag)]
     assert not out_file.exists()
 
 
@@ -836,20 +852,20 @@ def test_removed_flags_exit_two(capsys, tmp_path, command, flag):
         code, captured = run_captured(capsys, *argv, flag, "1")
         assert code == 2
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            f"ptbounds: error: unrecognized arguments: {flag} 1")
+        assert captured.err.splitlines() == [f"error: ptbounds: unrecognized arguments: {flag} 1"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("repro", "eq13"), "ptbounds repro: error: argument target: invalid choice: 'eq13'"),
-    (("repro", "eq8", "--eps", "0.1"), "ptbounds: error: unrecognized arguments: --eps 0.1"),
+    (("repro", "eq13"), "error: ptbounds repro: argument target: invalid choice: 'eq13'"),
+    (("repro", "eq8", "--eps", "0.1"), "error: ptbounds: unrecognized arguments: --eps 0.1"),
 ], ids=["eq13", "eps"])
 def test_retired_target_and_flag_exit_two(capsys, argv, message):
     # repro has no eq13 target and no --eps flag
     code, captured = run_captured(capsys, *argv)
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith(message)
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(message)
 
 
 def test_no_flag_passes_a_failing_verdict(capsys, tmp_path, monkeypatch):
@@ -865,7 +881,7 @@ def test_no_flag_passes_a_failing_verdict(capsys, tmp_path, monkeypatch):
     code, captured = run_captured(capsys, *argv, "--tol", "1", "--output", str(out_file))
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == "ptbounds: error: unrecognized arguments: --tol 1"
+    assert captured.err.splitlines() == ["error: ptbounds: unrecognized arguments: --tol 1"]
     assert not out_file.exists()
 
 
@@ -901,16 +917,15 @@ def test_unreadable_input_files_are_named(capsys, tmp_path, command, text, messa
 
 @pytest.mark.parametrize("argv, message", [
     (["make-state", "max-entangled", "--d", ","],
-     "ptbounds make-state max-entangled: error: argument --d: invalid int value: ','"),
+     "error: ptbounds make-state max-entangled: argument --d: invalid int value: ','"),
     (["repro", "eq8", "--d", ","], "error: expected comma-separated integers, got ','"),
     (["repro", "eq10", "--ds", ","], "error: expected comma-separated integers, got ','"),
 ], ids=["make-state-d", "eq8-d", "eq10-ds"])
 def test_empty_grids_exit_two(capsys, argv, message):
     code, captured = run_captured(capsys, *argv)
-    errors = captured.err.splitlines()
     assert code == 2
-    # a parser error prints the usage above its one error line
-    assert errors[-1] == message and (len(errors) == 1 or errors[0].startswith("usage:"))
+    # a parse error is one line too, with no usage block
+    assert captured.err.splitlines() == [message]
     assert captured.out == ""
 
 
@@ -957,35 +972,33 @@ def run_child(cwd: Path, *argv: str, timeout: float = 120,
                           text=True, timeout=timeout)
 
 
-def run_sweep(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
-    """The sweep script run in a child process from ``cwd``."""
-    return run_child(cwd, str(ROOT / "scripts" / "reproduce_bounds.py"), *argv)
-
-
-def test_sweep_script_checks_its_flags_before_creating_the_outdir(tmp_path):
-    proc = run_sweep(tmp_path, "--outdir", "r2", "--sed", "7")
-    errors = proc.stderr.splitlines()
-    assert proc.returncode == 2
-    assert errors[0].startswith("usage: reproduce_bounds.py ")
-    assert errors[-1] == "reproduce_bounds.py: error: unrecognized arguments: --sed 7"
-    assert proc.stdout == ""
+def test_sweep_script_checks_its_flags_before_creating_the_outdir(capsys, tmp_path,
+                                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, captured = run_captured(capsys, "sweep", "--outdir", "r2", "--sed", "7")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: ptbounds: unrecognized arguments: --sed 7"]
     assert not (tmp_path / "r2").exists()
 
 
 @pytest.mark.parametrize("key", [*sorted(_GRID_VALUES), "tol"])
-def test_sweep_script_takes_no_grid_flags(tmp_path, key):
+def test_sweep_script_takes_no_grid_flags(capsys, tmp_path, monkeypatch, key):
     # each target runs its default grid, and no flag loosens a verdict
+    monkeypatch.chdir(tmp_path)
     value = _GRID_VALUES.get(key, "1")
-    proc = run_sweep(tmp_path, "--outdir", "r3", f"--{key}", value)
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines()[-1] == (
-        f"reproduce_bounds.py: error: unrecognized arguments: --{key} {value}")
+    code, captured = run_captured(capsys, "sweep", "--outdir", "r3", f"--{key}", value)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: ptbounds: unrecognized arguments: --{key} {value}"]
     assert not (tmp_path / "r3").exists()
 
 
-def test_sweep_script_names_each_report_after_its_format(capsysbinary, tmp_path):
-    proc = run_sweep(tmp_path, "--outdir", "r", "--restarts", "1", "--out", "csv")
-    assert proc.returncode == 0
+def test_sweep_script_names_each_report_after_its_format(capsysbinary, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--outdir", "r", "--restarts", "1", "--out", "csv"]) == 0
+    assert capsysbinary.readouterr().out == b"target,exit\neq8,0\neq10,0\nprop1,0\n"
     assert sorted(path.name for path in (tmp_path / "r").iterdir()) == [
         "eq10.csv", "eq8.csv", "prop1.csv"]
     for target in _REPRO_GRIDS:
@@ -996,11 +1009,37 @@ def test_sweep_script_names_each_report_after_its_format(capsysbinary, tmp_path)
 @pytest.mark.parametrize("outdir, reason", [("taken", "File exists"),
                                             ("taken/sub", "Not a directory"),
                                             ("", "empty path")])
-def test_sweep_script_refuses_an_outdir_it_cannot_create(tmp_path, outdir, reason):
-    # a file at the path, or on the way to it, or no path at all (which pathlib
-    # would read as the current directory): one error line, before any target runs
+def test_sweep_script_refuses_an_outdir_it_cannot_create(capsys, tmp_path, monkeypatch,
+                                                        outdir, reason):
+    # a file at the path, or on the way to it, or no path at all (which would
+    # be the current directory): one error line, before any target runs
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "cmd_repro", _must_not_run)
     (tmp_path / "taken").write_text("")
-    proc = run_sweep(tmp_path, "--outdir", outdir, "--restarts", "1")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [f"error: cannot create --outdir {outdir}: {reason}"]
+    code, captured = run_captured(capsys, "sweep", "--outdir", outdir, "--restarts", "1")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cannot create --outdir {outdir}: {reason}"]
+
+
+def test_sweep_checks_restarts_once_before_creating_the_outdir(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, captured = run_captured(capsys, "sweep", "--restarts", "0")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: restarts must be at least 1"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_exits_with_the_worst_target_code(capsys, tmp_path, monkeypatch):
+    # each target is over a cap of 32 and writes its own error line; the sweep
+    # goes on to the next and reports every exit code
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PTBOUND_DIM_CAP", "32")
+    code, captured = run_captured(capsys, "sweep", "--restarts", "1")
+    assert code == 3
+    assert json.loads(captured.out) == {"command": "sweep", "outdir": "results",
+                                        "exit_codes": {"eq8": 3, "eq10": 3, "prop1": 3}}
+    errors = captured.err.splitlines()
+    assert len(errors) == 3 and all("above the cap 32" in line for line in errors)
+    assert list((tmp_path / "results").iterdir()) == []
