@@ -1,23 +1,39 @@
 """Matrices on labelled tensor factors: partial transposition, norms, relative entropy.
 
+A CMatrix is stored in one of two forms.  A matrix handed to the
+constructor is a dense row-major array.  The key/shield states that
+``states`` builds are almost all exact zeros (ppt-pbit at d_s = 16 has
+1,536 nonzeros among 1,048,576 entries), and they keep only their nonzeros
+(_Nonzeros): the flat row-major position and the value of every entry whose
+(re, im) bit pattern is not (+0.0, +0.0), in coordinate order (Saad,
+Iterative Methods for Sparse Linear Systems, ch. 3).  Signed zeros stay
+entries, so the dense array that ``mat`` builds from them, on each read and
+under the dimension cap, is the same bit for bit.
+
 Every factor reordering (partial transpose, factor order, party grouping and
 the realignment the seesaw reads) is one call of _regroup, a pure index
-permutation (reshape, axis transpose, reshape back), so it is exact: no
-arithmetic touches the entries.
+permutation, so it is exact: no arithmetic touches the entries.  A dense
+matrix is reshaped, its axes transposed and reshaped back; a nonzero form
+gets the same axis permutation applied to the digits of its positions.
 
 Every spectral function here (trace_norm, op_norm, min_eigenvalue, psd_sqrt,
-assert_density, rel_entropy) checks its input once, in _hermitian_pattern,
-and diagonalises it one block at a time.  That check refuses a non-square or
-non-finite matrix and measures the hermitian deviation on the exact nonzero
-pattern (M != 0) | (M != 0)^T, with no tolerance; the blocks are the
-connected components of that same pattern, so it is built once.  Permuting
-the indices so that each component is contiguous makes M block diagonal, and
-a block-diagonal matrix has the union of its blocks' spectra, with
-eigenvectors supported on single blocks; so nothing is dropped or
-approximated.  Each block keeps its indices in ascending order, so its lower
-triangle, the one eigvalsh and eigh read, is the full matrix's.  Key/shield
-states are almost all exact zeros and split into many small blocks; a matrix
-that is one component is a stack of one block, bit-identical to the dense call.
+assert_density, rel_entropy) takes either form, checks its input once, in
+_hermitian_pattern, and diagonalises it one block at a time.  That check
+refuses a non-square or non-finite matrix and measures the hermitian
+deviation on the exact nonzero pattern (M != 0) | (M != 0)^T, with no
+tolerance.  The blocks are the connected components of that same pattern,
+found by one edge-list finder, _edge_components: a nonzero form gives it the
+rows and columns of its entries, a dense matrix the nonzero pattern of its
+upper triangle.  Permuting the indices so that each component is contiguous
+makes M block diagonal, and a block-diagonal matrix has the union of its
+blocks' spectra, with eigenvectors supported on single blocks; so nothing is
+dropped or approximated.  Each block is gathered with its indices in
+ascending order, so its lower triangle, the one eigvalsh and eigh read, is
+the full matrix's.  An isolated index contributes its diagonal entry, an
+exact 0 where a nonzero form stores none, so the spectrum always has dim
+values and every sum over it runs in the same order for both forms.  A
+matrix that is one component is a stack of one block, bit-identical to the
+dense call.
 """
 
 from __future__ import annotations
@@ -101,18 +117,71 @@ class SystemLayout:
         return SystemLayout(tuple(self.factors[i] for i in order))
 
 
+def _zero_bits(vals: np.ndarray) -> np.ndarray:
+    """Which complex128 values have the (re, im) bit pattern (+0.0, +0.0)."""
+    bits = np.ascontiguousarray(vals).view(np.uint64).reshape(-1, 2)
+    return (bits[:, 0] | bits[:, 1]) == 0
+
+
+class _Nonzeros:
+    """A matrix of ``shape`` by its entries: flat row-major positions, ascending, and values.
+
+    It holds every entry whose (re, im) bit pattern is not (+0.0, +0.0), so
+    -0.0, subnormals and NaN stay entries and ``dense`` gives back the
+    matrix bit for bit.
+    """
+
+    __slots__ = ("shape", "pos", "vals")
+
+    def __init__(self, shape: tuple[int, int], pos: np.ndarray, vals: np.ndarray):
+        self.shape, self.pos, self.vals = shape, pos, vals
+
+    @staticmethod
+    def of_dense(arr: np.ndarray) -> "_Nonzeros":
+        flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1)
+        pos = np.flatnonzero(~_zero_bits(flat))
+        return _Nonzeros(arr.shape, pos, flat[pos])
+
+    @staticmethod
+    def make(shape: tuple[int, int], pos: np.ndarray, vals: np.ndarray) -> "_Nonzeros":
+        """The entries (pos, vals), each position once, sorted and without (+0.0, +0.0)."""
+        order = np.argsort(pos)
+        pos, vals = pos[order], vals[order]
+        keep = ~_zero_bits(vals)
+        return _Nonzeros(shape, pos[keep], vals[keep])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out.reshape(-1)[self.pos] = self.vals
+        return out
+
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column of each entry."""
+        return np.divmod(self.pos, self.shape[1])
+
+    def diagonal(self) -> np.ndarray:
+        """The dense diagonal, so that its sum runs as np.trace's does."""
+        r, c = self.coords()
+        out = np.zeros(self.shape[0], dtype=np.complex128)
+        out[r[r == c]] = self.vals[r == c]
+        return out
+
+
 class CMatrix:
     """A square complex matrix plus an optional factor layout.
 
-    Entries are stored row-major as a numpy complex128 array.  The
-    ``hermitian`` keyword is a one-time check on a caller-supplied matrix:
-    when true, the constructor raises ValidationError unless
-    max |M_ij - conj(M_ji)| is within the structural tolerance.  Nothing is
-    stored; matrices built inside the package are hermitian by construction
-    and are not re-checked.
+    A matrix given to the constructor is stored row-major as a dense numpy
+    complex128 array.  The key-family builders in ``states`` and every factor
+    reordering of their output keep only the nonzero entries instead
+    (_Nonzeros), and ``mat`` builds the dense array from them on each read,
+    under the dimension cap.  The ``hermitian`` keyword is a one-time check
+    on a caller-supplied matrix: when true, the constructor raises
+    ValidationError unless max |M_ij - conj(M_ji)| is within the structural
+    tolerance.  Nothing is stored; matrices built inside the package are
+    hermitian by construction and are not re-checked.
     """
 
-    __slots__ = ("mat", "layout")
+    __slots__ = ("_data", "layout")
 
     def __init__(self, mat, layout: SystemLayout | None = None, hermitian: bool = False):
         arr = np.ascontiguousarray(mat, dtype=np.complex128)
@@ -124,20 +193,44 @@ class CMatrix:
             )
         if hermitian:
             _hermitian_pattern(arr, "CMatrix(hermitian=True)", TOL.structural)
-        self.mat = arr
+        self._data = arr
         self.layout = layout
+
+    @classmethod
+    def _of(cls, data: "np.ndarray | _Nonzeros", layout: SystemLayout | None) -> "CMatrix":
+        """A matrix on ``data`` as built inside the package: no copy and no check."""
+        m = object.__new__(cls)
+        m._data, m.layout = data, layout
+        return m
+
+    @property
+    def mat(self) -> np.ndarray:
+        if isinstance(self._data, np.ndarray):
+            return self._data
+        check_dim(self.dim, "CMatrix.mat")
+        return self._data.dense()
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self._data.shape[0]
 
     def __repr__(self):
         lay = "" if self.layout is None else f", factors={self.layout.factors}"
         return f"CMatrix(dim={self.dim}{lay})"
 
 
+def _sparse(m: CMatrix) -> bool:
+    """Whether m keeps only its nonzeros."""
+    return isinstance(m._data, _Nonzeros)
+
+
 def _as_array(m) -> np.ndarray:
     return m.mat if isinstance(m, CMatrix) else np.asarray(m, dtype=np.complex128)
+
+
+def _entries(m) -> "np.ndarray | _Nonzeros":
+    """What the spectral functions read: a CMatrix's storage, or any other input as an array."""
+    return m._data if isinstance(m, CMatrix) else np.asarray(m, dtype=np.complex128)
 
 
 def _require_layout(m: CMatrix, op: str) -> SystemLayout:
@@ -146,18 +239,26 @@ def _require_layout(m: CMatrix, op: str) -> SystemLayout:
     return m.layout
 
 
-def _regroup(m: CMatrix, op: str, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+def _regroup(m: CMatrix, op: str, rows: Sequence[int],
+             cols: Sequence[int]) -> "np.ndarray | _Nonzeros":
     """m's entries regrouped by tensor axis into a matrix of shape (prod rows, prod cols).
 
     m is read as a tensor on 2n axes, ``dims + dims``: axis i < n is row factor
     i and axis n + i is column factor i.  The result takes the axes ``rows`` as
     its row index and ``cols`` as its column index, both row-major, so it is a
-    pure index permutation and exact; it is a view of m when the order keeps
-    every axis in place.  ``op`` names the caller in errors.
+    pure index permutation and exact.  A dense m gives an array, a view of m
+    when the order keeps every axis in place; a nonzero form gives one, its
+    positions split into the 2n axis digits, permuted the same way and
+    joined again.  ``op`` names the caller in errors.
     """
     dims = _require_layout(m, op).dims * 2
-    t = m.mat.reshape(dims).transpose(list(rows) + list(cols))
-    return t.reshape(math.prod(dims[i] for i in rows), -1)
+    axes = list(rows) + list(cols)
+    shape = (math.prod(dims[i] for i in rows), math.prod(dims[i] for i in cols))
+    if not _sparse(m):
+        return np.ascontiguousarray(m.mat.reshape(dims).transpose(axes).reshape(shape))
+    digits = np.unravel_index(m._data.pos, dims)
+    pos = np.ravel_multi_index([digits[i] for i in axes], [dims[i] for i in axes])
+    return _Nonzeros.make(shape, pos, m._data.vals)
 
 
 def partial_transpose(m: CMatrix) -> CMatrix:
@@ -176,14 +277,14 @@ def partial_transpose(m: CMatrix) -> CMatrix:
     n = len(layout.factors)
     rows = [n + i if i in b_axes else i for i in range(n)]
     cols = [i if i in b_axes else n + i for i in range(n)]
-    return CMatrix(_regroup(m, "partial_transpose", rows, cols), layout)
+    return CMatrix._of(_regroup(m, "partial_transpose", rows, cols), layout)
 
 
 def permute_factors(m: CMatrix, order: Sequence[int]) -> CMatrix:
     """Reorder tensor factors; another pure index permutation."""
     new_layout = _require_layout(m, "permute_factors").permuted(order)
     n = len(order)
-    return CMatrix(_regroup(m, "permute_factors", order, [n + i for i in order]), new_layout)
+    return CMatrix._of(_regroup(m, "permute_factors", order, [n + i for i in order]), new_layout)
 
 
 def _party_axes(m: CMatrix, op: str) -> tuple[SystemLayout, list[int], list[int]]:
@@ -204,7 +305,7 @@ def collect_parties(m: CMatrix) -> CMatrix:
     """
     layout, axes_a, axes_b = _party_axes(m, "collect_parties")
     coarse = SystemLayout.bipartite(layout.dim_of("A"), layout.dim_of("B"))
-    return CMatrix(permute_factors(m, axes_a + axes_b).mat, coarse)
+    return CMatrix._of(permute_factors(m, axes_a + axes_b)._data, coarse)
 
 
 def _realigned(rho: CMatrix, op: str) -> tuple[np.ndarray, int, int]:
@@ -213,12 +314,13 @@ def _realigned(rho: CMatrix, op: str) -> tuple[np.ndarray, int, int]:
     Then Tr[(A x B) rho] = vec(A^T)^T R vec(B^T), with vec flattening
     row-major, and R.T is the same form with the parties swapped.  R is one
     regrouping of rho's own factor axes, whatever their interleaving, so the
-    only dense copy made is R itself.  ``op`` names the caller in errors.
+    only dense copy made is R itself: a nonzero form is scattered straight
+    into it.  ``op`` names the caller in errors.
     """
     layout, axes_a, axes_b = _party_axes(rho, op)
     n = len(layout.factors)
     r = _regroup(rho, op, axes_a + [n + i for i in axes_a], axes_b + [n + i for i in axes_b])
-    return r, layout.dim_of("A"), layout.dim_of("B")
+    return (r.dense() if isinstance(r, _Nonzeros) else r), layout.dim_of("A"), layout.dim_of("B")
 
 
 def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -232,24 +334,37 @@ def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
     return CMatrix(np.kron(arr_a, arr_b), layout)
 
 
-def _hermitian_pattern(arr: np.ndarray, what: str,
-                       tol: float = TOL.assertion) -> tuple[float, np.ndarray]:
+def _hermitian_pattern(data: "np.ndarray | _Nonzeros", what: str, tol: float = TOL.assertion):
     """Refuse a non-square, non-finite or non-hermitian matrix; the deviation and pattern.
 
     The deviation max |a_ij - conj(a_ji)| is read only on the symmetric nonzero
     pattern (a != 0) | (a != 0)^T: everywhere else the difference is an exact
     0, and gathering the nonzero pairs is far cheaper than a transposed copy
-    of a mostly-zero matrix.  A NaN or infinite entry makes its own
-    difference, and so the deviation, NaN or infinite (inf - inf without a
-    warning), and is refused before the ``dev > tol`` test it would pass.
-    ``what`` starts every message; the pattern goes on to _block_eigh.
+    of a mostly-zero matrix.  A nonzero form reads each stored entry against
+    its transposed partner, an exact 0 where none is stored; both orders of a
+    pair give the same |difference|, so the deviation is the dense one.  A NaN
+    or infinite entry makes its own difference, and so the deviation, NaN or
+    infinite (inf - inf without a warning), and is refused before the
+    ``dev > tol`` test it would pass.  ``what`` starts every message.  The
+    pattern goes on to _block_eigh: a boolean matrix for a dense input, and
+    for a nonzero form its edges, the rows and columns of its entries != 0.
     """
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{what} expects a square matrix")
-    nz = arr != 0
-    pattern = nz | nz.T
-    with np.errstate(invalid="ignore"):
-        diff = arr[pattern] - arr.T[pattern].conj()
+    if isinstance(data, _Nonzeros):
+        r, c = data.coords()
+        mirror = c * data.shape[1] + r
+        at = np.searchsorted(data.pos, mirror).clip(max=max(len(mirror) - 1, 0))
+        partner = np.where(data.pos[at] == mirror, data.vals[at], 0.0)
+        with np.errstate(invalid="ignore"):
+            diff = data.vals - partner.conj()
+        edge = (data.vals != 0) & (r != c)
+        pattern = r[edge], c[edge]
+    else:
+        if data.ndim != 2 or data.shape[0] != data.shape[1]:
+            raise ValidationError(f"{what} expects a square matrix")
+        nz = data != 0
+        pattern = nz | nz.T
+        with np.errstate(invalid="ignore"):
+            diff = data[pattern] - data.T[pattern].conj()
     dev = float(np.abs(diff).max()) if diff.size else 0.0
     if not math.isfinite(dev):
         raise ValidationError(f"{what} expects a finite matrix")
@@ -258,49 +373,63 @@ def _hermitian_pattern(arr: np.ndarray, what: str,
     return dev, pattern
 
 
-def _roots(parent: np.ndarray) -> np.ndarray:
-    """Pointer jumping on a forest with parent[i] <= i: each index's root."""
-    while True:
-        up = parent[parent]
-        if (up == parent).all():
-            return parent
-        parent = up
+def _edge_components(n: int, pattern) -> np.ndarray:
+    """Each of n indices' component in a _hermitian_pattern pattern, labelled by its
+    smallest index.
 
-
-def _components(adj: np.ndarray) -> np.ndarray:
-    """Each index's component in a symmetric pattern, labelled by its smallest index.
-
-    ``adj`` is _hermitian_pattern's pattern, and its diagonal is cleared in
-    place.  Pointing each index i that has a neighbour at the smaller of i
-    and its smallest neighbour, the first True of its row, and jumping
-    pointers gives a forest whose trees lie inside components.  Every edge
-    between two trees has an end outside the largest tree, so only those
-    rows are scanned for such edges, and each round hooks the larger root of
-    every such edge onto the smaller one until none is left.  No step loops
-    over components, and a matrix whose first neighbours already form one
-    tree costs a few row scans.
+    A nonzero form's pattern is its edge list (rows, cols); a dense input's
+    boolean pattern gives the edges of its upper triangle, read from its flat
+    nonzero positions as int32 wherever they fit, so the edges of a dense
+    pattern hold a quarter of its matrix's memory.  Every index starts as its
+    own root.  Each round hooks, for every edge whose ends have different
+    roots, the larger root onto the smaller one, keeping the smallest offer
+    per root, then jumps pointers until each index points at its root, and
+    keeps only the edges whose ends still differ.  A hook points at a smaller
+    index, so the roots are the components' smallest indices; no step loops
+    over components or indices.
     """
-    n = len(adj)
-    index = np.arange(n)
-    adj[index, index] = False
-    first = adj.argmax(axis=1)
-    linked = adj[index, first]
-    label = _roots(np.where(linked, np.minimum(index, first), index))
-    rows = np.flatnonzero(linked & (label != np.bincount(label).argmax()))
-    same = np.zeros((n, n), dtype=bool)
-    same[label, index] = True
-    edges = np.flatnonzero(adj[rows] > same[label[rows]])
-    r, c = rows[edges // n], edges % n
-    while r.size:
-        lr, lc = label[r], label[c]
+    if isinstance(pattern, np.ndarray):
+        rows, cols = np.divmod(
+            np.flatnonzero(pattern).astype(np.int32 if pattern.size <= 2**31 else np.intp), n)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+    else:
+        rows, cols = pattern
+    label = np.arange(n, dtype=np.int32)
+    while rows.size:
+        lr, lc = label[rows], label[cols]
         np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
-        label = _roots(label)
-        apart = label[r] != label[c]
-        r, c = r[apart], c[apart]
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+        apart = label[rows] != label[cols]
+        rows, cols = rows[apart], cols[apart]
     return label
 
 
-def _block_eigh(arr: np.ndarray, pattern: np.ndarray, vectors: bool = False):
+def _gather(data: "np.ndarray | _Nonzeros", idx: np.ndarray) -> np.ndarray:
+    """The blocks of ``data`` on the index sets idx[k], as a (blocks, size, size) stack.
+
+    A nonzero form scatters the entries whose row and column fall in one
+    block into zeros, which is what indexing the dense matrix reads: every
+    other position of a block holds +0.0.
+    """
+    if isinstance(data, np.ndarray):
+        return data[idx[:, :, None], idx[:, None, :]]
+    size = idx.shape[1]
+    slot = np.full(data.shape[0], -1)
+    slot[idx.reshape(-1)] = np.arange(idx.size)
+    r, c = data.coords()
+    sr, sc = slot[r], slot[c]
+    keep = (sr >= 0) & (sr // size == sc // size)
+    out = np.zeros(idx.shape + (size,), dtype=np.complex128)
+    out.reshape(-1)[sr[keep] * size + sc[keep] % size] = data.vals[keep]
+    return out
+
+
+def _block_eigh(data: "np.ndarray | _Nonzeros", pattern, vectors: bool = False):
     """All eigenvalues of a hermitian matrix, ascending, solved block by block.
 
     The blocks are the components of ``pattern``, the matrix's symmetric
@@ -310,11 +439,13 @@ def _block_eigh(arr: np.ndarray, pattern: np.ndarray, vectors: bool = False):
     holds one (idx, w_b, v_b) per block size, ascending, where idx[k] are the
     sorted indices of a block, w_b[k] its eigenvalues and v_b[k] its
     eigenvectors as columns; a size's blocks come in order of their smallest
-    index.  Isolated indices are read off the diagonal and blocks of equal
-    size share one stacked solve; a matrix that is one block is a stack of
-    one, bit-identical to the dense call.
+    index.  Isolated indices are read off the diagonal, an exact 0 where a
+    nonzero form stores nothing, so w has all dim eigenvalues and every sum
+    over it runs as on the dense matrix.  Blocks of equal size share one
+    stacked solve; a matrix that is one block is a stack of one,
+    bit-identical to the dense call.
     """
-    label = _components(pattern)
+    label = _edge_components(data.shape[0], pattern)
     count = np.bincount(label)
     # by size, then by block, then by index: one size's blocks are rows of one array
     order = np.lexsort((label, count[label]))
@@ -324,10 +455,10 @@ def _block_eigh(arr: np.ndarray, pattern: np.ndarray, vectors: bool = False):
             continue
         idx = order[start:start + size * blocks].reshape(blocks, size)
         start += size * blocks
+        sub = _gather(data, idx)
         if size == 1:
-            groups.append((idx, arr[idx, idx].real, np.ones((blocks, 1, 1))))
+            groups.append((idx, sub.reshape(blocks, 1).real, np.ones((blocks, 1, 1))))
             continue
-        sub = arr[idx[:, :, None], idx[:, None, :]]
         w, v = np.linalg.eigh(sub) if vectors else (np.linalg.eigvalsh(sub), None)
         groups.append((idx, w, v))
     w = np.sort(np.concatenate([g[1].reshape(-1) for g in groups]))
@@ -336,23 +467,23 @@ def _block_eigh(arr: np.ndarray, pattern: np.ndarray, vectors: bool = False):
 
 def trace_norm(m) -> float:
     """Sum of singular values; for hermitian input the sum of |eigenvalues|."""
-    arr = _as_array(m)
-    dev, pattern = _hermitian_pattern(arr, "trace_norm", math.inf)
+    data = _entries(m)
+    dev, pattern = _hermitian_pattern(data, "trace_norm", math.inf)
     if dev <= TOL.assertion:
-        return float(np.abs(_block_eigh(arr, pattern)[0]).sum())
-    return float(np.linalg.svd(arr, compute_uv=False).sum())
+        return float(np.abs(_block_eigh(data, pattern)[0]).sum())
+    return float(np.linalg.svd(_as_array(m), compute_uv=False).sum())
 
 
 def op_norm(m) -> float:
     """Largest |eigenvalue| of a hermitian matrix.  Errors on non-hermitian input."""
-    arr = _as_array(m)
-    return float(np.abs(_block_eigh(arr, _hermitian_pattern(arr, "op_norm")[1])[0]).max())
+    data = _entries(m)
+    return float(np.abs(_block_eigh(data, _hermitian_pattern(data, "op_norm")[1])[0]).max())
 
 
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a hermitian matrix.  Errors on non-hermitian input."""
-    arr = _as_array(m)
-    return float(_block_eigh(arr, _hermitian_pattern(arr, "min_eigenvalue")[1])[0][0])
+    data = _entries(m)
+    return float(_block_eigh(data, _hermitian_pattern(data, "min_eigenvalue")[1])[0][0])
 
 
 def spectral_norm(m) -> float:
@@ -365,33 +496,35 @@ def psd_sqrt(m) -> np.ndarray:
 
     The floor keeps sqrt from amplifying noise: an eigenvalue that should be
     an exact 0 but comes out of the solver as 1e-17 would otherwise donate
-    ~3e-9 to every singular value sum downstream.
+    ~3e-9 to every singular value sum downstream.  The root is dense.
     """
-    arr = _as_array(m)
-    w, groups = _block_eigh(arr, _hermitian_pattern(arr, "psd_sqrt")[1], vectors=True)
+    data = _entries(m)
+    if isinstance(data, _Nonzeros):
+        check_dim(data.shape[0], "psd_sqrt")
+    w, groups = _block_eigh(data, _hermitian_pattern(data, "psd_sqrt")[1], vectors=True)
     if float(w[0]) < -TOL.psd:
         raise ValidationError(f"psd_sqrt got a matrix with eigenvalue {w[0]:.3e}")
     # V_b sqrt(w_b) V_b^dagger goes into block b of a zero matrix
-    out = np.zeros_like(arr)
+    out = np.zeros(data.shape, dtype=np.complex128)
     for idx, wb, vb in groups:
         root = np.sqrt(np.where(wb <= TOL.eig_floor, 0.0, wb))
         out[idx[:, :, None], idx[:, None, :]] = (vb * root[:, None, :]) @ vb.conj().swapaxes(1, 2)
     return out
 
 
-def _density_eigs(arr: np.ndarray, what: str, trace_tol: float, psd_tol: float,
-                  vectors: bool = False):
+def _density_eigs(data: "np.ndarray | _Nonzeros", what: str, trace_tol: float,
+                  psd_tol: float, vectors: bool = False):
     """Check hermiticity, unit trace and positivity from one decomposition.
 
     Returns _block_eigh's (eigenvalues, groups), the groups of eigenvectors
     only when ``vectors`` is set and None otherwise, so callers that need the
     spectrum anyway pay for it only once.
     """
-    _, pattern = _hermitian_pattern(arr, what)
-    tr = complex(np.trace(arr))
+    _, pattern = _hermitian_pattern(data, what)
+    tr = complex(data.diagonal().sum() if isinstance(data, _Nonzeros) else np.trace(data))
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(f"{what} must have unit trace, got {tr}")
-    w, groups = _block_eigh(arr, pattern, vectors)
+    w, groups = _block_eigh(data, pattern, vectors)
     if float(w[0]) < -psd_tol:
         raise ValidationError(f"{what} must be PSD, minimum eigenvalue {w[0]:.3e}")
     return w, groups
@@ -399,9 +532,8 @@ def _density_eigs(arr: np.ndarray, what: str, trace_tol: float, psd_tol: float,
 
 def assert_density(m, what: str) -> np.ndarray:
     """Check trace one and positivity, returning the underlying array."""
-    arr = _as_array(m)
-    _density_eigs(arr, what, TOL.assertion, TOL.psd)
-    return arr
+    _density_eigs(_entries(m), what, TOL.assertion, TOL.psd)
+    return _as_array(m)
 
 
 def rel_entropy(rho, sigma) -> float:
@@ -413,8 +545,8 @@ def rel_entropy(rho, sigma) -> float:
     of sigma and inside the logarithms.  Both arguments must be density
     matrices of equal dimension within the validation tolerance.
     """
-    r = _as_array(rho)
-    s = _as_array(sigma)
+    r = _entries(rho)
+    s = _entries(sigma)
     if r.shape != s.shape:
         raise ValidationError("rel_entropy needs matrices of equal dimension")
     wr, _ = _density_eigs(r, "rel_entropy rho", TOL.support, TOL.support)
@@ -423,7 +555,7 @@ def rel_entropy(rho, sigma) -> float:
     # Tr(rho K) sum over sigma's blocks b of the same traces on rho_bb
     overlap, term_cross = 0.0, 0.0
     for idx, ws, vs in groups:
-        rho_b = r[idx[:, :, None], idx[:, None, :]]
+        rho_b = _gather(r, idx)
         weights = np.einsum("kji,kjl,kli->ki", vs.conj(), rho_b, vs).real
         kernel = ws <= TOL.eig_floor
         overlap += float(weights[kernel].sum())
@@ -439,6 +571,28 @@ def rel_entropy(rho, sigma) -> float:
             raise ValidationError(f"relative entropy came out {value}, check inputs")
         value = 0.0
     return value
+
+
+def _drop_repeats(a: np.ndarray) -> np.ndarray:
+    """A sorted array without its repeats (np.unique costs 1.6 MB of RSS on first use)."""
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _difference(a: CMatrix, b: CMatrix) -> CMatrix:
+    """a - b on a's layout for two nonzero forms, merged position by position.
+
+    Each position stored in either is subtracted exactly as the dense
+    matrices would be, a missing entry being +0.0 (so 0 - b, not -b), and
+    the results that come out (+0.0, +0.0) are dropped.
+    """
+    pa, pb = a._data.pos, b._data.pos
+    pos = _drop_repeats(np.sort(np.concatenate((pa, pb))))
+    vals = np.zeros(len(pos), dtype=np.complex128)
+    vals[np.searchsorted(pos, pa)] = a._data.vals
+    vals[np.searchsorted(pos, pb)] -= b._data.vals
+    return CMatrix._of(_Nonzeros.make(a._data.shape, pos, vals), a.layout)
 
 
 def _json_layout(m: CMatrix) -> dict:
@@ -478,21 +632,27 @@ def _matrix_json_text(m: CMatrix) -> str:
     is formatted once: an entry as its pair, a run as that many repeated
     ``0.0,0.0`` tokens.  The items are joined back in row-major order, so no
     step works per zero entry, and a matrix without zeros has one item per
-    entry.  JSON writes a finite float as its repr, which an f-string
-    produces faster than dumps does; the non-finite reprs nan and inf are
-    respelt as JSON's NaN and Infinity.
+    entry.  The items come from the nonzero form, which a dense matrix is
+    cut into first, so the nonzero form of a key/shield state is encoded
+    without a dense array.  JSON writes a finite float as its repr, which an
+    f-string produces faster than dumps does; the non-finite reprs nan and
+    inf are respelt as JSON's NaN and Infinity.
     """
-    pairs = m.mat.reshape(-1).view(np.uint64).reshape(-1, 2)
+    nz = m._data if _sparse(m) else _Nonzeros.of_dense(m.mat)
+    size = m.dim * m.dim
     layout = _canonical_json(_json_layout(m))[1:]
-    if not len(pairs):
+    if not size:
         return f'{{"data":[],{layout}'
-    # an item starts at every nonzero entry and after one; the end closes the last
-    lead = np.ones(len(pairs) + 1, dtype=bool)
-    nonzero = np.logical_or(pairs[:, 0], pairs[:, 1])
-    np.logical_or(nonzero[1:], nonzero[:-1], out=lead[1:-1])
-    at = lead.nonzero()[0]
+    # an item starts at every nonzero entry and after one, and the end closes
+    # the last; the positions are ascending, so interleaving p and p + 1 sorts them
+    at = _drop_repeats(np.concatenate(([0], np.column_stack((nz.pos, nz.pos + 1)).reshape(-1),
+                                       [size])))
     span = at[1:] - at[:-1]
-    re, im = pairs[at[:-1], 0], pairs[at[:-1], 1]
+    # a run of zeros has the bits of +0.0; an entry is the item that starts at it
+    re, im = np.zeros((2, len(span)), dtype=np.uint64)
+    bits = np.ascontiguousarray(nz.vals).view(np.uint64).reshape(-1, 2)
+    item = np.searchsorted(at, nz.pos)
+    re[item], im[item] = bits[:, 0], bits[:, 1]
     # an exact sort of bit patterns and spans puts equal items next to each other
     order = np.lexsort((re, im, span))
     re, im, span = re[order], im[order], span[order]

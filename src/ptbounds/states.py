@@ -3,7 +3,9 @@
 All bipartite outputs use the canonical factor order: every A factor first,
 then every B factor.  Key-plus-shield states come out as
 (key_A, shield_A, key_B, shield_B), so transposing party B in one layout
-operation covers the key and the shield together.
+operation covers the key and the shield together.  They keep only their
+nonzero entries (linalg's nonzero form): each key block's entries are placed
+at their positions, and no dense key-by-shield matrix is built.
 
 Every state output is a density matrix by construction: a private bit is
 (1/2) [U; I] |X| [U+, I] with X = U |X| and ||X||_1 = 1 checked on input,
@@ -25,6 +27,7 @@ from .config import TOL, ValidationError, check_dim
 from .linalg import (
     CMatrix,
     SystemLayout,
+    _Nonzeros,
     partial_transpose,
     permute_factors,
     psd_sqrt,
@@ -141,13 +144,20 @@ def _key_shield_canonical(blocks: dict[tuple[int, int], np.ndarray],
     ``blocks`` maps key-basis index pairs (r, c) with r = 2*keyA + keyB to
     shield-space blocks.  The shield factor list is given in its own order;
     the result groups (2,A) + A shield factors before (2,B) + B shield factors.
+    The result keeps only its nonzeros: each block's entries are placed at
+    their positions in the key-by-shield matrix, so no dense 4n x 4n array
+    is built, and reordering the factors permutes their positions.
     """
     n = next(iter(blocks.values())).shape[0]
-    full = np.zeros((4 * n, 4 * n), dtype=np.complex128)
+    pos, vals = [], []
     for (r, c), blk in blocks.items():
-        full[r * n:(r + 1) * n, c * n:(c + 1) * n] = blk
+        entries = _Nonzeros.of_dense(blk)
+        i, j = entries.coords()
+        pos.append((r * n + i) * (4 * n) + c * n + j)
+        vals.append(entries.vals)
+    full = _Nonzeros.make((4 * n, 4 * n), np.concatenate(pos), np.concatenate(vals))
     layout = SystemLayout(((2, "A"), (2, "B")) + shield_factors)
-    return permute_factors(CMatrix(full, layout), layout.axes("A") + layout.axes("B"))
+    return permute_factors(CMatrix._of(full, layout), layout.axes("A") + layout.axes("B"))
 
 
 def private_bit(x: CMatrix) -> CMatrix:
@@ -188,7 +198,10 @@ def _key_family(blocks: dict[tuple[int, int], np.ndarray],
     rho = _key_shield_canonical(blocks, shield_factors)
     sigma = _key_shield_canonical({key: blk for key, blk in blocks.items() if key[0] == key[1]},
                                   shield_factors)
-    sigma = CMatrix(sigma.mat / np.trace(sigma.mat).real, sigma.layout)
+    entries = sigma._data
+    sigma = CMatrix._of(_Nonzeros.make(entries.shape, entries.pos,
+                                       entries.vals / entries.diagonal().sum().real),
+                        sigma.layout)
     return StateFamilyResult(rho=rho, sigma_candidate=sigma, params=params, notes=notes)
 
 

@@ -110,6 +110,38 @@ def test_classical_value_and_seesaw_reach_a_planted_optimum():
     assert seesaw(max_entangled(2), f, restarts=1).value >= 144.0 - 1e-9
 
 
+def loop_optimal_deterministic(f):
+    """The enumeration the GEMM replaced: one strategy at a time, in itertools.product order."""
+    coeffs = f.coeffs
+    bob_enumerated = f.nb ** f.ny <= f.na ** f.nx
+    if not bob_enumerated:
+        coeffs = coeffs.transpose(1, 0, 3, 2)
+    ni, no = coeffs.shape[1], coeffs.shape[3]
+    best, best_strat, best_totals = -math.inf, (), None
+    for strat in itertools.product(range(no), repeat=ni):
+        totals = coeffs[:, range(ni), :, strat].sum(axis=0)
+        value = float(totals.max(axis=1).sum())
+        if value > best:
+            best, best_strat, best_totals = value, strat, totals
+    bob = best_strat if bob_enumerated else best_totals.argmax(axis=1)
+    return best, [int(b) for b in bob]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, bell_module._ENUM_CHUNK])
+@pytest.mark.parametrize("seed", range(4))
+def test_optimal_deterministic_matches_the_strategy_loop_ties_included(monkeypatch, seed, chunk):
+    # integer tables are summed exactly in any order, so the values agree bit for
+    # bit; entries in {-1, 0, 1} make many strategies tie, and the first one in
+    # product order must win, also across GEMM chunks
+    monkeypatch.setattr(bell_module, "_ENUM_CHUNK", chunk)
+    rng = np.random.default_rng(700 + seed)
+    for _ in range(15):
+        f = BellFunctional(rng.integers(-1, 2, size=tuple(rng.integers(1, 5, size=4))))
+        assert bell_module._optimal_deterministic(f) == loop_optimal_deterministic(f)
+    flat = BellFunctional(np.zeros((3, 2, 2, 3)))  # every strategy ties
+    assert bell_module._optimal_deterministic(flat) == loop_optimal_deterministic(flat)
+
+
 @pytest.mark.parametrize("sizes", [(0, 2, 2, 2), (2, 0, 2, 2), (2, 2, 0, 2), (2, 2, 2, 0)])
 @pytest.mark.parametrize("kind", [Box, BellFunctional])
 def test_box_and_functional_refuse_sizes_below_one(kind, sizes):

@@ -27,7 +27,7 @@ from ptbounds import (
     trace_norm,
 )
 from ptbounds.config import TOL
-from ptbounds.linalg import _block_eigh, _components, _hermitian_pattern
+from ptbounds.linalg import _block_eigh, _edge_components, _hermitian_pattern
 
 from conftest import random_density, random_hermitian
 
@@ -83,16 +83,21 @@ def pattern_of(a):
     return _hermitian_pattern(a, "components")[1]
 
 
+def labels(pattern):
+    """_edge_components' labels of a dense matrix's boolean pattern."""
+    return _edge_components(len(pattern), pattern)
+
+
 def components(a):
-    """Isolated indices and blocks of a hermitian matrix, from _components' labels."""
-    label = _components(pattern_of(a))
+    """Isolated indices and blocks of a hermitian matrix, from _edge_components' labels."""
+    label = labels(pattern_of(a))
     size = np.bincount(label)
     single = np.flatnonzero(size[label] == 1)
     return single, [np.flatnonzero(label == root) for root in np.flatnonzero(size > 1)]
 
 
 def assert_components_match_bfs(a):
-    """_components labels each index by its component's smallest index, and
+    """_edge_components labels each index by its component's smallest index, and
     _block_eigh's groups are those of the breadth-first search, bit for bit."""
     pattern = pattern_of(a)
     single, blocks = bfs_components(pattern)
@@ -100,7 +105,7 @@ def assert_components_match_bfs(a):
     expected[single] = single
     for block in blocks:
         expected[block] = block[0]
-    assert np.array_equal(_components(pattern.copy()), expected)
+    assert np.array_equal(labels(pattern), expected)
     for vectors in (False, True):
         w, groups = _block_eigh(a, pattern.copy(), vectors)
         oracle = bfs_groups(a, pattern, vectors)
