@@ -34,7 +34,6 @@ from .linalg import (
     _json_size,
     _realigned,
     _require_layout,
-    _sparse,
 )
 from .rand import random_seesaw_starts
 
@@ -471,26 +470,15 @@ def d_eps_membership(rho: CMatrix, sigma_candidate: CMatrix) -> float:
 
     Both states must carry the same layout: on another layout of equal
     dimension the difference is not that of two states on one system.  The
-    call makes two partial transposes and one trace norm.  When both states
-    keep only their nonzeros (the key families do), so do their transposes,
-    and the difference merges them position by position with the dense
-    subtraction's exact arithmetic; no dense matrix is made.  Otherwise
-    sigma^Gamma is subtracted in place from the buffer that holds rho^Gamma,
-    so the call holds two transposed matrices, not three.  That buffer is
-    copied first when it is rho's own memory, which is the case when no
-    factor moves, so neither state is ever written.
+    call makes two partial transposes and one trace norm; the difference
+    merges the transposes' nonzeros position by position with the dense
+    subtraction's exact arithmetic, so no dense matrix is made and neither
+    state is written.
     """
     layout = _require_layout(rho, "d_eps_membership")
     if not isinstance(sigma_candidate, CMatrix) or sigma_candidate.layout != layout:
         raise ValidationError(f"d_eps_membership needs both states on the layout {layout.factors}")
-    rho_pt, sigma_pt = partial_transpose(rho), partial_transpose(sigma_candidate)
-    if _sparse(rho_pt) and _sparse(sigma_pt):
-        return trace_norm(_difference(rho_pt, sigma_pt))
-    diff = rho_pt.mat
-    if not _sparse(rho) and np.shares_memory(diff, rho.mat):
-        diff = diff.copy()
-    diff -= sigma_pt.mat
-    return trace_norm(diff)
+    return trace_norm(_difference(partial_transpose(rho), partial_transpose(sigma_candidate)))
 
 
 def thm1_bound(f: BellFunctional, meas: MeasurementFamily, rho: CMatrix,

@@ -1,39 +1,36 @@
 """Matrices on labelled tensor factors: partial transposition, norms, relative entropy.
 
-A CMatrix is stored in one of two forms.  A matrix handed to the
-constructor is a dense row-major array.  The key/shield states that
-``states`` builds are almost all exact zeros (ppt-pbit at d_s = 16 has
-1,536 nonzeros among 1,048,576 entries), and they keep only their nonzeros
-(_Nonzeros): the flat row-major position and the value of every entry whose
-(re, im) bit pattern is not (+0.0, +0.0), in coordinate order (Saad,
-Iterative Methods for Sparse Linear Systems, ch. 3).  Signed zeros stay
-entries, so the dense array that ``mat`` builds from them, on each read and
-under the dimension cap, is the same bit for bit.
+A CMatrix keeps only its nonzero entries (_Nonzeros): the flat row-major
+position and the value of every entry whose (re, im) bit pattern is not
+(+0.0, +0.0), in coordinate order (Saad, Iterative Methods for Sparse Linear
+Systems, ch. 3).  The key/shield states that ``states`` builds are almost
+all exact zeros (ppt-pbit at d_s = 16 has 1,536 nonzeros among 1,048,576
+entries).  Signed zeros stay entries, so the dense array that ``mat``
+builds, on each read and under the dimension cap, is the one the
+constructor was given, bit for bit.
 
 Every factor reordering (partial transpose, factor order, party grouping and
 the realignment the seesaw reads) is one call of _regroup, a pure index
-permutation, so it is exact: no arithmetic touches the entries.  A dense
-matrix is reshaped, its axes transposed and reshaped back; a nonzero form
-gets the same axis permutation applied to the digits of its positions.
+permutation, so it is exact: no arithmetic touches the entries.  It applies
+its axis permutation to the digits of the positions.
 
 Every spectral function here (trace_norm, op_norm, min_eigenvalue, psd_sqrt,
-assert_density, rel_entropy) takes either form, checks its input once, in
-_hermitian_pattern, and diagonalises it one block at a time.  That check
-refuses a non-square or non-finite matrix and measures the hermitian
-deviation on the exact nonzero pattern (M != 0) | (M != 0)^T, with no
-tolerance.  The blocks are the connected components of that same pattern,
-found by one edge-list finder, _edge_components: a nonzero form gives it the
-rows and columns of its entries, a dense matrix the nonzero pattern of its
-upper triangle.  Permuting the indices so that each component is contiguous
-makes M block diagonal, and a block-diagonal matrix has the union of its
-blocks' spectra, with eigenvectors supported on single blocks; so nothing is
-dropped or approximated.  Each block is gathered with its indices in
-ascending order, so its lower triangle, the one eigvalsh and eigh read, is
-the full matrix's.  An isolated index contributes its diagonal entry, an
-exact 0 where a nonzero form stores none, so the spectrum always has dim
-values and every sum over it runs in the same order for both forms.  A
-matrix that is one component is a stack of one block, bit-identical to the
-dense call.
+assert_density, rel_entropy) takes a CMatrix or a raw array, checks its
+input once, in _hermitian_pattern, and diagonalises it one block at a time.
+That check refuses a non-square, empty or non-finite matrix and measures the
+hermitian deviation on the exact nonzero pattern (M != 0) | (M != 0)^T, with
+no tolerance.  The blocks are the connected components of that same pattern,
+found by one edge-list finder, _edge_components: a CMatrix gives it the rows
+and columns of its entries, a raw array the nonzero pattern of its upper
+triangle.  Permuting the indices so that each component is contiguous makes
+M block diagonal, and a block-diagonal matrix has the union of its blocks'
+spectra, with eigenvectors supported on single blocks; so nothing is dropped
+or approximated.  Each block is gathered with its indices in ascending
+order, so its lower triangle, the one eigvalsh and eigh read, is the full
+matrix's.  An isolated index contributes its diagonal entry, an exact 0
+where a CMatrix stores none, so the spectrum always has dim values and every
+sum over it runs in the same order for both inputs.  A matrix that is one
+component is a stack of one block, bit-identical to the dense call.
 """
 
 from __future__ import annotations
@@ -168,14 +165,14 @@ class _Nonzeros:
 
 
 class CMatrix:
-    """A square complex matrix plus an optional factor layout.
+    """A square complex matrix of dimension at least 1 plus an optional factor layout.
 
-    A matrix given to the constructor is stored row-major as a dense numpy
-    complex128 array.  The key-family builders in ``states`` and every factor
-    reordering of their output keep only the nonzero entries instead
-    (_Nonzeros), and ``mat`` builds the dense array from them on each read,
-    under the dimension cap.  The ``hermitian`` keyword is a one-time check
-    on a caller-supplied matrix: when true, the constructor raises
+    It keeps only its nonzero entries (_Nonzeros), copied from the array
+    the constructor is given, so writing into that array later does not
+    change the matrix.  ``mat`` builds a new dense complex128 array on each
+    read, under the dimension cap, and writing into it changes nothing
+    either.  The ``hermitian`` keyword is a one-time check on a
+    caller-supplied matrix: when true, the constructor raises
     ValidationError unless max |M_ij - conj(M_ji)| is within the structural
     tolerance.  Nothing is stored; matrices built inside the package are
     hermitian by construction and are not re-checked.
@@ -184,20 +181,22 @@ class CMatrix:
     __slots__ = ("_data", "layout")
 
     def __init__(self, mat, layout: SystemLayout | None = None, hermitian: bool = False):
-        arr = np.ascontiguousarray(mat, dtype=np.complex128)
+        arr = np.asarray(mat, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"matrix must be square, got shape {arr.shape}")
+        if not arr.size:
+            raise ValidationError(f"matrix must be non-empty, got shape {arr.shape}")
         if layout is not None and layout.dim != arr.shape[0]:
             raise ValidationError(
                 f"layout dimension {layout.dim} does not match matrix dimension {arr.shape[0]}"
             )
+        self._data = _Nonzeros.of_dense(arr)
         if hermitian:
-            _hermitian_pattern(arr, "CMatrix(hermitian=True)", TOL.structural)
-        self._data = arr
+            _hermitian_pattern(self._data, "CMatrix(hermitian=True)", TOL.structural)
         self.layout = layout
 
     @classmethod
-    def _of(cls, data: "np.ndarray | _Nonzeros", layout: SystemLayout | None) -> "CMatrix":
+    def _of(cls, data: _Nonzeros, layout: SystemLayout | None) -> "CMatrix":
         """A matrix on ``data`` as built inside the package: no copy and no check."""
         m = object.__new__(cls)
         m._data, m.layout = data, layout
@@ -205,8 +204,6 @@ class CMatrix:
 
     @property
     def mat(self) -> np.ndarray:
-        if isinstance(self._data, np.ndarray):
-            return self._data
         check_dim(self.dim, "CMatrix.mat")
         return self._data.dense()
 
@@ -219,17 +216,12 @@ class CMatrix:
         return f"CMatrix(dim={self.dim}{lay})"
 
 
-def _sparse(m: CMatrix) -> bool:
-    """Whether m keeps only its nonzeros."""
-    return isinstance(m._data, _Nonzeros)
-
-
 def _as_array(m) -> np.ndarray:
     return m.mat if isinstance(m, CMatrix) else np.asarray(m, dtype=np.complex128)
 
 
 def _entries(m) -> "np.ndarray | _Nonzeros":
-    """What the spectral functions read: a CMatrix's storage, or any other input as an array."""
+    """What the spectral functions read: a CMatrix's nonzeros, or any other input as an array."""
     return m._data if isinstance(m, CMatrix) else np.asarray(m, dtype=np.complex128)
 
 
@@ -239,23 +231,18 @@ def _require_layout(m: CMatrix, op: str) -> SystemLayout:
     return m.layout
 
 
-def _regroup(m: CMatrix, op: str, rows: Sequence[int],
-             cols: Sequence[int]) -> "np.ndarray | _Nonzeros":
+def _regroup(m: CMatrix, op: str, rows: Sequence[int], cols: Sequence[int]) -> _Nonzeros:
     """m's entries regrouped by tensor axis into a matrix of shape (prod rows, prod cols).
 
     m is read as a tensor on 2n axes, ``dims + dims``: axis i < n is row factor
     i and axis n + i is column factor i.  The result takes the axes ``rows`` as
     its row index and ``cols`` as its column index, both row-major, so it is a
-    pure index permutation and exact.  A dense m gives an array, a view of m
-    when the order keeps every axis in place; a nonzero form gives one, its
-    positions split into the 2n axis digits, permuted the same way and
-    joined again.  ``op`` names the caller in errors.
+    pure index permutation and exact: m's positions are split into the 2n axis
+    digits, permuted and joined again.  ``op`` names the caller in errors.
     """
     dims = _require_layout(m, op).dims * 2
     axes = list(rows) + list(cols)
     shape = (math.prod(dims[i] for i in rows), math.prod(dims[i] for i in cols))
-    if not _sparse(m):
-        return np.ascontiguousarray(m.mat.reshape(dims).transpose(axes).reshape(shape))
     digits = np.unravel_index(m._data.pos, dims)
     pos = np.ravel_multi_index([digits[i] for i in axes], [dims[i] for i in axes])
     return _Nonzeros.make(shape, pos, m._data.vals)
@@ -265,10 +252,7 @@ def partial_transpose(m: CMatrix) -> CMatrix:
     """Transpose the factors of party B, leaving the rest untouched.
 
     Implemented as an index permutation, hence exact and an involution.
-    The transpose on A is the full transpose of this one.  The result may
-    share memory with m: when no axis moves (every factor of B has dimension
-    1) it is a view of m's entries, so a caller that writes into it must copy
-    it first.
+    The transpose on A is the full transpose of this one.
     """
     layout = _require_layout(m, "partial_transpose")
     b_axes = set(layout.axes("B"))
@@ -314,40 +298,52 @@ def _realigned(rho: CMatrix, op: str) -> tuple[np.ndarray, int, int]:
     Then Tr[(A x B) rho] = vec(A^T)^T R vec(B^T), with vec flattening
     row-major, and R.T is the same form with the parties swapped.  R is one
     regrouping of rho's own factor axes, whatever their interleaving, so the
-    only dense copy made is R itself: a nonzero form is scattered straight
+    only dense copy made is R itself: rho's nonzeros are scattered straight
     into it.  ``op`` names the caller in errors.
     """
     layout, axes_a, axes_b = _party_axes(rho, op)
     n = len(layout.factors)
     r = _regroup(rho, op, axes_a + [n + i for i in axes_a], axes_b + [n + i for i in axes_b])
-    return (r.dense() if isinstance(r, _Nonzeros) else r), layout.dim_of("A"), layout.dim_of("B")
+    return r.dense(), layout.dim_of("A"), layout.dim_of("B")
 
 
 def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
     """Kronecker product under the dense-dimension cap; layouts concatenate
-    when both sides carry one."""
-    arr_a, arr_b = _as_array(a), _as_array(b)
-    check_dim(arr_a.shape[0] * arr_b.shape[0], "tensor")
+    when both sides carry one.
+
+    Each pair of nonzeros, one from each factor, is one entry of the product
+    (a product that comes out (+0.0, +0.0) is dropped), so no dense factor
+    or product is built.  Its values equal np.kron's; where a factor stores
+    no entry, np.kron may write -0.0 and the product stores nothing.
+    """
+    a, b = (m if isinstance(m, CMatrix) else CMatrix(m) for m in (a, b))
+    n = a.dim * b.dim
+    check_dim(n, "tensor")
     layout = None
-    if isinstance(a, CMatrix) and isinstance(b, CMatrix) and a.layout and b.layout:
+    if a.layout and b.layout:
         layout = SystemLayout(a.layout.factors + b.layout.factors)
-    return CMatrix(np.kron(arr_a, arr_b), layout)
+    (ra, ca), (rb, cb) = a._data.coords(), b._data.coords()
+    pos = (ra[:, None] * b.dim + rb) * n + ca[:, None] * b.dim + cb
+    vals = a._data.vals[:, None] * b._data.vals
+    return CMatrix._of(_Nonzeros.make((n, n), pos.reshape(-1), vals.reshape(-1)), layout)
 
 
 def _hermitian_pattern(data: "np.ndarray | _Nonzeros", what: str, tol: float = TOL.assertion):
-    """Refuse a non-square, non-finite or non-hermitian matrix; the deviation and pattern.
+    """Refuse a non-square, empty, non-finite or non-hermitian matrix; the deviation and pattern.
 
     The deviation max |a_ij - conj(a_ji)| is read only on the symmetric nonzero
     pattern (a != 0) | (a != 0)^T: everywhere else the difference is an exact
     0, and gathering the nonzero pairs is far cheaper than a transposed copy
-    of a mostly-zero matrix.  A nonzero form reads each stored entry against
-    its transposed partner, an exact 0 where none is stored; both orders of a
-    pair give the same |difference|, so the deviation is the dense one.  A NaN
-    or infinite entry makes its own difference, and so the deviation, NaN or
-    infinite (inf - inf without a warning), and is refused before the
-    ``dev > tol`` test it would pass.  ``what`` starts every message.  The
-    pattern goes on to _block_eigh: a boolean matrix for a dense input, and
-    for a nonzero form its edges, the rows and columns of its entries != 0.
+    of a mostly-zero matrix.  A raw array is refused here unless it is a
+    square matrix of dimension at least 1, which a CMatrix always is.  A
+    nonzero form reads each stored entry against its transposed partner, an
+    exact 0 where none is stored; both orders of a pair give the same
+    |difference|, so the deviation is the dense one.  A NaN or infinite
+    entry makes its own difference, and so the deviation, NaN or infinite
+    (inf - inf without a warning), and is refused before the ``dev > tol``
+    test it would pass.  ``what`` starts every message.  The pattern goes on
+    to _block_eigh: a boolean matrix for a raw array, and for a nonzero form
+    its edges, the rows and columns of its entries != 0.
     """
     if isinstance(data, _Nonzeros):
         r, c = data.coords()
@@ -361,6 +357,8 @@ def _hermitian_pattern(data: "np.ndarray | _Nonzeros", what: str, tol: float = T
     else:
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValidationError(f"{what} expects a square matrix")
+        if not data.size:
+            raise ValidationError(f"{what} expects a non-empty matrix")
         nz = data != 0
         pattern = nz | nz.T
         with np.errstate(invalid="ignore"):
@@ -498,9 +496,9 @@ def psd_sqrt(m) -> np.ndarray:
     an exact 0 but comes out of the solver as 1e-17 would otherwise donate
     ~3e-9 to every singular value sum downstream.  The root is dense.
     """
+    if isinstance(m, CMatrix):
+        check_dim(m.dim, "psd_sqrt")
     data = _entries(m)
-    if isinstance(data, _Nonzeros):
-        check_dim(data.shape[0], "psd_sqrt")
     w, groups = _block_eigh(data, _hermitian_pattern(data, "psd_sqrt")[1], vectors=True)
     if float(w[0]) < -TOL.psd:
         raise ValidationError(f"psd_sqrt got a matrix with eigenvalue {w[0]:.3e}")
@@ -521,7 +519,7 @@ def _density_eigs(data: "np.ndarray | _Nonzeros", what: str, trace_tol: float,
     spectrum anyway pay for it only once.
     """
     _, pattern = _hermitian_pattern(data, what)
-    tr = complex(data.diagonal().sum() if isinstance(data, _Nonzeros) else np.trace(data))
+    tr = complex(data.diagonal().sum())
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(f"{what} must have unit trace, got {tr}")
     w, groups = _block_eigh(data, pattern, vectors)
@@ -530,10 +528,9 @@ def _density_eigs(data: "np.ndarray | _Nonzeros", what: str, trace_tol: float,
     return w, groups
 
 
-def assert_density(m, what: str) -> np.ndarray:
-    """Check trace one and positivity, returning the underlying array."""
+def assert_density(m, what: str) -> None:
+    """Check hermiticity, trace one and positivity; ``what`` starts every message."""
     _density_eigs(_entries(m), what, TOL.assertion, TOL.psd)
-    return _as_array(m)
 
 
 def rel_entropy(rho, sigma) -> float:
@@ -581,7 +578,7 @@ def _drop_repeats(a: np.ndarray) -> np.ndarray:
 
 
 def _difference(a: CMatrix, b: CMatrix) -> CMatrix:
-    """a - b on a's layout for two nonzero forms, merged position by position.
+    """a - b on a's layout, their nonzeros merged position by position.
 
     Each position stored in either is subtracted exactly as the dense
     matrices would be, a missing entry being +0.0 (so 0 - b, not -b), and
@@ -632,17 +629,14 @@ def _matrix_json_text(m: CMatrix) -> str:
     is formatted once: an entry as its pair, a run as that many repeated
     ``0.0,0.0`` tokens.  The items are joined back in row-major order, so no
     step works per zero entry, and a matrix without zeros has one item per
-    entry.  The items come from the nonzero form, which a dense matrix is
-    cut into first, so the nonzero form of a key/shield state is encoded
-    without a dense array.  JSON writes a finite float as its repr, which an
-    f-string produces faster than dumps does; the non-finite reprs nan and
-    inf are respelt as JSON's NaN and Infinity.
+    entry.  The items come from the nonzero form, so no dense array is
+    built.  JSON writes a finite float as its repr, which an f-string
+    produces faster than dumps does; the non-finite reprs nan and inf are
+    respelt as JSON's NaN and Infinity.
     """
-    nz = m._data if _sparse(m) else _Nonzeros.of_dense(m.mat)
+    nz = m._data
     size = m.dim * m.dim
     layout = _canonical_json(_json_layout(m))[1:]
-    if not size:
-        return f'{{"data":[],{layout}'
     # an item starts at every nonzero entry and after one, and the end closes
     # the last; the positions are ascending, so interleaving p and p + 1 sorts them
     at = _drop_repeats(np.concatenate(([0], np.column_stack((nz.pos, nz.pos + 1)).reshape(-1),

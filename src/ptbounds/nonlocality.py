@@ -125,7 +125,7 @@ class NlResult:
     upper bound on how far the inner objective is above its infimum, so
     value - gap <= N <= upper for the N of the mode (at uniform inputs in
     mode="uniform", where upper = value).  ``converged`` is
-    upper - (value - gap) <= gap_tol, in mode="uniform" gap <= gap_tol.
+    upper - (value - gap) <= TOL.fw_gap, in mode="uniform" gap <= TOL.fw_gap.
     """
 
     value: float
@@ -330,8 +330,7 @@ def _face_direction(wa: np.ndarray, va: np.ndarray, q: np.ndarray,
     return dw
 
 
-def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
-                  restarts: int = 1) -> NlResult:
+def nonlocality_N(box: Box, mode: str = "uniform", restarts: int = 1) -> NlResult:
     """Evaluate the nonlocality measure of a box.
 
     mode="uniform" fixes the input distribution to uniform and solves the
@@ -342,7 +341,7 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
     p <- p exp(eta_t KL_xy / max KL), eta_t = 2 / sqrt(t + 1), from the
     per-pair KLs at w.  Each step certifies value - gap <= N <= max KL (as
     sum p KL <= max KL for all p); the loop keeps the best of both ends and
-    stops when they are within gap_tol, or after _OUTER_STEPS steps.  The
+    stops when they are within TOL.fw_gap, or after _OUTER_STEPS steps.  The
     result describes the p of the best lower end, with the best upper end.
 
     ``restarts`` is read by no mode: the benchmark's nonlocality-kl workload
@@ -361,14 +360,14 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
         """Inner infimum at input distribution p_xy from weights w0:
         (value, per-pair KL, w, gap, iters)."""
         pw = np.repeat(p_xy, box.na * box.nb)
-        w, gap, it = _inner_infimum(pg, pw, polytope.vertices, w0, gap_tol=gap_tol)
+        w, gap, it = _inner_infimum(pg, pw, polytope.vertices, w0)
         per_pair = _pair_kl(rows, (w @ polytope.vertices).reshape(rows.shape))
         on = p_xy > 0.0
         return float(p_xy[on] @ per_pair[on]), per_pair, w, gap, it
 
     if mode == "uniform":
         value, _, w, gap, iters = solve(p, polytope.start)
-        return NlResult(value, w, p, gap <= gap_tol, iters, gap, value)
+        return NlResult(value, w, p, gap <= TOL.fw_gap, iters, gap, value)
 
     w, lower, upper = polytope.start, -math.inf, math.inf
     for t in range(_OUTER_STEPS):
@@ -377,11 +376,11 @@ def nonlocality_N(box: Box, mode: str = "uniform", gap_tol: float = TOL.fw_gap,
             lower, best = value - gap, NlResult(value, w, p, False, iters, gap, upper)
         scale = float(per_pair.max())
         upper = min(upper, scale)
-        if upper - lower <= gap_tol or not 0.0 < scale < math.inf:
+        if upper - lower <= TOL.fw_gap or not 0.0 < scale < math.inf:
             break
         p = p * np.exp((2.0 / math.sqrt(t + 1.0)) * per_pair / scale)
         p /= p.sum()
-    best.converged, best.upper = upper - lower <= gap_tol, upper
+    best.converged, best.upper = upper - lower <= TOL.fw_gap, upper
     return best
 
 

@@ -3,9 +3,9 @@
 All bipartite outputs use the canonical factor order: every A factor first,
 then every B factor.  Key-plus-shield states come out as
 (key_A, shield_A, key_B, shield_B), so transposing party B in one layout
-operation covers the key and the shield together.  They keep only their
-nonzero entries (linalg's nonzero form): each key block's entries are placed
-at their positions, and no dense key-by-shield matrix is built.
+operation covers the key and the shield together.  Each key block's
+nonzero entries are placed at their positions in the state's nonzero form,
+and no dense key-by-shield matrix is built.
 
 Every state output is a density matrix by construction: a private bit is
 (1/2) [U; I] |X| [U+, I] with X = U |X| and ||X||_1 = 1 checked on input,

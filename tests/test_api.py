@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
 # every public callable's parameters that have a default, in signature order
 PUBLIC_KNOBS = {
     "seesaw": ("restarts", "seed"),
-    "nonlocality_N": ("mode", "gap_tol", "restarts"),
+    "nonlocality_N": ("mode", "restarts"),
     "hiding_state": ("m", "d_shield", "q"),
     "CMatrix": ("layout", "hermitian"),
     "BoundReport": ("tol",),

@@ -796,12 +796,11 @@ def test_d_eps_membership_leaves_both_states_unchanged(case):
         fam = ppt_pbit(4)
         rho, sigma = fam.rho, fam.sigma_candidate
     else:
-        # B's one factor has dimension 1, so rho^Gamma is a view of rho's entries
+        # B's one factor has dimension 1, so no entry of rho moves under the transpose
         rng = np.random.default_rng(43)
         layout = SystemLayout(((2, "A"), (1, "B")))
         rho = CMatrix(random_density(rng, 2), layout)
         sigma = rho if case == "same-state" else CMatrix(random_density(rng, 2), layout)
-        assert np.shares_memory(partial_transpose(rho).mat, rho.mat)
     before = rho.mat.copy(), sigma.mat.copy()
     eps = d_eps_membership(rho, sigma)
     for kept, m in zip(before, (rho, sigma)):

@@ -274,6 +274,32 @@ def test_layout_validation():
         CMatrix(np.ones((2, 3)))
 
 
+def test_a_matrix_does_not_alias_the_arrays_it_is_built_from_or_gives_out():
+    # CMatrix once kept a C-contiguous complex128 array as it was and ``mat``
+    # returned it: these writes changed the matrix (trace_norm 9.75) and could
+    # undo a hermitian check that had passed
+    a = np.eye(4, dtype=complex) / 4
+    m = CMatrix(a, SystemLayout.bipartite(2, 2), hermitian=True)
+    a[0, 0], a[0, 1] = 9, 1
+    m.mat[1, 1] = 5
+    assert trace_norm(m) == 1.0
+    assert np.array_equal(m.mat, np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("func, what", [
+    (trace_norm, "trace_norm"),
+    (min_eigenvalue, "min_eigenvalue"),
+    (op_norm, "op_norm"),
+    (psd_sqrt, "psd_sqrt"),
+], ids=["trace_norm", "min_eigenvalue", "op_norm", "psd_sqrt"])
+def test_an_empty_matrix_is_refused(func, what):
+    # these raised numpy's "need at least one array to concatenate"
+    with pytest.raises(ValidationError, match=rf"^matrix must be non-empty, got shape \(0, 0\)$"):
+        CMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValidationError, match=f"^{what} expects a non-empty matrix$"):
+        func(np.zeros((0, 0)))
+
+
 def test_collect_parties_regroups_interleaved_factors():
     rng = np.random.default_rng(11)
     layout = SystemLayout(((2, "B"), (3, "A"), (2, "B")))
@@ -445,7 +471,6 @@ def _encoder_cases():
         "nan-inf": CMatrix(specials, SystemLayout.bipartite(2, 2)),
         "mostly-zero": CMatrix(np.diag(np.arange(12) % 3 - 1.0), interleaved),
         "hash-collision": CMatrix(collision.reshape(3, 3)),
-        "empty": CMatrix(np.zeros((0, 0))),
         "all-zero": CMatrix(np.zeros((6, 6)), SystemLayout.bipartite(2, 3)),
         "runs-at-both-ends": CMatrix(inner),
         "all-ones": CMatrix(np.ones((8, 8))),

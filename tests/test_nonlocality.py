@@ -373,13 +373,22 @@ def _tiny_entry_boxes(eps: float) -> list[Box]:
             for rows in (pattern, deterministic, noisy_pr)]
 
 
+def _uniform_solve(box: Box, gap_tol: float) -> tuple[float, float]:
+    """The uniform-input solve that nonlocality_N runs, to the gap target gap_tol: (value, gap)."""
+    poly = LocalPolytope.for_scenario(2, 2, 2, 2)
+    w, gap, _ = _inner_infimum(box.p.reshape(-1), np.full(16, 0.25), poly.vertices,
+                               poly.start, gap_tol=gap_tol)
+    rows = box.p.reshape(4, 4)
+    return float(_pair_kl(rows, (w @ poly.vertices).reshape(4, 4)).mean()), gap
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("exponent", [3, 10, 30, 100, 200, 250, 299, 300])
 def test_nonlocality_matches_the_em_oracle_on_a_tiny_entry(exponent):
     for box in _tiny_entry_boxes(10.0 ** -exponent):
-        res = nonlocality_N(box, gap_tol=1e-10)
-        assert res.converged
-        assert res.value == pytest.approx(_em_measure(box), rel=0.0, abs=1e-9)
+        value, gap = _uniform_solve(box, gap_tol=1e-10)
+        assert gap <= 1e-10
+        assert value == pytest.approx(_em_measure(box), rel=0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("exponent", [4, 5, 6])
@@ -837,14 +846,12 @@ def test_line_search_matches_brentq():
 def test_nonlocality_reports_its_final_gap():
     poly = LocalPolytope.for_scenario(2, 2, 2, 2)
     boxes = [tsirelson_box(), *_pr_vertex_mixtures(63, 3, (0.2, 0.8))]
-    for box, (mode, gap_tol) in itertools.product(boxes, [("uniform", 1e-7),
-                                                         ("optimize", 1e-7),
-                                                         ("uniform", 1e-2)]):
-        res = nonlocality_N(box, mode=mode, gap_tol=gap_tol)
+    for box, mode in itertools.product(boxes, ["uniform", "optimize"]):
+        res = nonlocality_N(box, mode=mode)
         if mode == "optimize":
-            assert res.converged == (_width(res) <= gap_tol)
+            assert res.converged == (_width(res) <= 1e-7)
         else:
-            assert res.converged == (res.gap <= gap_tol) and res.upper == res.value
+            assert res.converged == (res.gap <= 1e-7) and res.upper == res.value
         assert res.to_json()["gap"] == res.gap
         # the gap recomputed from the public fields
         gap = _gap_at(box.p.reshape(-1), np.repeat(res.input_dist, 4), poly.vertices,
@@ -954,7 +961,7 @@ def test_face_direction_matches_lstsq_on_tiny_entry_faces(monkeypatch):
         mp.setattr(nonlocality_module, "_face_direction", record)
         for exponent in (30, 100, 300):
             for box in _tiny_entry_boxes(10.0 ** -exponent):
-                nonlocality_N(box, gap_tol=1e-10)
+                _uniform_solve(box, gap_tol=1e-10)
     assert len(faces) >= 500
     assert sum(np.sqrt(pm).min() < 1e-15 for *_, pm in faces) >= 500
     calls = _spy_lstsq(monkeypatch)

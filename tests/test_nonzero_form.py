@@ -1,13 +1,16 @@
-"""The nonzero form of a CMatrix against its dense oracle, bit for bit.
+"""Every CMatrix keeps only its nonzeros; here it is checked against dense oracles, bit for bit.
 
-The key families (private bits, PPT-padded private bits, hiding states) keep
-only their nonzero entries.  The oracle for their construction is the dense
-assembly they replaced, kept here: the key blocks written into a zero matrix
-of the key-by-shield space and the factors reordered.  The oracle for every
-operation on the nonzero form is the same operation on
-``CMatrix(x.mat, x.layout)``, the dense matrix of the same entries.
+The key families (private bits, PPT-padded private bits, hiding states)
+place their key blocks' entries straight into the nonzero form.  The oracle
+for their construction is the dense assembly they replaced, kept here: the
+key blocks written into a zero matrix of the key-by-shield space and the
+factors reordered by numpy reshape and transpose.  The oracle for every
+operation on a CMatrix is the same operation on its dense matrix ``x.mat``:
+the spectral functions' raw-array entry, and numpy reshape and transpose for
+the factor reorderings.
 """
 
+import json
 import math
 import struct
 import tracemalloc
@@ -25,17 +28,39 @@ from ptbounds import (
     assert_density,
     chsh,
     d_eps_membership,
+    matrix_to_json,
     min_eigenvalue,
     op_norm,
     partial_transpose,
-    permute_factors,
     psd_sqrt,
     rel_entropy,
     seesaw,
     states,
+    tensor,
     trace_norm,
 )
-from ptbounds.linalg import _matrix_json_text, _Nonzeros, _realigned, _sparse
+from ptbounds.linalg import _matrix_json_text, _realigned
+
+
+def regrouped(arr, dims, rows, cols):
+    """arr on the axes ``dims + dims`` regrouped by numpy: ``rows`` as its row index."""
+    dims = tuple(dims) * 2
+    shape = (math.prod(dims[i] for i in rows), math.prod(dims[i] for i in cols))
+    return np.ascontiguousarray(arr.reshape(dims).transpose(list(rows) + list(cols))
+                                .reshape(shape))
+
+
+def transposed(arr, layout):
+    """arr^Gamma: the row and column axes of B's factors swap places."""
+    n, b = len(layout.dims), set(layout.axes("B"))
+    return regrouped(arr, layout.dims, [n + i if i in b else i for i in range(n)],
+                     [i if i in b else n + i for i in range(n)])
+
+
+def realigned(arr, layout):
+    """R[(a',a),(b',b)] = arr[(a',b'),(a,b)]."""
+    n, a, b = len(layout.dims), list(layout.axes("A")), list(layout.axes("B"))
+    return regrouped(arr, layout.dims, a + [n + i for i in a], b + [n + i for i in b])
 
 
 def dense_key_shield_canonical(blocks, shield_factors):
@@ -45,27 +70,32 @@ def dense_key_shield_canonical(blocks, shield_factors):
     for (r, c), blk in blocks.items():
         full[r * n:(r + 1) * n, c * n:(c + 1) * n] = blk
     layout = SystemLayout(((2, "A"), (2, "B")) + shield_factors)
-    return permute_factors(CMatrix(full, layout), layout.axes("A") + layout.axes("B"))
+    order = layout.axes("A") + layout.axes("B")
+    cols = [len(order) + i for i in order]
+    return regrouped(full, layout.dims, order, cols), layout.permuted(order)
 
 
 def dense_companion(blocks, shield_factors):
     """The dense key-diagonal companion, normalized by np.trace of its dense matrix."""
-    sigma = dense_key_shield_canonical(
+    sigma, layout = dense_key_shield_canonical(
         {key: blk for key, blk in blocks.items() if key[0] == key[1]}, shield_factors)
-    return CMatrix(sigma.mat / np.trace(sigma.mat).real, sigma.layout)
+    return sigma / np.trace(sigma).real, layout
+
+
+def canonical_json(m):
+    """The canonical dump of matrix_to_json, whose entries come from the dense ``mat``."""
+    return json.dumps(matrix_to_json(m), sort_keys=True, separators=(",", ":"))
 
 
 def bits(x):
-    """The bit patterns of a float or of an array; anything else as it is."""
+    """The bit patterns of a float, an array or a CMatrix's dense matrix; anything else as it is."""
+    if isinstance(x, CMatrix):
+        x = x.mat
     if isinstance(x, float):
         return struct.pack("<d", x)
     if isinstance(x, np.ndarray):
         return np.ascontiguousarray(x).view(np.uint64).tobytes()
     return x
-
-
-def nonzero_form(arr, layout=None):
-    return CMatrix._of(_Nonzeros.of_dense(np.asarray(arr, dtype=np.complex128)), layout)
 
 
 FAMILIES = (
@@ -94,13 +124,13 @@ def test_key_families_match_the_dense_assembly(monkeypatch, family, k, q):
     monkeypatch.setattr(states, "_key_shield_canonical", recording)
     rho, sigma = build(family, k, q)
     blocks, shield_factors = calls[0]
-    expected = dense_key_shield_canonical(blocks, shield_factors)
-    assert _sparse(rho) and rho.layout == expected.layout
-    assert bits(rho.mat) == bits(expected.mat)
+    expected, layout = dense_key_shield_canonical(blocks, shield_factors)
+    assert rho.layout == layout
+    assert bits(rho) == bits(expected)
     if sigma is not None:
-        companion = dense_companion(blocks, shield_factors)
-        assert _sparse(sigma) and sigma.layout == companion.layout
-        assert bits(sigma.mat) == bits(companion.mat)
+        companion, layout = dense_companion(blocks, shield_factors)
+        assert sigma.layout == layout
+        assert bits(sigma) == bits(companion)
 
 
 def test_signed_zeros_stay_entries():
@@ -109,7 +139,7 @@ def test_signed_zeros_stay_entries():
     vals = rho._data.vals
     assert int((vals == 0).sum()) == 72
     assert np.signbit(vals[vals == 0].imag).all()
-    assert _matrix_json_text(rho) == _matrix_json_text(CMatrix(rho.mat, rho.layout))
+    assert _matrix_json_text(rho) == canonical_json(rho)
 
 
 def same_outcome(fn, *args):
@@ -120,25 +150,34 @@ def same_outcome(fn, *args):
         return "error", str(exc)
     if isinstance(out, tuple):
         return tuple(map(bits, out))
-    if isinstance(out, CMatrix):
-        return bits(out.mat), out.layout
     return bits(out)
 
 
 def assert_operations_match_dense(x, y=None):
-    """Every operation on the nonzero forms x (and y) equals it on their dense matrices."""
-    dense_x = CMatrix(x.mat, x.layout)
-    for fn in (trace_norm, min_eigenvalue, op_norm, psd_sqrt, partial_transpose,
-               lambda m: _realigned(m, "seesaw"), _matrix_json_text,
-               lambda m: min_eigenvalue(partial_transpose(m)),
-               lambda m: trace_norm(partial_transpose(m))):
-        assert same_outcome(fn, x) == same_outcome(fn, dense_x)
+    """Every operation on x (and y) equals it on their dense matrices: the spectral
+    functions' raw-array entry, and numpy for the factor reorderings."""
+    lay = x.layout
+    pairs = [
+        (trace_norm, trace_norm), (min_eigenvalue, min_eigenvalue), (op_norm, op_norm),
+        (psd_sqrt, psd_sqrt),
+        (partial_transpose, lambda a: transposed(a, lay)),
+        (lambda m: _realigned(m, "seesaw")[0], lambda a: realigned(a, lay)),
+        (lambda m: min_eigenvalue(partial_transpose(m)),
+         lambda a: min_eigenvalue(transposed(a, lay))),
+        (lambda m: trace_norm(partial_transpose(m)), lambda a: trace_norm(transposed(a, lay))),
+    ]
+    for on_matrix, on_array in pairs:
+        assert same_outcome(on_matrix, x) == same_outcome(on_array, x.mat)
+    assert partial_transpose(x).layout == lay
+    assert _matrix_json_text(x) == canonical_json(x)
     if y is not None:
-        dense_y = CMatrix(y.mat, y.layout)
-        for fn in (d_eps_membership, rel_entropy, lambda a, b: rel_entropy(b, a)):
-            assert same_outcome(fn, x, y) == same_outcome(fn, dense_x, dense_y)
-        density = lambda m: assert_density(m, "state")  # noqa: E731
-        assert same_outcome(density, y) == same_outcome(density, dense_y)
+        pairs = [
+            (d_eps_membership, lambda a, b: trace_norm(transposed(a, lay) - transposed(b, lay))),
+            (rel_entropy, rel_entropy), (lambda a, b: rel_entropy(b, a),) * 2,
+            (lambda a, b: assert_density(b, "state"),) * 2,
+        ]
+        for on_matrix, on_array in pairs:
+            assert same_outcome(on_matrix, x, y) == same_outcome(on_array, x.mat, y.mat)
 
 
 @pytest.mark.parametrize("family, k, q", [("private-bit", 3, None), ("ppt-pbit", 4, None),
@@ -147,13 +186,13 @@ def assert_operations_match_dense(x, y=None):
 def test_operations_on_key_families_match_dense(family, k, q):
     rho, sigma = build(family, k, q)
     if sigma is None:
-        # the key-dephased companion of a private bit, also in nonzero form
+        # the key-dephased companion of a private bit
         keep = np.zeros((2, 2, 2, 2))
         keep[0, 0, 0, 0] = keep[0, 1, 0, 1] = keep[1, 0, 1, 0] = keep[1, 1, 1, 1] = 1.0
         dims = rho.layout.dims
-        sigma = nonzero_form((rho.mat.reshape(dims * 2)
-                              * keep[:, None, :, None, :, None, :, None]).reshape(rho.dim, -1),
-                             rho.layout)
+        sigma = CMatrix((rho.mat.reshape(dims * 2)
+                         * keep[:, None, :, None, :, None, :, None]).reshape(rho.dim, -1),
+                        rho.layout)
     assert_operations_match_dense(rho, sigma)
     assert_operations_match_dense(partial_transpose(rho))
 
@@ -180,17 +219,17 @@ def sparse_hermitian(draw, n):
 
 
 def test_eq10_ds16_rows_match_dense():
-    # what repro eq10 --ds 16 reads, on the nonzero form and on the dense
-    # matrices; the other operations at this size take 0.7 s and are covered at
-    # ds = 4 and 9 above
+    # what repro eq10 --ds 16 reads, on the CMatrix and on the dense matrices;
+    # the other operations at this size take 0.7 s and are covered at ds = 4
+    # and 9 above
     fam = states.ppt_pbit(16)
     rho, sigma = fam.rho, fam.sigma_candidate
-    dense_rho, dense_sigma = CMatrix(rho.mat, rho.layout), CMatrix(sigma.mat, sigma.layout)
+    lay = rho.layout
+    rho_pt = transposed(rho.mat, lay)
     assert (bits(d_eps_membership(rho, sigma))
-            == bits(d_eps_membership(dense_rho, dense_sigma)))
-    assert (bits(min_eigenvalue(partial_transpose(rho)))
-            == bits(min_eigenvalue(partial_transpose(dense_rho))))
-    assert bits(_realigned(rho, "seesaw")[0]) == bits(_realigned(dense_rho, "seesaw")[0])
+            == bits(trace_norm(rho_pt - transposed(sigma.mat, lay))))
+    assert bits(min_eigenvalue(partial_transpose(rho))) == bits(min_eigenvalue(rho_pt))
+    assert bits(_realigned(rho, "seesaw")[0]) == bits(realigned(rho.mat, lay))
 
 
 @settings(max_examples=25, deadline=None)
@@ -198,9 +237,9 @@ def test_eq10_ds16_rows_match_dense():
 def test_sparse_hermitian_matrices_match_dense(da, db, data):
     layout = SystemLayout.bipartite(da, db)
     a, b = (sparse_hermitian(data.draw, da * db) for _ in range(2))
-    x = nonzero_form(a, layout)
+    x = CMatrix(a, layout)
     assert bits(x.mat) == bits(a)
-    assert_operations_match_dense(x, nonzero_form(b, layout))
+    assert_operations_match_dense(x, CMatrix(b, layout))
 
 
 @pytest.mark.parametrize("fn, what", [(op_norm, "op_norm"), (min_eigenvalue, "min_eigenvalue"),
@@ -215,9 +254,8 @@ def test_nonzero_form_refuses_what_dense_refuses_with_the_same_message(fn, what,
         a[0, 2], a[2, 0] = 1e-3 + 1e-3j, 2e-3 + 1e-3j
     else:
         a[1, 2] = a[2, 1] = np.nan
-    layout = SystemLayout.bipartite(2, 2)
     messages = []
-    for m in (nonzero_form(a, layout), CMatrix(a, layout)):
+    for m in (CMatrix(a, SystemLayout.bipartite(2, 2)), a):
         with pytest.raises(ValidationError) as info:
             fn(m)
         messages.append(str(info.value))
@@ -231,7 +269,7 @@ def test_nonzero_paths_never_build_a_dense_state(monkeypatch):
     # call that succeeds here worked from the nonzeros alone
     fam = states.ppt_pbit(4)
     rho, sigma = fam.rho, fam.sigma_candidate
-    text = _matrix_json_text(CMatrix(rho.mat, rho.layout))
+    text = canonical_json(rho)
     monkeypatch.setenv("PTBOUND_DIM_CAP", "32")
     with pytest.raises(DimensionCapError):
         rho.mat
@@ -266,3 +304,31 @@ def test_ppt_pbit_16_runs_without_a_dense_state():
     result, peak = traced_peak(lambda: seesaw(fam.rho, chsh(), restarts=4))
     assert peak <= 1.25 * dense_bytes
     assert result.value >= 2.0 - 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_tensor_equals_kron_of_the_dense_factors(n_a, n_b, data):
+    # equal in value, not in bits: where a factor stores no entry, np.kron
+    # may write -0.0 and tensor stores nothing
+    a, b = sparse_hermitian(data.draw, n_a), sparse_hermitian(data.draw, n_b)
+    expected = np.kron(a, b)
+    assert np.array_equal(tensor(CMatrix(a), CMatrix(b)).mat, expected)
+    assert np.array_equal(tensor(a, b).mat, expected)
+
+
+@pytest.mark.parametrize("m, restarts, values", [
+    (1, 8, (2.0, 2.0, 2.0, 2.000000000000001, 2.0, 2.0, 1.9999999999999996,
+            2.000000000000001, 2.0)),
+    (2, 4, (1.9999999999999982, 1.9999999999999987, 1.9999999999999993,
+            1.9999999999999987, 1.9999999999999993)),
+])
+def test_prop1_seesaw_values_match_the_dense_kronecker_product(m, restarts, values):
+    # the doubled state of repro prop1, rho x rho^Gamma; the restart values
+    # pinned here are those of the seesaw on np.kron of the dense factors
+    fam = states.hiding_state(m=m)
+    rho_pt = partial_transpose(fam.rho)
+    doubled = tensor(fam.rho, rho_pt)
+    if m == 1:
+        assert np.array_equal(doubled.mat, np.kron(fam.rho.mat, rho_pt.mat))
+    assert seesaw(doubled, chsh(), restarts=restarts, seed=0).restart_values == values

@@ -241,6 +241,7 @@ def test_constructor_outputs_are_density_matrices(build):
     out = build()
     states = [out.rho, out.sigma_candidate] if isinstance(out, StateFamilyResult) else [out]
     for state in states:
-        arr = assert_density(state, "constructor output")
+        assert_density(state, "constructor output")
+        arr = state.mat
         assert np.abs(arr - arr.conj().T).max() <= TOL.structural
         assert abs(np.trace(arr) - 1.0) <= 1e-10
