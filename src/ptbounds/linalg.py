@@ -1,13 +1,12 @@
 """Matrices on labelled tensor factors: partial transposition, norms, relative entropy.
 
-A CMatrix keeps only its nonzero entries (_Nonzeros): the flat row-major
-position and the value of every entry whose (re, im) bit pattern is not
-(+0.0, +0.0), in coordinate order (Saad, Iterative Methods for Sparse Linear
-Systems, ch. 3).  The key/shield states that ``states`` builds are almost
-all exact zeros (ppt-pbit at d_s = 16 has 1,536 nonzeros among 1,048,576
-entries).  Signed zeros stay entries, so the dense array that ``mat``
-builds, on each read and under the dimension cap, is the one the
-constructor was given, bit for bit.
+A CMatrix is its nonzero entries: the flat row-major position and the value
+of every entry whose (re, im) bit pattern is not (+0.0, +0.0), in coordinate
+order (Saad, Iterative Methods for Sparse Linear Systems, ch. 3).  The
+key/shield states that ``states`` builds are almost all exact zeros
+(ppt-pbit at d_s = 16 has 1,536 nonzeros among 1,048,576 entries).  Signed
+zeros stay entries, so the dense array that ``mat`` builds, on each read and
+under the dimension cap, is the one the constructor was given, bit for bit.
 
 Every factor reordering (partial transpose, factor order, party grouping and
 the realignment the seesaw reads) is one call of _regroup, a pure index
@@ -120,65 +119,22 @@ def _zero_bits(vals: np.ndarray) -> np.ndarray:
     return (bits[:, 0] | bits[:, 1]) == 0
 
 
-class _Nonzeros:
-    """A matrix of ``shape`` by its entries: flat row-major positions, ascending, and values.
-
-    It holds every entry whose (re, im) bit pattern is not (+0.0, +0.0), so
-    -0.0, subnormals and NaN stay entries and ``dense`` gives back the
-    matrix bit for bit.
-    """
-
-    __slots__ = ("shape", "pos", "vals")
-
-    def __init__(self, shape: tuple[int, int], pos: np.ndarray, vals: np.ndarray):
-        self.shape, self.pos, self.vals = shape, pos, vals
-
-    @staticmethod
-    def of_dense(arr: np.ndarray) -> "_Nonzeros":
-        flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1)
-        pos = np.flatnonzero(~_zero_bits(flat))
-        return _Nonzeros(arr.shape, pos, flat[pos])
-
-    @staticmethod
-    def make(shape: tuple[int, int], pos: np.ndarray, vals: np.ndarray) -> "_Nonzeros":
-        """The entries (pos, vals), each position once, sorted and without (+0.0, +0.0)."""
-        order = np.argsort(pos)
-        pos, vals = pos[order], vals[order]
-        keep = ~_zero_bits(vals)
-        return _Nonzeros(shape, pos[keep], vals[keep])
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.complex128)
-        out.reshape(-1)[self.pos] = self.vals
-        return out
-
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column of each entry."""
-        return np.divmod(self.pos, self.shape[1])
-
-    def diagonal(self) -> np.ndarray:
-        """The dense diagonal, so that its sum runs as np.trace's does."""
-        r, c = self.coords()
-        out = np.zeros(self.shape[0], dtype=np.complex128)
-        out[r[r == c]] = self.vals[r == c]
-        return out
-
-
 class CMatrix:
-    """A square complex matrix of dimension at least 1 plus an optional factor layout.
+    """A square complex matrix of dimension at least 1, by its entries, plus an optional layout.
 
-    It keeps only its nonzero entries (_Nonzeros), copied from the array
-    the constructor is given, so writing into that array later does not
-    change the matrix.  ``mat`` builds a new dense complex128 array on each
-    read, under the dimension cap, and writing into it changes nothing
-    either.  The ``hermitian`` keyword is a one-time check on a
-    caller-supplied matrix: when true, the constructor raises
+    ``pos`` holds the ascending flat row-major positions and ``vals`` the
+    values of every entry whose (re, im) bit pattern is not (+0.0, +0.0),
+    copied from the array the constructor is given, so writing into that
+    array later does not change the matrix.  ``mat`` builds a new dense
+    complex128 array on each read, under the dimension cap, and writing into
+    it changes nothing either.  The ``hermitian`` keyword is a one-time check
+    on a caller-supplied matrix: when true, the constructor raises
     ValidationError unless max |M_ij - conj(M_ji)| is within the structural
     tolerance.  Nothing is stored; matrices built inside the package are
     hermitian by construction and are not re-checked.
     """
 
-    __slots__ = ("_data", "layout")
+    __slots__ = ("dim", "pos", "vals", "layout")
 
     def __init__(self, mat, layout: SystemLayout | None = None, hermitian: bool = False):
         arr = np.asarray(mat, dtype=np.complex128)
@@ -190,26 +146,45 @@ class CMatrix:
             raise ValidationError(
                 f"layout dimension {layout.dim} does not match matrix dimension {arr.shape[0]}"
             )
-        self._data = _Nonzeros.of_dense(arr)
+        flat = np.ascontiguousarray(arr).reshape(-1)
+        self.dim, self.layout = arr.shape[0], layout
+        self.pos = np.flatnonzero(~_zero_bits(flat))
+        self.vals = flat[self.pos]
         if hermitian:
-            _hermitian_pattern(self._data, "CMatrix(hermitian=True)", TOL.structural)
-        self.layout = layout
+            _hermitian_pattern(self, "CMatrix(hermitian=True)", TOL.structural)
 
     @classmethod
-    def _of(cls, data: _Nonzeros, layout: SystemLayout | None) -> "CMatrix":
-        """A matrix on ``data`` as built inside the package: no copy and no check."""
+    def _make(cls, dim: int, pos: np.ndarray, vals: np.ndarray,
+              layout: SystemLayout | None) -> "CMatrix":
+        """The entries (pos, vals), each position once, sorted, without (+0.0, +0.0), unchecked."""
+        order = np.argsort(pos)
+        pos, vals = pos[order], vals[order]
+        keep = ~_zero_bits(vals)
         m = object.__new__(cls)
-        m._data, m.layout = data, layout
+        m.dim, m.pos, m.vals, m.layout = dim, pos[keep], vals[keep], layout
         return m
 
     @property
     def mat(self) -> np.ndarray:
         check_dim(self.dim, "CMatrix.mat")
-        return self._data.dense()
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out.reshape(-1)[self.pos] = self.vals
+        return out
 
     @property
-    def dim(self) -> int:
-        return self._data.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return self.dim, self.dim
+
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column of each entry."""
+        return np.divmod(self.pos, self.dim)
+
+    def diagonal(self) -> np.ndarray:
+        """The dense diagonal, so that its sum runs as np.trace's does."""
+        r, c = self.coords()
+        out = np.zeros(self.dim, dtype=np.complex128)
+        out[r[r == c]] = self.vals[r == c]
+        return out
 
     def __repr__(self):
         lay = "" if self.layout is None else f", factors={self.layout.factors}"
@@ -220,9 +195,9 @@ def _as_array(m) -> np.ndarray:
     return m.mat if isinstance(m, CMatrix) else np.asarray(m, dtype=np.complex128)
 
 
-def _entries(m) -> "np.ndarray | _Nonzeros":
-    """What the spectral functions read: a CMatrix's nonzeros, or any other input as an array."""
-    return m._data if isinstance(m, CMatrix) else np.asarray(m, dtype=np.complex128)
+def _entries(m) -> "np.ndarray | CMatrix":
+    """What the spectral functions read: a CMatrix as it is, or any other input as an array."""
+    return m if isinstance(m, CMatrix) else np.asarray(m, dtype=np.complex128)
 
 
 def _require_layout(m: CMatrix, op: str) -> SystemLayout:
@@ -231,21 +206,21 @@ def _require_layout(m: CMatrix, op: str) -> SystemLayout:
     return m.layout
 
 
-def _regroup(m: CMatrix, op: str, rows: Sequence[int], cols: Sequence[int]) -> _Nonzeros:
-    """m's entries regrouped by tensor axis into a matrix of shape (prod rows, prod cols).
+def _regroup(m: CMatrix, op: str, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """The flat positions of m's entries, in entry order, once its tensor axes are regrouped.
 
     m is read as a tensor on 2n axes, ``dims + dims``: axis i < n is row factor
-    i and axis n + i is column factor i.  The result takes the axes ``rows`` as
-    its row index and ``cols`` as its column index, both row-major, so it is a
-    pure index permutation and exact: m's positions are split into the 2n axis
-    digits, permuted and joined again.  ``op`` names the caller in errors.
+    i and axis n + i is column factor i.  The regrouped matrix, of shape
+    (prod rows, prod cols), takes the axes ``rows`` as its row index and
+    ``cols`` as its column index, both row-major, so it is a pure index
+    permutation and exact: m's positions are split into the 2n axis digits,
+    permuted and joined again, in the order of ``m.vals``, unsorted.  ``op``
+    names the caller in errors.
     """
     dims = _require_layout(m, op).dims * 2
     axes = list(rows) + list(cols)
-    shape = (math.prod(dims[i] for i in rows), math.prod(dims[i] for i in cols))
-    digits = np.unravel_index(m._data.pos, dims)
-    pos = np.ravel_multi_index([digits[i] for i in axes], [dims[i] for i in axes])
-    return _Nonzeros.make(shape, pos, m._data.vals)
+    digits = np.unravel_index(m.pos, dims)
+    return np.ravel_multi_index([digits[i] for i in axes], [dims[i] for i in axes])
 
 
 def partial_transpose(m: CMatrix) -> CMatrix:
@@ -261,14 +236,14 @@ def partial_transpose(m: CMatrix) -> CMatrix:
     n = len(layout.factors)
     rows = [n + i if i in b_axes else i for i in range(n)]
     cols = [i if i in b_axes else n + i for i in range(n)]
-    return CMatrix._of(_regroup(m, "partial_transpose", rows, cols), layout)
+    return CMatrix._make(m.dim, _regroup(m, "partial_transpose", rows, cols), m.vals, layout)
 
 
 def permute_factors(m: CMatrix, order: Sequence[int]) -> CMatrix:
     """Reorder tensor factors; another pure index permutation."""
     new_layout = _require_layout(m, "permute_factors").permuted(order)
-    n = len(order)
-    return CMatrix._of(_regroup(m, "permute_factors", order, [n + i for i in order]), new_layout)
+    pos = _regroup(m, "permute_factors", order, [len(order) + i for i in order])
+    return CMatrix._make(m.dim, pos, m.vals, new_layout)
 
 
 def _party_axes(m: CMatrix, op: str) -> tuple[SystemLayout, list[int], list[int]]:
@@ -288,8 +263,10 @@ def collect_parties(m: CMatrix) -> CMatrix:
     is what the Bell-operator and box routines consume.
     """
     layout, axes_a, axes_b = _party_axes(m, "collect_parties")
+    order = axes_a + axes_b
+    pos = _regroup(m, "collect_parties", order, [len(order) + i for i in order])
     coarse = SystemLayout.bipartite(layout.dim_of("A"), layout.dim_of("B"))
-    return CMatrix._of(permute_factors(m, axes_a + axes_b)._data, coarse)
+    return CMatrix._make(m.dim, pos, m.vals, coarse)
 
 
 def _realigned(rho: CMatrix, op: str) -> tuple[np.ndarray, int, int]:
@@ -299,12 +276,16 @@ def _realigned(rho: CMatrix, op: str) -> tuple[np.ndarray, int, int]:
     row-major, and R.T is the same form with the parties swapped.  R is one
     regrouping of rho's own factor axes, whatever their interleaving, so the
     only dense copy made is R itself: rho's nonzeros are scattered straight
-    into it.  ``op`` names the caller in errors.
+    into it, in entry order, with no sorted copy.  ``op`` names the caller
+    in errors.
     """
     layout, axes_a, axes_b = _party_axes(rho, op)
     n = len(layout.factors)
-    r = _regroup(rho, op, axes_a + [n + i for i in axes_a], axes_b + [n + i for i in axes_b])
-    return r.dense(), layout.dim_of("A"), layout.dim_of("B")
+    pos = _regroup(rho, op, axes_a + [n + i for i in axes_a], axes_b + [n + i for i in axes_b])
+    da, db = layout.dim_of("A"), layout.dim_of("B")
+    r = np.zeros((da * da, db * db), dtype=np.complex128)
+    r.reshape(-1)[pos] = rho.vals
+    return r, da, db
 
 
 def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -322,13 +303,13 @@ def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
     layout = None
     if a.layout and b.layout:
         layout = SystemLayout(a.layout.factors + b.layout.factors)
-    (ra, ca), (rb, cb) = a._data.coords(), b._data.coords()
+    (ra, ca), (rb, cb) = a.coords(), b.coords()
     pos = (ra[:, None] * b.dim + rb) * n + ca[:, None] * b.dim + cb
-    vals = a._data.vals[:, None] * b._data.vals
-    return CMatrix._of(_Nonzeros.make((n, n), pos.reshape(-1), vals.reshape(-1)), layout)
+    vals = a.vals[:, None] * b.vals
+    return CMatrix._make(n, pos.reshape(-1), vals.reshape(-1), layout)
 
 
-def _hermitian_pattern(data: "np.ndarray | _Nonzeros", what: str, tol: float = TOL.assertion):
+def _hermitian_pattern(data: "np.ndarray | CMatrix", what: str, tol: float = TOL.assertion):
     """Refuse a non-square, empty, non-finite or non-hermitian matrix; the deviation and pattern.
 
     The deviation max |a_ij - conj(a_ji)| is read only on the symmetric nonzero
@@ -336,18 +317,18 @@ def _hermitian_pattern(data: "np.ndarray | _Nonzeros", what: str, tol: float = T
     0, and gathering the nonzero pairs is far cheaper than a transposed copy
     of a mostly-zero matrix.  A raw array is refused here unless it is a
     square matrix of dimension at least 1, which a CMatrix always is.  A
-    nonzero form reads each stored entry against its transposed partner, an
+    CMatrix reads each stored entry against its transposed partner, an
     exact 0 where none is stored; both orders of a pair give the same
     |difference|, so the deviation is the dense one.  A NaN or infinite
     entry makes its own difference, and so the deviation, NaN or infinite
     (inf - inf without a warning), and is refused before the ``dev > tol``
     test it would pass.  ``what`` starts every message.  The pattern goes on
-    to _block_eigh: a boolean matrix for a raw array, and for a nonzero form
+    to _block_eigh: a boolean matrix for a raw array, and for a CMatrix
     its edges, the rows and columns of its entries != 0.
     """
-    if isinstance(data, _Nonzeros):
+    if isinstance(data, CMatrix):
         r, c = data.coords()
-        mirror = c * data.shape[1] + r
+        mirror = c * data.dim + r
         at = np.searchsorted(data.pos, mirror).clip(max=max(len(mirror) - 1, 0))
         partner = np.where(data.pos[at] == mirror, data.vals[at], 0.0)
         with np.errstate(invalid="ignore"):
@@ -375,7 +356,7 @@ def _edge_components(n: int, pattern) -> np.ndarray:
     """Each of n indices' component in a _hermitian_pattern pattern, labelled by its
     smallest index.
 
-    A nonzero form's pattern is its edge list (rows, cols); a dense input's
+    A CMatrix's pattern is its edge list (rows, cols); a dense input's
     boolean pattern gives the edges of its upper triangle, read from its flat
     nonzero positions as int32 wherever they fit, so the edges of a dense
     pattern hold a quarter of its matrix's memory.  Every index starts as its
@@ -407,17 +388,17 @@ def _edge_components(n: int, pattern) -> np.ndarray:
     return label
 
 
-def _gather(data: "np.ndarray | _Nonzeros", idx: np.ndarray) -> np.ndarray:
+def _gather(data: "np.ndarray | CMatrix", idx: np.ndarray) -> np.ndarray:
     """The blocks of ``data`` on the index sets idx[k], as a (blocks, size, size) stack.
 
-    A nonzero form scatters the entries whose row and column fall in one
+    A CMatrix scatters the entries whose row and column fall in one
     block into zeros, which is what indexing the dense matrix reads: every
     other position of a block holds +0.0.
     """
     if isinstance(data, np.ndarray):
         return data[idx[:, :, None], idx[:, None, :]]
     size = idx.shape[1]
-    slot = np.full(data.shape[0], -1)
+    slot = np.full(data.dim, -1)
     slot[idx.reshape(-1)] = np.arange(idx.size)
     r, c = data.coords()
     sr, sc = slot[r], slot[c]
@@ -427,7 +408,7 @@ def _gather(data: "np.ndarray | _Nonzeros", idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_eigh(data: "np.ndarray | _Nonzeros", pattern, vectors: bool = False):
+def _block_eigh(data: "np.ndarray | CMatrix", pattern, vectors: bool = False):
     """All eigenvalues of a hermitian matrix, ascending, solved block by block.
 
     The blocks are the components of ``pattern``, the matrix's symmetric
@@ -438,7 +419,7 @@ def _block_eigh(data: "np.ndarray | _Nonzeros", pattern, vectors: bool = False):
     sorted indices of a block, w_b[k] its eigenvalues and v_b[k] its
     eigenvectors as columns; a size's blocks come in order of their smallest
     index.  Isolated indices are read off the diagonal, an exact 0 where a
-    nonzero form stores nothing, so w has all dim eigenvalues and every sum
+    CMatrix stores nothing, so w has all dim eigenvalues and every sum
     over it runs as on the dense matrix.  Blocks of equal size share one
     stacked solve; a matrix that is one block is a stack of one,
     bit-identical to the dense call.
@@ -486,7 +467,10 @@ def min_eigenvalue(m) -> float:
 
 def spectral_norm(m) -> float:
     """Largest singular value, valid for arbitrary (e.g. filter) operators."""
-    return float(np.linalg.svd(_as_array(m), compute_uv=False).max())
+    arr = _as_array(m)
+    if not arr.size:
+        raise ValidationError("spectral_norm expects a non-empty matrix")
+    return float(np.linalg.svd(arr, compute_uv=False).max())
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -510,7 +494,7 @@ def psd_sqrt(m) -> np.ndarray:
     return out
 
 
-def _density_eigs(data: "np.ndarray | _Nonzeros", what: str, trace_tol: float,
+def _density_eigs(data: "np.ndarray | CMatrix", what: str, trace_tol: float,
                   psd_tol: float, vectors: bool = False):
     """Check hermiticity, unit trace and positivity from one decomposition.
 
@@ -584,12 +568,11 @@ def _difference(a: CMatrix, b: CMatrix) -> CMatrix:
     matrices would be, a missing entry being +0.0 (so 0 - b, not -b), and
     the results that come out (+0.0, +0.0) are dropped.
     """
-    pa, pb = a._data.pos, b._data.pos
-    pos = _drop_repeats(np.sort(np.concatenate((pa, pb))))
+    pos = _drop_repeats(np.sort(np.concatenate((a.pos, b.pos))))
     vals = np.zeros(len(pos), dtype=np.complex128)
-    vals[np.searchsorted(pos, pa)] = a._data.vals
-    vals[np.searchsorted(pos, pb)] -= b._data.vals
-    return CMatrix._of(_Nonzeros.make(a._data.shape, pos, vals), a.layout)
+    vals[np.searchsorted(pos, a.pos)] = a.vals
+    vals[np.searchsorted(pos, b.pos)] -= b.vals
+    return CMatrix._make(a.dim, pos, vals, a.layout)
 
 
 def _json_layout(m: CMatrix) -> dict:
@@ -629,23 +612,22 @@ def _matrix_json_text(m: CMatrix) -> str:
     is formatted once: an entry as its pair, a run as that many repeated
     ``0.0,0.0`` tokens.  The items are joined back in row-major order, so no
     step works per zero entry, and a matrix without zeros has one item per
-    entry.  The items come from the nonzero form, so no dense array is
+    entry.  The items come from m's entries, so no dense array is
     built.  JSON writes a finite float as its repr, which an f-string
     produces faster than dumps does; the non-finite reprs nan and inf are
     respelt as JSON's NaN and Infinity.
     """
-    nz = m._data
     size = m.dim * m.dim
     layout = _canonical_json(_json_layout(m))[1:]
     # an item starts at every nonzero entry and after one, and the end closes
     # the last; the positions are ascending, so interleaving p and p + 1 sorts them
-    at = _drop_repeats(np.concatenate(([0], np.column_stack((nz.pos, nz.pos + 1)).reshape(-1),
+    at = _drop_repeats(np.concatenate(([0], np.column_stack((m.pos, m.pos + 1)).reshape(-1),
                                        [size])))
     span = at[1:] - at[:-1]
     # a run of zeros has the bits of +0.0; an entry is the item that starts at it
     re, im = np.zeros((2, len(span)), dtype=np.uint64)
-    bits = np.ascontiguousarray(nz.vals).view(np.uint64).reshape(-1, 2)
-    item = np.searchsorted(at, nz.pos)
+    bits = np.ascontiguousarray(m.vals).view(np.uint64).reshape(-1, 2)
+    item = np.searchsorted(at, m.pos)
     re[item], im[item] = bits[:, 0], bits[:, 1]
     # an exact sort of bit patterns and spans puts equal items next to each other
     order = np.lexsort((re, im, span))

@@ -4,7 +4,7 @@ All bipartite outputs use the canonical factor order: every A factor first,
 then every B factor.  Key-plus-shield states come out as
 (key_A, shield_A, key_B, shield_B), so transposing party B in one layout
 operation covers the key and the shield together.  Each key block's
-nonzero entries are placed at their positions in the state's nonzero form,
+nonzero entries are placed at their positions among the state's entries,
 and no dense key-by-shield matrix is built.
 
 Every state output is a density matrix by construction: a private bit is
@@ -27,7 +27,6 @@ from .config import TOL, ValidationError, check_dim
 from .linalg import (
     CMatrix,
     SystemLayout,
-    _Nonzeros,
     partial_transpose,
     permute_factors,
     psd_sqrt,
@@ -151,13 +150,13 @@ def _key_shield_canonical(blocks: dict[tuple[int, int], np.ndarray],
     n = next(iter(blocks.values())).shape[0]
     pos, vals = [], []
     for (r, c), blk in blocks.items():
-        entries = _Nonzeros.of_dense(blk)
+        entries = CMatrix(blk)
         i, j = entries.coords()
         pos.append((r * n + i) * (4 * n) + c * n + j)
         vals.append(entries.vals)
-    full = _Nonzeros.make((4 * n, 4 * n), np.concatenate(pos), np.concatenate(vals))
     layout = SystemLayout(((2, "A"), (2, "B")) + shield_factors)
-    return permute_factors(CMatrix._of(full, layout), layout.axes("A") + layout.axes("B"))
+    full = CMatrix._make(4 * n, np.concatenate(pos), np.concatenate(vals), layout)
+    return permute_factors(full, layout.axes("A") + layout.axes("B"))
 
 
 def private_bit(x: CMatrix) -> CMatrix:
@@ -198,10 +197,8 @@ def _key_family(blocks: dict[tuple[int, int], np.ndarray],
     rho = _key_shield_canonical(blocks, shield_factors)
     sigma = _key_shield_canonical({key: blk for key, blk in blocks.items() if key[0] == key[1]},
                                   shield_factors)
-    entries = sigma._data
-    sigma = CMatrix._of(_Nonzeros.make(entries.shape, entries.pos,
-                                       entries.vals / entries.diagonal().sum().real),
-                        sigma.layout)
+    sigma = CMatrix._make(sigma.dim, sigma.pos, sigma.vals / sigma.diagonal().sum().real,
+                          sigma.layout)
     return StateFamilyResult(rho=rho, sigma_candidate=sigma, params=params, notes=notes)
 
 

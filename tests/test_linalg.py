@@ -291,7 +291,8 @@ def test_a_matrix_does_not_alias_the_arrays_it_is_built_from_or_gives_out():
     (min_eigenvalue, "min_eigenvalue"),
     (op_norm, "op_norm"),
     (psd_sqrt, "psd_sqrt"),
-], ids=["trace_norm", "min_eigenvalue", "op_norm", "psd_sqrt"])
+    (spectral_norm, "spectral_norm"),
+], ids=["trace_norm", "min_eigenvalue", "op_norm", "psd_sqrt", "spectral_norm"])
 def test_an_empty_matrix_is_refused(func, what):
     # these raised numpy's "need at least one array to concatenate"
     with pytest.raises(ValidationError, match=rf"^matrix must be non-empty, got shape \(0, 0\)$"):
