@@ -29,7 +29,6 @@ from .linalg import (
     partial_transpose,
     trace_norm,
     _difference,
-    _hermitian_pattern,
     _json_floats,
     _json_size,
     _realigned,
@@ -206,7 +205,14 @@ class MeasurementFamily:
             setattr(self, side, povms)
             for i, povm in enumerate(povms):
                 for e in povm:
-                    _hermitian_pattern(e, f"{side} input {i}: effect", TOL.structural)
+                    with np.errstate(invalid="ignore"):  # inf - inf is refused as non-finite
+                        diff = e - e.conj().T
+                    dev = float(np.abs(diff).max())
+                    if not math.isfinite(dev):
+                        raise ValidationError(f"{side} input {i}: effect expects a finite matrix")
+                    if dev > TOL.structural:
+                        raise ValidationError(f"{side} input {i}: effect expects a hermitian "
+                                              f"matrix, deviation {dev:.3e}")
                     w = float(np.linalg.eigvalsh(e).min())
                     if w < -TOL.psd:
                         raise ValidationError(f"{side} input {i}: effect has eigenvalue {w:.3e}")

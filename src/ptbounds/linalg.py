@@ -13,23 +13,25 @@ the realignment the seesaw reads) is one call of _regroup, a pure index
 permutation, so it is exact: no arithmetic touches the entries.  It applies
 its axis permutation to the digits of the positions.
 
-Every spectral function here (trace_norm, op_norm, min_eigenvalue, psd_sqrt,
-assert_density, rel_entropy) takes a CMatrix or a raw array, checks its
-input once, in _hermitian_pattern, and diagonalises it one block at a time.
-That check refuses a non-square, empty or non-finite matrix and measures the
-hermitian deviation on the exact nonzero pattern (M != 0) | (M != 0)^T, with
-no tolerance.  The blocks are the connected components of that same pattern,
-found by one edge-list finder, _edge_components: a CMatrix gives it the rows
-and columns of its entries, a raw array the nonzero pattern of its upper
-triangle.  Permuting the indices so that each component is contiguous makes
-M block diagonal, and a block-diagonal matrix has the union of its blocks'
-spectra, with eigenvectors supported on single blocks; so nothing is dropped
-or approximated.  Each block is gathered with its indices in ascending
-order, so its lower triangle, the one eigvalsh and eigh read, is the full
+Every function here that reads a matrix takes a CMatrix and refuses any
+other argument with a ValidationError that names it; a caller with a dense
+array passes CMatrix(a).  psd_sqrt still returns a dense array.  The
+spectral functions (trace_norm, op_norm, min_eigenvalue, psd_sqrt,
+assert_density, rel_entropy) check their input once, in _hermitian_pattern,
+and diagonalise it one block at a time.  That check refuses a non-finite
+matrix and measures the hermitian deviation on the exact nonzero pattern
+(M != 0) | (M != 0)^T, with no tolerance.  The blocks are the connected
+components of that same pattern, found by one edge-list finder,
+_edge_components, from the rows and columns of the entries.  Permuting the
+indices so that each component is contiguous makes M block diagonal, and a
+block-diagonal matrix has the union of its blocks' spectra, with
+eigenvectors supported on single blocks; so nothing is dropped or
+approximated.  Each block is gathered with its indices in ascending order,
+so its lower triangle, the one eigvalsh and eigh read, is the full
 matrix's.  An isolated index contributes its diagonal entry, an exact 0
-where a CMatrix stores none, so the spectrum always has dim values and every
-sum over it runs in the same order for both inputs.  A matrix that is one
-component is a stack of one block, bit-identical to the dense call.
+where no entry is stored, so the spectrum always has dim values and every
+sum over it runs in the order it would on the dense matrix.  A matrix that
+is one component is a stack of one block, bit-identical to the dense call.
 """
 
 from __future__ import annotations
@@ -191,13 +193,10 @@ class CMatrix:
         return f"CMatrix(dim={self.dim}{lay})"
 
 
-def _as_array(m) -> np.ndarray:
-    return m.mat if isinstance(m, CMatrix) else np.asarray(m, dtype=np.complex128)
-
-
-def _entries(m) -> "np.ndarray | CMatrix":
-    """What the spectral functions read: a CMatrix as it is, or any other input as an array."""
-    return m if isinstance(m, CMatrix) else np.asarray(m, dtype=np.complex128)
+def _require_matrix(m, op: str) -> CMatrix:
+    if not isinstance(m, CMatrix):
+        raise ValidationError(f"{op} needs a CMatrix, got {type(m).__name__}")
+    return m
 
 
 def _require_layout(m: CMatrix, op: str) -> SystemLayout:
@@ -297,7 +296,7 @@ def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
     or product is built.  Its values equal np.kron's; where a factor stores
     no entry, np.kron may write -0.0 and the product stores nothing.
     """
-    a, b = (m if isinstance(m, CMatrix) else CMatrix(m) for m in (a, b))
+    a, b = _require_matrix(a, "tensor"), _require_matrix(b, "tensor")
     n = a.dim * b.dim
     check_dim(n, "tensor")
     layout = None
@@ -309,71 +308,47 @@ def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
     return CMatrix._make(n, pos.reshape(-1), vals.reshape(-1), layout)
 
 
-def _hermitian_pattern(data: "np.ndarray | CMatrix", what: str, tol: float = TOL.assertion):
-    """Refuse a non-square, empty, non-finite or non-hermitian matrix; the deviation and pattern.
+def _hermitian_pattern(data: CMatrix, what: str, tol: float = TOL.assertion):
+    """Refuse a non-finite or non-hermitian matrix; the deviation and pattern.
 
     The deviation max |a_ij - conj(a_ji)| is read only on the symmetric nonzero
     pattern (a != 0) | (a != 0)^T: everywhere else the difference is an exact
-    0, and gathering the nonzero pairs is far cheaper than a transposed copy
-    of a mostly-zero matrix.  A raw array is refused here unless it is a
-    square matrix of dimension at least 1, which a CMatrix always is.  A
-    CMatrix reads each stored entry against its transposed partner, an
-    exact 0 where none is stored; both orders of a pair give the same
-    |difference|, so the deviation is the dense one.  A NaN or infinite
-    entry makes its own difference, and so the deviation, NaN or infinite
-    (inf - inf without a warning), and is refused before the ``dev > tol``
-    test it would pass.  ``what`` starts every message.  The pattern goes on
-    to _block_eigh: a boolean matrix for a raw array, and for a CMatrix
-    its edges, the rows and columns of its entries != 0.
+    0.  Each stored entry is read against its transposed partner, an exact 0
+    where none is stored; both orders of a pair give the same |difference|,
+    so the deviation is the dense one.  A NaN or infinite entry makes its own
+    difference, and so the deviation, NaN or infinite (inf - inf without a
+    warning), and is refused before the ``dev > tol`` test it would pass.
+    ``what`` starts every message.  The pattern goes on to _block_eigh as the
+    edges of the matrix: the rows and columns of its off-diagonal entries != 0.
     """
-    if isinstance(data, CMatrix):
-        r, c = data.coords()
-        mirror = c * data.dim + r
-        at = np.searchsorted(data.pos, mirror).clip(max=max(len(mirror) - 1, 0))
-        partner = np.where(data.pos[at] == mirror, data.vals[at], 0.0)
-        with np.errstate(invalid="ignore"):
-            diff = data.vals - partner.conj()
-        edge = (data.vals != 0) & (r != c)
-        pattern = r[edge], c[edge]
-    else:
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValidationError(f"{what} expects a square matrix")
-        if not data.size:
-            raise ValidationError(f"{what} expects a non-empty matrix")
-        nz = data != 0
-        pattern = nz | nz.T
-        with np.errstate(invalid="ignore"):
-            diff = data[pattern] - data.T[pattern].conj()
+    r, c = data.coords()
+    mirror = c * data.dim + r
+    at = np.searchsorted(data.pos, mirror).clip(max=max(len(mirror) - 1, 0))
+    partner = np.where(data.pos[at] == mirror, data.vals[at], 0.0)
+    with np.errstate(invalid="ignore"):
+        diff = data.vals - partner.conj()
     dev = float(np.abs(diff).max()) if diff.size else 0.0
     if not math.isfinite(dev):
         raise ValidationError(f"{what} expects a finite matrix")
     if dev > tol:
         raise ValidationError(f"{what} expects a hermitian matrix, deviation {dev:.3e}")
-    return dev, pattern
+    edge = (data.vals != 0) & (r != c)
+    return dev, (r[edge], c[edge])
 
 
-def _edge_components(n: int, pattern) -> np.ndarray:
+def _edge_components(n: int, pattern: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Each of n indices' component in a _hermitian_pattern pattern, labelled by its
     smallest index.
 
-    A CMatrix's pattern is its edge list (rows, cols); a dense input's
-    boolean pattern gives the edges of its upper triangle, read from its flat
-    nonzero positions as int32 wherever they fit, so the edges of a dense
-    pattern hold a quarter of its matrix's memory.  Every index starts as its
-    own root.  Each round hooks, for every edge whose ends have different
-    roots, the larger root onto the smaller one, keeping the smallest offer
-    per root, then jumps pointers until each index points at its root, and
-    keeps only the edges whose ends still differ.  A hook points at a smaller
+    The pattern is an edge list (rows, cols).  Every index starts as its own
+    root.  Each round hooks, for every edge whose ends have different roots,
+    the larger root onto the smaller one, keeping the smallest offer per
+    root, then jumps pointers until each index points at its root, and keeps
+    only the edges whose ends still differ.  A hook points at a smaller
     index, so the roots are the components' smallest indices; no step loops
     over components or indices.
     """
-    if isinstance(pattern, np.ndarray):
-        rows, cols = np.divmod(
-            np.flatnonzero(pattern).astype(np.int32 if pattern.size <= 2**31 else np.intp), n)
-        upper = rows < cols
-        rows, cols = rows[upper], cols[upper]
-    else:
-        rows, cols = pattern
+    rows, cols = pattern
     label = np.arange(n, dtype=np.int32)
     while rows.size:
         lr, lc = label[rows], label[cols]
@@ -388,15 +363,13 @@ def _edge_components(n: int, pattern) -> np.ndarray:
     return label
 
 
-def _gather(data: "np.ndarray | CMatrix", idx: np.ndarray) -> np.ndarray:
+def _gather(data: CMatrix, idx: np.ndarray) -> np.ndarray:
     """The blocks of ``data`` on the index sets idx[k], as a (blocks, size, size) stack.
 
-    A CMatrix scatters the entries whose row and column fall in one
-    block into zeros, which is what indexing the dense matrix reads: every
-    other position of a block holds +0.0.
+    The entries whose row and column fall in one block are scattered into
+    zeros, which is what indexing the dense matrix reads: every other
+    position of a block holds +0.0.
     """
-    if isinstance(data, np.ndarray):
-        return data[idx[:, :, None], idx[:, None, :]]
     size = idx.shape[1]
     slot = np.full(data.dim, -1)
     slot[idx.reshape(-1)] = np.arange(idx.size)
@@ -408,7 +381,7 @@ def _gather(data: "np.ndarray | CMatrix", idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_eigh(data: "np.ndarray | CMatrix", pattern, vectors: bool = False):
+def _block_eigh(data: CMatrix, pattern, vectors: bool = False):
     """All eigenvalues of a hermitian matrix, ascending, solved block by block.
 
     The blocks are the components of ``pattern``, the matrix's symmetric
@@ -418,13 +391,13 @@ def _block_eigh(data: "np.ndarray | CMatrix", pattern, vectors: bool = False):
     holds one (idx, w_b, v_b) per block size, ascending, where idx[k] are the
     sorted indices of a block, w_b[k] its eigenvalues and v_b[k] its
     eigenvectors as columns; a size's blocks come in order of their smallest
-    index.  Isolated indices are read off the diagonal, an exact 0 where a
-    CMatrix stores nothing, so w has all dim eigenvalues and every sum
-    over it runs as on the dense matrix.  Blocks of equal size share one
-    stacked solve; a matrix that is one block is a stack of one,
-    bit-identical to the dense call.
+    index.  Isolated indices are read off the diagonal, an exact 0 where
+    nothing is stored, so w has all dim eigenvalues and every sum over it
+    runs as on the dense matrix.  Blocks of equal size share one stacked
+    solve; a matrix that is one block is a stack of one, bit-identical to
+    the dense call.
     """
-    label = _edge_components(data.shape[0], pattern)
+    label = _edge_components(data.dim, pattern)
     count = np.bincount(label)
     # by size, then by block, then by index: one size's blocks are rows of one array
     order = np.lexsort((label, count[label]))
@@ -444,58 +417,52 @@ def _block_eigh(data: "np.ndarray | CMatrix", pattern, vectors: bool = False):
     return w, (groups if vectors else None)
 
 
-def trace_norm(m) -> float:
+def trace_norm(m: CMatrix) -> float:
     """Sum of singular values; for hermitian input the sum of |eigenvalues|."""
-    data = _entries(m)
-    dev, pattern = _hermitian_pattern(data, "trace_norm", math.inf)
+    dev, pattern = _hermitian_pattern(_require_matrix(m, "trace_norm"), "trace_norm", math.inf)
     if dev <= TOL.assertion:
-        return float(np.abs(_block_eigh(data, pattern)[0]).sum())
-    return float(np.linalg.svd(_as_array(m), compute_uv=False).sum())
+        return float(np.abs(_block_eigh(m, pattern)[0]).sum())
+    return float(np.linalg.svd(m.mat, compute_uv=False).sum())
 
 
-def op_norm(m) -> float:
+def op_norm(m: CMatrix) -> float:
     """Largest |eigenvalue| of a hermitian matrix.  Errors on non-hermitian input."""
-    data = _entries(m)
-    return float(np.abs(_block_eigh(data, _hermitian_pattern(data, "op_norm")[1])[0]).max())
+    pattern = _hermitian_pattern(_require_matrix(m, "op_norm"), "op_norm")[1]
+    return float(np.abs(_block_eigh(m, pattern)[0]).max())
 
 
-def min_eigenvalue(m) -> float:
+def min_eigenvalue(m: CMatrix) -> float:
     """Smallest eigenvalue of a hermitian matrix.  Errors on non-hermitian input."""
-    data = _entries(m)
-    return float(_block_eigh(data, _hermitian_pattern(data, "min_eigenvalue")[1])[0][0])
+    pattern = _hermitian_pattern(_require_matrix(m, "min_eigenvalue"), "min_eigenvalue")[1]
+    return float(_block_eigh(m, pattern)[0][0])
 
 
-def spectral_norm(m) -> float:
+def spectral_norm(m: CMatrix) -> float:
     """Largest singular value, valid for arbitrary (e.g. filter) operators."""
-    arr = _as_array(m)
-    if not arr.size:
-        raise ValidationError("spectral_norm expects a non-empty matrix")
-    return float(np.linalg.svd(arr, compute_uv=False).max())
+    return float(np.linalg.svd(_require_matrix(m, "spectral_norm").mat, compute_uv=False).max())
 
 
-def psd_sqrt(m) -> np.ndarray:
+def psd_sqrt(m: CMatrix) -> np.ndarray:
     """Square root of a PSD matrix, flooring eigenvalues <= TOL.eig_floor to zero.
 
     The floor keeps sqrt from amplifying noise: an eigenvalue that should be
     an exact 0 but comes out of the solver as 1e-17 would otherwise donate
     ~3e-9 to every singular value sum downstream.  The root is dense.
     """
-    if isinstance(m, CMatrix):
-        check_dim(m.dim, "psd_sqrt")
-    data = _entries(m)
-    w, groups = _block_eigh(data, _hermitian_pattern(data, "psd_sqrt")[1], vectors=True)
+    check_dim(_require_matrix(m, "psd_sqrt").dim, "psd_sqrt")
+    w, groups = _block_eigh(m, _hermitian_pattern(m, "psd_sqrt")[1], vectors=True)
     if float(w[0]) < -TOL.psd:
         raise ValidationError(f"psd_sqrt got a matrix with eigenvalue {w[0]:.3e}")
     # V_b sqrt(w_b) V_b^dagger goes into block b of a zero matrix
-    out = np.zeros(data.shape, dtype=np.complex128)
+    out = np.zeros(m.shape, dtype=np.complex128)
     for idx, wb, vb in groups:
         root = np.sqrt(np.where(wb <= TOL.eig_floor, 0.0, wb))
         out[idx[:, :, None], idx[:, None, :]] = (vb * root[:, None, :]) @ vb.conj().swapaxes(1, 2)
     return out
 
 
-def _density_eigs(data: "np.ndarray | CMatrix", what: str, trace_tol: float,
-                  psd_tol: float, vectors: bool = False):
+def _density_eigs(data: CMatrix, what: str, trace_tol: float, psd_tol: float,
+                  vectors: bool = False):
     """Check hermiticity, unit trace and positivity from one decomposition.
 
     Returns _block_eigh's (eigenvalues, groups), the groups of eigenvectors
@@ -512,24 +479,28 @@ def _density_eigs(data: "np.ndarray | CMatrix", what: str, trace_tol: float,
     return w, groups
 
 
-def assert_density(m, what: str) -> None:
+def assert_density(m: CMatrix, what: str) -> None:
     """Check hermiticity, trace one and positivity; ``what`` starts every message."""
-    _density_eigs(_entries(m), what, TOL.assertion, TOL.psd)
+    _density_eigs(_require_matrix(m, "assert_density"), what, TOL.assertion, TOL.psd)
 
 
-def rel_entropy(rho, sigma) -> float:
+def rel_entropy(rho: CMatrix, sigma: CMatrix) -> float:
     """Quantum relative entropy S(rho || sigma) in bits.
 
     Returns ``math.inf`` when rho has weight outside the support of sigma:
     Tr(rho K) above TOL.support, with K the kernel projector of sigma.
     Eigenvalues at or below TOL.eig_floor count as zero, both for the kernel
     of sigma and inside the logarithms.  Both arguments must be density
-    matrices of equal dimension within the validation tolerance.
+    matrices of equal dimension within the validation tolerance, and on one
+    layout when both carry one: on another layout of equal dimension the
+    pair are not two states of one system.
     """
-    r = _entries(rho)
-    s = _entries(sigma)
-    if r.shape != s.shape:
+    r, s = _require_matrix(rho, "rel_entropy"), _require_matrix(sigma, "rel_entropy")
+    if r.dim != s.dim:
         raise ValidationError("rel_entropy needs matrices of equal dimension")
+    if r.layout and s.layout and r.layout != s.layout:
+        raise ValidationError(f"rel_entropy needs both states on one layout, got "
+                              f"{r.layout.factors} and {s.layout.factors}")
     wr, _ = _density_eigs(r, "rel_entropy rho", TOL.support, TOL.support)
     _, groups = _density_eigs(s, "rel_entropy sigma", TOL.support, TOL.support, vectors=True)
     # log sigma and K are block diagonal with sigma, so Tr(rho log sigma) and
@@ -680,7 +651,7 @@ def matrix_from_json(obj: dict) -> CMatrix:
         dims = [_json_size(d, "matrix JSON dims entry") for d in obj["dims"]]
         parties = obj["parties"]
         data = obj["data"]
-        n_entries = len(data)
+        n_items = len(data)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"matrix JSON is missing a field: {exc}") from exc
     # "AB" or {"A": .., "B": ..} would iterate as two labels
@@ -689,8 +660,8 @@ def matrix_from_json(obj: dict) -> CMatrix:
     if len(dims) != len(parties):
         raise ValidationError("dims and parties must have equal length")
     dim = math.prod(dims)
-    if n_entries != dim * dim:
-        raise ValidationError(f"matrix JSON has {n_entries} entries, expected {dim * dim}")
+    if n_items != dim * dim:
+        raise ValidationError(f"matrix JSON has {n_items} entries, expected {dim * dim}")
     what = "matrix JSON entries must be [re, im] pairs"
     try:
         lengths = set(map(len, data))
@@ -699,7 +670,7 @@ def matrix_from_json(obj: dict) -> CMatrix:
     # every entry must be a pair, or [1, 2, 3], [4] would read as two pairs
     if lengths != {2}:
         raise ValidationError(f"{what} (an entry has other than two elements)")
-    flat = _json_floats(chain.from_iterable(data), what, count=2 * n_entries)
+    flat = _json_floats(chain.from_iterable(data), what, count=2 * n_items)
     if not np.isfinite(flat).all():
         raise ValidationError("matrix JSON has non-finite entries")
     layout = SystemLayout(tuple((d, p) for d, p in zip(dims, parties)))

@@ -454,7 +454,7 @@ def filter_apply(rho: CMatrix, f_a: np.ndarray, f_b: np.ndarray) -> tuple[CMatri
     for name, filt in (("A", f_a), ("B", f_b)):
         if not np.isfinite(filt).all():  # the SVD behind the norm would not converge
             raise ValidationError(f"filter {name} has a non-finite entry")
-        norm = spectral_norm(filt)
+        norm = spectral_norm(CMatrix(filt))
         if norm > 1.0 + TOL.assertion:
             raise ValidationError(f"filter {name} has operator norm {norm} > 1")
     big = np.kron(f_a, f_b)

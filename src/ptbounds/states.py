@@ -185,8 +185,8 @@ def private_bit(x: CMatrix) -> CMatrix:
 
 def _pbit_corners(arr: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """A private bit's key blocks before the factor 1/2: sqrt(X X+), X, X+ and sqrt(X+ X)."""
-    return {(0, 0): psd_sqrt(arr @ arr.conj().T), (0, 3): arr,
-            (3, 0): arr.conj().T, (3, 3): psd_sqrt(arr.conj().T @ arr)}
+    return {(0, 0): psd_sqrt(CMatrix(arr @ arr.conj().T)), (0, 3): arr,
+            (3, 0): arr.conj().T, (3, 3): psd_sqrt(CMatrix(arr.conj().T @ arr))}
 
 
 def _key_family(blocks: dict[tuple[int, int], np.ndarray],

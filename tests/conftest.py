@@ -1,12 +1,25 @@
 """Shared fixtures: the CHSH functional, Tsirelson measurements, key-qubit lifts,
-and seeded generators of random states, measurements and filters."""
+seeded generators of random states, measurements and filters, and the dense
+reference of the spectral functions."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ptbounds import CMatrix, MeasurementFamily, SystemLayout, chsh, max_entangled, spectral_norm
+from ptbounds import (
+    CMatrix,
+    MeasurementFamily,
+    SystemLayout,
+    ValidationError,
+    chsh,
+    max_entangled,
+    min_eigenvalue,
+    op_norm,
+    spectral_norm,
+    trace_norm,
+)
+from ptbounds.config import TOL
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -76,7 +89,162 @@ def random_binary_povm(rng: np.random.Generator, d: int) -> list[np.ndarray]:
 def random_filter(rng: np.random.Generator, d: int) -> np.ndarray:
     """General operator rescaled to operator norm one (largest singular value)."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return g / spectral_norm(g)
+    return g / spectral_norm(CMatrix(g))
+
+
+# The dense reference of linalg's spectral functions, which read only a
+# CMatrix.  Each takes a dense array, finds the blocks of its nonzero pattern
+# by breadth-first search, gathers them by numpy indexing and solves one
+# stack per block size, as linalg does; so every value below equals the
+# library's on CMatrix(a) bit for bit, and a block or a gather that the
+# library gets wrong shows as a difference.  Each refuses what the library
+# refuses with the same message, the hermitian deviation read densely.
+
+
+def dense_pattern(a):
+    """The symmetric nonzero pattern (a != 0) | (a != 0)^T."""
+    nz = a != 0
+    return nz | nz.T
+
+
+def bfs_components(adj):
+    """Isolated indices and the other components of a symmetric pattern, each sorted.
+
+    Breadth-first search with a boolean frontier, one component at a time, in
+    order of their smallest index; ``adj`` is left as it was.
+    """
+    adj = adj.copy()
+    np.fill_diagonal(adj, False)
+    linked = adj.any(axis=1)
+    unseen = linked.copy()
+    blocks = []
+    for start in np.flatnonzero(linked):
+        if not unseen[start]:
+            continue
+        member = np.zeros_like(unseen)
+        frontier = np.array([start])
+        while frontier.size:
+            member[frontier] = True
+            unseen[frontier] = False
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
+        blocks.append(np.flatnonzero(member))
+    return np.flatnonzero(~linked), blocks
+
+
+def bfs_groups(arr, vectors=False):
+    """The block solves of arr from the breadth-first components: (idx, w, v) for the
+    isolated indices first, then one stacked solve per block size, ascending,
+    each size's blocks in order of their smallest index; v is None unless
+    ``vectors``.  A matrix that is one block is one plain solve."""
+    solve = np.linalg.eigh if vectors else (lambda a: (np.linalg.eigvalsh(a), None))
+    single, blocks = bfs_components(dense_pattern(arr))
+    if not single.size and len(blocks) == 1:
+        w, v = solve(arr)
+        return [(blocks[0][None], w[None], None if v is None else v[None])]
+    groups = []
+    if single.size:
+        groups.append((single[:, None], arr[single, single].real[:, None],
+                       np.ones((single.size, 1, 1)) if vectors else None))
+    by_size = {}
+    for block in blocks:
+        by_size.setdefault(block.size, []).append(block)
+    for size in sorted(by_size):
+        idx = np.array(by_size[size])
+        groups.append((idx, *solve(arr[idx[:, :, None], idx[:, None, :]])))
+    return groups
+
+
+def eigvals_of(groups):
+    """The eigenvalues of every block solve in ``groups``, ascending."""
+    return np.sort(np.concatenate([g[1].reshape(-1) for g in groups]))
+
+
+def dense_eigvalsh(a):
+    """All eigenvalues of a hermitian matrix, ascending, from its block solves."""
+    return eigvals_of(bfs_groups(a))
+
+
+def dense_check(a, what, tol=TOL.assertion):
+    """The hermitian deviation max |a - a^dagger|, refused when non-finite or above tol."""
+    with np.errstate(invalid="ignore"):
+        dev = float(np.abs(a - a.conj().T).max())
+    if not math.isfinite(dev):
+        raise ValidationError(f"{what} expects a finite matrix")
+    if dev > tol:
+        raise ValidationError(f"{what} expects a hermitian matrix, deviation {dev:.3e}")
+    return dev
+
+
+def dense_trace_norm(a):
+    if dense_check(a, "trace_norm", math.inf) <= TOL.assertion:
+        return float(np.abs(dense_eigvalsh(a)).sum())
+    return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+def dense_op_norm(a):
+    dense_check(a, "op_norm")
+    return float(np.abs(dense_eigvalsh(a)).max())
+
+
+def dense_min_eigenvalue(a):
+    dense_check(a, "min_eigenvalue")
+    return float(dense_eigvalsh(a)[0])
+
+
+def dense_spectral(a):
+    """trace_norm, op_norm and min_eigenvalue, each with its dense value."""
+    return {trace_norm: dense_trace_norm(a), op_norm: dense_op_norm(a),
+            min_eigenvalue: dense_min_eigenvalue(a)}
+
+
+def dense_psd_sqrt(a):
+    """V sqrt(w) V^dagger per block, eigenvalues <= TOL.eig_floor floored to 0."""
+    dense_check(a, "psd_sqrt")
+    groups = bfs_groups(a, vectors=True)
+    low = float(eigvals_of(groups)[0])
+    if low < -TOL.psd:
+        raise ValidationError(f"psd_sqrt got a matrix with eigenvalue {low:.3e}")
+    out = np.zeros(a.shape, dtype=np.complex128)
+    for idx, w, v in groups:
+        root = np.sqrt(np.where(w <= TOL.eig_floor, 0.0, w))
+        out[idx[:, :, None], idx[:, None, :]] = (v * root[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return out
+
+
+def dense_density_groups(a, what, tol=TOL.assertion, psd_tol=TOL.psd, vectors=False):
+    """The block solves of a once it passes as a density matrix."""
+    dense_check(a, what)
+    tr = complex(a.diagonal().sum())
+    if abs(tr - 1.0) > tol:
+        raise ValidationError(f"{what} must have unit trace, got {tr}")
+    groups = bfs_groups(a, vectors)
+    low = eigvals_of(groups)[0]
+    if float(low) < -psd_tol:
+        raise ValidationError(f"{what} must be PSD, minimum eigenvalue {low:.3e}")
+    return groups
+
+
+def dense_assert_density(a, what):
+    dense_density_groups(a, what)
+
+
+def dense_rel_entropy(r, s):
+    """S(r || s) in bits over s's blocks, math.inf when r has weight on s's kernel."""
+    if r.shape != s.shape:
+        raise ValidationError("rel_entropy needs matrices of equal dimension")
+    wr = eigvals_of(dense_density_groups(r, "rel_entropy rho", TOL.support, TOL.support))
+    overlap, term_cross = 0.0, 0.0
+    for idx, ws, vs in dense_density_groups(s, "rel_entropy sigma", TOL.support, TOL.support,
+                                            vectors=True):
+        weights = np.einsum("kji,kjl,kli->ki", vs.conj(), r[idx[:, :, None], idx[:, None, :]],
+                            vs).real
+        kernel = ws <= TOL.eig_floor
+        overlap += float(weights[kernel].sum())
+        term_cross += float((weights[~kernel] * np.log2(ws[~kernel])).sum())
+    if overlap > TOL.support:
+        return math.inf
+    wr = wr[wr > TOL.eig_floor]
+    return max(float((wr * np.log2(wr)).sum()) - term_cross, 0.0)
 
 
 @pytest.fixture(scope="session")

@@ -805,7 +805,7 @@ def test_d_eps_membership_leaves_both_states_unchanged(case):
     eps = d_eps_membership(rho, sigma)
     for kept, m in zip(before, (rho, sigma)):
         assert np.array_equal(kept.view(np.uint64), m.mat.view(np.uint64))
-    assert eps == trace_norm(partial_transpose(rho).mat - partial_transpose(sigma).mat)
+    assert eps == trace_norm(CMatrix(partial_transpose(rho).mat - partial_transpose(sigma).mat))
 
 
 def test_d_eps_membership_holds_two_transposed_matrices():

@@ -1,13 +1,15 @@
-"""Block spectra against their dense oracle.
+"""Block spectra against their dense oracles.
 
-Every spectral function in linalg splits its input into the connected
-components of the exact nonzero pattern and diagonalises each one on its own.
-The oracles here are the same formulas on one plain np.linalg.eigvalsh/eigh
-of the whole matrix, and for the components themselves a breadth-first search
-with the by-size grouping built from its blocks.
+Every spectral function in linalg splits its CMatrix into the connected
+components of the exact nonzero pattern and diagonalises each one on its
+own.  Each result here is compared bit for bit with the dense reference in
+conftest, whose components come from a breadth-first search and whose
+blocks come from numpy indexing, and to 1e-12 with the same formula on one
+plain np.linalg.eigvalsh/eigh of the whole matrix.
 """
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from ptbounds import (
     CMatrix,
+    assert_density,
     hiding_state,
     min_eigenvalue,
     op_norm,
@@ -29,68 +32,38 @@ from ptbounds import (
 from ptbounds.config import TOL
 from ptbounds.linalg import _block_eigh, _edge_components, _hermitian_pattern
 
-from conftest import random_density, random_hermitian
+from conftest import (
+    bfs_components,
+    bfs_groups,
+    dense_pattern,
+    dense_psd_sqrt,
+    dense_rel_entropy,
+    dense_spectral,
+    eigvals_of,
+    random_density,
+    random_hermitian,
+)
 
 
-def bfs_components(adj):
-    """Isolated indices and the other components of a symmetric pattern, each sorted.
-
-    Breadth-first search with a boolean frontier, one component at a time, in
-    order of their smallest index; ``adj`` is left as it was.
-    """
-    adj = adj.copy()
-    np.fill_diagonal(adj, False)
-    linked = adj.any(axis=1)
-    unseen = linked.copy()
-    blocks = []
-    for start in np.flatnonzero(linked):
-        if not unseen[start]:
-            continue
-        member = np.zeros_like(unseen)
-        frontier = np.array([start])
-        while frontier.size:
-            member[frontier] = True
-            unseen[frontier] = False
-            frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
-        blocks.append(np.flatnonzero(member))
-    return np.flatnonzero(~linked), blocks
-
-
-def bfs_groups(arr, pattern, vectors):
-    """_block_eigh's groups from the breadth-first components: isolated indices
-    first, then one stacked solve per block size, ascending, each size's
-    blocks in order of their smallest index; eigenvalues only unless
-    ``vectors``."""
-    solve = np.linalg.eigh if vectors else (lambda a: (np.linalg.eigvalsh(a), None))
-    single, blocks = bfs_components(pattern)
-    if not single.size and len(blocks) == 1:
-        w, v = solve(arr)
-        return [(blocks[0][None], w[None], None if v is None else v[None])]
-    groups = []
-    if single.size:
-        groups.append((single[:, None], arr[single, single].real[:, None],
-                       np.ones((single.size, 1, 1)) if vectors else None))
-    by_size = {}
-    for block in blocks:
-        by_size.setdefault(block.size, []).append(block)
-    for size in sorted(by_size):
-        idx = np.array(by_size[size])
-        groups.append((idx, *solve(arr[idx[:, :, None], idx[:, None, :]])))
-    return groups
+def bits(x):
+    """The bit patterns of a float or an array."""
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    return np.ascontiguousarray(x).view(np.uint64).tobytes()
 
 
 def pattern_of(a):
-    return _hermitian_pattern(a, "components")[1]
+    return _hermitian_pattern(CMatrix(a), "components")[1]
 
 
-def labels(pattern):
-    """_edge_components' labels of a dense matrix's boolean pattern."""
-    return _edge_components(len(pattern), pattern)
+def labels(a):
+    """_edge_components' labels of a dense matrix's entries."""
+    return _edge_components(len(a), pattern_of(a))
 
 
 def components(a):
     """Isolated indices and blocks of a hermitian matrix, from _edge_components' labels."""
-    label = labels(pattern_of(a))
+    label = labels(a)
     size = np.bincount(label)
     single = np.flatnonzero(size[label] == 1)
     return single, [np.flatnonzero(label == root) for root in np.flatnonzero(size > 1)]
@@ -99,37 +72,37 @@ def components(a):
 def assert_components_match_bfs(a):
     """_edge_components labels each index by its component's smallest index, and
     _block_eigh's groups are those of the breadth-first search, bit for bit."""
-    pattern = pattern_of(a)
-    single, blocks = bfs_components(pattern)
+    single, blocks = bfs_components(dense_pattern(a))
     expected = np.empty(len(a), dtype=np.intp)
     expected[single] = single
     for block in blocks:
         expected[block] = block[0]
-    assert np.array_equal(labels(pattern), expected)
+    assert np.array_equal(labels(a), expected)
+    m, pattern = CMatrix(a), pattern_of(a)
     for vectors in (False, True):
-        w, groups = _block_eigh(a, pattern.copy(), vectors)
-        oracle = bfs_groups(a, pattern, vectors)
-        assert np.array_equal(w, np.sort(np.concatenate([g[1].reshape(-1) for g in oracle])))
+        w, groups = _block_eigh(m, pattern, vectors)
+        oracle = bfs_groups(a, vectors)
+        assert np.array_equal(w, eigvals_of(oracle))
         if vectors:
             assert len(groups) == len(oracle)
             for got, want in zip(groups, oracle):
                 assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
-def dense_spectral(a):
+def whole_spectral(a):
     """What trace_norm, op_norm and min_eigenvalue return, from one plain eigvalsh."""
     w = np.linalg.eigvalsh(a)
     return {trace_norm: float(np.abs(w).sum()), op_norm: float(np.abs(w).max()),
             min_eigenvalue: float(w.min())}
 
 
-def dense_psd_sqrt(a):
+def whole_psd_sqrt(a):
     w, v = np.linalg.eigh(a)
     w = np.where(w <= TOL.eig_floor, 0.0, w)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def dense_rel_entropy(r, s):
+def whole_rel_entropy(r, s):
     wr = np.linalg.eigvalsh(r)
     ws, vs = np.linalg.eigh(s)
     kernel = vs[:, ws <= TOL.eig_floor]
@@ -147,12 +120,24 @@ def close(value, expected):
 
 
 def assert_spectral_match(a):
+    m, whole = CMatrix(a), whole_spectral(a)
     for fast, expected in dense_spectral(a).items():
-        assert close(fast(a), expected), fast.__name__
+        value = fast(m)
+        assert bits(value) == bits(expected), fast.__name__
+        assert close(value, whole[fast]), fast.__name__
 
 
 def assert_sqrt_match(a):
-    assert np.abs(psd_sqrt(a) - dense_psd_sqrt(a)).max() <= 1e-12
+    root = psd_sqrt(CMatrix(a))
+    assert bits(root) == bits(dense_psd_sqrt(a))
+    assert np.abs(root - whole_psd_sqrt(a)).max() <= 1e-12
+
+
+def assert_rel_entropy_match(r, s):
+    value = rel_entropy(CMatrix(r), CMatrix(s))
+    assert bits(value) == bits(dense_rel_entropy(r, s))
+    assert close(value, whole_rel_entropy(r, s))
+    return value
 
 
 def block_diagonal(rng, blocks, make):
@@ -182,10 +167,9 @@ def test_permuted_block_diagonal_matches_dense(blocks, seed):
     rho = block_diagonal(rng, blocks, random_density) / len(blocks)
     sigma = block_diagonal(rng, blocks, random_density) / len(blocks)
     assert_sqrt_match(rho)
-    assert close(rel_entropy(rho, sigma), dense_rel_entropy(rho, sigma))
+    assert_rel_entropy_match(rho, sigma)
     # sigma's blocks alone set the cross term; a dense rho spans all of them
-    dense_rho = random_density(rng, rho.shape[0])
-    assert close(rel_entropy(dense_rho, sigma), dense_rel_entropy(dense_rho, sigma))
+    assert_rel_entropy_match(random_density(rng, rho.shape[0]), sigma)
 
 
 def test_components_are_sorted_and_cover_every_index():
@@ -239,7 +223,8 @@ def test_one_long_path_is_one_component():
     a = tridiagonal(np.random.default_rng(5), 1024)
     single, blocks = components(a)
     assert single.size == 0 and len(blocks) == 1 and blocks[0].size == 1024
-    assert trace_norm(a) == dense_spectral(a)[trace_norm]
+    # one block is one plain solve, bit for bit
+    assert bits(trace_norm(CMatrix(a))) == bits(whole_spectral(a)[trace_norm])
 
 
 def test_one_sided_entries_link_their_indices():
@@ -255,21 +240,21 @@ def test_one_sided_entries_link_their_indices():
     assert w.max() - w.min() == pytest.approx(2 * math.sqrt(2) * c, rel=1e-6)
     assert_spectral_match(a)
     assert_sqrt_match(a)
-    assert close(rel_entropy(a, a), dense_rel_entropy(a, a))
+    assert_rel_entropy_match(a, a)
     tiny = np.diag([0.5, 0.5]).astype(np.complex128)
     tiny[1, 0] = 1e-300
     assert_spectral_match(tiny)
     assert_sqrt_match(tiny)
-    assert rel_entropy(tiny, np.eye(2) / 2) == dense_rel_entropy(tiny, np.eye(2) / 2)
+    assert_rel_entropy_match(tiny, np.eye(2) / 2)
 
 
 def test_dense_input_is_bit_identical_to_the_dense_call():
     rng = np.random.default_rng(6)
     rho, sigma = random_density(rng, 24), random_density(rng, 24)
-    for fast, expected in dense_spectral(rho - sigma).items():
-        assert fast(rho - sigma) == expected, fast.__name__
-    assert np.array_equal(psd_sqrt(rho), dense_psd_sqrt(rho))
-    assert rel_entropy(rho, sigma) == dense_rel_entropy(rho, sigma)
+    for fast, expected in whole_spectral(rho - sigma).items():
+        assert bits(fast(CMatrix(rho - sigma))) == bits(expected), fast.__name__
+    assert bits(psd_sqrt(CMatrix(rho))) == bits(whole_psd_sqrt(rho))
+    assert bits(rel_entropy(CMatrix(rho), CMatrix(sigma))) == bits(whole_rel_entropy(rho, sigma))
 
 
 def traced_peak(fn, a):
@@ -284,17 +269,27 @@ def traced_peak(fn, a):
         tracemalloc.stop()
 
 
-def test_dense_input_holds_no_extra_copy():
-    # measured: 3.13 and 5.01 matrices for the public calls, the first set by
-    # the hermitian check's gathers; 1.13 and 2.01 for the one-block solve
-    # itself, the gathered block and then its eigenvectors.  One more copy of
-    # the matrix does not fit any bound.
+PEAK_CALLS = {
+    "min_eigenvalue": min_eigenvalue,
+    "psd_sqrt": psd_sqrt,
+    "assert_density": lambda m: assert_density(m, "state"),
+    "trace_norm": trace_norm,
+    "rel_entropy": lambda m: rel_entropy(m, m),
+}
+
+
+def test_dense_cmatrix_input_peaks_under_its_measured_bound():
+    # a CMatrix of a dense matrix holds its positions and values, 1.5 matrices;
+    # its entries' rows, columns and mirrored positions are int64 arrays of
+    # half a matrix each.  Measured, in dense matrices: 6.57 for every public
+    # call and 5.57 for the one-block solve, with or without eigenvectors.
     a = random_density(np.random.default_rng(8), 256)
-    assert traced_peak(min_eigenvalue, a) <= 3.3 * a.nbytes
-    assert traced_peak(psd_sqrt, a) <= 5.2 * a.nbytes
+    m = CMatrix(a)
+    for name, fn in PEAK_CALLS.items():
+        assert traced_peak(fn, m) <= 6.8 * a.nbytes, name
     pattern = pattern_of(a)
-    assert traced_peak(lambda m: _block_eigh(m, pattern), a) <= 1.25 * a.nbytes
-    assert traced_peak(lambda m: _block_eigh(m, pattern, vectors=True), a) <= 2.1 * a.nbytes
+    assert traced_peak(lambda x: _block_eigh(x, pattern), m) <= 5.8 * a.nbytes
+    assert traced_peak(lambda x: _block_eigh(x, pattern, vectors=True), m) <= 5.8 * a.nbytes
 
 
 @pytest.mark.parametrize("a", [
@@ -304,12 +299,11 @@ def test_dense_input_holds_no_extra_copy():
 ], ids=["1x1", "1x1 negative", "diagonal"])
 def test_one_by_one_and_diagonal(a):
     a = a.astype(np.complex128)
-    for fast, expected in dense_spectral(a).items():
-        assert fast(a) == expected, fast.__name__
+    assert_spectral_match(a)
     psd = np.abs(a)
     psd /= np.trace(psd).real
-    assert np.array_equal(psd_sqrt(psd), dense_psd_sqrt(psd))
-    assert rel_entropy(psd, psd) == dense_rel_entropy(psd, psd)
+    assert_sqrt_match(psd)
+    assert_rel_entropy_match(psd, psd)
 
 
 def test_kernel_inside_one_block_gives_infinite_relative_entropy():
@@ -320,9 +314,9 @@ def test_kernel_inside_one_block_gives_infinite_relative_entropy():
     sigma[np.ix_([1, 4], [1, 4])] = np.outer(v, v.conj()) / 2
     sigma[np.ix_([0, 2, 3], [0, 2, 3])] = random_density(rng, 3) / 2
     rho = random_density(rng, 5)
-    assert rel_entropy(rho, sigma) == dense_rel_entropy(rho, sigma) == math.inf
+    assert assert_rel_entropy_match(rho, sigma) == math.inf
     # a rho inside the support of sigma stays finite
-    assert close(rel_entropy(sigma, sigma), 0.0)
+    assert close(assert_rel_entropy_match(sigma, sigma), 0.0)
 
 
 def key_dephased(rho: CMatrix) -> CMatrix:
@@ -360,8 +354,10 @@ def test_shipped_families_match_dense(family, k):
     assert_spectral_match(sg)
     assert_sqrt_match(rho.mat)
     assert_sqrt_match(sigma.mat)
-    assert close(rel_entropy(rho, sigma), dense_rel_entropy(rho.mat, sigma.mat))
-    assert close(rel_entropy(sigma, rho), dense_rel_entropy(sigma.mat, rho.mat))
+    for r, s in ((rho, sigma), (sigma, rho)):
+        value = rel_entropy(r, s)
+        assert bits(value) == bits(dense_rel_entropy(r.mat, s.mat))
+        assert close(value, whole_rel_entropy(r.mat, s.mat))
 
 
 def test_ppt_pbit_16_components_match_breadth_first_search():

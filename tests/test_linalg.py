@@ -96,13 +96,13 @@ def test_hoelder_pairing():
     for _ in range(50):
         m = random_hermitian(rng, 6)
         n = random_hermitian(rng, 6)
-        assert abs(np.trace(m @ n)) <= op_norm(m) * trace_norm(n) + 1e-10
+        assert abs(np.trace(m @ n)) <= op_norm(CMatrix(m)) * trace_norm(CMatrix(n)) + 1e-10
 
 
 def test_trace_norm_of_density_matrices_is_one():
     rng = np.random.default_rng(5)
     for d in (2, 3, 5, 8):
-        assert trace_norm(random_density(rng, d)) == pytest.approx(1.0, abs=1e-12)
+        assert trace_norm(CMatrix(random_density(rng, d))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_norm_matches_best_projector_test():
@@ -114,37 +114,59 @@ def test_trace_norm_matches_best_projector_test():
         w, v = np.linalg.eigh(diff)
         plus = v[:, w > 0.0]
         projector_value = float(np.trace(plus.conj().T @ diff @ plus).real)
-        assert trace_norm(diff) == pytest.approx(2.0 * projector_value, abs=1e-10)
+        assert trace_norm(CMatrix(diff)) == pytest.approx(2.0 * projector_value, abs=1e-10)
 
 
 def test_op_norm_identity_and_homogeneity():
     rng = np.random.default_rng(7)
-    assert op_norm(np.eye(9)) == 1.0
+    assert op_norm(CMatrix(np.eye(9))) == 1.0
     m = random_hermitian(rng, 5)
-    assert op_norm(3.0 * m) == pytest.approx(3.0 * op_norm(m), rel=1e-12)
+    assert op_norm(CMatrix(3.0 * m)) == pytest.approx(3.0 * op_norm(CMatrix(m)), rel=1e-12)
 
 
 def test_op_norm_rejects_non_hermitian():
     with pytest.raises(ValidationError):
-        op_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValidationError, match="^op_norm expects a square matrix$"):
-        op_norm(np.eye(2, 3) / 2)
+        op_norm(CMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    with pytest.raises(ValidationError, match="^op_norm expects a hermitian matrix, deviation "):
+        op_norm(CMatrix(np.array([[0.5, 1e-3], [0.0, 0.5]])))
 
 
-@pytest.mark.parametrize("func, what", [
+_ONE_ARGUMENT = [
     (min_eigenvalue, "min_eigenvalue"),
     (psd_sqrt, "psd_sqrt"),
-    (lambda m: assert_density(m, "test state"), "test state"),
-    (lambda m: rel_entropy(m, m), "rel_entropy rho"),
+    (lambda m: assert_density(m, "test state"), "assert_density"),
+    (lambda m: rel_entropy(m, m), "rel_entropy"),
     (trace_norm, "trace_norm"),
     (op_norm, "op_norm"),
-], ids=["min_eigenvalue", "psd_sqrt", "assert_density", "rel_entropy", "trace_norm", "op_norm"])
-def test_spectral_functions_refuse_non_square_input(func, what):
-    # unit trace, so the trace check passes and the shape must be refused;
-    # 1-D and 3-D arrays are refused before the trace is read
+]
+
+
+@pytest.mark.parametrize("func, name", _ONE_ARGUMENT,
+                         ids=["min_eigenvalue", "psd_sqrt", "assert_density", "rel_entropy",
+                              "trace_norm", "op_norm"])
+def test_spectral_functions_refuse_non_square_input(func, name):
+    # a CMatrix is square, and nothing else is read: a non-square array is
+    # refused by the constructor and, passed as it is, by the function
     for arr in (np.eye(2, 3) / 2, np.ones(1), np.ones(3), np.ones((2, 2, 2)) / 4):
-        with pytest.raises(ValidationError, match=f"^{what} expects a square matrix$"):
+        with pytest.raises(ValidationError, match=r"^matrix must be square, got shape "):
+            CMatrix(arr)
+        with pytest.raises(ValidationError, match=f"^{name} needs a CMatrix, got ndarray$"):
             func(arr)
+
+
+@pytest.mark.parametrize("func, name", _ONE_ARGUMENT + [
+    (lambda m: rel_entropy(CMatrix(np.eye(2) / 2), m), "rel_entropy"),
+    (spectral_norm, "spectral_norm"),
+    (lambda m: tensor(m, CMatrix(np.eye(2))), "tensor"),
+    (lambda m: tensor(CMatrix(np.eye(2)), m), "tensor"),
+], ids=["min_eigenvalue", "psd_sqrt", "assert_density", "rel_entropy_rho", "trace_norm",
+        "op_norm", "rel_entropy_sigma", "spectral_norm", "tensor_left", "tensor_right"])
+def test_matrix_functions_refuse_anything_but_a_cmatrix(func, name):
+    # a dense square density matrix, as an array, a nested list and a scalar
+    for arg, kind in ((np.eye(2) / 2, "ndarray"), ([[0.5, 0.0], [0.0, 0.5]], "list"),
+                      (1.0, "float")):
+        with pytest.raises(ValidationError, match=f"^{name} needs a CMatrix, got {kind}$"):
+            func(arg)
 
 
 _SPECTRAL = [
@@ -152,8 +174,8 @@ _SPECTRAL = [
     (op_norm, "op_norm"),
     (psd_sqrt, "psd_sqrt"),
     (lambda m: assert_density(m, "test state"), "test state"),
-    (lambda m: rel_entropy(m, np.eye(4) / 4), "rel_entropy rho"),
-    (lambda m: rel_entropy(np.eye(4) / 4, m), "rel_entropy sigma"),
+    (lambda m: rel_entropy(m, CMatrix(np.eye(4) / 4)), "rel_entropy rho"),
+    (lambda m: rel_entropy(CMatrix(np.eye(4) / 4), m), "rel_entropy sigma"),
     (trace_norm, "trace_norm"),
 ]
 
@@ -173,7 +195,7 @@ def test_spectral_functions_refuse_non_finite_entries(func, what, bad, where):
     arr[where] = bad
     # the density checks read the trace only after the finiteness check
     with pytest.raises(ValidationError, match=f"^{what} expects a finite matrix$"):
-        func(arr)
+        func(CMatrix(arr))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -188,7 +210,7 @@ def test_a_matrix_marked_hermitian_refuses_non_finite_entries():
 
 def test_spectral_norm_handles_non_hermitian():
     nilpotent = np.array([[0.0, 2.0], [0.0, 0.0]])
-    assert spectral_norm(nilpotent) == pytest.approx(2.0, abs=1e-12)
+    assert spectral_norm(CMatrix(nilpotent)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_eigensolver_reconstruction():
@@ -203,55 +225,55 @@ def test_eigensolver_reconstruction():
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(9)
     rho = random_density(rng, 6)
-    root = psd_sqrt(rho)
+    root = psd_sqrt(CMatrix(rho))
     assert np.abs(root @ root - rho).max() <= 1e-10
-    with pytest.raises(ValidationError):
-        psd_sqrt(np.diag([1.0, -0.5]))
+    with pytest.raises(ValidationError, match="^psd_sqrt got a matrix with eigenvalue "):
+        psd_sqrt(CMatrix(np.diag([1.0, -0.5])))
 
 
 def test_psd_sqrt_floors_noise_eigenvalues():
     # A rank-one projector plus 1e-16 jitter must keep a clean unit trace.
     proj = np.diag([1.0, 0.0, 0.0, 0.0]).astype(np.complex128)
     jitter = np.full((4, 4), 1e-16)
-    root = psd_sqrt(proj + jitter)
+    root = psd_sqrt(CMatrix(proj + jitter))
     assert abs(np.trace(root).real - 1.0) <= 1e-12
 
 
 def test_assert_density_rejects_bad_inputs():
-    with pytest.raises(ValidationError):
-        assert_density(np.eye(2), "doubled trace")
-    with pytest.raises(ValidationError):
-        assert_density(np.diag([1.5, -0.5]), "negative eigenvalue")
+    with pytest.raises(ValidationError, match="^doubled trace must have unit trace"):
+        assert_density(CMatrix(np.eye(2)), "doubled trace")
+    with pytest.raises(ValidationError, match="^negative eigenvalue must be PSD"):
+        assert_density(CMatrix(np.diag([1.5, -0.5])), "negative eigenvalue")
 
 
 def test_rel_entropy_zero_on_equal_states():
     rng = np.random.default_rng(10)
-    rho = random_density(rng, 5)
+    rho = CMatrix(random_density(rng, 5))
     assert rel_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_rel_entropy_pure_versus_maximally_mixed():
-    pure = np.diag([1.0, 0.0]).astype(np.complex128)
-    assert rel_entropy(pure, np.eye(2) / 2.0) == pytest.approx(1.0, abs=1e-12)
+    pure = CMatrix(np.diag([1.0, 0.0]))
+    assert rel_entropy(pure, CMatrix(np.eye(2) / 2.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rel_entropy_support_violation_is_infinite():
-    plus = np.full((2, 2), 0.5, dtype=np.complex128)
-    pinned = np.diag([1.0, 0.0]).astype(np.complex128)
+    plus = CMatrix(np.full((2, 2), 0.5))
+    pinned = CMatrix(np.diag([1.0, 0.0]))
     assert rel_entropy(plus, pinned) == math.inf
 
 
 def test_rel_entropy_max_entangled_versus_classical_mixture(phi_plus):
     cc = np.zeros((4, 4), dtype=np.complex128)
     cc[0, 0] = cc[3, 3] = 0.5
-    assert rel_entropy(phi_plus, cc) == pytest.approx(1.0, abs=1e-9)
+    assert rel_entropy(phi_plus, CMatrix(cc, phi_plus.layout)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rel_entropy_validates_densities():
-    with pytest.raises(ValidationError):
-        rel_entropy(np.eye(2), np.eye(2) / 2.0)
+    with pytest.raises(ValidationError, match="^rel_entropy rho must have unit trace"):
+        rel_entropy(CMatrix(np.eye(2)), CMatrix(np.eye(2) / 2.0))
     with pytest.raises(ValidationError, match="^rel_entropy needs matrices of equal dimension$"):
-        rel_entropy(np.eye(2) / 2.0, np.eye(3) / 3.0)
+        rel_entropy(CMatrix(np.eye(2) / 2.0), CMatrix(np.eye(3) / 3.0))
 
 
 def test_hermitian_flag_is_checked():
@@ -294,10 +316,11 @@ def test_a_matrix_does_not_alias_the_arrays_it_is_built_from_or_gives_out():
     (spectral_norm, "spectral_norm"),
 ], ids=["trace_norm", "min_eigenvalue", "op_norm", "psd_sqrt", "spectral_norm"])
 def test_an_empty_matrix_is_refused(func, what):
-    # these raised numpy's "need at least one array to concatenate"
+    # these raised numpy's "need at least one array to concatenate"; a CMatrix
+    # is never empty, and nothing else is read
     with pytest.raises(ValidationError, match=rf"^matrix must be non-empty, got shape \(0, 0\)$"):
         CMatrix(np.zeros((0, 0)))
-    with pytest.raises(ValidationError, match=f"^{what} expects a non-empty matrix$"):
+    with pytest.raises(ValidationError, match=f"^{what} needs a CMatrix, got ndarray$"):
         func(np.zeros((0, 0)))
 
 
@@ -516,10 +539,11 @@ def test_matrix_from_json_rejects_bad_entries(bad):
 
 
 def test_assert_density_rejects_non_hermitian_input():
-    with pytest.raises(ValidationError, match="hermitian"):
-        assert_density(np.array([[0.5, 0.3], [0.0, 0.5]]), "lopsided")
-    with pytest.raises(ValidationError, match="hermitian"):
-        rel_entropy(np.eye(2) / 2.0, np.array([[0.5, 0.3], [0.0, 0.5]]))
+    lopsided = CMatrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
+    with pytest.raises(ValidationError, match="^lopsided expects a hermitian matrix"):
+        assert_density(lopsided, "lopsided")
+    with pytest.raises(ValidationError, match="^rel_entropy sigma expects a hermitian matrix"):
+        rel_entropy(CMatrix(np.eye(2) / 2.0), lopsided)
 
 
 def test_rel_entropy_matches_spectral_formula():
@@ -530,7 +554,7 @@ def test_rel_entropy_matches_spectral_formula():
     ws, vs = np.linalg.eigh(sigma)
     weights = np.einsum("ij,jk,ki->i", vs.conj().T, rho, vs).real
     expected = float((wr * np.log2(wr)).sum()) - float((weights * np.log2(ws)).sum())
-    assert rel_entropy(rho, sigma) == expected
+    assert rel_entropy(CMatrix(rho), CMatrix(sigma)) == expected
 
 
 @settings(deadline=None, max_examples=25)
@@ -548,4 +572,4 @@ def test_trace_norm_triangle_property(seed):
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, 4)
     b = random_hermitian(rng, 4)
-    assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-10
+    assert trace_norm(CMatrix(a + b)) <= trace_norm(CMatrix(a)) + trace_norm(CMatrix(b)) + 1e-10

@@ -26,6 +26,7 @@ from ptbounds import (
     max_entangled,
     nonlocality_N,
     partial_transpose,
+    permute_factors,
     ppt_pbit,
     rel_entropy,
     seesaw,
@@ -193,6 +194,25 @@ def test_er_upper_on_transposed_private_bit_pair():
     rho_pt = partial_transpose(fam.rho)
     sigma_pt = partial_transpose(fam.sigma_candidate)
     assert er_upper(rho_pt, sigma_pt) == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+def test_rel_entropy_refuses_states_on_different_layouts():
+    # equal dimension, the shield and key factors swapped: this returned inf
+    # (and so did er_upper and the chain's rhs), against 2/3 on one layout
+    fam = ppt_pbit(4)
+    rho, sigma = fam.rho, fam.sigma_candidate
+    swapped = permute_factors(sigma, [1, 0, 3, 2])
+    assert rel_entropy(rho, sigma) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    message = (r"^rel_entropy needs both states on one layout, got "
+               r"\(\(2, 'A'\), \(4, 'A'\), \(2, 'B'\), \(4, 'B'\)\) and "
+               r"\(\(4, 'A'\), \(2, 'A'\), \(4, 'B'\), \(2, 'B'\)\)$")
+    for call in (lambda: rel_entropy(rho, swapped), lambda: er_upper(rho, swapped),
+                 lambda: thm2_chain_check(rho, swapped, key_lifted_measurements(4))):
+        with pytest.raises(ValidationError, match=message):
+            call()
+    # a matrix without a layout is read as it is
+    assert rel_entropy(CMatrix(rho.mat), sigma) == rel_entropy(rho, sigma)
+    assert rel_entropy(rho, CMatrix(swapped.mat)) == math.inf
 
 
 def test_chain_check_on_identical_separable_states(tsirelson_meas):

@@ -6,8 +6,8 @@ for their construction is the dense assembly they replaced, kept here: the
 key blocks written into a zero matrix of the key-by-shield space and the
 factors reordered by numpy reshape and transpose.  The oracle for every
 operation on a CMatrix is the same operation on its dense matrix ``x.mat``:
-the spectral functions' raw-array entry, and numpy reshape and transpose for
-the factor reorderings.
+the shared breadth-first oracle of conftest for the spectral functions, and
+numpy reshape and transpose for the factor reorderings.
 """
 
 import json
@@ -41,7 +41,15 @@ from ptbounds import (
 )
 from ptbounds.linalg import _matrix_json_text, _realigned
 
-from conftest import random_density
+from conftest import (
+    dense_assert_density,
+    dense_min_eigenvalue,
+    dense_op_norm,
+    dense_psd_sqrt,
+    dense_rel_entropy,
+    dense_trace_norm,
+    random_density,
+)
 
 
 def regrouped(arr, dims, rows, cols):
@@ -135,6 +143,28 @@ def test_key_families_match_the_dense_assembly(monkeypatch, family, k, q):
         assert bits(sigma) == bits(companion)
 
 
+def corner_operator(family, k):
+    if family == "swap":
+        return states.swap_x(k)
+    x, y = states.fourier_xy(k)
+    return x if family == "fourier-x" else y
+
+
+@pytest.mark.parametrize("family, k", [(f, ds) for f in ("fourier-x", "fourier-y")
+                                       for ds in (4, 9, 16)]
+                         + [("swap", d) for d in (2, 3, 4, 8)])
+def test_private_bit_corners_match_the_dense_oracle(family, k):
+    # the key blocks of private_bit and ppt_pbit: sqrt(X X+), X, X+ and
+    # sqrt(X+ X), the roots from the breadth-first blocks, floored
+    arr = corner_operator(family, k).mat
+    expected = {(0, 0): dense_psd_sqrt(arr @ arr.conj().T), (0, 3): arr,
+                (3, 0): arr.conj().T, (3, 3): dense_psd_sqrt(arr.conj().T @ arr)}
+    corners = states._pbit_corners(arr)
+    assert list(corners) == list(expected)
+    for key, block in expected.items():
+        assert bits(corners[key]) == bits(block), key
+
+
 def test_signed_zeros_stay_entries():
     # conj leaves (0.0, -0.0) in the X+ corner of the swap private bit at d = 3
     rho = states.private_bit(states.swap_x(3))
@@ -156,17 +186,18 @@ def same_outcome(fn, *args):
 
 
 def assert_operations_match_dense(x, y=None):
-    """Every operation on x (and y) equals it on their dense matrices: the spectral
-    functions' raw-array entry, and numpy for the factor reorderings."""
+    """Every operation on x (and y) equals it on their dense matrices: the dense
+    spectral oracle, and numpy for the factor reorderings."""
     lay = x.layout
     pairs = [
-        (trace_norm, trace_norm), (min_eigenvalue, min_eigenvalue), (op_norm, op_norm),
-        (psd_sqrt, psd_sqrt),
+        (trace_norm, dense_trace_norm), (min_eigenvalue, dense_min_eigenvalue),
+        (op_norm, dense_op_norm), (psd_sqrt, dense_psd_sqrt),
         (partial_transpose, lambda a: transposed(a, lay)),
         (lambda m: _realigned(m, "seesaw")[0], lambda a: realigned(a, lay)),
         (lambda m: min_eigenvalue(partial_transpose(m)),
-         lambda a: min_eigenvalue(transposed(a, lay))),
-        (lambda m: trace_norm(partial_transpose(m)), lambda a: trace_norm(transposed(a, lay))),
+         lambda a: dense_min_eigenvalue(transposed(a, lay))),
+        (lambda m: trace_norm(partial_transpose(m)),
+         lambda a: dense_trace_norm(transposed(a, lay))),
     ]
     for on_matrix, on_array in pairs:
         assert same_outcome(on_matrix, x) == same_outcome(on_array, x.mat)
@@ -174,9 +205,12 @@ def assert_operations_match_dense(x, y=None):
     assert _matrix_json_text(x) == canonical_json(x)
     if y is not None:
         pairs = [
-            (d_eps_membership, lambda a, b: trace_norm(transposed(a, lay) - transposed(b, lay))),
-            (rel_entropy, rel_entropy), (lambda a, b: rel_entropy(b, a),) * 2,
-            (lambda a, b: assert_density(b, "state"),) * 2,
+            (d_eps_membership,
+             lambda a, b: dense_trace_norm(transposed(a, lay) - transposed(b, lay))),
+            (rel_entropy, dense_rel_entropy),
+            (lambda a, b: rel_entropy(b, a), lambda a, b: dense_rel_entropy(b, a)),
+            (lambda a, b: assert_density(b, "state"),
+             lambda a, b: dense_assert_density(b, "state")),
         ]
         for on_matrix, on_array in pairs:
             assert same_outcome(on_matrix, x, y) == same_outcome(on_array, x.mat, y.mat)
@@ -229,8 +263,8 @@ def test_eq10_ds16_rows_match_dense():
     lay = rho.layout
     rho_pt = transposed(rho.mat, lay)
     assert (bits(d_eps_membership(rho, sigma))
-            == bits(trace_norm(rho_pt - transposed(sigma.mat, lay))))
-    assert bits(min_eigenvalue(partial_transpose(rho))) == bits(min_eigenvalue(rho_pt))
+            == bits(dense_trace_norm(rho_pt - transposed(sigma.mat, lay))))
+    assert bits(min_eigenvalue(partial_transpose(rho))) == bits(dense_min_eigenvalue(rho_pt))
     assert bits(_realigned(rho, "seesaw")[0]) == bits(realigned(rho.mat, lay))
 
 
@@ -244,11 +278,17 @@ def test_sparse_hermitian_matrices_match_dense(da, db, data):
     assert_operations_match_dense(x, CMatrix(b, layout))
 
 
+# the dense oracle of each function below, by the name that starts its messages
+DENSE_REFUSALS = {"op_norm": dense_op_norm, "min_eigenvalue": dense_min_eigenvalue,
+                  "psd_sqrt": dense_psd_sqrt, "state": lambda a: dense_assert_density(a, "state")}
+
+
 @pytest.mark.parametrize("fn, what", [(op_norm, "op_norm"), (min_eigenvalue, "min_eigenvalue"),
                                       (psd_sqrt, "psd_sqrt"),
                                       (lambda m: assert_density(m, "state"), "state")])
 @pytest.mark.parametrize("kind", ["one-sided", "unequal", "nan"])
 def test_nonzero_form_refuses_what_dense_refuses_with_the_same_message(fn, what, kind):
+    # the dense oracle reads the hermitian deviation as max |a - a^dagger|
     a = np.diag([0.5, 0.25, 0.25, 0.0]).astype(np.complex128)
     if kind == "one-sided":
         a[3, 1] = 1e-3  # its partner is not stored at all
@@ -257,9 +297,10 @@ def test_nonzero_form_refuses_what_dense_refuses_with_the_same_message(fn, what,
     else:
         a[1, 2] = a[2, 1] = np.nan
     messages = []
-    for m in (CMatrix(a, SystemLayout.bipartite(2, 2)), a):
+    for call in (lambda: fn(CMatrix(a, SystemLayout.bipartite(2, 2))),
+                 lambda: DENSE_REFUSALS[what](a)):
         with pytest.raises(ValidationError) as info:
-            fn(m)
+            call()
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(what)
@@ -334,7 +375,6 @@ def test_tensor_equals_kron_of_the_dense_factors(n_a, n_b, data):
     a, b = sparse_hermitian(data.draw, n_a), sparse_hermitian(data.draw, n_b)
     expected = np.kron(a, b)
     assert np.array_equal(tensor(CMatrix(a), CMatrix(b)).mat, expected)
-    assert np.array_equal(tensor(a, b).mat, expected)
 
 
 @pytest.mark.parametrize("m, restarts, values", [

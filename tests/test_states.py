@@ -205,7 +205,7 @@ def _random_x(seed: int, da: int, db: int, rank_one: bool) -> CMatrix:
     shape = (da * db, 1 if rank_one else da * db)
     g = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) @ (
         rng.normal(size=shape[::-1]) + 1j * rng.normal(size=shape[::-1]))
-    return CMatrix(g / trace_norm(g), SystemLayout.bipartite(da, db))
+    return CMatrix(g / trace_norm(CMatrix(g)), SystemLayout.bipartite(da, db))
 
 
 def _private_bit_of(make_x, *args) -> CMatrix:
