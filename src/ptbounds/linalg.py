@@ -32,6 +32,16 @@ matrix's.  An isolated index contributes its diagonal entry, an exact 0
 where no entry is stored, so the spectrum always has dim values and every
 sum over it runs in the order it would on the dense matrix.  A matrix that
 is one component is a stack of one block, bit-identical to the dense call.
+
+The realigned state that box_from and the seesaw multiply is kept the same
+way (_Realigned): the components of the graph that links row i and column j
+of R where R_ij is stored, found by the same _edge_components and gathered
+by the same _gather, one stack per block shape (block form, Saad ch. 3).  At
+eq10 d_s = 16 that is one 32 x 32 block and 992 1 x 1 blocks where the dense
+R had 1,048,576 entries, and at prop1 m = 2 it is 729 blocks of 7 shapes up
+to 64 x 64, holding exactly its 46,656 nonzeros, where the dense R took
+268 MB; a dense state is one block, and its products are the dense GEMM bit
+for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -100,14 +111,13 @@ class SystemLayout:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
+        return math.prod(self.dims)
 
     def axes(self, party: str) -> tuple[int, ...]:
         return tuple(i for i, (_, p) in enumerate(self.factors) if p == party)
 
     def dim_of(self, party: str) -> int:
-        axes = self.axes(party)
-        return int(np.prod([self.factors[i][0] for i in axes], dtype=np.int64)) if axes else 1
+        return math.prod(d for d, p in self.factors if p == party)
 
     def permuted(self, order: Sequence[int]) -> "SystemLayout":
         if sorted(order) != list(range(len(self.factors))):
@@ -268,23 +278,81 @@ def collect_parties(m: CMatrix) -> CMatrix:
     return CMatrix._make(m.dim, pos, m.vals, coarse)
 
 
-def _realigned(rho: CMatrix, op: str) -> tuple[np.ndarray, int, int]:
-    """rho realigned as R[(a',a),(b',b)] = rho[(a',b'),(a,b)], plus dim_A and dim_B.
+class _Realigned:
+    """A bipartite state realigned, R[(a',a),(b',b)] = rho[(a',b'),(a,b)], as its blocks.
 
-    Then Tr[(A x B) rho] = vec(A^T)^T R vec(B^T), with vec flattening
-    row-major, and R.T is the same form with the parties swapped.  R is one
-    regrouping of rho's own factor axes, whatever their interleaving, so the
-    only dense copy made is R itself: rho's nonzeros are scattered straight
-    into it, in entry order, with no sorted copy.  ``op`` names the caller
-    in errors.
+    Tr[(A x B) rho] = vec(A^T)^T R vec(B^T), with vec flattening row-major,
+    and R.T is the same form with the parties swapped.  Row i and column j
+    of R are linked when R_ij is stored; the connected components of that
+    bipartite graph are R's blocks, since reordering the rows and the
+    columns by component makes R block diagonal with rectangular blocks.
+    ``groups`` holds one (rows, cols, blocks) per block shape (nr, nc):
+    rows[k] and cols[k] are the ascending rows and columns of block k and
+    blocks[k] its dense (nr, nc) entries.  The rows and columns with no
+    entry are in no block.  ``da`` and ``db`` are the parties' dimensions.
+    """
+
+    __slots__ = ("groups", "da", "db")
+
+    def __init__(self, groups: list, da: int, db: int):
+        self.groups, self.da, self.db = groups, da, db
+
+    def times(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """x @ R, or x @ R.T when ``transpose``, one stacked matmul per block shape.
+
+        Each block takes x's columns on its rows and fills the product's
+        columns on its own columns; a column in no block is an exact 0.  The
+        1 x 1 blocks scale their column, one product each.  A state whose R is
+        one block is one plain product, bit for bit.
+        """
+        out = np.zeros((len(x), (self.da if transpose else self.db) ** 2), dtype=np.complex128)
+        for rows, cols, blocks in self.groups:
+            if transpose:
+                rows, cols, blocks = cols, rows, blocks.swapaxes(1, 2)
+            if blocks.shape[1:] == (1, 1):
+                out[:, cols[:, 0]] = x[:, rows[:, 0]] * blocks[:, 0, 0]
+            else:
+                out[:, cols] = (x[:, rows].swapaxes(0, 1) @ blocks).swapaxes(0, 1)
+        return out
+
+
+def _realigned(rho: CMatrix, op: str) -> _Realigned:
+    """rho realigned as its blocks (see _Realigned); ``op`` names the caller in errors.
+
+    R is one regrouping of rho's own factor axes, whatever their
+    interleaving, so its entries are rho's.  The components come from
+    _edge_components on the edge list of R's entries, rows 0..da^2-1 and
+    columns da^2 + j, and each is gathered dense, so no dense R is made.
     """
     layout, axes_a, axes_b = _party_axes(rho, op)
     n = len(layout.factors)
     pos = _regroup(rho, op, axes_a + [n + i for i in axes_a], axes_b + [n + i for i in axes_b])
     da, db = layout.dim_of("A"), layout.dim_of("B")
-    r = np.zeros((da * da, db * db), dtype=np.complex128)
-    r.reshape(-1)[pos] = rho.vals
-    return r, da, db
+    na, nb = da * da, db * db
+    rows, cols = np.empty((2, len(pos)), dtype=np.int32)
+    np.divmod(pos, nb, out=(rows, cols), casting="unsafe")
+    del pos
+    label = _edge_components(na + nb, (rows, cols + na))
+    # a component is labelled by its smallest index, so one with entries by a row;
+    # its shape key is nr (nb + 1) + nc, and an isolated row or column has nc = 0 or nr = 0
+    lab_r, lab_c = label[:na], label[na:]
+    size_r, size_c = np.bincount(lab_r, minlength=na + nb), np.bincount(lab_c, minlength=na + nb)
+    shape = size_r * (nb + 1) + size_c
+    key_r, key_c = shape[lab_r], shape[lab_c]
+    # by shape, then by block, then by index: the isolated rows and columns come first
+    order_r, order_c = np.lexsort((lab_r, key_r)), np.lexsort((lab_c, key_c))
+    rows_per_key = Counter(key_r.tolist())
+    shapes = [(nr, nc, count // nr) for (nr, nc), count in
+              sorted((divmod(key, nb + 1), count) for key, count in rows_per_key.items()) if nc]
+    at_r = na - sum(nr * blocks for nr, _, blocks in shapes)
+    at_c = nb - sum(nc * blocks for _, nc, blocks in shapes)
+    sets = []
+    for nr, nc, blocks in shapes:
+        sets.append((order_r[at_r:at_r + blocks * nr].reshape(blocks, nr),
+                     order_c[at_c:at_c + blocks * nc].reshape(blocks, nc)))
+        at_r, at_c = at_r + blocks * nr, at_c + blocks * nc
+    blocks = _gather(rho.vals, rows, cols, (lab_r, lab_c), sets)
+    return _Realigned([(idx_r, idx_c, b) for (idx_r, idx_c), b in zip(sets, blocks)], da, db)
 
 
 def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -318,8 +386,9 @@ def _hermitian_pattern(data: CMatrix, what: str, tol: float = TOL.assertion):
     so the deviation is the dense one.  A NaN or infinite entry makes its own
     difference, and so the deviation, NaN or infinite (inf - inf without a
     warning), and is refused before the ``dev > tol`` test it would pass.
-    ``what`` starts every message.  The pattern goes on to _block_eigh as the
-    edges of the matrix: the rows and columns of its off-diagonal entries != 0.
+    ``what`` starts every message.  The pattern goes on to _block_eigh: the
+    rows and columns of the entries, and as the edges of the matrix the rows
+    and columns of its off-diagonal entries != 0, as int32.
     """
     r, c = data.coords()
     mirror = c * data.dim + r
@@ -333,59 +402,82 @@ def _hermitian_pattern(data: CMatrix, what: str, tol: float = TOL.assertion):
     if dev > tol:
         raise ValidationError(f"{what} expects a hermitian matrix, deviation {dev:.3e}")
     edge = (data.vals != 0) & (r != c)
-    return dev, (r[edge], c[edge])
+    return dev, (r, c, (r[edge].astype(np.int32), c[edge].astype(np.int32)))
 
 
-def _edge_components(n: int, pattern: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Each of n indices' component in a _hermitian_pattern pattern, labelled by its
-    smallest index.
+def _edge_components(n: int, edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Each of n indices' component in an edge list, labelled by its smallest index.
 
-    The pattern is an edge list (rows, cols).  Every index starts as its own
-    root.  Each round hooks, for every edge whose ends have different roots,
-    the larger root onto the smaller one, keeping the smallest offer per
-    root, then jumps pointers until each index points at its root, and keeps
-    only the edges whose ends still differ.  A hook points at a smaller
-    index, so the roots are the components' smallest indices; no step loops
-    over components or indices.
+    The edges are two int32 arrays (rows, cols) of indices.  Every index
+    starts as its own root.  Each round hooks, for every edge whose ends have
+    different roots, the larger root onto the smaller one, keeping the
+    smallest offer per root, then jumps pointers until each index points at
+    its root, and keeps only the edges whose ends still differ; it stops
+    once none do.  A hook points at a smaller index, so the roots are the
+    components' smallest indices; no step loops over components or indices.
     """
-    rows, cols = pattern
+    rows, cols = edges
     label = np.arange(n, dtype=np.int32)
-    while rows.size:
-        lr, lc = label[rows], label[cols]
+    lr, lc = rows, cols  # the roots of the edges' ends: at first each index is its own
+    while lr.size:
         np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
         while True:
             up = label[label]
             if (up == label).all():
                 break
             label = up
-        apart = label[rows] != label[cols]
-        rows, cols = rows[apart], cols[apart]
+        lr, lc = label[rows], label[cols]
+        apart = lr != lc
+        if not apart.any():
+            break
+        rows, cols, lr, lc = rows[apart], cols[apart], lr[apart], lc[apart]
     return label
 
 
-def _gather(data: CMatrix, idx: np.ndarray) -> np.ndarray:
-    """The blocks of ``data`` on the index sets idx[k], as a (blocks, size, size) stack.
+def _gather(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            labels: tuple[np.ndarray, np.ndarray], groups: list) -> list[np.ndarray]:
+    """The blocks on the index sets of ``groups``, one (blocks, nr, nc) stack per group.
 
+    The matrix is given by its entries, ``vals`` at ``rows`` and ``cols``.
+    labels = (label_r, label_c) names the block of each row and each column,
+    and every label that a row and a column share is a block of ``groups``.
+    A group is a pair (idx_r, idx_c) of arrays of shape (blocks, nr) and
+    (blocks, nc): block k has the rows idx_r[k] and the columns idx_c[k].
     The entries whose row and column fall in one block are scattered into
     zeros, which is what indexing the dense matrix reads: every other
-    position of a block holds +0.0.
+    position of a block holds +0.0.  The stacks are views of one buffer, so
+    one scatter fills them all.
     """
-    size = idx.shape[1]
-    slot = np.full(data.dim, -1)
-    slot[idx.reshape(-1)] = np.arange(idx.size)
-    r, c = data.coords()
-    sr, sc = slot[r], slot[c]
-    keep = (sr >= 0) & (sr // size == sc // size)
-    out = np.zeros(idx.shape + (size,), dtype=np.complex128)
-    out.reshape(-1)[sr[keep] * size + sc[keep] % size] = data.vals[keep]
+    label_r, label_c = labels
+    # per row the buffer position of its block row, per column its place in that row
+    at_r, at_c = np.zeros(len(label_r), dtype=np.int64), np.zeros(len(label_c), dtype=np.int32)
+    size = 0
+    for idx_r, idx_c in groups:
+        (blocks, nr), nc = idx_r.shape, idx_c.shape[1]
+        at_r[idx_r] = np.arange(size, size + blocks * nr * nc, nc).reshape(blocks, nr)
+        at_c[idx_c] = np.arange(nc)
+        size += blocks * nr * nc
+    keep = label_r[rows] == label_c[cols]
+    at = at_r[rows] + at_c[cols]
+    buffer = np.zeros(size, dtype=np.complex128)
+    if keep.all():
+        buffer[at] = vals
+    else:
+        buffer[at[keep]] = vals[keep]
+    out, size = [], 0
+    for idx_r, idx_c in groups:
+        shape = idx_r.shape + idx_c.shape[1:]
+        out.append(buffer[size:size + math.prod(shape)].reshape(shape))
+        size += math.prod(shape)
     return out
 
 
 def _block_eigh(data: CMatrix, pattern, vectors: bool = False):
     """All eigenvalues of a hermitian matrix, ascending, solved block by block.
 
-    The blocks are the components of ``pattern``, the matrix's symmetric
-    nonzero pattern from _hermitian_pattern.
+    The blocks are the components of the edges of ``pattern``, the matrix's
+    symmetric nonzero pattern from _hermitian_pattern, whose entry rows and
+    columns the gather reads.
 
     Returns (w, groups).  ``groups`` is None unless ``vectors`` is set; then it
     holds one (idx, w_b, v_b) per block size, ascending, where idx[k] are the
@@ -397,19 +489,22 @@ def _block_eigh(data: CMatrix, pattern, vectors: bool = False):
     solve; a matrix that is one block is a stack of one, bit-identical to
     the dense call.
     """
-    label = _edge_components(data.dim, pattern)
+    rows, cols, edges = pattern
+    label = _edge_components(data.dim, edges)
     count = np.bincount(label)
     # by size, then by block, then by index: one size's blocks are rows of one array
     order = np.lexsort((label, count[label]))
-    groups, start = [], 0
+    sets, start = [], 0
     for size, blocks in enumerate(np.bincount(count).tolist()):
-        if not size or not blocks:
-            continue
-        idx = order[start:start + size * blocks].reshape(blocks, size)
-        start += size * blocks
-        sub = _gather(data, idx)
+        if size and blocks:
+            sets.append(order[start:start + size * blocks].reshape(blocks, size))
+            start += size * blocks
+    groups = []
+    for idx, sub in zip(sets, _gather(data.vals, rows, cols, (label, label),
+                                      [(i, i) for i in sets])):
+        blocks, size = idx.shape
         if size == 1:
-            groups.append((idx, sub.reshape(blocks, 1).real, np.ones((blocks, 1, 1))))
+            groups.append((idx, sub.reshape(blocks, 1).real.copy(), np.ones((blocks, 1, 1))))
             continue
         w, v = np.linalg.eigh(sub) if vectors else (np.linalg.eigvalsh(sub), None)
         groups.append((idx, w, v))
@@ -506,8 +601,11 @@ def rel_entropy(rho: CMatrix, sigma: CMatrix) -> float:
     # log sigma and K are block diagonal with sigma, so Tr(rho log sigma) and
     # Tr(rho K) sum over sigma's blocks b of the same traces on rho_bb
     overlap, term_cross = 0.0, 0.0
-    for idx, ws, vs in groups:
-        rho_b = _gather(r, idx)
+    label = np.empty(s.dim, dtype=np.int32)
+    for idx, _, _ in groups:
+        label[idx] = idx[:, :1]
+    blocks = _gather(r.vals, *r.coords(), (label, label), [(idx, idx) for idx, _, _ in groups])
+    for (idx, ws, vs), rho_b in zip(groups, blocks):
         weights = np.einsum("kji,kjl,kli->ki", vs.conj(), rho_b, vs).real
         kernel = ws <= TOL.eig_floor
         overlap += float(weights[kernel].sum())

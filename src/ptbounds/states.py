@@ -179,14 +179,23 @@ def private_bit(x: CMatrix) -> CMatrix:
     if abs(tn - 1.0) > TOL.assertion:
         raise ValidationError(f"private_bit needs ||X||_1 = 1, got {tn}")
     check_dim(4 * x.dim, "private_bit")
-    return _key_shield_canonical({key: blk / 2 for key, blk in _pbit_corners(x.mat).items()},
+    return _key_shield_canonical({key: blk / 2 for key, blk in _pbit_corners(x).items()},
                                  x.layout.factors)
 
 
-def _pbit_corners(arr: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """A private bit's key blocks before the factor 1/2: sqrt(X X+), X, X+ and sqrt(X+ X)."""
+def _pbit_corners(x: CMatrix) -> dict[tuple[int, int], np.ndarray]:
+    """A private bit's key blocks before the factor 1/2: sqrt(X X+), X, X+ and sqrt(X+ X).
+
+    X+ is built from X's nonzeros, conjugated and transposed, so it stores
+    no entry where X stores none (conj of the dense X would turn each +0.0
+    imaginary part into -0.0, an entry of its own).
+    """
+    arr = x.mat
+    r, c = x.coords()
+    adj = np.zeros_like(arr)
+    adj[c, r] = x.vals.conj()
     return {(0, 0): psd_sqrt(CMatrix(arr @ arr.conj().T)), (0, 3): arr,
-            (3, 0): arr.conj().T, (3, 3): psd_sqrt(CMatrix(arr.conj().T @ arr))}
+            (3, 0): adj, (3, 3): psd_sqrt(CMatrix(arr.conj().T @ arr))}
 
 
 def _key_family(blocks: dict[tuple[int, int], np.ndarray],
@@ -214,8 +223,8 @@ def ppt_pbit(d_s: int) -> StateFamilyResult:
     x, y = fourier_xy(d_s)
     check_dim(4 * d_s * d_s, "ppt_pbit")
     p = 1.0 / (math.sqrt(d_s) + 1.0)
-    blocks = {key: (1 - p) * blk / 2 for key, blk in _pbit_corners(x.mat).items()}
-    y_corners = _pbit_corners(y.mat)
+    blocks = {key: (1 - p) * blk / 2 for key, blk in _pbit_corners(x).items()}
+    y_corners = _pbit_corners(y)
     blocks[1, 1] = (p / 2) * y_corners[0, 0]
     blocks[2, 2] = (p / 2) * y_corners[3, 3]
     params = {

@@ -1,6 +1,6 @@
 """Shared fixtures: the CHSH functional, Tsirelson measurements, key-qubit lifts,
 seeded generators of random states, measurements and filters, and the dense
-reference of the spectral functions."""
+references of the spectral functions and of the realigned state."""
 
 import math
 
@@ -13,6 +13,7 @@ from ptbounds import (
     SystemLayout,
     ValidationError,
     chsh,
+    collect_parties,
     max_entangled,
     min_eigenvalue,
     op_norm,
@@ -245,6 +246,30 @@ def dense_rel_entropy(r, s):
         return math.inf
     wr = wr[wr > TOL.eig_floor]
     return max(float((wr * np.log2(wr)).sum()) - term_cross, 0.0)
+
+
+# The dense reference of the realigned state the seesaw and box_from read, which
+# linalg keeps as its connected blocks.
+
+
+def dense_realigned(rho):
+    """R[(a',a),(b',b)] = rho[(a',b'),(a,b)] as one dense array, from rho's parties
+    collected A before B: each nonzero is placed at its realigned position."""
+    coll = collect_parties(rho)
+    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
+    a1, b1, a2, b2 = np.unravel_index(coll.pos, (da, db, da, db))
+    r = np.zeros((da * da, db * db), dtype=np.complex128)
+    r[a1 * da + a2, b1 * db + b2] = coll.vals
+    return r
+
+
+def dense_of_blocks(realigned):
+    """The dense matrix a linalg._Realigned holds: each block written at its rows and
+    columns of a zero matrix."""
+    out = np.zeros((realigned.da ** 2, realigned.db ** 2), dtype=np.complex128)
+    for rows, cols, blocks in realigned.groups:
+        out[rows[:, :, None], cols[:, None, :]] = blocks
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,9 @@ from ptbounds.linalg import _realigned
 from ptbounds.rand import random_binary_projective, random_seesaw_starts
 
 from conftest import (
+    bfs_components,
+    dense_of_blocks,
+    dense_realigned,
     random_binary_povm,
     random_bipartite_density,
     random_density,
@@ -477,14 +480,49 @@ def doubled_hiding_state():
     return tensor(rho, partial_transpose(rho))
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def bipartite_components(dense):
+    """(rows, cols) of each component of the graph that links row i and column j of a
+    dense R where R_ij is stored (its bits are not those of +0.0), by breadth-first
+    search."""
+    na, nb = dense.shape
+    stored = (bits(dense).reshape(na, nb, 2) != 0).any(axis=2)
+    adj = np.zeros((na + nb, na + nb), dtype=bool)
+    adj[:na, na:], adj[na:, :na] = stored, stored.T
+    return sorted((tuple(b[b < na].tolist()), tuple((b[b >= na] - na).tolist()))
+                  for b in bfs_components(adj)[1])
+
+
+def assert_blocks_match_dense(rho):
+    """_realigned's blocks are the components of the dense realignment, stacked by
+    shape, and hold its entries bit for bit; their products are the dense ones."""
+    r = _realigned(rho, "seesaw")
+    dense = dense_realigned(rho)
+    assert (r.da ** 2, r.db ** 2) == dense.shape
+    assert np.array_equal(bits(dense_of_blocks(r)), bits(dense))
+    shapes = [blocks.shape[1:] for *_, blocks in r.groups]
+    assert shapes == sorted(set(shapes))
+    found = []
+    for idx_r, idx_c, blocks in r.groups:
+        assert (np.diff(idx_r[:, 0]) > 0).all()
+        assert (np.diff(idx_r, axis=1) > 0).all() and (np.diff(idx_c, axis=1) > 0).all()
+        found += zip(map(tuple, idx_r.tolist()), map(tuple, idx_c.tolist()))
+    assert sorted(found) == bipartite_components(dense)
+    rng = np.random.default_rng(3)
+    for width, transpose, full in ((r.da ** 2, False, dense), (r.db ** 2, True, dense.T)):
+        x = rng.normal(size=(5, width)) + 1j * rng.normal(size=(5, width))
+        assert np.abs(r.times(x, transpose) - x @ full).max() <= 1e-14
+    return r
+
+
 def test_realigned_equals_the_collect_parties_route_on_interleaved_factors():
-    rho = doubled_hiding_state()  # factors A A B B A A B B
-    coll = collect_parties(rho)
-    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
-    expected = coll.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    r, *dims = _realigned(rho, "seesaw")
-    assert dims == [da, db]
-    assert np.array_equal(r, expected)
+    r = assert_blocks_match_dense(doubled_hiding_state())  # factors A A B B A A B B
+    assert (r.da, r.db) == (16, 16)
+    assert sorted(blocks.shape[1:] for *_, blocks in r.groups) == [
+        (1, 1), (2, 2), (4, 4), (8, 8), (16, 16)]
 
 
 def test_seesaw_refuses_states_without_a_bipartite_layout(chsh_functional):
@@ -510,6 +548,18 @@ SHIPPED_STATES = {
     "eq10 ds=4": lambda: ppt_pbit(4).rho,
     "prop1 m=1": doubled_hiding_state,
 }
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_STATES))
+def test_realigned_blocks_match_the_dense_realignment_on_shipped_states(name):
+    assert_blocks_match_dense(SHIPPED_STATES[name]())
+
+
+def test_realigned_blocks_of_eq10_ds16():
+    # the key corner's 32 x 32 block and the 992 isolated entries of the shield
+    r = assert_blocks_match_dense(ppt_pbit(16).rho)
+    assert [(len(idx_r), blocks.shape[1:]) for idx_r, _, blocks in r.groups] == [
+        (992, (1, 1)), (1, (32, 32))]
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_STATES))
@@ -548,15 +598,35 @@ def test_random_seesaw_starts_equal_one_draw_at_a_time(f, da, db):
 
 @pytest.mark.parametrize("make_state, make_functional", [
     (SHIPPED_STATES["eq8 d=2"], chsh),
+    (SHIPPED_STATES["eq8 d=3"], chsh),
+    (SHIPPED_STATES["eq8 d=4"], chsh),
+    (lambda: private_bit(swap_x(6)), chsh),
+    (lambda: private_bit(swap_x(8)), chsh),
     (SHIPPED_STATES["eq10 ds=4"], chsh),
+    (lambda: ppt_pbit(9).rho, chsh),
+    (lambda: ppt_pbit(16).rho, chsh),
+    (SHIPPED_STATES["prop1 m=1"], chsh),
     (random_2x3_state, chsh),
     (random_2x3_state, asymmetric_functional),
-], ids=["eq8 d=2", "eq10 ds=4", "2x3", "2x3 asymmetric"])
+], ids=["eq8 d=2", "eq8 d=3", "eq8 d=4", "eq8 d=6", "eq8 d=8", "eq10 ds=4", "eq10 ds=9",
+        "eq10 ds=16", "prop1 m=1", "2x3", "2x3 asymmetric"])
 def test_seesaw_restart_values_match_dense_reference(make_state, make_functional):
+    # the block products and the score operators formed from them agree with the
+    # dense partial-trace einsums to rounding
     rho, f = make_state(), make_functional()
     res = seesaw(rho, f, restarts=6, seed=0)
     expected = dense_restart_values(rho, f, restarts=6, seed=0)
-    assert np.abs(np.array(res.restart_values) - expected).max() <= 1e-10
+    assert np.abs(np.array(res.restart_values) - expected).max() <= 1e-12
+
+
+def test_prop1_m2_restart_values_match_the_dense_gemm():
+    # the doubled hiding state at m = 2 (dimension 4096, 46,656 nonzeros in 729
+    # blocks of 7 shapes) against the seesaw on its dense R
+    hid = hiding_state(m=2).rho
+    rho, f = tensor(hid, partial_transpose(hid)), chsh()
+    res = seesaw(rho, f, restarts=1, seed=0)
+    runs = sequential_seesaw(rho, f, restarts=1, seed=0)
+    assert np.abs(np.array(res.restart_values) - [run[0] for run in runs]).max() <= 1e-12
 
 
 def sequential_seesaw(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
@@ -580,9 +650,8 @@ def sequential_seesaw(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
             value += float(np.trace(k[:, :, x, 1]).real + w[w > 0.0].sum())
         return own, value
 
-    coll = collect_parties(rho)
-    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
-    r = coll.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    r = dense_realigned(rho)
+    da, db = math.isqrt(r.shape[0]), math.isqrt(r.shape[1])
     coeffs_bob = f.coeffs.transpose(1, 0, 3, 2)
     runs = []
     for alice, bob in seesaw_starts(f, da, db, restarts, np.random.default_rng(seed)):

@@ -28,7 +28,7 @@ from ptbounds import (
 )
 from ptbounds.linalg import _matrix_json_text, _realigned
 
-from conftest import random_density, random_hermitian
+from conftest import dense_of_blocks, dense_realigned, random_density, random_hermitian
 
 
 def random_cmatrix(rng, da, db, hermitian=True):
@@ -379,9 +379,13 @@ def test_factor_reorderings_equal_per_entry_loops():
     coll = collect_parties(m)
     assert coll.layout.factors == ((4, "A"), (15, "B"))
     assert np.array_equal(bits(coll.mat), bits(grouped))
-    r, da, db = _realigned(m, "seesaw")
-    assert (da, db) == (4, 15)
-    assert np.array_equal(bits(r), bits(realigned))
+    # a dense matrix realigns to one block holding the whole of R
+    r = _realigned(m, "seesaw")
+    assert (r.da, r.db) == (4, 15)
+    [(rows, cols, blocks)] = r.groups
+    assert rows.tolist() == [list(range(16))] and cols.tolist() == [list(range(225))]
+    assert np.array_equal(bits(blocks[0]), bits(realigned))
+    assert np.array_equal(bits(dense_of_blocks(r)), bits(dense_realigned(m)))
 
 
 def test_tensor_concatenates_layouts(phi_plus):

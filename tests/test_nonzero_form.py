@@ -43,6 +43,7 @@ from ptbounds.linalg import _matrix_json_text, _realigned
 
 from conftest import (
     dense_assert_density,
+    dense_of_blocks,
     dense_min_eigenvalue,
     dense_op_norm,
     dense_psd_sqrt,
@@ -155,23 +156,33 @@ def corner_operator(family, k):
                          + [("swap", d) for d in (2, 3, 4, 8)])
 def test_private_bit_corners_match_the_dense_oracle(family, k):
     # the key blocks of private_bit and ppt_pbit: sqrt(X X+), X, X+ and
-    # sqrt(X+ X), the roots from the breadth-first blocks, floored
-    arr = corner_operator(family, k).mat
+    # sqrt(X+ X), the roots from the breadth-first blocks, floored; X+ holds
+    # the conjugates of X's stored entries and +0.0 elsewhere
+    x = corner_operator(family, k)
+    arr = x.mat
+    stored = (np.ascontiguousarray(arr).view(np.uint64).reshape(*arr.shape, 2) != 0).any(axis=2)
     expected = {(0, 0): dense_psd_sqrt(arr @ arr.conj().T), (0, 3): arr,
-                (3, 0): arr.conj().T, (3, 3): dense_psd_sqrt(arr.conj().T @ arr)}
-    corners = states._pbit_corners(arr)
+                (3, 0): np.where(stored.T, arr.conj().T, 0.0),
+                (3, 3): dense_psd_sqrt(arr.conj().T @ arr)}
+    corners = states._pbit_corners(x)
     assert list(corners) == list(expected)
     for key, block in expected.items():
         assert bits(corners[key]) == bits(block), key
 
 
 def test_signed_zeros_stay_entries():
-    # conj leaves (0.0, -0.0) in the X+ corner of the swap private bit at d = 3
-    rho = states.private_bit(states.swap_x(3))
+    # conj of the dense swap private bit at d = 3 turns the +0.0 imaginary part
+    # of each of its 1,260 zeros into -0.0: each is stored, and written as such
+    arr = states.private_bit(states.swap_x(3)).mat.conj()
+    rho = CMatrix(arr, states.private_bit(states.swap_x(3)).layout)
     vals = rho.vals
-    assert int((vals == 0).sum()) == 72
+    assert len(vals) == arr.size
+    assert int((vals == 0).sum()) == 1260
     assert np.signbit(vals[vals == 0].imag).all()
+    assert bits(rho) == bits(arr)
     assert _matrix_json_text(rho) == canonical_json(rho)
+    # the private bit itself stores no zero: its X+ corner comes from X's nonzeros
+    assert not (states.private_bit(states.swap_x(3)).vals == 0).any()
 
 
 def same_outcome(fn, *args):
@@ -193,7 +204,7 @@ def assert_operations_match_dense(x, y=None):
         (trace_norm, dense_trace_norm), (min_eigenvalue, dense_min_eigenvalue),
         (op_norm, dense_op_norm), (psd_sqrt, dense_psd_sqrt),
         (partial_transpose, lambda a: transposed(a, lay)),
-        (lambda m: _realigned(m, "seesaw")[0], lambda a: realigned(a, lay)),
+        (lambda m: dense_of_blocks(_realigned(m, "seesaw")), lambda a: realigned(a, lay)),
         (lambda m: min_eigenvalue(partial_transpose(m)),
          lambda a: dense_min_eigenvalue(transposed(a, lay))),
         (lambda m: trace_norm(partial_transpose(m)),
@@ -265,7 +276,7 @@ def test_eq10_ds16_rows_match_dense():
     assert (bits(d_eps_membership(rho, sigma))
             == bits(dense_trace_norm(rho_pt - transposed(sigma.mat, lay))))
     assert bits(min_eigenvalue(partial_transpose(rho))) == bits(dense_min_eigenvalue(rho_pt))
-    assert bits(_realigned(rho, "seesaw")[0]) == bits(realigned(rho.mat, lay))
+    assert bits(dense_of_blocks(_realigned(rho, "seesaw"))) == bits(realigned(rho.mat, lay))
 
 
 @settings(max_examples=25, deadline=None)
@@ -334,10 +345,11 @@ def traced_peak(fn):
 
 
 def test_ppt_pbit_16_runs_without_a_dense_state():
-    # one dense 1024-dim matrix is 16.8 MB.  Measured: 0.79 of one for the build
-    # (the dense 256-dim key blocks), 0.012 for d_eps and 1.13 for the seesaw,
-    # whose realigned R is one; the dense assembly took 3.7 matrices to build
-    # the family and 2.0 for d_eps.
+    # one dense 1024-dim matrix is 16.8 MB.  Measured: 0.69 of one for the build
+    # (the dense 256-dim key blocks), 0.012 for d_eps and 0.094 for the seesaw,
+    # which reads R as one 32 x 32 block and 992 1 x 1 blocks; the dense
+    # assembly took 3.7 matrices to build the family and 2.0 for d_eps, and the
+    # seesaw on a dense R 1.13.
     dense_bytes = 1024 * 1024 * 16
     fam, peak = traced_peak(lambda: states.ppt_pbit(16))
     assert peak < dense_bytes
@@ -345,26 +357,40 @@ def test_ppt_pbit_16_runs_without_a_dense_state():
     assert peak <= 0.05 * dense_bytes
     assert eps <= 1.0 / math.sqrt(16)
     result, peak = traced_peak(lambda: seesaw(fam.rho, chsh(), restarts=4))
-    assert peak <= 1.25 * dense_bytes
+    assert peak <= 0.15 * dense_bytes
     assert result.value >= 2.0 - 1e-9
-    # measured: 1.0008 of one, R itself
-    _, peak = traced_peak(lambda: _realigned(fam.rho, "seesaw"))
-    assert peak <= 1.01 * dense_bytes
 
 
-def test_realigned_dense_state_holds_only_the_position_digits_and_r():
-    # a dense state has n^2 entries, so each int64 array over them is half a
-    # dense matrix: the 2k position digits of k factors, the regrouped
-    # positions, then R.  Measured 4.50 matrices with four interleaved factors
-    # and 2.50 with two; sorting the regrouped entries first made it 8.06 and
-    # 6.06.
+def test_prop1_m2_seesaw_runs_without_a_dense_realignment():
+    # the doubled hiding state at m = 2 has dimension 4096, so its dense R would
+    # be one 4096 x 4096 matrix, 268 MB.  Measured: 8.9 MiB, 0.035 of one; the
+    # seesaw on the dense R peaked at 1.03.
+    hid = states.hiding_state(m=2).rho
+    doubled = tensor(hid, partial_transpose(hid))
+    result, peak = traced_peak(lambda: seesaw(doubled, chsh(), restarts=4))
+    assert peak <= 0.05 * 4096 * 4096 * 16
+    assert result.value >= 2.0 - 1e-9
+
+
+def test_realigned_dense_state_is_one_block_equal_to_the_dense_realignment():
+    # a dense state's R is one block, so its products are the dense GEMM bit for
+    # bit.  A dense state has n^2 entries, so each int64 array over them is half
+    # a dense matrix: the 2k position digits of k factors and the regrouped
+    # positions; then the block itself.  Measured 4.50 matrices with four
+    # interleaved factors and 2.50 with two, as for the dense R it replaces.
     a = random_density(np.random.default_rng(8), 256)
-    for layout, bound in [(SystemLayout(((4, "A"), (4, "B"), (4, "A"), (4, "B"))), 5.0),
-                          (SystemLayout.bipartite(16, 16), 3.0)]:
+    x = np.random.default_rng(9).normal(size=(33, 256)) + 1j
+    for layout, bound in [(SystemLayout(((4, "A"), (4, "B"), (4, "A"), (4, "B"))), 4.6),
+                          (SystemLayout.bipartite(16, 16), 2.6)]:
         rho = CMatrix(a, layout)
-        (r, _, _), peak = traced_peak(lambda: _realigned(rho, "seesaw"))
-        assert bits(r) == bits(realigned(a, layout))
+        r, peak = traced_peak(lambda: _realigned(rho, "seesaw"))
         assert peak <= bound * a.nbytes
+        dense = realigned(a, layout)
+        [(rows, cols, blocks)] = r.groups
+        assert rows.tolist() == cols.tolist() == [list(range(256))]
+        assert bits(blocks[0]) == bits(dense)
+        assert bits(r.times(x)) == bits(x @ dense)
+        assert bits(r.times(x, transpose=True)) == bits(x @ dense.T)
 
 
 @settings(max_examples=25, deadline=None)
@@ -378,17 +404,21 @@ def test_tensor_equals_kron_of_the_dense_factors(n_a, n_b, data):
 
 
 @pytest.mark.parametrize("m, restarts, values", [
-    (1, 8, (2.0, 2.0, 2.0, 2.000000000000001, 2.0, 2.0, 1.9999999999999996,
-            2.000000000000001, 2.0)),
-    (2, 4, (1.9999999999999982, 1.9999999999999987, 1.9999999999999993,
-            1.9999999999999987, 1.9999999999999993)),
+    (1, 8, (2.0, 2.0, 2.0, 2.000000000000001, 2.0, 2.0, 2.0, 1.9999999999999991, 2.0)),
+    (2, 4, (2.0, 1.9999999999999964, 1.9999999999999993, 1.9999999999999991,
+            1.9999999999999993)),
 ])
 def test_prop1_seesaw_values_match_the_dense_kronecker_product(m, restarts, values):
-    # the doubled state of repro prop1, rho x rho^Gamma; the restart values
-    # pinned here are those of the seesaw on np.kron of the dense factors
+    # the doubled state of repro prop1, rho x rho^Gamma, and its restart values
+    # pinned.  At m = 1 the seesaw on np.kron of the dense factors agrees to
+    # rounding: np.kron writes -0.0 where tensor stores nothing, and those
+    # entries join blocks of R, so the sums run in another order.
     fam = states.hiding_state(m=m)
     rho_pt = partial_transpose(fam.rho)
     doubled = tensor(fam.rho, rho_pt)
-    if m == 1:
-        assert np.array_equal(doubled.mat, np.kron(fam.rho.mat, rho_pt.mat))
     assert seesaw(doubled, chsh(), restarts=restarts, seed=0).restart_values == values
+    if m == 1:
+        kron = np.kron(fam.rho.mat, rho_pt.mat)
+        assert np.array_equal(doubled.mat, kron)
+        dense = seesaw(CMatrix(kron, doubled.layout), chsh(), restarts=restarts, seed=0)
+        assert np.abs(np.subtract(dense.restart_values, values)).max() <= 1e-12
