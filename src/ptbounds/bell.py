@@ -285,8 +285,7 @@ def box_from(rho: CMatrix, meas: MeasurementFamily) -> Box:
 
     The probabilities are vec(A^T)^T R vec(B^T), read from the blocks of
     rho's realigned R (linalg._Realigned) as the seesaw reads them, so no
-    dense R is made; on a 4-dim state finding the blocks costs about 70 us
-    more than the dense R did (best of 200, one BLAS thread).
+    dense R is made.
     """
     r = _realigned(rho, "box_from")
     da, db = r.da, r.db

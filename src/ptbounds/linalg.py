@@ -22,21 +22,23 @@ and diagonalise it one block at a time.  That check refuses a non-finite
 matrix and measures the hermitian deviation on the exact nonzero pattern
 (M != 0) | (M != 0)^T, with no tolerance.  The blocks are the connected
 components of that same pattern, found by one edge-list finder,
-_edge_components, from the rows and columns of the entries.  Permuting the
-indices so that each component is contiguous makes M block diagonal, and a
+_edge_components, from the rows and columns of the entries, and cut out
+of the entries by one block cutter, _blocks.  Permuting the indices so
+that each component is contiguous makes M block diagonal, and a
 block-diagonal matrix has the union of its blocks' spectra, with
 eigenvectors supported on single blocks; so nothing is dropped or
-approximated.  Each block is gathered with its indices in ascending order,
-so its lower triangle, the one eigvalsh and eigh read, is the full
-matrix's.  An isolated index contributes its diagonal entry, an exact 0
-where no entry is stored, so the spectrum always has dim values and every
-sum over it runs in the order it would on the dense matrix.  A matrix that
-is one component is a stack of one block, bit-identical to the dense call.
+approximated.  Each block is cut with its indices in ascending order, so
+its lower triangle, the one eigvalsh and eigh read, is the full matrix's.
+An isolated index contributes its diagonal entry, an exact 0 where no
+entry is stored, so the spectrum always has dim values and every sum over
+it runs in the order it would on the dense matrix.  A matrix that is one
+component is a stack of one block, bit-identical to the dense call.
+rel_entropy cuts rho along sigma's blocks with the same _blocks.
 
 The realigned state that box_from and the seesaw multiply is kept the same
 way (_Realigned): the components of the graph that links row i and column j
-of R where R_ij is stored, found by the same _edge_components and gathered
-by the same _gather, one stack per block shape (block form, Saad ch. 3).  At
+of R where R_ij is stored, found by the same _edge_components and cut by
+the same _blocks, one stack per block shape (block form, Saad ch. 3).  At
 eq10 d_s = 16 that is one 32 x 32 block and 992 1 x 1 blocks where the dense
 R had 1,048,576 entries, and at prop1 m = 2 it is 729 blocks of 7 shapes up
 to 64 x 64, holding exactly its 46,656 nonzeros, where the dense R took
@@ -49,7 +51,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -92,8 +93,11 @@ class SystemLayout:
         if not self.factors:
             raise ValidationError("layout needs at least one factor")
         for d, party in self.factors:
-            if not isinstance(d, int) or d < 1:
+            # exact types: matrix_from_json refuses a bool dimension and a non-string label
+            if type(d) is not int or d < 1:
                 raise ValidationError(f"factor dimension must be a positive int, got {d!r}")
+            if type(party) is not str:
+                raise ValidationError(f"factor party label must be a string, got {party!r}")
             if not party:
                 raise ValidationError("factor party label must be non-empty")
 
@@ -286,10 +290,11 @@ class _Realigned:
     of R are linked when R_ij is stored; the connected components of that
     bipartite graph are R's blocks, since reordering the rows and the
     columns by component makes R block diagonal with rectangular blocks.
-    ``groups`` holds one (rows, cols, blocks) per block shape (nr, nc):
-    rows[k] and cols[k] are the ascending rows and columns of block k and
-    blocks[k] its dense (nr, nc) entries.  The rows and columns with no
-    entry are in no block.  ``da`` and ``db`` are the parties' dimensions.
+    ``groups`` is _blocks' list, one (rows, cols, blocks) per block shape
+    (nr, nc): rows[k] and cols[k] are the ascending rows and columns of
+    block k and blocks[k] its dense (nr, nc) entries.  The rows and columns
+    with no entry are in no block.  ``da`` and ``db`` are the parties'
+    dimensions.
     """
 
     __slots__ = ("groups", "da", "db")
@@ -322,7 +327,7 @@ def _realigned(rho: CMatrix, op: str) -> _Realigned:
     R is one regrouping of rho's own factor axes, whatever their
     interleaving, so its entries are rho's.  The components come from
     _edge_components on the edge list of R's entries, rows 0..da^2-1 and
-    columns da^2 + j, and each is gathered dense, so no dense R is made.
+    columns da^2 + j, and _blocks cuts each out dense, so no dense R is made.
     """
     layout, axes_a, axes_b = _party_axes(rho, op)
     n = len(layout.factors)
@@ -333,26 +338,7 @@ def _realigned(rho: CMatrix, op: str) -> _Realigned:
     np.divmod(pos, nb, out=(rows, cols), casting="unsafe")
     del pos
     label = _edge_components(na + nb, (rows, cols + na))
-    # a component is labelled by its smallest index, so one with entries by a row;
-    # its shape key is nr (nb + 1) + nc, and an isolated row or column has nc = 0 or nr = 0
-    lab_r, lab_c = label[:na], label[na:]
-    size_r, size_c = np.bincount(lab_r, minlength=na + nb), np.bincount(lab_c, minlength=na + nb)
-    shape = size_r * (nb + 1) + size_c
-    key_r, key_c = shape[lab_r], shape[lab_c]
-    # by shape, then by block, then by index: the isolated rows and columns come first
-    order_r, order_c = np.lexsort((lab_r, key_r)), np.lexsort((lab_c, key_c))
-    rows_per_key = Counter(key_r.tolist())
-    shapes = [(nr, nc, count // nr) for (nr, nc), count in
-              sorted((divmod(key, nb + 1), count) for key, count in rows_per_key.items()) if nc]
-    at_r = na - sum(nr * blocks for nr, _, blocks in shapes)
-    at_c = nb - sum(nc * blocks for _, nc, blocks in shapes)
-    sets = []
-    for nr, nc, blocks in shapes:
-        sets.append((order_r[at_r:at_r + blocks * nr].reshape(blocks, nr),
-                     order_c[at_c:at_c + blocks * nc].reshape(blocks, nc)))
-        at_r, at_c = at_r + blocks * nr, at_c + blocks * nc
-    blocks = _gather(rho.vals, rows, cols, (lab_r, lab_c), sets)
-    return _Realigned([(idx_r, idx_c, b) for (idx_r, idx_c), b in zip(sets, blocks)], da, db)
+    return _Realigned(_blocks(rho.vals, rows, cols, label[:na], label[na:]), da, db)
 
 
 def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -387,8 +373,9 @@ def _hermitian_pattern(data: CMatrix, what: str, tol: float = TOL.assertion):
     difference, and so the deviation, NaN or infinite (inf - inf without a
     warning), and is refused before the ``dev > tol`` test it would pass.
     ``what`` starts every message.  The pattern goes on to _block_eigh: the
-    rows and columns of the entries, and as the edges of the matrix the rows
-    and columns of its off-diagonal entries != 0, as int32.
+    rows and columns of the entries, which _blocks cuts into blocks, and as
+    the edges of the matrix the rows and columns of its off-diagonal
+    entries != 0, as int32.
     """
     r, c = data.coords()
     mirror = c * data.dim + r
@@ -434,29 +421,52 @@ def _edge_components(n: int, edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray
     return label
 
 
-def _gather(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-            labels: tuple[np.ndarray, np.ndarray], groups: list) -> list[np.ndarray]:
-    """The blocks on the index sets of ``groups``, one (blocks, nr, nc) stack per group.
+def _blocks(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            label_r: np.ndarray, label_c: np.ndarray) -> list:
+    """A matrix cut into its dense blocks, one (idx_r, idx_c, stack) per block shape.
 
-    The matrix is given by its entries, ``vals`` at ``rows`` and ``cols``.
-    labels = (label_r, label_c) names the block of each row and each column,
-    and every label that a row and a column share is a block of ``groups``.
-    A group is a pair (idx_r, idx_c) of arrays of shape (blocks, nr) and
-    (blocks, nc): block k has the rows idx_r[k] and the columns idx_c[k].
-    The entries whose row and column fall in one block are scattered into
-    zeros, which is what indexing the dense matrix reads: every other
-    position of a block holds +0.0.  The stacks are views of one buffer, so
-    one scatter fills them all.
+    The matrix is given by its entries, ``vals`` at ``rows`` and ``cols``, and
+    label_r and label_c name the block of each row and each column, labels
+    below len(label_r) + len(label_c); a square matrix cut along one
+    partition passes one label array as both.  A label with both rows and
+    columns is a block of nr x nc, and one without rows or without columns
+    is in no block.  The shapes come ordered by nr, then nc, and one shape's
+    blocks by label: block k has the ascending rows idx_r[k] and columns
+    idx_c[k], and stack[k] is its dense (nr, nc) entries.  The entries whose
+    row and column share a label are scattered into zeros, which is what
+    indexing the dense matrix reads: every other position of a block holds
+    +0.0.  The stacks are views of one buffer, so one scatter fills them all.
     """
-    label_r, label_c = labels
+    n, width = len(label_r) + len(label_c), len(label_c) + 1
+    size_r, size_c = np.bincount(label_r, minlength=n), np.bincount(label_c, minlength=n)
+    # one key per label, ascending as (nr, nc); by shape, then by block, then by index
+    key = size_r * width + size_c
+    key_r = key[label_r]
+    order_r = np.lexsort((label_r, key_r))
+    key_r = key_r[order_r]
+    if label_c is label_r:  # one partition: the columns are the rows
+        order_c, start_c = order_r, 0
+    else:
+        # a label without rows keys below width, so its columns come first
+        order_c = np.lexsort((label_c, key[label_c]))
+        start_c = int(np.count_nonzero(size_r[label_c] == 0))
     # per row the buffer position of its block row, per column its place in that row
     at_r, at_c = np.zeros(len(label_r), dtype=np.int64), np.zeros(len(label_c), dtype=np.int32)
-    size = 0
-    for idx_r, idx_c in groups:
-        (blocks, nr), nc = idx_r.shape, idx_c.shape[1]
-        at_r[idx_r] = np.arange(size, size + blocks * nr * nc, nc).reshape(blocks, nr)
-        at_c[idx_c] = np.arange(nc)
-        size += blocks * nr * nc
+    # a shape's columns follow the previous shape's
+    sets, start_r, size = [], 0, 0
+    while start_r < len(key_r):
+        shape = int(key_r[start_r])
+        end_r = int(key_r.searchsorted(shape, "right"))
+        nr, nc = divmod(shape, width)
+        if nc:  # rows without columns are in no block
+            count = (end_r - start_r) // nr
+            idx_r = order_r[start_r:end_r].reshape(count, nr)
+            idx_c = order_c[start_c:start_c + count * nc].reshape(count, nc)
+            at_r[idx_r] = np.arange(size, size + count * nr * nc, nc).reshape(count, nr)
+            at_c[idx_c] = np.arange(nc)
+            sets.append((idx_r, idx_c, slice(size, size + count * nr * nc), (count, nr, nc)))
+            start_c, size = start_c + count * nc, size + count * nr * nc
+        start_r = end_r
     keep = label_r[rows] == label_c[cols]
     at = at_r[rows] + at_c[cols]
     buffer = np.zeros(size, dtype=np.complex128)
@@ -464,20 +474,16 @@ def _gather(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         buffer[at] = vals
     else:
         buffer[at[keep]] = vals[keep]
-    out, size = [], 0
-    for idx_r, idx_c in groups:
-        shape = idx_r.shape + idx_c.shape[1:]
-        out.append(buffer[size:size + math.prod(shape)].reshape(shape))
-        size += math.prod(shape)
-    return out
+    return [(idx_r, idx_c, buffer[span].reshape(shape)) for idx_r, idx_c, span, shape in sets]
 
 
 def _block_eigh(data: CMatrix, pattern, vectors: bool = False):
     """All eigenvalues of a hermitian matrix, ascending, solved block by block.
 
     The blocks are the components of the edges of ``pattern``, the matrix's
-    symmetric nonzero pattern from _hermitian_pattern, whose entry rows and
-    columns the gather reads.
+    symmetric nonzero pattern from _hermitian_pattern, and _blocks cuts
+    them out of the entries at the pattern's rows and columns, with one
+    label array for both.
 
     Returns (w, groups).  ``groups`` is None unless ``vectors`` is set; then it
     holds one (idx, w_b, v_b) per block size, ascending, where idx[k] are the
@@ -491,17 +497,8 @@ def _block_eigh(data: CMatrix, pattern, vectors: bool = False):
     """
     rows, cols, edges = pattern
     label = _edge_components(data.dim, edges)
-    count = np.bincount(label)
-    # by size, then by block, then by index: one size's blocks are rows of one array
-    order = np.lexsort((label, count[label]))
-    sets, start = [], 0
-    for size, blocks in enumerate(np.bincount(count).tolist()):
-        if size and blocks:
-            sets.append(order[start:start + size * blocks].reshape(blocks, size))
-            start += size * blocks
     groups = []
-    for idx, sub in zip(sets, _gather(data.vals, rows, cols, (label, label),
-                                      [(i, i) for i in sets])):
+    for idx, _, sub in _blocks(data.vals, rows, cols, label, label):
         blocks, size = idx.shape
         if size == 1:
             groups.append((idx, sub.reshape(blocks, 1).real.copy(), np.ones((blocks, 1, 1))))
@@ -604,8 +601,7 @@ def rel_entropy(rho: CMatrix, sigma: CMatrix) -> float:
     label = np.empty(s.dim, dtype=np.int32)
     for idx, _, _ in groups:
         label[idx] = idx[:, :1]
-    blocks = _gather(r.vals, *r.coords(), (label, label), [(idx, idx) for idx, _, _ in groups])
-    for (idx, ws, vs), rho_b in zip(groups, blocks):
+    for (_, ws, vs), (_, _, rho_b) in zip(groups, _blocks(r.vals, *r.coords(), label, label)):
         weights = np.einsum("kji,kjl,kli->ki", vs.conj(), rho_b, vs).real
         kernel = ws <= TOL.eig_floor
         overlap += float(weights[kernel].sum())

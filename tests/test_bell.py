@@ -562,6 +562,16 @@ def test_realigned_blocks_of_eq10_ds16():
         (992, (1, 1)), (1, (32, 32))]
 
 
+def test_realigned_blocks_of_a_rectangular_realignment():
+    # no shipped state has a non-square block: here R is 4 x 9, row 0 meets columns
+    # 0 and 1, rows 1 and 3 meet column 8, and row 2 and columns 2..7 are in no block
+    a = np.zeros((6, 6), dtype=np.complex128)
+    a[0, 0], a[0, 1], a[2, 5], a[5, 5] = 0.4, 0.1j, 0.2 - 0.1j, 0.6
+    r = assert_blocks_match_dense(CMatrix(a, SystemLayout.bipartite(2, 3)))
+    assert [(idx_r.tolist(), idx_c.tolist()) for idx_r, idx_c, _ in r.groups] == [
+        ([[0]], [[0, 1]]), ([[1, 3]], [[8]])]
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED_STATES))
 def test_seesaw_reaches_classical_value_on_shipped_states(name, chsh_functional):
     value = seesaw(SHIPPED_STATES[name](), chsh_functional, restarts=32, seed=0).value

@@ -290,6 +290,14 @@ def test_layout_validation():
         CMatrix(np.eye(4), SystemLayout(((3, "A"), (2, "B"))))
     with pytest.raises(ValidationError, match="^factor party label must be non-empty$"):
         SystemLayout(((2, ""),))
+    # matrix_to_json would write "dims":[true,2] or "parties":["A",5], which
+    # matrix_from_json refuses
+    for d in (True, np.int64(2)):
+        with pytest.raises(ValidationError, match="^factor dimension must be a positive int"):
+            SystemLayout(((d, "A"), (2, "B")))
+    for party in (5, ("A",)):
+        with pytest.raises(ValidationError, match="^factor party label must be a string"):
+            SystemLayout(((2, "A"), (2, party)))
     with pytest.raises(ValidationError, match=r"^\[0, 0\] is not a permutation of the factors$"):
         SystemLayout.bipartite(2, 2).permuted([0, 0])
     with pytest.raises(ValidationError, match=r"^matrix must be square, got shape \(2, 3\)$"):
