@@ -17,9 +17,8 @@ Commands return (payload, CSV lines or None, exit code) and write nothing;
 ``main`` alone writes the CSV (under ``--out csv``) or JSON to ``--output``
 or stdout, so the file holds exactly the bytes stdout would.  ``make-state``
 payloads keep their matrices as CMatrix, and ``main`` writes each one as
-linalg's encoder does: the bytes of ``matrix_to_json`` dumped, each distinct
-entry formatted once.  An ``--output`` path that cannot be written exits 2
-before the command runs.
+``matrix_to_json`` of it: its nonzero entries.  An ``--output`` path that
+cannot be written exits 2 before the command runs.
 
 Exit codes: 0 when every emitted verdict is true, 1 when a verdict is false
 or a ``nonlocality`` solve did not converge (its report is still written),
@@ -48,8 +47,8 @@ import sys
 from numpy.linalg import LinAlgError
 
 from .config import TOL, DimensionCapError, ValidationError
-from .linalg import (CMatrix, _canonical_json, _matrix_json_text, assert_density,
-                     matrix_from_json, min_eigenvalue, partial_transpose, tensor)
+from .linalg import (CMatrix, _canonical_json, assert_density, matrix_from_json,
+                     matrix_to_json, min_eigenvalue, partial_transpose, tensor)
 from .bell import (
     BellFunctional,
     BoundReport,
@@ -336,16 +335,9 @@ def _check_output(path: str) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    """``_canonical_json(payload)`` with each CMatrix value as ``matrix_to_json`` of it.
-
-    The top-level items are written in sorted key order, as dumps with
-    sorted keys writes them; matrices go through linalg's encoder, which
-    formats each distinct entry once.
-    """
-    return "{" + ",".join(
-        _canonical_json(key) + ":" + (_matrix_json_text(value) if isinstance(value, CMatrix)
-                                      else _canonical_json(value))
-        for key, value in sorted(payload.items())) + "}"
+    """``_canonical_json(payload)`` with each CMatrix value as ``matrix_to_json`` of it."""
+    return _canonical_json({key: matrix_to_json(value) if isinstance(value, CMatrix) else value
+                            for key, value in payload.items()})
 
 
 def main(argv=None) -> int:

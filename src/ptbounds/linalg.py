@@ -7,6 +7,8 @@ key/shield states that ``states`` builds are almost all exact zeros
 (ppt-pbit at d_s = 16 has 1,536 nonzeros among 1,048,576 entries).  Signed
 zeros stay entries, so the dense array that ``mat`` builds, on each read and
 under the dimension cap, is the one the constructor was given, bit for bit.
+matrix_to_json writes the same entries as [i, j, re, im] items, and
+matrix_from_json reads them back into a CMatrix with no dense array.
 
 Every factor reordering (partial transpose, factor order, party grouping and
 the realignment the seesaw reads) is one call of _regroup, a pure index
@@ -648,9 +650,18 @@ def _json_layout(m: CMatrix) -> dict:
 
 
 def matrix_to_json(m: CMatrix) -> dict:
-    """Serialize as {"dims", "parties", "data"} with data = [[re, im], ...] row-major."""
-    # complex128 is (re, im) float64 pairs in memory
-    return {**_json_layout(m), "data": m.mat.reshape(-1).view(np.float64).reshape(-1, 2).tolist()}
+    """Serialize as {"dims", "parties", "data"} with data = [[i, j, re, im], ...].
+
+    One item per stored entry, in row-major order: every entry whose (re, im)
+    bit pattern is not (+0.0, +0.0), so -0.0 stays an entry.  Row i and
+    column j are ints and re, im floats, which JSON writes as their shortest
+    round-trip repr, so a file reloads to the same entries bit for bit.  This
+    is the coordinate format of Matrix Market: a key/shield state writes its
+    few hundred nonzeros, not its dim^2 entries.
+    """
+    r, c = m.coords()
+    return {**_json_layout(m), "data": list(map(list, zip(
+        r.tolist(), c.tolist(), m.vals.real.tolist(), m.vals.imag.tolist())))}
 
 
 # one encoder for every canonical dump: json.dumps with these arguments builds a
@@ -664,58 +675,6 @@ def _canonical_json(obj) -> str:
     Without indent the encoder stays on CPython's C encoder.
     """
     return _CANONICAL.encode(obj)
-
-
-def _matrix_json_text(m: CMatrix) -> str:
-    """``_canonical_json(matrix_to_json(m))``, formatting each distinct item once.
-
-    Key/shield states hold a few hundred distinct entries among millions of
-    exact zeros.  The text is cut into items: each entry whose (re, im) bit
-    pattern is not (+0.0, +0.0), and each run of (+0.0, +0.0) entries, so
-    -0.0, subnormals and NaN payloads stay entries of their own.  Only the
-    items are sorted, by bit pattern and run length, and each distinct item
-    is formatted once: an entry as its pair, a run as that many repeated
-    ``0.0,0.0`` tokens.  The items are joined back in row-major order, so no
-    step works per zero entry, and a matrix without zeros has one item per
-    entry.  The items come from m's entries, so no dense array is
-    built.  JSON writes a finite float as its repr, which an f-string
-    produces faster than dumps does; the non-finite reprs nan and inf are
-    respelt as JSON's NaN and Infinity.
-    """
-    size = m.dim * m.dim
-    layout = _canonical_json(_json_layout(m))[1:]
-    # an item starts at every nonzero entry and after one, and the end closes
-    # the last; the positions are ascending, so interleaving p and p + 1 sorts them
-    at = _drop_repeats(np.concatenate(([0], np.column_stack((m.pos, m.pos + 1)).reshape(-1),
-                                       [size])))
-    span = at[1:] - at[:-1]
-    # a run of zeros has the bits of +0.0; an entry is the item that starts at it
-    re, im = np.zeros((2, len(span)), dtype=np.uint64)
-    bits = np.ascontiguousarray(m.vals).view(np.uint64).reshape(-1, 2)
-    item = np.searchsorted(at, m.pos)
-    re[item], im[item] = bits[:, 0], bits[:, 1]
-    # an exact sort of bit patterns and spans puts equal items next to each other
-    order = np.lexsort((re, im, span))
-    re, im, span = re[order], im[order], span[order]
-    first = np.empty(len(order), dtype=bool)
-    first[:1] = True
-    np.not_equal(span[1:], span[:-1], out=first[1:])
-    first[1:] |= re[1:] != re[:-1]
-    first[1:] |= im[1:] != im[:-1]
-    slot = np.empty_like(order)
-    slot[order] = first.cumsum() - 1
-    re, im, span = re[first].view(np.float64), im[first].view(np.float64), span[first]
-    tokens = [f"{a!r},{b!r}" for a, b in zip(re.tolist(), im.tolist())]
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        tokens = [t.replace("nan", "NaN").replace("inf", "Infinity") for t in tokens]
-    for i in (span > 1).nonzero()[0].tolist():
-        tokens[i] += "],[0.0,0.0" * int(span[i] - 1)
-    items = np.array(tokens, dtype=object)[slot].tolist()
-    # the first and last items carry the text around the entries, so one join
-    # writes the whole text
-    items[0] = '{"data":[[' + items[0]
-    items[-1] += f"]],{layout}"
-    return "],[".join(items)
 
 
 def _json_floats(values, what: str, count: int = -1) -> np.ndarray:
@@ -739,8 +698,34 @@ def _json_size(value, what: str) -> int:
     return value
 
 
+def _json_positions(rows, cols, dim: int) -> np.ndarray:
+    """Flat positions i * dim + j of entries read from JSON: ints in [0, dim), none repeated."""
+    kinds = set(map(type, rows)) | set(map(type, cols))
+    if kinds - {int}:
+        names = ", ".join(sorted(k.__name__ for k in kinds - {int}))
+        raise ValidationError(f"matrix JSON entry indices must be integers, got {names}")
+    if rows and not (0 <= min(rows) and max(rows) < dim and 0 <= min(cols) and max(cols) < dim):
+        raise ValidationError(f"matrix JSON entry indices must lie in [0, {dim})")
+    n = len(rows)
+    pos = np.fromiter(rows, dtype=np.int64, count=n) * dim + np.fromiter(cols, dtype=np.int64,
+                                                                         count=n)
+    ordered = np.sort(pos)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValidationError(f"matrix JSON has entry {divmod(int(repeated[0]), dim)} twice")
+    return pos
+
+
 def matrix_from_json(obj: dict) -> CMatrix:
-    """Inverse of matrix_to_json, validating shape and finiteness."""
+    """Inverse of matrix_to_json, validating shape and finiteness.
+
+    ``data`` holds either [i, j, re, im] entries, as matrix_to_json writes
+    them (in any order, each position at most once; a missing one is zero),
+    or exactly dim^2 [re, im] pairs in row-major order, the dense form; items
+    of both lengths are refused, and so are booleans.  The declared dimension
+    is checked against the cap before any item is read, so a short file
+    cannot ask for a huge matrix.
+    """
     try:
         dims = [_json_size(d, "matrix JSON dims entry") for d in obj["dims"]]
         parties = obj["parties"]
@@ -754,19 +739,30 @@ def matrix_from_json(obj: dict) -> CMatrix:
     if len(dims) != len(parties):
         raise ValidationError("dims and parties must have equal length")
     dim = math.prod(dims)
-    if n_items != dim * dim:
-        raise ValidationError(f"matrix JSON has {n_items} entries, expected {dim * dim}")
-    what = "matrix JSON entries must be [re, im] pairs"
+    check_dim(dim, "matrix JSON")
+    layout = SystemLayout(tuple((d, p) for d, p in zip(dims, parties)))
+    what = "matrix JSON items must be [i, j, re, im] entries or [re, im] pairs"
     try:
         lengths = set(map(len, data))
     except TypeError as exc:
         raise ValidationError(f"{what} ({exc})") from exc
-    # every entry must be a pair, or [1, 2, 3], [4] would read as two pairs
-    if lengths != {2}:
-        raise ValidationError(f"{what} (an entry has other than two elements)")
-    flat = _json_floats(chain.from_iterable(data), what, count=2 * n_items)
+    # one length for all, or [1, 2, 3], [4] would read as two pairs
+    if lengths == {2}:
+        if n_items != dim * dim:
+            raise ValidationError(f"matrix JSON has {n_items} [re, im] pairs, expected {dim * dim}")
+        pairs = data
+    elif lengths <= {4}:
+        rows, cols, re, im = zip(*data) if n_items else ((),) * 4
+        pos = _json_positions(rows, cols, dim)
+        pairs = list(zip(re, im))
+    else:
+        raise ValidationError(f"{what}, all of one length")
+    if bool in set(map(type, chain.from_iterable(pairs))):
+        raise ValidationError("matrix JSON values must be numbers, not booleans")
+    flat = _json_floats(chain.from_iterable(pairs), what, count=2 * n_items)
     if not np.isfinite(flat).all():
         raise ValidationError("matrix JSON has non-finite entries")
-    layout = SystemLayout(tuple((d, p) for d, p in zip(dims, parties)))
-    mat = flat.view(np.complex128).reshape(dim, dim)
-    return CMatrix(mat, layout)
+    vals = flat.view(np.complex128)
+    if lengths == {2}:
+        return CMatrix(vals.reshape(dim, dim), layout)
+    return CMatrix._make(dim, pos, vals, layout)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -278,11 +279,15 @@ def test_seesaw_rejects_non_finite_state(capsys, tmp_path, bad):
     state_file = tmp_path / "state.json"
     assert run_main(capsys, "make-state", "max-entangled", "--output", str(state_file))[0] == 0
     payload = json.loads(state_file.read_text())
-    payload["rho"]["data"][5][0] = bad
-    state_file.write_text(json.dumps(payload))
-    code, errors = run_main_errors(capsys, "seesaw", str(state_file), "--restarts", "2")
-    assert code == 2
-    assert len(errors) == 1 and errors[0].startswith("error:")
+    rho = payload["rho"]
+    dense = {**rho, "data": matrix_from_json(rho).mat.reshape(-1).view(float).reshape(-1, 2).tolist()}
+    rho["data"][1][2] = bad  # the real part of an entry
+    dense["data"][5][0] = bad
+    for broken in (payload, dense):
+        state_file.write_text(json.dumps(broken))
+        code, errors = run_main_errors(capsys, "seesaw", str(state_file), "--restarts", "2")
+        assert code == 2
+        assert errors == ["error: matrix JSON has non-finite entries"]
 
 
 @pytest.mark.parametrize("bad", _BAD_NUMBERS)
@@ -373,6 +378,40 @@ def test_seesaw_rejects_integer_too_large_for_a_float(capsys, tmp_path):
     code, errors = run_main_errors(capsys, "seesaw", str(state_file), "--restarts", "2")
     assert code == 2
     assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+_PHI_ENTRIES = [[i, j, 0.5, 0.0] for i in (0, 3) for j in (0, 3)]
+
+
+@pytest.mark.parametrize("data, message", [
+    ([[0, 0, True, 0.0], *_PHI_ENTRIES[1:]], "matrix JSON values must be numbers, not booleans"),
+    ([[True, False] if i == 0 else [x, 0.0] for i, x in enumerate(_PHI)],
+     "matrix JSON values must be numbers, not booleans"),
+    ([[0, 0, 0.5, 0.0], [0.0, 3, 0.5, 0.0], *_PHI_ENTRIES[2:]],
+     "matrix JSON entry indices must be integers, got float"),
+    ([[True, 0, 0.5, 0.0], *_PHI_ENTRIES[1:]], "matrix JSON entry indices must be integers, got bool"),
+    ([[-1, 0, 0.5, 0.0], *_PHI_ENTRIES[1:]], "matrix JSON entry indices must lie in [0, 4)"),
+    ([[0, 4, 0.5, 0.0], *_PHI_ENTRIES[1:]], "matrix JSON entry indices must lie in [0, 4)"),
+    ([*_PHI_ENTRIES, [3, 0, 0.0, 0.0]], "matrix JSON has entry (3, 0) twice"),
+], ids=["boolean-value", "boolean-dense-pair", "float-index", "boolean-index", "negative-index",
+        "index-out-of-range", "repeated-entry"])
+def test_seesaw_refuses_bad_matrix_items_with_one_line(tmp_path, data, message):
+    payload = {**_PHI_PAYLOAD, "data": data}
+    assert _main_on_files(tmp_path, "seesaw", [payload]) == (2, [f"error: {message}"])
+
+
+@pytest.mark.parametrize("dims, shown", [
+    ([3037000500, 3037000500], "9223372037000250000"), ([4096, 4096], "16777216"),
+    ([100000, 100000], "10000000000")])
+def test_seesaw_refuses_a_huge_declared_dimension_at_once(tmp_path, dims, shown):
+    # one entry declaring a huge dimension once overflowed, ran for minutes or
+    # asked for 149 GiB; the cap now refuses it before any item is read
+    payload = {**_PHI_PAYLOAD, "dims": dims, "data": [[0, 0, 1.0, 0.0]]}
+    start = time.perf_counter()
+    assert _main_on_files(tmp_path, "seesaw", [payload]) == (3, [
+        f"error: matrix JSON needs dimension {shown}, above the cap 4096 "
+        "(set PTBOUND_DIM_CAP to raise it)"])
+    assert time.perf_counter() - start < 5.0
 
 
 # sizes that are not JSON integers >= 1, each with the entry count its int()
@@ -478,6 +517,7 @@ def _scenario_file(draw, entries_key: str):
 
 _STATES = st.sampled_from([
     _PHI_PAYLOAD,
+    {**_PHI_PAYLOAD, "data": _PHI_ENTRIES},
     {"dims": [1, 2], "parties": ["B", "A"], "data": [[0.5, 0.0], [0, 0], [0, 0], [0.5, 0.0]]},
 ]).flatmap(_edited)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ptbounds import (
     CMatrix,
+    DimensionCapError,
     SystemLayout,
     ValidationError,
     assert_density,
@@ -26,7 +27,7 @@ from ptbounds import (
     tensor,
     trace_norm,
 )
-from ptbounds.linalg import _matrix_json_text, _realigned
+from ptbounds.linalg import _canonical_json, _realigned
 
 from conftest import dense_of_blocks, dense_realigned, random_density, random_hermitian
 
@@ -423,12 +424,18 @@ def test_matrix_json_rejects_bad_payloads():
 
 
 def oracle_to_json_data(m):
-    """The per-entry writer matrix_to_json replaced, kept as its oracle."""
+    """The per-entry writer of the dense form, kept as the oracle of the dense reader."""
     return [[float(z.real), float(z.imag)] for z in m.mat.reshape(-1)]
 
 
+def oracle_to_json_entries(m):
+    """Per entry of the dense matrix: [i, j, re, im] unless its bits are (+0.0, +0.0)."""
+    return [[i, j, float(z.real), float(z.imag)] for (i, j), z in np.ndenumerate(m.mat)
+            if bits(np.array([z])).any()]
+
+
 def oracle_from_json_data(data):
-    """The per-entry reader matrix_from_json replaced, kept as its oracle."""
+    """The per-entry reader of the dense form, kept as its oracle."""
     return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
 
 
@@ -436,9 +443,16 @@ def bits(arr):
     return np.ascontiguousarray(arr, dtype=np.complex128).view(np.uint64)
 
 
-def canonical_dump(m):
-    """The text the encoder must reproduce: the canonical dump of matrix_to_json."""
-    return json.dumps(matrix_to_json(m), sort_keys=True, separators=(",", ":"))
+def canonical_dump(obj):
+    """The text the module's one encoder must reproduce: json.dumps, canonical."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def assert_same_entries(back, m):
+    """Equal positions, values equal as bits, and m's layout (one factor "A" if it has none)."""
+    assert np.array_equal(back.pos, m.pos)
+    assert np.array_equal(bits(back.vals), bits(m.vals))
+    assert back.layout == (m.layout or SystemLayout(((m.dim, "A"),)))
 
 
 def edge_matrix(seed, da, db):
@@ -458,15 +472,17 @@ def edge_matrix(seed, da, db):
 def test_matrix_json_equals_per_entry_oracle(seed, da, db):
     m = edge_matrix(seed, da, db)
     data = matrix_to_json(m)["data"]
-    expected = oracle_to_json_data(m)
+    expected = oracle_to_json_entries(m)
     assert json.dumps(data) == json.dumps(expected)  # repr keeps -0.0 apart from 0.0
-    assert _matrix_json_text(m) == canonical_dump(m)
-    assert all(type(x) is float for pair in data for x in pair)
-    for payload in (data, json.loads(json.dumps(data))):
-        obj = {"dims": [da, db], "parties": ["A", "B"], "data": payload}
-        back = matrix_from_json(obj)
-        assert np.array_equal(bits(back.mat.reshape(-1)), bits(oracle_from_json_data(payload)))
-        assert np.array_equal(bits(back.mat), bits(m.mat))
+    assert all(type(i) is int and type(j) is int and type(re) is float and type(im) is float
+               for i, j, re, im in data)
+    dense = {"dims": [da, db], "parties": ["A", "B"], "data": oracle_to_json_data(m)}
+    for obj in ({"dims": [da, db], "parties": ["A", "B"], "data": data}, dense):
+        for payload in (obj, json.loads(json.dumps(obj))):
+            assert_same_entries(matrix_from_json(payload), m)
+    # the dense reader agrees with the per-entry reader it replaced
+    back = matrix_from_json(dense)
+    assert np.array_equal(bits(back.mat.reshape(-1)), bits(oracle_from_json_data(dense["data"])))
 
 
 def nan_with_payload(payload):
@@ -522,14 +538,26 @@ _ENCODER_CASES = _encoder_cases()
 
 @pytest.mark.parametrize("name", list(_ENCODER_CASES))
 def test_matrix_json_text_equals_canonical_dump_of_matrix_to_json(name):
+    # make-state writes _canonical_json(matrix_to_json(m)); it reloads to the
+    # same entries bit for bit, and a non-finite matrix is written but refused
     m = _ENCODER_CASES[name]
-    assert _matrix_json_text(m) == canonical_dump(m)
+    obj = matrix_to_json(m)
+    text = _canonical_json(obj)
+    assert text == canonical_dump(obj)
+    assert len(obj["data"]) == len(m.pos)
+    if np.isfinite(m.vals).all():
+        assert_same_entries(matrix_from_json(json.loads(text)), m)
+    else:
+        with pytest.raises(ValidationError, match="^matrix JSON has non-finite entries$"):
+            matrix_from_json(json.loads(text))
 
 
 def test_matrix_from_json_accepts_ints_like_the_oracle():
-    data = [[1, 0], [0, -2], [True, 3], [0.5, 0]]
+    data = [[1, 0], [0, -2], [1, 3], [0.5, 0]]
     back = matrix_from_json({"dims": [2], "parties": ["A"], "data": data})
     assert np.array_equal(bits(back.mat.reshape(-1)), bits(oracle_from_json_data(data)))
+    entries = [[0, 0, 1, 0], [0, 1, 0, -2], [1, 0, 1, 3], [1, 1, 0.5, 0]]
+    assert_same_entries(matrix_from_json({"dims": [2], "parties": ["A"], "data": entries}), back)
 
 
 @pytest.mark.parametrize("bad", [
@@ -541,13 +569,51 @@ def test_matrix_from_json_accepts_ints_like_the_oracle():
     [[10**400, 0.0]],
     [[0.0, 0.0, 0.0], [0.0]],
     [1.5],
+    [[True, False]],
+    [[0.0, True]],
+    [[0, 1, 0.0, 0.0], [0.0, 0.0]],
+    [[0, 0, True, 0.0]],
+    [[0, 0, 0.5, False]],
+    [[True, 0, 0.5, 0.0]],
+    [[0.0, 0, 0.5, 0.0]],
+    [["0", 0, 0.5, 0.0]],
+    [[-1, 0, 0.5, 0.0]],
+    [[0, 2, 0.5, 0.0]],
+    [[10**400, 0, 0.5, 0.0]],
+    [[1, 1, 0.5, 0.0], [1, 1, 0.0, 0.0]],
+    [[0, 0, "0.5", 0.0]],
+    [[0, 0, 0.5, 0.0], [0.5, 0.0]],
 ], ids=["string", "none", "one-element", "three-elements", "nested", "400-digit-int",
-        "lengths-3-and-1", "bare-number"])
+        "lengths-3-and-1", "bare-number", "boolean-pair", "boolean-imaginary-part",
+        "one-entry-among-pairs", "entry-boolean-value", "entry-boolean-imaginary-part",
+        "entry-boolean-index", "entry-float-index", "entry-string-index",
+        "entry-negative-index", "entry-index-out-of-range", "entry-400-digit-index",
+        "entry-repeated", "entry-string-value", "pair-among-entries"])
 def test_matrix_from_json_rejects_bad_entries(bad):
-    data = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
-    data[1:1 + len(bad)] = bad
+    if all(isinstance(item, list) and len(item) == 4 for item in bad):
+        # the entry form: a valid diagonal entry, then the bad ones
+        data = [[0, 0, 0.5, 0.0], *bad]
+    else:
+        data = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+        data[1:1 + len(bad)] = bad
     with pytest.raises(ValidationError):
         matrix_from_json({"dims": [2], "parties": ["A"], "data": data})
+
+
+def test_matrix_from_json_checks_the_declared_dimension_before_the_items(monkeypatch):
+    # the items are not even valid: the cap refuses the dimension first
+    monkeypatch.setenv("PTBOUND_DIM_CAP", "3")
+    with pytest.raises(DimensionCapError, match="^matrix JSON needs dimension 4, above the cap 3"):
+        matrix_from_json({"dims": [2, 2], "parties": ["A", "B"], "data": [[None]]})
+
+
+def test_matrix_from_json_reads_entries_in_any_order_and_drops_exact_zeros():
+    entries = [[1, 0, 0.25, -0.5], [0, 0, 0.0, 0.0], [0, 1, 0.25, 0.5], [1, 1, -0.0, 0.0]]
+    m = matrix_from_json({"dims": [2], "parties": ["A"], "data": entries})
+    assert m.pos.tolist() == [1, 2, 3]
+    assert bits(m.mat).tolist() == bits(np.array([[0, 0.25 + 0.5j], [0.25 - 0.5j, -0.0]])).tolist()
+    empty = matrix_from_json({"dims": [2], "parties": ["A"], "data": []})
+    assert empty.pos.size == 0 and not empty.mat.any()
 
 
 def test_assert_density_rejects_non_hermitian_input():

@@ -10,6 +10,7 @@ the shared breadth-first oracle of conftest for the spectral functions, and
 numpy reshape and transpose for the factor reorderings.
 """
 
+import argparse
 import json
 import math
 import struct
@@ -28,6 +29,7 @@ from ptbounds import (
     assert_density,
     chsh,
     d_eps_membership,
+    matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
     op_norm,
@@ -39,7 +41,8 @@ from ptbounds import (
     tensor,
     trace_norm,
 )
-from ptbounds.linalg import _matrix_json_text, _realigned
+from ptbounds import cli
+from ptbounds.linalg import _canonical_json, _realigned
 
 from conftest import (
     dense_assert_density,
@@ -93,9 +96,22 @@ def dense_companion(blocks, shield_factors):
     return sigma / np.trace(sigma).real, layout
 
 
-def canonical_json(m):
-    """The canonical dump of matrix_to_json, whose entries come from the dense ``mat``."""
-    return json.dumps(matrix_to_json(m), sort_keys=True, separators=(",", ":"))
+def reloaded(m):
+    """m written as make-state writes it, then read back."""
+    return matrix_from_json(json.loads(_canonical_json(matrix_to_json(m))))
+
+
+def dense_form(m):
+    """m's file in the dense form: the layout and every [re, im] pair of ``mat``."""
+    return {"dims": list(m.layout.dims), "parties": list(m.layout.parties),
+            "data": m.mat.reshape(-1).view(np.float64).reshape(-1, 2).tolist()}
+
+
+def assert_same_entries(back, m):
+    """Equal positions and layouts, and values equal as uint64 bits."""
+    assert np.array_equal(back.pos, m.pos)
+    assert np.array_equal(back.vals.view(np.uint64), m.vals.view(np.uint64))
+    assert back.layout == m.layout
 
 
 def bits(x):
@@ -180,7 +196,12 @@ def test_signed_zeros_stay_entries():
     assert int((vals == 0).sum()) == 1260
     assert np.signbit(vals[vals == 0].imag).all()
     assert bits(rho) == bits(arr)
-    assert _matrix_json_text(rho) == canonical_json(rho)
+    # each is written as an entry, its -0.0 kept, and read back bit for bit
+    data = matrix_to_json(rho)["data"]
+    assert len(data) == arr.size
+    assert sum(1 for _, _, re, im in data
+               if re == im == 0 and math.copysign(1.0, im) < 0) == 1260
+    assert_same_entries(reloaded(rho), rho)
     # the private bit itself stores no zero: its X+ corner comes from X's nonzeros
     assert not (states.private_bit(states.swap_x(3)).vals == 0).any()
 
@@ -213,7 +234,8 @@ def assert_operations_match_dense(x, y=None):
     for on_matrix, on_array in pairs:
         assert same_outcome(on_matrix, x) == same_outcome(on_array, x.mat)
     assert partial_transpose(x).layout == lay
-    assert _matrix_json_text(x) == canonical_json(x)
+    assert_same_entries(reloaded(x), x)
+    assert_same_entries(matrix_from_json(dense_form(x)), x)
     if y is not None:
         pairs = [
             (d_eps_membership,
@@ -323,11 +345,14 @@ def test_nonzero_paths_never_build_a_dense_state(monkeypatch):
     # call that succeeds here worked from the nonzeros alone
     fam = states.ppt_pbit(4)
     rho, sigma = fam.rho, fam.sigma_candidate
-    text = canonical_json(rho)
+    text = _canonical_json(matrix_to_json(rho))
     monkeypatch.setenv("PTBOUND_DIM_CAP", "32")
     with pytest.raises(DimensionCapError):
         rho.mat
-    assert _matrix_json_text(rho) == text
+    assert _canonical_json(matrix_to_json(rho)) == text
+    # the reader checks the declared dimension against the cap first
+    with pytest.raises(DimensionCapError, match="^matrix JSON needs dimension 64"):
+        matrix_from_json(json.loads(text))
     assert d_eps_membership(rho, sigma) <= 0.5
     assert min_eigenvalue(partial_transpose(rho)) >= -1e-10
     assert trace_norm(rho) == pytest.approx(1.0)
@@ -342,6 +367,52 @@ def traced_peak(fn):
         return out, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def signed_zeros_and_subnormals():
+    """A sparse hermitian state-sized matrix holding -0.0 and subnormals in both parts."""
+    a = np.diag([0.5, 0.25, 0.25, 0.0]).astype(np.complex128)
+    a[0, 1], a[1, 0] = complex(5e-324, -2.5e-310), complex(5e-324, 2.5e-310)
+    a[2, 3], a[3, 2] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    a[3, 3] = complex(0.0, -0.0)
+    return {"rho": CMatrix(a, SystemLayout.bipartite(2, 2))}
+
+
+# every make-state family, hiding m=3 and ppt-pbit ds=16 among them
+ROUND_TRIP_CASES = {
+    **{f"{family}-default": (family, {}) for family in cli._FAMILIES},
+    "fourier-xy-9": ("fourier-xy", {"ds": 9}),
+    "private-bit-8": ("private-bit", {"d": 8}),
+    "hiding-m3": ("hiding", {"m": 3}),
+    "hiding-d3-m2": ("hiding", {"d": 3, "m": 2, "q": 0.25}),
+    "ppt-pbit-16": ("ppt-pbit", {"ds": 16}),
+}
+
+
+@pytest.mark.parametrize("case", [*ROUND_TRIP_CASES, "signed-zeros-and-subnormals"])
+def test_matrix_files_round_trip_bit_for_bit_without_a_dense_array(monkeypatch, case):
+    if case in ROUND_TRIP_CASES:
+        family, sizes = ROUND_TRIP_CASES[case]
+        sizes = {"d": 2, "ds": 4, "m": 1, "q": 1.0 / 3.0, **sizes}
+        fields = cli._FAMILIES[family][1](argparse.Namespace(**sizes))
+    else:
+        fields = signed_zeros_and_subnormals()
+    matrices = [m for m in fields.values() if isinstance(m, CMatrix)]
+    assert matrices
+    for m in matrices:
+        # under a cap below the dimension, reading ``mat`` fails, so the file
+        # is written from the entries alone
+        monkeypatch.setenv("PTBOUND_DIM_CAP", str(m.dim - 1))
+        obj = json.loads(_canonical_json(matrix_to_json(m)))
+        monkeypatch.delenv("PTBOUND_DIM_CAP")
+        # the reader checks the declared dimension against the cap, so it runs
+        # under the default cap; at dimension 256 and above its peak shows that
+        # it builds no dense array (it is at most 0.34 of one)
+        back, peak = traced_peak(lambda: matrix_from_json(obj))
+        assert_same_entries(back, m)
+        if m.dim >= 256:
+            assert peak < 0.5 * m.dim * m.dim * 16
+        assert len(obj["data"]) == len(m.pos)
 
 
 def test_ppt_pbit_16_runs_without_a_dense_state():
