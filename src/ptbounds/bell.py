@@ -59,6 +59,9 @@ _ENUM_GUARD = 2**16
 _ENUM_CHUNK = 2**16  # (input, output) totals per GEMM of _optimal_deterministic, 512 KB
 _STEP_TOL = 1e-13  # a seesaw restart stops once a sweep gains less
 _MAX_SWEEPS = 400  # or after this many sweeps
+# the seesaw's restarts run in groups whose stacked (restarts x inputs x d x d)
+# complex operand fits this many bytes: 64 restarts of a two-input functional at d = 16
+_GROUP_BYTES = 2**19
 
 
 @dataclass
@@ -374,17 +377,29 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -
     realigned once, since Tr[(A x B) rho] = vec(A^T)^T R vec(B^T); Bob uses
     R.T.  R is kept as its connected blocks (linalg._Realigned), so no dense R
     is made: eq10 ds=16 is one 32 x 32 block and 992 1 x 1 blocks, and a
-    dense state is one block.  At ds=16 a half-step's product with R (67 rows
-    at 32 restarts) takes about 0.8 ms against 8.5 ms for the dense GEMM, and
-    the whole seesaw about 45 ms against 97 ms (one BLAS thread).  All
-    restarts advance in lockstep: with E_1 = I - E_0 a half-step multiplies
-    R, one stacked matmul per block shape, by the other party's vec(E_0^T)
-    of every active restart plus vec(I), forms K_(0|x) - K_(1|x) from those
-    products with one GEMM, and runs one stacked eigh.  A restart's value
-    comes from the eigenvalues already computed: sum_x Tr K_(1|x), read off
-    the traces of the products, plus the positive eigenvalues of
-    K_(0|x) - K_(1|x).  Each restart stops on its own, once a sweep gains
-    less than _STEP_TOL, or after _MAX_SWEEPS sweeps.
+    dense state is one block.
+
+    The restarts, the deterministic one last, run in consecutive groups whose
+    sizes differ by at most 1, as few as keep each group's stacked
+    (restarts x inputs x d x d) complex operand within _GROUP_BYTES (512 KB):
+    one group for the default 32 restarts of a two-input functional at local
+    dimensions up to 16, three groups of 11 at eq10 ds=16 (d = 32).  Each
+    group draws its starts from the one generator, in order, and no restart's
+    arithmetic reads another's rows, so the result agrees with one group's to
+    rounding; it is bit for bit the same where the BLAS rounds a row of a
+    product independently of the product's row count, as the OpenBLAS 0.3.31
+    (Haswell kernels) it was measured on does, which BLAS does not promise in
+    general.  Only the best restart's projectors and history are kept.  The
+    restarts of a group advance in lockstep: with E_1 = I - E_0 a half-step
+    multiplies R, one stacked matmul per block shape, by the other party's
+    vec(E_0^T) of every active restart plus vec(I), forms K_(0|x) - K_(1|x)
+    from those products with one GEMM, and runs one stacked eigh.  A
+    restart's value comes from the eigenvalues already computed:
+    sum_x Tr K_(1|x), read off the traces of the products, plus the positive
+    eigenvalues of K_(0|x) - K_(1|x).  Each restart stops on its own, once a
+    sweep gains less than _STEP_TOL, or after _MAX_SWEEPS sweeps.  At ds=16 a
+    half-step's product with R (23 rows) takes about 0.35 ms against 4.7 ms
+    for the dense GEMM, and the whole seesaw about 55 ms (one BLAS thread).
 
     Parameters
     ----------
@@ -409,20 +424,52 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -
     _, bob_outputs = _optimal_deterministic(f)
     r = _realigned(rho, "seesaw")
     da, db = r.da, r.db
-    bob = np.concatenate([
-        random_seesaw_starts(np.random.default_rng(seed), restarts, f.nx, da, f.ny, db),
-        np.array([[np.eye(db) * (b == 0) for b in bob_outputs]], dtype=np.complex128)])
+    rng = np.random.default_rng(seed)
+    n = restarts + 1
+    # consecutive groups whose sizes differ by at most 1, each within the budget
+    groups = -(-n // max(1, _GROUP_BYTES // (16 * max(f.nx * da * da, f.ny * db * db))))
+    finals, best = [], None
+    for g in range(groups):
+        first, size = len(finals), n // groups + (g < n % groups)
+        draws = min(size, restarts - first)
+        starts = [random_seesaw_starts(rng, draws, f.nx, da, f.ny, db)] if draws else []
+        if first + size == n:
+            starts.append(np.array([[np.eye(db) * (b == 0) for b in bob_outputs]],
+                                   dtype=np.complex128))
+        group_finals, top = _seesaw_group(r, f, np.concatenate(starts))
+        # a later group's restarts come later, so only a higher value wins
+        if best is None or top[0] > best[0]:
+            best = top
+        finals += group_finals.tolist()
+    value, alice, bob, history, converged, iterations = best
+    return SeesawResult(
+        value=value,
+        measurements=MeasurementFamily(np.stack([alice, np.eye(da) - alice], axis=1),
+                                       np.stack([bob, np.eye(db) - bob], axis=1)),
+        history=history,
+        restart_values=tuple(finals),
+        converged=converged,
+        iterations=iterations,
+    )
+
+
+def _seesaw_group(r, f: BellFunctional, bob: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Run the restarts that start from Bob's effects ``bob`` in lockstep.
+
+    Returns every restart's final value and, for the first restart reaching
+    the best of them, (value, alice, bob, history, converged, iterations):
+    its last projectors E_0, copied as it stops, and its per-half-step
+    values.  No other restart's projectors are kept.
+    """
     coeffs_bob = f.coeffs.transpose(1, 0, 3, 2)
     alice_times = functools.partial(r.times, transpose=True)
-
     n = len(bob)
     active = np.arange(n)
     prev = np.full(n, -math.inf)
     finals = np.empty(n)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    alice_out = np.empty((n, f.nx, da, da), dtype=np.complex128)
-    bob_out = np.empty_like(bob)
+    k, last = -1, None
     trail = []  # per sweep, both half-step values of every restart, NaN once it stopped
     for sweep in range(1, _MAX_SWEEPS + 1):
         alice, val_a = _best_response(alice_times, f.coeffs, bob)
@@ -434,22 +481,17 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -
         stop = done | (sweep == _MAX_SWEEPS)
         ids = active[stop]
         finals[ids], iterations[ids], converged[ids] = val_b[stop], sweep, done[stop]
-        alice_out[ids], bob_out[ids] = alice[stop], bob[stop]
+        if ids.size:
+            # the first stopping restart with their best value, against the best so far
+            j = np.flatnonzero(stop)[np.argmax(val_b[stop])]
+            i = active[j]
+            if k < 0 or finals[i] > finals[k] or (finals[i] == finals[k] and i < k):
+                k, last = i, (alice[j].copy(), bob[j].copy())
         active, prev, bob = active[~stop], val_b[~stop], bob[~stop]
         if not active.size:
             break
-
-    best = int(np.argmax(finals))
-    alice, bob = alice_out[best], bob_out[best]
-    return SeesawResult(
-        value=float(finals[best]),
-        measurements=MeasurementFamily(np.stack([alice, np.eye(da) - alice], axis=1),
-                                       np.stack([bob, np.eye(db) - bob], axis=1)),
-        history=tuple(np.array(trail)[:iterations[best], :, best].reshape(-1).tolist()),
-        restart_values=tuple(finals.tolist()),
-        converged=bool(converged[best]),
-        iterations=int(iterations[best]),
-    )
+    history = tuple(np.array(trail)[:iterations[k], :, k].reshape(-1).tolist())
+    return finals, (float(finals[k]), *last, history, bool(converged[k]), int(iterations[k]))
 
 
 @dataclass

@@ -37,15 +37,19 @@ it runs in the order it would on the dense matrix.  A matrix that is one
 component is a stack of one block, bit-identical to the dense call.
 rel_entropy cuts rho along sigma's blocks with the same _blocks.
 
-The realigned state that box_from and the seesaw multiply is kept the same
-way (_Realigned): the components of the graph that links row i and column j
-of R where R_ij is stored, found by the same _edge_components and cut by
-the same _blocks, one stack per block shape (block form, Saad ch. 3).  At
+A matrix that need not be hermitian or square is cut by _rect_blocks into
+the components of the graph that links row i and column j where entry
+(i, j) is stored, found by the same _edge_components and cut by the same
+_blocks, one stack per block shape (block form, Saad ch. 3).  The realigned
+state that box_from and the seesaw multiply is kept so (_Realigned).  At
 eq10 d_s = 16 that is one 32 x 32 block and 992 1 x 1 blocks where the dense
 R had 1,048,576 entries, and at prop1 m = 2 it is 729 blocks of 7 shapes up
 to 64 x 64, holding exactly its 46,656 nonzeros, where the dense R took
 268 MB; a dense state is one block, and its products are the dense GEMM bit
-for bit.
+for bit.  A non-hermitian trace_norm sums the singular values of the
+blocks, and _gram_roots roots M M+ and M+ M from the products of M's blocks,
+so ppt_pbit at d_s = 64 builds in about 15 ms, where the dense products
+took 129 s.
 """
 
 from __future__ import annotations
@@ -327,9 +331,8 @@ def _realigned(rho: CMatrix, op: str) -> _Realigned:
     """rho realigned as its blocks (see _Realigned); ``op`` names the caller in errors.
 
     R is one regrouping of rho's own factor axes, whatever their
-    interleaving, so its entries are rho's.  The components come from
-    _edge_components on the edge list of R's entries, rows 0..da^2-1 and
-    columns da^2 + j, and _blocks cuts each out dense, so no dense R is made.
+    interleaving, so its entries are rho's, and _rect_blocks cuts its blocks
+    out of them, so no dense R is made.
     """
     layout, axes_a, axes_b = _party_axes(rho, op)
     n = len(layout.factors)
@@ -339,8 +342,7 @@ def _realigned(rho: CMatrix, op: str) -> _Realigned:
     rows, cols = np.empty((2, len(pos)), dtype=np.int32)
     np.divmod(pos, nb, out=(rows, cols), casting="unsafe")
     del pos
-    label = _edge_components(na + nb, (rows, cols + na))
-    return _Realigned(_blocks(rho.vals, rows, cols, label[:na], label[na:]), da, db)
+    return _Realigned(_rect_blocks(rho.vals, rows, cols, na, nb), da, db)
 
 
 def tensor(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -479,6 +481,27 @@ def _blocks(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return [(idx_r, idx_c, buffer[span].reshape(shape)) for idx_r, idx_c, span, shape in sets]
 
 
+def _rect_blocks(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 n_rows: int, n_cols: int) -> list:
+    """An n_rows x n_cols matrix, given by its entries, cut into its dense blocks (_blocks' list).
+
+    Row i and column j are linked when entry (i, j) is stored, a signed zero
+    included; the components of that bipartite graph, found by
+    _edge_components on rows 0..n_rows-1 and columns n_rows + j, are the
+    blocks, since ordering the rows and the columns by component makes the
+    matrix block diagonal with rectangular blocks.  ``rows`` and ``cols`` are
+    int32.
+    """
+    label = _edge_components(n_rows + n_cols, (rows, cols + n_rows))
+    return _blocks(vals, rows, cols, label[:n_rows], label[n_rows:])
+
+
+def _entry_blocks(m: CMatrix) -> list:
+    """A square matrix cut into its rectangular blocks by _rect_blocks."""
+    rows, cols = (a.astype(np.int32) for a in m.coords())
+    return _rect_blocks(m.vals, rows, cols, m.dim, m.dim)
+
+
 def _block_eigh(data: CMatrix, pattern, vectors: bool = False):
     """All eigenvalues of a hermitian matrix, ascending, solved block by block.
 
@@ -512,11 +535,20 @@ def _block_eigh(data: CMatrix, pattern, vectors: bool = False):
 
 
 def trace_norm(m: CMatrix) -> float:
-    """Sum of singular values; for hermitian input the sum of |eigenvalues|."""
+    """Sum of singular values; for hermitian input the sum of |eigenvalues|.
+
+    A non-hermitian matrix is cut into its rectangular blocks (_entry_blocks),
+    whose singular values are the matrix's nonzero ones; each block is checked
+    against the dimension cap before its SVD.
+    """
     dev, pattern = _hermitian_pattern(_require_matrix(m, "trace_norm"), "trace_norm", math.inf)
     if dev <= TOL.assertion:
         return float(np.abs(_block_eigh(m, pattern)[0]).sum())
-    return float(np.linalg.svd(m.mat, compute_uv=False).sum())
+    total = 0.0
+    for _, _, stack in _entry_blocks(m):
+        check_dim(max(stack.shape[1:]), "trace_norm")
+        total += float(np.linalg.svd(stack, compute_uv=False).sum())
+    return total
 
 
 def op_norm(m: CMatrix) -> float:
@@ -544,15 +576,50 @@ def psd_sqrt(m: CMatrix) -> np.ndarray:
     ~3e-9 to every singular value sum downstream.  The root is dense.
     """
     check_dim(_require_matrix(m, "psd_sqrt").dim, "psd_sqrt")
+    # the roots first, so that the hermitian check's transients are freed before
+    # the dense root is made; V_b sqrt(w_b) V_b^dagger goes into block b of zeros
+    blocks = _root_blocks(m)
+    out = np.zeros(m.shape, dtype=np.complex128)
+    for idx, root in blocks:
+        out[idx[:, :, None], idx[:, None, :]] = root
+    return out
+
+
+def _root_blocks(m: CMatrix) -> list:
+    """psd_sqrt's root, one (idx, V_b sqrt(w_b) V_b^dagger) per _block_eigh group."""
     w, groups = _block_eigh(m, _hermitian_pattern(m, "psd_sqrt")[1], vectors=True)
     if float(w[0]) < -TOL.psd:
         raise ValidationError(f"psd_sqrt got a matrix with eigenvalue {w[0]:.3e}")
-    # V_b sqrt(w_b) V_b^dagger goes into block b of a zero matrix
-    out = np.zeros(m.shape, dtype=np.complex128)
+    out = []
     for idx, wb, vb in groups:
         root = np.sqrt(np.where(wb <= TOL.eig_floor, 0.0, wb))
-        out[idx[:, :, None], idx[:, None, :]] = (vb * root[:, None, :]) @ vb.conj().swapaxes(1, 2)
+        out.append((idx, (vb * root[:, None, :]) @ vb.conj().swapaxes(1, 2)))
     return out
+
+
+def _from_blocks(dim: int, blocks: list) -> CMatrix:
+    """The dim x dim matrix of square blocks, each (idx, stack) holding stack[k] at
+    the rows and columns idx[k], as its nonzeros."""
+    pos = [(idx[:, :, None] * dim + idx[:, None, :]).reshape(-1) for idx, _ in blocks]
+    vals = [stack.reshape(-1) for _, stack in blocks]
+    return CMatrix._make(dim, np.concatenate(pos), np.concatenate(vals, dtype=np.complex128), None)
+
+
+def _gram_roots(m: CMatrix) -> tuple[CMatrix, CMatrix]:
+    """sqrt(M M+) and sqrt(M+ M) as nonzeros, from the rectangular blocks of M.
+
+    Each block B of M (_entry_blocks) gives B B+ on its rows and B+ B on its
+    columns, and M M+ and M+ M are block diagonal with those products; each
+    is rooted as psd_sqrt roots it, floor included, and no dense matrix of
+    M's size is made.
+    """
+    left, right = [], []
+    for idx_r, idx_c, b in _entry_blocks(m):
+        b_h = b.conj().swapaxes(1, 2)
+        left.append((idx_r, b @ b_h))
+        right.append((idx_c, b_h @ b))
+    return tuple(_from_blocks(m.dim, _root_blocks(_from_blocks(m.dim, grams)))
+                 for grams in (left, right))
 
 
 def _density_eigs(data: CMatrix, what: str, trace_tol: float, psd_tol: float,

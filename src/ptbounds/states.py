@@ -3,9 +3,13 @@
 All bipartite outputs use the canonical factor order: every A factor first,
 then every B factor.  Key-plus-shield states come out as
 (key_A, shield_A, key_B, shield_B), so transposing party B in one layout
-operation covers the key and the shield together.  Each key block's
-nonzero entries are placed at their positions among the state's entries,
-and no dense key-by-shield matrix is built.
+operation covers the key and the shield together.  Each key block is a
+CMatrix whose nonzero entries are placed at their positions among the
+state's entries, so no dense key-by-shield matrix is built, and the key
+states build no dense block of the shield's size either: X and Y of
+fourier_xy come from their nonzeros, the corners sqrt(X X+) and
+sqrt(X+ X) from X's rectangular blocks, and the hiding shields' powers
+from tensor.  swap_x and werner_state are still built dense, at d^2 x d^2.
 
 Every state output is a density matrix by construction: a private bit is
 (1/2) [U; I] |X| [U+, I] with X = U |X| and ||X||_1 = 1 checked on input,
@@ -29,8 +33,9 @@ from .linalg import (
     SystemLayout,
     partial_transpose,
     permute_factors,
-    psd_sqrt,
+    tensor,
     trace_norm,
+    _gram_roots,
 )
 
 __all__ = [
@@ -128,15 +133,15 @@ def fourier_xy(d_s: int) -> tuple[CMatrix, CMatrix]:
     check_dim(d_s * d_s, "fourier_xy")
     jk = np.outer(np.arange(d_s), np.arange(d_s))
     u = np.exp(2j * np.pi * jk / d_s) / math.sqrt(d_s)
-    x = np.zeros((d_s * d_s, d_s * d_s), dtype=np.complex128)
-    x[np.arange(d_s * d_s), _swap_columns(d_s)] = (u / (d_s * math.sqrt(d_s))).reshape(-1)
+    n = d_s * d_s
     layout = SystemLayout.bipartite(d_s, d_s)
-    xm = CMatrix(x, layout)
-    ym = CMatrix(math.sqrt(d_s) * partial_transpose(xm).mat, layout)
-    return xm, ym
+    x = CMatrix._make(n, np.arange(n) * n + _swap_columns(d_s),
+                      (u / (d_s * math.sqrt(d_s))).reshape(-1), layout)
+    x_pt = partial_transpose(x)
+    return x, CMatrix._make(n, x_pt.pos, math.sqrt(d_s) * x_pt.vals, layout)
 
 
-def _key_shield_canonical(blocks: dict[tuple[int, int], np.ndarray],
+def _key_shield_canonical(blocks: dict[tuple[int, int], CMatrix],
                           shield_factors: tuple[tuple[int, str], ...]) -> CMatrix:
     """Assemble sum |r><c|_keys x block and reorder factors to A-then-B.
 
@@ -147,13 +152,12 @@ def _key_shield_canonical(blocks: dict[tuple[int, int], np.ndarray],
     their positions in the key-by-shield matrix, so no dense 4n x 4n array
     is built, and reordering the factors permutes their positions.
     """
-    n = next(iter(blocks.values())).shape[0]
+    n = next(iter(blocks.values())).dim
     pos, vals = [], []
     for (r, c), blk in blocks.items():
-        entries = CMatrix(blk)
-        i, j = entries.coords()
+        i, j = blk.coords()
         pos.append((r * n + i) * (4 * n) + c * n + j)
-        vals.append(entries.vals)
+        vals.append(blk.vals)
     layout = SystemLayout(((2, "A"), (2, "B")) + shield_factors)
     full = CMatrix._make(4 * n, np.concatenate(pos), np.concatenate(vals), layout)
     return permute_factors(full, layout.axes("A") + layout.axes("B"))
@@ -179,26 +183,24 @@ def private_bit(x: CMatrix) -> CMatrix:
     if abs(tn - 1.0) > TOL.assertion:
         raise ValidationError(f"private_bit needs ||X||_1 = 1, got {tn}")
     check_dim(4 * x.dim, "private_bit")
-    return _key_shield_canonical({key: blk / 2 for key, blk in _pbit_corners(x).items()},
-                                 x.layout.factors)
+    return _key_shield_canonical({key: CMatrix._make(blk.dim, blk.pos, blk.vals / 2, blk.layout)
+                                  for key, blk in _pbit_corners(x).items()}, x.layout.factors)
 
 
-def _pbit_corners(x: CMatrix) -> dict[tuple[int, int], np.ndarray]:
+def _pbit_corners(x: CMatrix) -> dict[tuple[int, int], CMatrix]:
     """A private bit's key blocks before the factor 1/2: sqrt(X X+), X, X+ and sqrt(X+ X).
 
-    X+ is built from X's nonzeros, conjugated and transposed, so it stores
-    no entry where X stores none (conj of the dense X would turn each +0.0
-    imaginary part into -0.0, an entry of its own).
+    The roots come from X's rectangular blocks (linalg._gram_roots), and X+
+    from X's nonzeros, conjugated and transposed, so it stores no entry where
+    X stores none; no dense matrix of X's size is made.
     """
-    arr = x.mat
     r, c = x.coords()
-    adj = np.zeros_like(arr)
-    adj[c, r] = x.vals.conj()
-    return {(0, 0): psd_sqrt(CMatrix(arr @ arr.conj().T)), (0, 3): arr,
-            (3, 0): adj, (3, 3): psd_sqrt(CMatrix(arr.conj().T @ arr))}
+    left, right = _gram_roots(x)
+    adj = CMatrix._make(x.dim, c * x.dim + r, x.vals.conj(), None)
+    return {(0, 0): left, (0, 3): x, (3, 0): adj, (3, 3): right}
 
 
-def _key_family(blocks: dict[tuple[int, int], np.ndarray],
+def _key_family(blocks: dict[tuple[int, int], CMatrix],
                 shield_factors: tuple[tuple[int, str], ...], params: dict,
                 notes: str) -> StateFamilyResult:
     """The key-plus-shield state of ``blocks`` and its companion: the key-diagonal
@@ -223,10 +225,11 @@ def ppt_pbit(d_s: int) -> StateFamilyResult:
     x, y = fourier_xy(d_s)
     check_dim(4 * d_s * d_s, "ppt_pbit")
     p = 1.0 / (math.sqrt(d_s) + 1.0)
-    blocks = {key: (1 - p) * blk / 2 for key, blk in _pbit_corners(x).items()}
-    y_corners = _pbit_corners(y)
-    blocks[1, 1] = (p / 2) * y_corners[0, 0]
-    blocks[2, 2] = (p / 2) * y_corners[3, 3]
+    blocks = {key: CMatrix._make(blk.dim, blk.pos, (1 - p) * blk.vals / 2, blk.layout)
+              for key, blk in _pbit_corners(x).items()}
+    y_left, y_right = _gram_roots(y)
+    blocks[1, 1] = CMatrix._make(y_left.dim, y_left.pos, (p / 2) * y_left.vals, y_left.layout)
+    blocks[2, 2] = CMatrix._make(y_right.dim, y_right.pos, (p / 2) * y_right.vals, y_right.layout)
     params = {
         "d_s": d_s,
         "p": p,
@@ -235,10 +238,6 @@ def ppt_pbit(d_s: int) -> StateFamilyResult:
     }
     return _key_family(blocks, x.layout.factors, params,
                        "PPT-padded private bit; companion zeroes the key corners")
-
-
-def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
-    return reduce(np.kron, [m] * n)
 
 
 def hiding_state(m: int = 1, d_shield: int = 2, q: float = 1.0 / 3.0) -> StateFamilyResult:
@@ -276,17 +275,20 @@ def hiding_state(m: int = 1, d_shield: int = 2, q: float = 1.0 / 3.0) -> StateFa
     check_dim(4 * d_shield ** min(2 * m, 64), "hiding_state")  # exact below 2**64
     tau2 = werner_state(d_shield, "symmetric").mat
     tau1 = (werner_state(d_shield, "antisymmetric").mat + tau2) / 2.0
-    corner = _tensor_power(q * (tau1 - tau2) / 2.0, m)
-    outer = _tensor_power(q * (tau1 + tau2) / 2.0, m)
-    middle = _tensor_power((0.5 - q) * tau2, m)
     norm = 2.0 * q**m + 2.0 * (0.5 - q) ** m
+    # tensor pairs the factors' nonzeros, so a power stores no entry where np.kron
+    # of the dense factors would write -0.0
+    powers = [reduce(tensor, [CMatrix(factor)] * m)
+              for factor in (q * (tau1 - tau2) / 2.0, q * (tau1 + tau2) / 2.0, (0.5 - q) * tau2)]
+    corner, outer, middle = (CMatrix._make(power.dim, power.pos, power.vals / norm, power.layout)
+                             for power in powers)
     blocks = {
-        (0, 0): outer / norm,
-        (3, 3): outer / norm,
-        (0, 3): corner / norm,
-        (3, 0): corner / norm,
-        (1, 1): middle / norm,
-        (2, 2): middle / norm,
+        (0, 0): outer,
+        (3, 3): outer,
+        (0, 3): corner,
+        (3, 0): corner,
+        (1, 1): middle,
+        (2, 2): middle,
     }
     shield_factors = ((d_shield, "A"), (d_shield, "B")) * m
     params = {

@@ -725,6 +725,58 @@ def test_seesaw_deterministic_restart_reaches_the_classical_value(chsh_functiona
     assert res.value >= classical_value(chsh_functional) - 1e-9
 
 
+def seesaw_bits(res):
+    """Every field of a SeesawResult as bytes, the measurements' entries included."""
+    floats = [res.value, res.iterations, res.converged, *res.history, *res.restart_values]
+    return (len(res.history), np.array(floats, dtype=np.float64).tobytes(),
+            res.measurements.alice.tobytes(), res.measurements.bob.tobytes())
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["eq8 d=3", "eq10 ds=4", "prop1 m=1"])
+def test_seesaw_restart_groups_give_the_one_group_result_bit_for_bit(monkeypatch, name, seed,
+                                                                    chsh_functional):
+    # the budget forces groups of 1 and of 3 (3, 3, 2) on the 8 restarts, the
+    # deterministic one last, where the default budget runs them as one group;
+    # each group draws its starts from the one generator, in order.  The values
+    # agree to rounding on any BLAS; the byte pin checks that the BLAS in use
+    # rounds a row of a product the same whatever the product's row count,
+    # which OpenBLAS 0.3.31 does and BLAS in general does not promise
+    rho = SHIPPED_STATES[name]()
+    r = _realigned(rho, "seesaw")
+    per_restart = 16 * 2 * max(r.da, r.db) ** 2  # CHSH: two inputs a side
+    assert 8 * per_restart <= bell_module._GROUP_BYTES
+    sizes, run_group = [], bell_module._seesaw_group
+    monkeypatch.setattr(bell_module, "_seesaw_group",
+                        lambda r, f, bob: sizes.append(len(bob)) or run_group(r, f, bob))
+    one = seesaw(rho, chsh_functional, restarts=7, seed=seed)
+    for budget, expected in ((per_restart, [1] * 8), (3 * per_restart, [3, 3, 2])):
+        sizes.clear()
+        monkeypatch.setattr(bell_module, "_GROUP_BYTES", budget)
+        grouped = seesaw(rho, chsh_functional, restarts=7, seed=seed)
+        assert sizes == expected
+        assert np.allclose(grouped.restart_values, one.restart_values, rtol=0.0, atol=1e-12)
+        assert abs(grouped.value - one.value) <= 1e-12
+        assert seesaw_bits(grouped) == seesaw_bits(one)
+
+
+@pytest.mark.parametrize("budget", [bell_module._GROUP_BYTES, 1], ids=["one group", "groups of 1"])
+def test_seesaw_tie_goes_to_the_first_restart_reaching_the_best_value(monkeypatch, budget,
+                                                                     chsh_functional):
+    # at this seed restart 0 and a later restart end at the same best value
+    # after 11 and 14 sweeps, in one group or in groups of their own; restart
+    # 0 run with only the deterministic restart after it (its starts are
+    # drawn first either way) gives the reported history
+    rho = SHIPPED_STATES["eq8 d=3"]()
+    alone = seesaw(rho, chsh_functional, restarts=1, seed=2)
+    monkeypatch.setattr(bell_module, "_GROUP_BYTES", budget)
+    res = seesaw(rho, chsh_functional, restarts=7, seed=2)
+    assert res.restart_values.count(res.value) > 1
+    assert res.restart_values.index(res.value) == 0
+    assert alone.restart_values[0] == alone.value == res.value
+    assert (alone.history, alone.iterations) == (res.history, res.iterations)
+
+
 def test_seesaw_rejects_fewer_than_one_restart(phi_plus, chsh_functional):
     with pytest.raises(ValidationError, match="^seesaw needs at least one restart$"):
         seesaw(phi_plus, chsh_functional, restarts=0)

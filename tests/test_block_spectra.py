@@ -17,7 +17,9 @@ import pytest
 
 from ptbounds import (
     CMatrix,
+    DimensionCapError,
     assert_density,
+    fourier_xy,
     hiding_state,
     min_eigenvalue,
     op_norm,
@@ -30,7 +32,7 @@ from ptbounds import (
     trace_norm,
 )
 from ptbounds.config import TOL
-from ptbounds.linalg import _block_eigh, _edge_components, _hermitian_pattern
+from ptbounds.linalg import _block_eigh, _edge_components, _hermitian_pattern, _rect_blocks
 
 from conftest import (
     bfs_components,
@@ -39,6 +41,7 @@ from conftest import (
     dense_psd_sqrt,
     dense_rel_entropy,
     dense_spectral,
+    dense_trace_norm,
     eigvals_of,
     random_density,
     random_hermitian,
@@ -367,3 +370,69 @@ def test_ppt_pbit_16_components_match_breadth_first_search():
     rg = partial_transpose(rho).mat
     for a in (rho.mat, rg, rg - partial_transpose(sigma).mat):
         assert_components_match_bfs(a)
+
+
+def rectangular_blocks(rng, n):
+    """A non-hermitian n x n matrix of exact zeros but for rectangular blocks of
+    random shapes on random rows and columns; some rows and columns hold no entry."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    r = c = 0
+    while r < n - 4 and c < n - 4:
+        nr, nc = rng.integers(1, 5, size=2)
+        out[np.ix_(rows[r:r + nr], cols[c:c + nc])] = (rng.normal(size=(nr, nc))
+                                                       + 1j * rng.normal(size=(nr, nc)))
+        r, c = r + nr, c + nc
+    return out
+
+
+def entries_of(a):
+    """The values, int32 rows and int32 columns of a dense matrix's stored entries."""
+    m = CMatrix(a)
+    rows, cols = np.divmod(m.pos, a.shape[1])
+    return m.vals, rows.astype(np.int32), cols.astype(np.int32)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_non_hermitian_trace_norm_sums_the_singular_values_of_its_blocks(seed):
+    # the blocks' singular values are the matrix's nonzero ones, summed in
+    # another order than the dense SVD's
+    a = rectangular_blocks(np.random.default_rng(seed), 40)
+    assert len(_rect_blocks(*entries_of(a), 40, 40)) > 1
+    expected = dense_trace_norm(a)
+    assert abs(trace_norm(CMatrix(a)) - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("ds", [4, 9, 16])
+def test_fourier_trace_norms_match_the_dense_svd(ds):
+    # X is ds^2 blocks of 1 x 1 and X^Gamma one ds x ds block, whose singular
+    # values trace_norm sums; at ds = 4 and 9 that sum is 1/sqrt(ds) correctly
+    # rounded, so ppt_pbit's recorded ||X^Gamma||_1 is, whatever the BLAS
+    # thread count, while the bits of the dense SVD's sum over all ds^2
+    # singular values depend on it (at ds = 9, one ulp above 1/3 on two threads)
+    x = fourier_xy(ds)[0]
+    for m, norm in ((x, 1.0), (partial_transpose(x), 1.0 / math.sqrt(ds))):
+        value, expected = trace_norm(m), dense_trace_norm(m.mat)
+        assert abs(value - expected) <= 1e-15
+        assert abs(value - norm) <= 1e-15
+    x_pt = partial_transpose(x)
+    a = x_pt.mat
+    block = a[np.ix_(np.flatnonzero(a.any(axis=1)), np.flatnonzero(a.any(axis=0)))]
+    assert block.shape == (ds, ds)
+    assert bits(trace_norm(x_pt)) == bits(float(np.linalg.svd(block, compute_uv=False).sum()))
+    if ds < 16:
+        assert trace_norm(x_pt) == 1.0 / math.sqrt(ds)
+
+
+def test_dense_non_hermitian_trace_norm_is_one_svd_under_the_cap(monkeypatch):
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+    assert bits(trace_norm(CMatrix(a))) == bits(dense_trace_norm(a))
+    # its one block is checked against the cap before the SVD; two blocks of
+    # 10 x 10 each are not above it
+    monkeypatch.setenv("PTBOUND_DIM_CAP", "19")
+    with pytest.raises(DimensionCapError, match="^trace_norm needs dimension 20, above the cap 19"):
+        trace_norm(CMatrix(a))
+    a[:10, 10:] = a[10:, :10] = 0.0
+    assert abs(trace_norm(CMatrix(a)) - dense_trace_norm(a)) <= 1e-12 * dense_trace_norm(a)
+

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from functools import partial, reduce
 
 import numpy as np
@@ -152,6 +153,19 @@ def test_ppt_pbit_structure(ds):
     assert dist <= 1.0 / root + 1e-9
     # the corners carry exactly (1 - p)/2 each of transposed weight
     assert dist == pytest.approx(1.0 / (root + 1.0), abs=1e-9)
+
+
+def test_ppt_pbit_64_builds_from_its_nonzeros_under_a_raised_cap(monkeypatch):
+    # dimension 16,384: no matrix of the shield's size is dense, so the build
+    # takes milliseconds (129 s and 2.87 GB when X, X X+ and X+ X were dense)
+    with pytest.raises(DimensionCapError):
+        ppt_pbit(64)
+    monkeypatch.setenv("PTBOUND_DIM_CAP", "20000")
+    start = time.perf_counter()
+    fam = ppt_pbit(64)
+    assert time.perf_counter() - start < 1.0
+    assert abs(fam.params["x_pt_trace_norm"] - 1.0 / 8.0) <= 1e-12
+    assert abs(d_eps_membership(fam.rho, fam.sigma_candidate) - 1.0 / 9.0) <= 1e-12
 
 
 def test_ppt_pbit_candidate_is_ppt():
