@@ -46,10 +46,10 @@ eq10 d_s = 16 that is one 32 x 32 block and 992 1 x 1 blocks where the dense
 R had 1,048,576 entries, and at prop1 m = 2 it is 729 blocks of 7 shapes up
 to 64 x 64, holding exactly its 46,656 nonzeros, where the dense R took
 268 MB; a dense state is one block, and its products are the dense GEMM bit
-for bit.  A non-hermitian trace_norm sums the singular values of the
-blocks, and _gram_roots roots M M+ and M+ M from the products of M's blocks,
-so ppt_pbit at d_s = 64 builds in about 15 ms, where the dense products
-took 129 s.
+for bit.  spectral_norm and a non-hermitian trace_norm read the singular
+values of these blocks (_singular_values), and _gram_roots roots each
+block's B B+ and B+ B with psd_sqrt's kernel _root, cutting nothing twice,
+so ppt_pbit at d_s = 64 builds in about 15 ms (129 s with dense products).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from typing import Sequence
 
@@ -534,21 +535,20 @@ def _block_eigh(data: CMatrix, pattern, vectors: bool = False):
     return w, (groups if vectors else None)
 
 
-def trace_norm(m: CMatrix) -> float:
-    """Sum of singular values; for hermitian input the sum of |eigenvalues|.
+def _singular_values(m: CMatrix, op: str):
+    """m's nonzero singular values per block shape of _entry_blocks; check_dim(block, op) first."""
+    for _, _, stack in _entry_blocks(m):
+        check_dim(max(stack.shape[1:]), op)
+        yield np.linalg.svd(stack, compute_uv=False)
 
-    A non-hermitian matrix is cut into its rectangular blocks (_entry_blocks),
-    whose singular values are the matrix's nonzero ones; each block is checked
-    against the dimension cap before its SVD.
-    """
+
+def trace_norm(m: CMatrix) -> float:
+    """Sum of singular values: |eigenvalues| if hermitian, else those of _singular_values."""
     dev, pattern = _hermitian_pattern(_require_matrix(m, "trace_norm"), "trace_norm", math.inf)
     if dev <= TOL.assertion:
         return float(np.abs(_block_eigh(m, pattern)[0]).sum())
-    total = 0.0
-    for _, _, stack in _entry_blocks(m):
-        check_dim(max(stack.shape[1:]), "trace_norm")
-        total += float(np.linalg.svd(stack, compute_uv=False).sum())
-    return total
+    # added in block order on every Python: 3.12's sum() would compensate
+    return reduce(operator.add, (float(s.sum()) for s in _singular_values(m, "trace_norm")), 0.0)
 
 
 def op_norm(m: CMatrix) -> float:
@@ -564,8 +564,15 @@ def min_eigenvalue(m: CMatrix) -> float:
 
 
 def spectral_norm(m: CMatrix) -> float:
-    """Largest singular value, valid for arbitrary (e.g. filter) operators."""
-    return float(np.linalg.svd(_require_matrix(m, "spectral_norm").mat, compute_uv=False).max())
+    """Largest singular value of any finite (e.g. filter) operator: its blocks' largest."""
+    _hermitian_pattern(_require_matrix(m, "spectral_norm"), "spectral_norm", math.inf)
+    return max((float(s.max()) for s in _singular_values(m, "spectral_norm")), default=0.0)
+
+
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V sqrt(w) V+ of stacked eigendecompositions (w, V), w <= TOL.eig_floor read as 0."""
+    root = np.sqrt(np.where(w <= TOL.eig_floor, 0.0, w))
+    return (v * root[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
 def psd_sqrt(m: CMatrix) -> np.ndarray:
@@ -576,24 +583,15 @@ def psd_sqrt(m: CMatrix) -> np.ndarray:
     ~3e-9 to every singular value sum downstream.  The root is dense.
     """
     check_dim(_require_matrix(m, "psd_sqrt").dim, "psd_sqrt")
-    # the roots first, so that the hermitian check's transients are freed before
-    # the dense root is made; V_b sqrt(w_b) V_b^dagger goes into block b of zeros
-    blocks = _root_blocks(m)
-    out = np.zeros(m.shape, dtype=np.complex128)
-    for idx, root in blocks:
-        out[idx[:, :, None], idx[:, None, :]] = root
-    return out
-
-
-def _root_blocks(m: CMatrix) -> list:
-    """psd_sqrt's root, one (idx, V_b sqrt(w_b) V_b^dagger) per _block_eigh group."""
     w, groups = _block_eigh(m, _hermitian_pattern(m, "psd_sqrt")[1], vectors=True)
     if float(w[0]) < -TOL.psd:
         raise ValidationError(f"psd_sqrt got a matrix with eigenvalue {w[0]:.3e}")
-    out = []
-    for idx, wb, vb in groups:
-        root = np.sqrt(np.where(wb <= TOL.eig_floor, 0.0, wb))
-        out.append((idx, (vb * root[:, None, :]) @ vb.conj().swapaxes(1, 2)))
+    # the roots first, so that the eigenvectors are freed before the dense root
+    # is made; V_b sqrt(w_b) V_b^dagger goes into block b of zeros
+    groups = [(idx, _root(wb, vb)) for idx, wb, vb in groups]
+    out = np.zeros(m.shape, dtype=np.complex128)
+    for idx, root in groups:
+        out[idx[:, :, None], idx[:, None, :]] = root
     return out
 
 
@@ -609,17 +607,16 @@ def _gram_roots(m: CMatrix) -> tuple[CMatrix, CMatrix]:
     """sqrt(M M+) and sqrt(M+ M) as nonzeros, from the rectangular blocks of M.
 
     Each block B of M (_entry_blocks) gives B B+ on its rows and B+ B on its
-    columns, and M M+ and M+ M are block diagonal with those products; each
-    is rooted as psd_sqrt roots it, floor included, and no dense matrix of
-    M's size is made.
+    columns, and M M+ and M+ M are block diagonal with those products; one
+    eigh per block shape diagonalises them, and _root roots them as psd_sqrt
+    roots its blocks, floor included.  No dense matrix of M's size is made.
     """
     left, right = [], []
     for idx_r, idx_c, b in _entry_blocks(m):
         b_h = b.conj().swapaxes(1, 2)
-        left.append((idx_r, b @ b_h))
-        right.append((idx_c, b_h @ b))
-    return tuple(_from_blocks(m.dim, _root_blocks(_from_blocks(m.dim, grams)))
-                 for grams in (left, right))
+        left.append((idx_r, _root(*np.linalg.eigh(b @ b_h))))
+        right.append((idx_c, _root(*np.linalg.eigh(b_h @ b))))
+    return _from_blocks(m.dim, left), _from_blocks(m.dim, right)
 
 
 def _density_eigs(data: CMatrix, what: str, trace_tol: float, psd_tol: float,

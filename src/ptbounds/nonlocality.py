@@ -125,7 +125,9 @@ class NlResult:
     upper bound on how far the inner objective is above its infimum, so
     value - gap <= N <= upper for the N of the mode (at uniform inputs in
     mode="uniform", where upper = value).  ``converged`` is
-    upper - (value - gap) <= TOL.fw_gap, in mode="uniform" gap <= TOL.fw_gap.
+    upper - (value - gap) <= TOL.fw_gap, in mode="uniform" gap <= TOL.fw_gap,
+    and false if value is not finite: N <= KL(P || uniform) < inf, so an
+    infinite value (a subnormal entry below _LOG_CLAMP) is a failed solve.
     """
 
     value: float
@@ -367,7 +369,7 @@ def nonlocality_N(box: Box, mode: str = "uniform", restarts: int = 1) -> NlResul
 
     if mode == "uniform":
         value, _, w, gap, iters = solve(p, polytope.start)
-        return NlResult(value, w, p, gap <= TOL.fw_gap, iters, gap, value)
+        return NlResult(value, w, p, gap <= TOL.fw_gap and math.isfinite(value), iters, gap, value)
 
     w, lower, upper = polytope.start, -math.inf, math.inf
     for t in range(_OUTER_STEPS):

@@ -28,6 +28,7 @@ from ptbounds import (
     private_bit,
     psd_sqrt,
     rel_entropy,
+    spectral_norm,
     swap_x,
     trace_norm,
 )
@@ -396,11 +397,13 @@ def entries_of(a):
 @pytest.mark.parametrize("seed", range(6))
 def test_non_hermitian_trace_norm_sums_the_singular_values_of_its_blocks(seed):
     # the blocks' singular values are the matrix's nonzero ones, summed in
-    # another order than the dense SVD's
+    # another order than the dense SVD's; their maximum is spectral_norm
     a = rectangular_blocks(np.random.default_rng(seed), 40)
     assert len(_rect_blocks(*entries_of(a), 40, 40)) > 1
     expected = dense_trace_norm(a)
     assert abs(trace_norm(CMatrix(a)) - expected) <= 1e-13 * expected
+    largest = float(np.linalg.svd(a, compute_uv=False).max())
+    assert abs(spectral_norm(CMatrix(a)) - largest) <= 1e-13 * largest
 
 
 @pytest.mark.parametrize("ds", [4, 9, 16])
@@ -428,11 +431,16 @@ def test_dense_non_hermitian_trace_norm_is_one_svd_under_the_cap(monkeypatch):
     rng = np.random.default_rng(4)
     a = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
     assert bits(trace_norm(CMatrix(a))) == bits(dense_trace_norm(a))
+    largest = float(np.linalg.svd(a, compute_uv=False).max())
+    assert bits(spectral_norm(CMatrix(a))) == bits(largest)
     # its one block is checked against the cap before the SVD; two blocks of
     # 10 x 10 each are not above it
     monkeypatch.setenv("PTBOUND_DIM_CAP", "19")
-    with pytest.raises(DimensionCapError, match="^trace_norm needs dimension 20, above the cap 19"):
-        trace_norm(CMatrix(a))
+    for fn, name in ((trace_norm, "trace_norm"), (spectral_norm, "spectral_norm")):
+        with pytest.raises(DimensionCapError, match=f"^{name} needs dimension 20, above the cap 19"):
+            fn(CMatrix(a))
     a[:10, 10:] = a[10:, :10] = 0.0
     assert abs(trace_norm(CMatrix(a)) - dense_trace_norm(a)) <= 1e-12 * dense_trace_norm(a)
+    largest = float(np.linalg.svd(a, compute_uv=False).max())
+    assert abs(spectral_norm(CMatrix(a)) - largest) <= 1e-12 * largest
 

@@ -178,20 +178,22 @@ _SPECTRAL = [
     (lambda m: rel_entropy(m, CMatrix(np.eye(4) / 4)), "rel_entropy rho"),
     (lambda m: rel_entropy(CMatrix(np.eye(4) / 4), m), "rel_entropy sigma"),
     (trace_norm, "trace_norm"),
+    (spectral_norm, "spectral_norm"),
 ]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("func, what", _SPECTRAL, ids=[
     "min_eigenvalue", "op_norm", "psd_sqrt", "assert_density", "rel_entropy_rho",
-    "rel_entropy_sigma", "trace_norm"])
+    "rel_entropy_sigma", "trace_norm", "spectral_norm"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)],
                          ids=["nan", "inf", "-inf", "inf_imag"])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
 def test_spectral_functions_refuse_non_finite_entries(func, what, bad, where):
     # a NaN deviation passed "dev > tol": min_eigenvalue returned 0.25, op_norm
     # and rel_entropy nan, psd_sqrt and assert_density arrays with NaN, and
-    # trace_norm raised numpy's "SVD did not converge"
+    # trace_norm raised numpy's "SVD did not converge"; spectral_norm raised
+    # that on NaN and returned nan on an infinite entry
     arr = np.eye(4, dtype=np.complex128) / 4
     arr[where] = bad
     # the density checks read the trace only after the finiteness check

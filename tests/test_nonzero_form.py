@@ -161,23 +161,52 @@ def test_key_families_match_the_dense_assembly(monkeypatch, family, k, q):
         assert bits(sigma) == bits(companion)
 
 
+def sparse_blocks(rng, n):
+    """An n x n matrix of random complex blocks of 1 to 4 rows and columns, on
+    permuted rows and columns, so that it has several rectangular blocks."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    r = c = 0
+    while r < n - 4 and c < n - 4:
+        nr, nc = rng.integers(1, 5, size=2)
+        out[np.ix_(rows[r:r + nr], cols[c:c + nc])] = (rng.normal(size=(nr, nc))
+                                                       + 1j * rng.normal(size=(nr, nc)))
+        r, c = r + nr, c + nc
+    return out
+
+
 def corner_operator(family, k):
     if family == "swap":
         return states.swap_x(k)
+    if family == "hadamard":
+        # Hadamard blocks of +-1 and +-1j: every product is exact, so the Grams
+        # are exactly diagonal, each a multiple of the identity on its block
+        h2 = np.array([[1, 1], [1, -1]])
+        x = np.zeros((16, 16), dtype=np.complex128)
+        x[np.ix_([0, 2, 5, 9], [1, 4, 8, 15])] = np.kron(h2, h2)
+        x[np.ix_([3, 12], [6, 11])] = 1j * h2
+        x[7, 0] = -1.0
+        return CMatrix(x)
+    if family == "random":
+        return CMatrix(sparse_blocks(np.random.default_rng(k), 16))
     x, y = states.fourier_xy(k)
     return x if family == "fourier-x" else y
 
 
 @pytest.mark.parametrize("family, k", [(f, ds) for f in ("fourier-x", "fourier-y")
                                        for ds in (4, 9, 16)]
-                         + [("swap", d) for d in (2, 3, 4, 8)])
+                         + [("swap", d) for d in (2, 3, 4, 8)]
+                         + [("hadamard", 0)] + [("random", seed) for seed in range(5)])
 def test_private_bit_corners_match_the_dense_oracle(family, k):
     # the key blocks of private_bit and ppt_pbit: sqrt(X X+), X, X+ and
     # sqrt(X+ X), the roots from the breadth-first blocks of the dense
     # products, floored; X+ holds the conjugates of X's stored entries and
     # +0.0 elsewhere.  The library forms the products block by block, so they
     # are bit-exact except at fourier-y ds=16, whose one 16 x 16 block is
-    # summed in another order inside the 256 x 256 product
+    # summed in another order inside the 256 x 256 product, and on the random
+    # blocks, whose products the dense oracle also sums in another order.  The
+    # Hadamard blocks' Grams are exactly diagonal: the breadth-first search
+    # splits them into 1 x 1 blocks, and the library roots them whole
     x = corner_operator(family, k)
     arr = x.mat
     stored = (np.ascontiguousarray(arr).view(np.uint64).reshape(*arr.shape, 2) != 0).any(axis=2)
@@ -190,6 +219,8 @@ def test_private_bit_corners_match_the_dense_oracle(family, k):
         assert isinstance(corners[key], CMatrix)
         if (family, k) == ("fourier-y", 16) and key in ((0, 0), (3, 3)):
             assert np.abs(corners[key].mat - block).max() <= 1e-15, key
+        elif family == "random" and key in ((0, 0), (3, 3)):
+            assert np.abs(corners[key].mat - block).max() <= 1e-14, key
         else:
             assert bits(corners[key]) == bits(block), key
 
