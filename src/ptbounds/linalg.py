@@ -35,7 +35,8 @@ An isolated index contributes its diagonal entry, an exact 0 where no
 entry is stored, so the spectrum always has dim values and every sum over
 it runs in the order it would on the dense matrix.  A matrix that is one
 component is a stack of one block, bit-identical to the dense call.
-rel_entropy cuts rho along sigma's blocks with the same _blocks.
+rel_entropy cuts rho on each of sigma's index sets with _values_at, the one
+reader of a matrix at given positions, so sigma's partition is sorted once.
 
 A matrix that need not be hermitian or square is cut by _rect_blocks into
 the components of the graph that links row i and column j where entry
@@ -202,16 +203,18 @@ class CMatrix:
         """Row and column of each entry."""
         return np.divmod(self.pos, self.dim)
 
-    def diagonal(self) -> np.ndarray:
-        """The dense diagonal, so that its sum runs as np.trace's does."""
-        r, c = self.coords()
-        out = np.zeros(self.dim, dtype=np.complex128)
-        out[r[r == c]] = self.vals[r == c]
-        return out
-
     def __repr__(self):
         lay = "" if self.layout is None else f", factors={self.layout.factors}"
         return f"CMatrix(dim={self.dim}{lay})"
+
+
+def _values_at(m: CMatrix, pos: np.ndarray) -> np.ndarray:
+    """m's values at the flat positions ``pos`` (any shape), +0.0 where m stores none:
+    bit for bit m.mat.reshape(-1)[pos], looked up among m.pos, with no dense array."""
+    if not m.pos.size:
+        return np.zeros(np.shape(pos), dtype=np.complex128)
+    at = np.searchsorted(m.pos, pos).clip(max=len(m.pos) - 1)
+    return np.where(m.pos[at] == pos, m.vals[at], 0.0)
 
 
 def _require_matrix(m, op: str) -> CMatrix:
@@ -383,9 +386,7 @@ def _hermitian_pattern(data: CMatrix, what: str, tol: float = TOL.assertion):
     entries != 0, as int32.
     """
     r, c = data.coords()
-    mirror = c * data.dim + r
-    at = np.searchsorted(data.pos, mirror).clip(max=max(len(mirror) - 1, 0))
-    partner = np.where(data.pos[at] == mirror, data.vals[at], 0.0)
+    partner = _values_at(data, c * data.dim + r)
     with np.errstate(invalid="ignore"):
         diff = data.vals - partner.conj()
     dev = float(np.abs(diff).max()) if diff.size else 0.0
@@ -628,7 +629,7 @@ def _density_eigs(data: CMatrix, what: str, trace_tol: float, psd_tol: float,
     spectrum anyway pay for it only once.
     """
     _, pattern = _hermitian_pattern(data, what)
-    tr = complex(data.diagonal().sum())
+    tr = complex(_values_at(data, np.arange(data.dim) * (data.dim + 1)).sum())
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(f"{what} must have unit trace, got {tr}")
     w, groups = _block_eigh(data, pattern, vectors)
@@ -664,10 +665,8 @@ def rel_entropy(rho: CMatrix, sigma: CMatrix) -> float:
     # log sigma and K are block diagonal with sigma, so Tr(rho log sigma) and
     # Tr(rho K) sum over sigma's blocks b of the same traces on rho_bb
     overlap, term_cross = 0.0, 0.0
-    label = np.empty(s.dim, dtype=np.int32)
-    for idx, _, _ in groups:
-        label[idx] = idx[:, :1]
-    for (_, ws, vs), (_, _, rho_b) in zip(groups, _blocks(r.vals, *r.coords(), label, label)):
+    for idx, ws, vs in groups:
+        rho_b = _values_at(r, idx[:, :, None] * r.dim + idx[:, None, :])
         weights = np.einsum("kji,kjl,kli->ki", vs.conj(), rho_b, vs).real
         kernel = ws <= TOL.eig_floor
         overlap += float(weights[kernel].sum())

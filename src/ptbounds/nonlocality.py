@@ -127,7 +127,7 @@ class NlResult:
     mode="uniform", where upper = value).  ``converged`` is
     upper - (value - gap) <= TOL.fw_gap, in mode="uniform" gap <= TOL.fw_gap,
     and false if value is not finite: N <= KL(P || uniform) < inf, so an
-    infinite value (a subnormal entry below _LOG_CLAMP) is a failed solve.
+    infinite value is a failed solve.
     """
 
     value: float
@@ -354,8 +354,9 @@ def nonlocality_N(box: Box, mode: str = "uniform", restarts: int = 1) -> NlResul
     if restarts < 1:
         raise ValidationError(f"restarts must be at least 1, got {restarts}")
     polytope = LocalPolytope.for_scenario(box.nx, box.ny, box.na, box.nb)
-    pg = box.p.reshape(-1)
-    rows = box.p.reshape(box.nx * box.ny, -1)
+    # an entry below _LOG_CLAMP, which the clamped solve could empty (N = inf), reads as 0
+    pg = np.where(box.p < _LOG_CLAMP, 0.0, box.p).reshape(-1)
+    rows = pg.reshape(box.nx * box.ny, -1)
     p = np.full(rows.shape[0], 1.0 / rows.shape[0])
 
     def solve(p_xy, w0):

@@ -3,13 +3,13 @@
 All bipartite outputs use the canonical factor order: every A factor first,
 then every B factor.  Key-plus-shield states come out as
 (key_A, shield_A, key_B, shield_B), so transposing party B in one layout
-operation covers the key and the shield together.  Each key block is a
-CMatrix whose nonzero entries are placed at their positions among the
-state's entries, so no dense key-by-shield matrix is built, and the key
-states build no dense block of the shield's size either: X and Y of
-fourier_xy come from their nonzeros, the corners sqrt(X X+) and
-sqrt(X+ X) from X's rectangular blocks, and the hiding shields' powers
-from tensor.  swap_x and werner_state are still built dense, at d^2 x d^2.
+operation covers the key and the shield together.  No builder fills a
+dense array: swap_x, werner_state and max_entangled compute each stored
+value from its entries, and each key block is a CMatrix whose entries are
+placed at their positions among the state's, with no dense block of the
+shield's size: X and Y of fourier_xy come from their nonzeros, the
+corners sqrt(X X+) and sqrt(X+ X) from X's rectangular blocks, and the
+hiding shields from the Werner states' entries, their powers from tensor.
 
 Every state output is a density matrix by construction: a private bit is
 (1/2) [U; I] |X| [U+, I] with X = U |X| and ||X||_1 = 1 checked on input,
@@ -36,6 +36,7 @@ from .linalg import (
     tensor,
     trace_norm,
     _gram_roots,
+    _values_at,
 )
 
 __all__ = [
@@ -71,20 +72,14 @@ def max_entangled(d: int) -> CMatrix:
     if d < 2:
         raise ValidationError("max_entangled needs d >= 2")
     check_dim(d * d, "max_entangled")
-    v = np.zeros(d * d, dtype=np.complex128)
-    v[:: d + 1] = 1.0 / math.sqrt(d)
-    return CMatrix(np.outer(v, v.conj()), SystemLayout.bipartite(d, d))
+    ii, v = np.arange(d) * (d + 1), np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128)
+    return CMatrix._make(d * d, (ii[:, None] * d * d + ii).reshape(-1),
+                         np.outer(v, v.conj()).reshape(-1), SystemLayout.bipartite(d, d))
 
 
 def _swap_columns(d: int) -> np.ndarray:
     """Column j*d + i of each row i*d + j: where the swap on C^d x C^d has its one entry."""
     return np.arange(d * d).reshape(d, d).T.reshape(-1)
-
-
-def _swap_operator(d: int) -> np.ndarray:
-    f = np.zeros((d * d, d * d), dtype=np.complex128)
-    f[np.arange(d * d), _swap_columns(d)] = 1.0
-    return f
 
 
 def werner_state(d: int, kind: str) -> CMatrix:
@@ -94,11 +89,13 @@ def werner_state(d: int, kind: str) -> CMatrix:
     if kind not in ("symmetric", "antisymmetric"):
         raise ValidationError(f"kind must be symmetric or antisymmetric, got {kind!r}")
     check_dim(d * d, "werner_state")
-    f = _swap_operator(d)
-    eye = np.eye(d * d, dtype=np.complex128)
+    n, rows, swap = d * d, np.arange(d * d), _swap_columns(d)
+    # I +- F stores the identity's entries and the swap F's off the diagonal
+    pos = np.concatenate((rows * (n + 1), rows[swap != rows] * n + swap[swap != rows]))
+    r, c = np.divmod(pos, n)
+    eye, f = (r == c).astype(np.complex128), (c == swap[r]).astype(np.complex128)
     proj = (eye + f) / 2.0 if kind == "symmetric" else (eye - f) / 2.0
-    rho = proj / np.trace(proj).real
-    return CMatrix(rho, SystemLayout.bipartite(d, d))
+    return CMatrix._make(n, pos, proj / proj[r == c].sum().real, SystemLayout.bipartite(d, d))
 
 
 def swap_x(d: int) -> CMatrix:
@@ -108,7 +105,8 @@ def swap_x(d: int) -> CMatrix:
     if d < 2:
         raise ValidationError("swap_x needs d >= 2")
     check_dim(d * d, "swap_x")
-    return CMatrix(_swap_operator(d) / d**2, SystemLayout.bipartite(d, d))
+    return CMatrix._make(d * d, np.arange(d * d) * d * d + _swap_columns(d),
+                         np.ones(d * d, dtype=np.complex128) / d**2, SystemLayout.bipartite(d, d))
 
 
 def fourier_xy(d_s: int) -> tuple[CMatrix, CMatrix]:
@@ -208,8 +206,8 @@ def _key_family(blocks: dict[tuple[int, int], CMatrix],
     rho = _key_shield_canonical(blocks, shield_factors)
     sigma = _key_shield_canonical({key: blk for key, blk in blocks.items() if key[0] == key[1]},
                                   shield_factors)
-    sigma = CMatrix._make(sigma.dim, sigma.pos, sigma.vals / sigma.diagonal().sum().real,
-                          sigma.layout)
+    trace = _values_at(sigma, np.arange(sigma.dim) * (sigma.dim + 1)).sum().real
+    sigma = CMatrix._make(sigma.dim, sigma.pos, sigma.vals / trace, sigma.layout)
     return StateFamilyResult(rho=rho, sigma_candidate=sigma, params=params, notes=notes)
 
 
@@ -273,12 +271,13 @@ def hiding_state(m: int = 1, d_shield: int = 2, q: float = 1.0 / 3.0) -> StateFa
     if not (0.0 < q < 0.5):
         raise ValidationError(f"hiding_state needs 0 < q < 1/2, got {q}")
     check_dim(4 * d_shield ** min(2 * m, 64), "hiding_state")  # exact below 2**64
-    tau2 = werner_state(d_shield, "symmetric").mat
-    tau1 = (werner_state(d_shield, "antisymmetric").mat + tau2) / 2.0
+    sym = werner_state(d_shield, "symmetric")  # it stores every entry the antisymmetric one does
+    tau2 = sym.vals
+    tau1 = (_values_at(werner_state(d_shield, "antisymmetric"), sym.pos) + tau2) / 2.0
     norm = 2.0 * q**m + 2.0 * (0.5 - q) ** m
     # tensor pairs the factors' nonzeros, so a power stores no entry where np.kron
     # of the dense factors would write -0.0
-    powers = [reduce(tensor, [CMatrix(factor)] * m)
+    powers = [reduce(tensor, [CMatrix._make(sym.dim, sym.pos, factor, None)] * m)
               for factor in (q * (tau1 - tau2) / 2.0, q * (tau1 + tau2) / 2.0, (0.5 - q) * tau2)]
     corner, outer, middle = (CMatrix._make(power.dim, power.pos, power.vals / norm, power.layout)
                              for power in powers)

@@ -1,8 +1,10 @@
 """Shared fixtures: the CHSH functional, Tsirelson measurements, key-qubit lifts,
 seeded generators of random states, measurements and filters, and the dense
-references of the spectral functions and of the realigned state."""
+references of the spectral functions, of the realigned state and of the
+state builders."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ptbounds import (
     min_eigenvalue,
     op_norm,
     spectral_norm,
+    tensor,
     trace_norm,
 )
 from ptbounds.config import TOL
@@ -270,6 +273,47 @@ def dense_of_blocks(realigned):
     for rows, cols, blocks in realigned.groups:
         out[rows[:, :, None], cols[:, None, :]] = blocks
     return out
+
+
+# The dense builders that states replaced: each fills its d^2 x d^2 array, and
+# the hiding shields' factors are read off the dense Werner states.
+
+
+def dense_swap(d):
+    """The swap F on C^d x C^d: one 1 in row i*d + j, at column j*d + i."""
+    f = np.zeros((d * d, d * d), dtype=np.complex128)
+    f[np.arange(d * d), np.arange(d * d).reshape(d, d).T.reshape(-1)] = 1.0
+    return f
+
+
+def dense_swap_x(d):
+    return dense_swap(d) / d**2
+
+
+def dense_max_entangled(d):
+    v = np.zeros(d * d, dtype=np.complex128)
+    v[:: d + 1] = 1.0 / math.sqrt(d)
+    return np.outer(v, v.conj())
+
+
+def dense_werner_state(d, kind):
+    f = dense_swap(d)
+    eye = np.eye(d * d, dtype=np.complex128)
+    proj = (eye + f) / 2.0 if kind == "symmetric" else (eye - f) / 2.0
+    return proj / np.trace(proj).real
+
+
+def dense_hiding_blocks(m, d_shield, q):
+    """hiding_state's key blocks from the dense Werner factors: the m-th power under
+    tensor of each factor's CMatrix, divided by the normalization, as dense arrays."""
+    tau2 = dense_werner_state(d_shield, "symmetric")
+    tau1 = (dense_werner_state(d_shield, "antisymmetric") + tau2) / 2.0
+    norm = 2.0 * q**m + 2.0 * (0.5 - q) ** m
+    corner, outer, middle = (reduce(tensor, [CMatrix(factor)] * m).mat / norm
+                             for factor in (q * (tau1 - tau2) / 2.0, q * (tau1 + tau2) / 2.0,
+                                            (0.5 - q) * tau2))
+    return {(0, 0): outer, (3, 3): outer, (0, 3): corner, (3, 0): corner,
+            (1, 1): middle, (2, 2): middle}
 
 
 @pytest.fixture(scope="session")

@@ -233,16 +233,16 @@ def test_nonlocality_exit_code_follows_convergence(capsys, monkeypatch):
     assert "converged,False" in out.splitlines()
 
 
-def test_nonlocality_exits_1_on_an_infinite_value(capsys, tmp_path):
-    # a one-input box is local, so N = 0; its subnormal entry makes the solve
-    # return an infinite value, which is reported, unconverged, with exit 1
+def test_nonlocality_exits_0_on_a_subnormal_entry(capsys, tmp_path):
+    # a one-input box is local, so N = 0; its subnormal entry reads as 0, so
+    # the solve converges to N = 0.0 and the command exits 0
     box_file = tmp_path / "subnormal.json"
     box_file.write_text(json.dumps({"nx": 1, "ny": 1, "na": 2, "nb": 2, "p": [1e-320, 0, 0, 1]}))
     out_file = tmp_path / "report.json"
     code, _ = run_main(capsys, "nonlocality", str(box_file), "--output", str(out_file))
-    assert code == 1
+    assert code == 0
     result = json.loads(out_file.read_text())["result"]
-    assert (result["value"], result["converged"]) == (float("inf"), False)
+    assert (result["value"], result["converged"]) == (0.0, True)
 
 
 def test_nonlocality_on_local_vertex_box(capsys, tmp_path):

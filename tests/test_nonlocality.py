@@ -412,18 +412,19 @@ def test_nonlocality_matches_the_em_oracle_on_a_tiny_entry(exponent):
 
 
 @pytest.mark.parametrize("eps", [1e-308, 1e-310, 1e-320])
-def test_an_infinite_value_on_a_subnormal_entry_is_not_converged(eps):
-    # the entry eps is below _LOG_CLAMP: a pairwise step empties it and the gap,
-    # read on the clamped q, is 0, so the value comes out infinite; every local
-    # box has N <= KL(P || uniform) < inf, so that is a failed solve, not a
-    # certificate (the EM oracle gives about 1e-13 on the first box)
+def test_a_subnormal_entry_reads_as_zero(eps):
+    # the entry eps is below _LOG_CLAMP, where a pairwise step of the clamped
+    # solve could empty it and give N = inf; read as 0 it moves N by less than
+    # 1e-300, and both local boxes give a finite, converged value at the EM
+    # oracle's (about 1e-13 on the first box, 0 on the one-input box)
     pattern = _tiny_entry_boxes(eps)[0]
     one_input = Box(np.array([eps, 0.0, 0.0, 1.0]).reshape(1, 1, 2, 2))
     for box in (pattern, one_input):
         for mode in ("uniform", "optimize"):
             res = nonlocality_N(box, mode=mode)
-            assert res.value == math.inf
-            assert res.converged is False
+            assert math.isfinite(res.value)
+            assert res.converged is True
+            assert res.value == pytest.approx(_em_measure(box), rel=0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("exponent", [4, 5, 6])

@@ -1,5 +1,8 @@
 """Every CMatrix keeps only its nonzeros; here it is checked against dense oracles, bit for bit.
 
+The builders of swap_x, the Werner states and max_entangled compute their
+stored values from their entries; their oracle is the dense builders they
+replaced, kept in conftest, and so are the hiding shields' Werner factors.
 The key families (private bits, PPT-padded private bits, hiding states)
 place their key blocks' entries straight into the nonzero form.  The oracle
 for their construction is the dense assembly they replaced, kept here: the
@@ -42,16 +45,20 @@ from ptbounds import (
     trace_norm,
 )
 from ptbounds import cli
-from ptbounds.linalg import _canonical_json, _realigned
+from ptbounds.linalg import _canonical_json, _realigned, _values_at
 
 from conftest import (
     dense_assert_density,
+    dense_hiding_blocks,
+    dense_max_entangled,
     dense_of_blocks,
     dense_min_eigenvalue,
     dense_op_norm,
     dense_psd_sqrt,
     dense_rel_entropy,
+    dense_swap_x,
     dense_trace_norm,
+    dense_werner_state,
     random_density,
 )
 
@@ -159,6 +166,46 @@ def test_key_families_match_the_dense_assembly(monkeypatch, family, k, q):
         companion, layout = dense_companion(blocks, shield_factors)
         assert sigma.layout == layout
         assert bits(sigma) == bits(companion)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_builders_match_the_dense_builders(d):
+    # each stored value is computed with the dense builder's numpy expression,
+    # so the matrices are equal bit for bit, zeros and signs included
+    for built, dense in ((states.swap_x(d), dense_swap_x(d)),
+                         (states.werner_state(d, "symmetric"), dense_werner_state(d, "symmetric")),
+                         (states.werner_state(d, "antisymmetric"),
+                          dense_werner_state(d, "antisymmetric")),
+                         (states.max_entangled(d), dense_max_entangled(d))):
+        assert built.layout == SystemLayout.bipartite(d, d)
+        assert bits(built) == bits(dense)
+
+
+def test_builders_make_no_dense_array():
+    # one dense 1024-dim matrix is 16.8 MB, and each builder filled one or more;
+    # each stores at most 2 d^2 entries.  Measured at d = 32: 0.06 MB for swap_x
+    # and max_entangled, 0.28 MB for either Werner state
+    for build_state in (states.swap_x, states.max_entangled,
+                        lambda d: states.werner_state(d, "symmetric"),
+                        lambda d: states.werner_state(d, "antisymmetric")):
+        _, peak = traced_peak(lambda: build_state(32))
+        assert peak < 0.5e6
+
+
+@pytest.mark.parametrize("d_shield, m, q", [(d, m, q) for d in (2, 3, 4) for m in (1, 2)
+                                            for q in (0.2, 1.0 / 3.0, 0.4)])
+def test_hiding_blocks_match_the_dense_werner_factors(monkeypatch, d_shield, m, q):
+    # hiding_state forms its factors on the symmetric Werner state's positions,
+    # which cover the antisymmetric one's: the same blocks as from the dense states
+    calls = []
+    original = states._key_shield_canonical
+    monkeypatch.setattr(states, "_key_shield_canonical",
+                        lambda blocks, factors: calls.append(blocks) or original(blocks, factors))
+    states.hiding_state(m=m, d_shield=d_shield, q=q)
+    expected = dense_hiding_blocks(m, d_shield, q)
+    assert list(calls[0]) == list(expected)
+    for key, block in expected.items():
+        assert bits(calls[0][key]) == bits(block), key
 
 
 def sparse_blocks(rng, n):
@@ -324,6 +371,22 @@ def sparse_hermitian(draw, n):
         # a dominant diagonal on the indices that have one, so some draws are PSD
         a = a / max(1.0, float(np.abs(a).sum())) + np.diag((np.diag(a) != 0).astype(float))
     return a
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([(), (7,), (2, 3, 4)]), st.booleans(), st.data())
+def test_values_at_reads_what_mat_holds(n, shape, zero, data):
+    # bit for bit m.mat.reshape(-1)[pos]: stored -0.0 entries, +0.0 where nothing
+    # is stored, the all-zero matrix, and the last position, past the last entry
+    # whenever the last row or column is empty
+    m = CMatrix(np.zeros((n, n), dtype=np.complex128) if zero else sparse_hermitian(data.draw, n))
+    pos = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, n * n, shape)
+    if pos.ndim:
+        pos.reshape(-1)[-1] = n * n - 1
+    expected = np.asarray(m.mat.reshape(-1)[pos])
+    got = _values_at(m, pos)
+    assert got.shape == expected.shape == shape
+    assert bits(got) == bits(expected)
 
 
 def test_eq10_ds16_rows_match_dense():
