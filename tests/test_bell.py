@@ -777,6 +777,67 @@ def test_seesaw_tie_goes_to_the_first_restart_reaching_the_best_value(monkeypatc
     assert (alone.history, alone.iterations) == (res.history, res.iterations)
 
 
+def counting_eigh(monkeypatch):
+    """Patch np.linalg.eigh to record how many matrices each call diagonalises."""
+    eigh, counts = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        counts.append(math.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return counts
+
+
+def test_best_response_certifies_only_gershgorin_definite_operators(monkeypatch):
+    # a one-input functional whose score operator K_0 - K_1 is M_(0|y) itself:
+    # s[0, 0, 0, 0] = 1 and every other coefficient 0, with no K_1 trace term,
+    # so restart r's operator is ops[r] and its value the operator's gain
+    ops = np.array([
+        [[4, 1, 1j], [1, 3, -1], [-1j, -1, 5]],  # diagonally dominant, positive
+        [[-4, 1 - 1j, 0], [1 + 1j, -3, 0.5], [0, 0.5, -2]],  # diagonally dominant, negative
+        [[1, 2, 0], [2, -1, 0], [0, 0, 0.5]],  # indefinite
+        np.diag([1, 1, 0]),  # semidefinite, an exact 0 eigenvalue
+        [[1, 2, 0], [2, 5, 0], [0, 0, 1]],  # positive definite, not dominant
+        -np.diag([1, 0, 2]),  # negative semidefinite
+    ], dtype=np.complex128)
+    n, d = len(ops), ops.shape[-1]
+    coeffs = np.zeros((1, 1, 2, 2))
+    coeffs[0, 0, 0, 0] = 1.0
+
+    def times(rows):
+        assert rows.shape == (n + 1, 1)
+        return np.concatenate([ops.reshape(n, -1), np.zeros((1, d * d))])
+
+    counts = counting_eigh(monkeypatch)
+    proj, values = bell_module._best_response(times, coeffs, 1)(np.zeros((n, 1, 1, 1)))
+    # only the four operators without a certificate are diagonalised
+    assert sum(counts) == 4
+    assert np.array_equal(proj[0, 0], np.eye(d)) and np.array_equal(proj[1, 0], np.zeros((d, d)))
+    assert values[0] == 12.0 and values[1] == 0.0
+    for op, p, value in zip(ops, proj[:, 0], values):
+        w, v = np.linalg.eigh(op)
+        pos = v[:, w > 0.0]
+        assert np.abs(p - pos @ pos.conj().T).max() <= 1e-12
+        assert abs(value - w[w > 0.0].sum()) <= 1e-12
+
+
+def test_seesaw_diagonalises_at_most_half_its_score_operators(monkeypatch, chsh_functional):
+    # the sequential reference diagonalises every score operator, one per call;
+    # the library skips those Gershgorin certifies definite (113 of 272 are
+    # diagonalised on OpenBLAS 0.3.31) and finds the same values
+    rho = ppt_pbit(4).rho
+    counts = counting_eigh(monkeypatch)
+    res = seesaw(rho, chsh_functional, 32, 0)
+    diagonalised = sum(counts)
+    counts.clear()
+    runs = sequential_seesaw(rho, chsh_functional, 32, 0)
+    formed = sum(counts)
+    assert formed == 4 * sum(sweeps for *_, sweeps, _ in runs)
+    assert 0 < 2 * diagonalised <= formed
+    assert np.abs(np.array(res.restart_values) - [run[0] for run in runs]).max() <= 1e-12
+
+
 def test_seesaw_rejects_fewer_than_one_restart(phi_plus, chsh_functional):
     with pytest.raises(ValidationError, match="^seesaw needs at least one restart$"):
         seesaw(phi_plus, chsh_functional, restarts=0)
