@@ -10,7 +10,8 @@ this turns the best achievable quantum value on rho into
 
     classical_value  +  q_value * tracenorm(rho^PT - sigma^PT),
 
-which seesaw_bound checks when given q_value times that distance as its excess.
+which seesaw_bound checks when given q_value times that distance as its excess;
+certificate_rows states that excess, and the rows beside it, for each paper target.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .config import TOL, ValidationError
 from .linalg import (
     CMatrix,
     SystemLayout,
+    min_eigenvalue,
     op_norm,
     partial_transpose,
+    tensor,
     trace_norm,
     _difference,
     _json_floats,
@@ -35,6 +38,7 @@ from .linalg import (
     _require_layout,
 )
 from .rand import random_seesaw_starts
+from .states import hiding_state, ppt_pbit, private_bit, swap_x
 
 __all__ = [
     "BellFunctional",
@@ -51,6 +55,7 @@ __all__ = [
     "seesaw_bound",
     "thm1_bound",
     "d_eps_membership",
+    "certificate_rows",
 ]
 
 # strategies of one party: 0.03 s for a binary 16x16 functional on one BLAS
@@ -62,6 +67,9 @@ _MAX_SWEEPS = 400  # or after this many sweeps
 # the seesaw's restarts run in groups whose stacked (restarts x inputs x d x d)
 # complex operand fits this many bytes: 64 restarts of a two-input functional at d = 16
 _GROUP_BYTES = 2**19
+_CHSH_Q = 2.0 * math.sqrt(2.0)  # CHSH's quantum (Tsirelson) maximum
+# each paper target's grid keywords, as certificate_rows takes them
+_TARGET_POINTS = {"eq8": ("d",), "eq10": ("ds",), "prop1": ("m", "q")}
 
 
 @dataclass
@@ -586,3 +594,44 @@ def thm1_bound(f: BellFunctional, meas: MeasurementFamily, rho: CMatrix,
               functional_value(f, box_from(sigma, meas)))
     rhs = op_norm(partial_transpose(s_op)) * d_eps_membership(rho, sigma)
     return BoundReport("fixed-measurement transposition bound", lhs, rhs)
+
+
+def certificate_rows(target: str, restarts: int, seed: int, **point) -> list[BoundReport]:
+    """The rows that check one paper target at one grid point.
+
+    ``eq8`` takes ``d``, ``eq10`` takes ``ds`` and ``prop1`` takes ``m`` and
+    ``q``.  The first row is the CHSH seesaw value (``restarts``, ``seed``)
+    against the classical value 2 plus the target's closed-form excess:
+    CHSH's quantum maximum 2 sqrt 2 shrunk by the target's distance.  On
+    eq8's swap private bit it is the only row.  eq10's PPT-padded private bit
+    and prop1's hiding state add the PPT row (minus the least eigenvalue of
+    the partial transpose, at most TOL.psd) and the ``distance`` row
+    (d_eps_membership to the companion, at most 1/sqrt(ds)) or the ``delta``
+    row (at most 2^-m); prop1's seesaw runs on rho x rho^PT.
+    """
+    if target not in _TARGET_POINTS or sorted(point) != sorted(_TARGET_POINTS[target]):
+        raise ValidationError(f"no target {target!r} with the grid keywords {sorted(point)}; "
+                              f"targets and their keywords: {_TARGET_POINTS}")
+    if target == "eq8":
+        d = point["d"]
+        return [seesaw_bound(chsh(), private_bit(swap_x(d)),
+                             (math.sqrt(2.0) + 1.0) / (2.0 * math.sqrt(2.0) * d),
+                             f"eq8 d={d}", restarts, seed)]
+    if target == "eq10":
+        ds = point["ds"]
+        name, fam = f"eq10 ds={ds}", ppt_pbit(ds)
+        return [
+            seesaw_bound(chsh(), fam.rho, _CHSH_Q / math.sqrt(ds), name, restarts, seed),
+            BoundReport(f"{name} ppt", -min_eigenvalue(partial_transpose(fam.rho)), TOL.psd,
+                        tol=0.0),
+            BoundReport(f"{name} distance", d_eps_membership(fam.rho, fam.sigma_candidate),
+                        fam.params["distance_bound"]),
+        ]
+    m = point["m"]
+    name, fam = f"prop1 m={m}", hiding_state(m=m, d_shield=2, q=point["q"])
+    doubled = tensor(fam.rho, partial_transpose(fam.rho))
+    return [
+        seesaw_bound(chsh(), doubled, _CHSH_Q / 2.0 ** (m - 1), name, restarts, seed),
+        BoundReport(f"{name} ppt", -min_eigenvalue(partial_transpose(fam.rho)), TOL.psd, tol=0.0),
+        BoundReport(f"{name} delta", fam.params["delta"], 0.5**m),
+    ]

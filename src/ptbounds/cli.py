@@ -8,10 +8,9 @@ Commands read the parsed namespace directly.  ``build_parser`` is cached,
 so a process that calls ``main`` many times (``sweep``, which runs every
 repro target through it, or a benchmark) builds the parser once; parsing
 leaves it unchanged, and ``main`` finds the ``cmd_*`` function by the
-command's name when it runs.  Each repro target states its closed-form
-excess over the classical value once, next to its state family, and builds
-its rows with ``_seesaw_row`` (the library's ``seesaw_bound`` on CHSH) and
-``_ppt_row``.
+command's name when it runs.  A repro target's entry parses its grid into
+keywords of the library's ``certificate_rows``, which builds each point's
+rows; ``cmd_repro`` joins and formats them.
 
 Commands return (payload, CSV lines or None, exit code) and write nothing;
 ``main`` alone writes the CSV (under ``--out csv``) or JSON to ``--output``
@@ -40,24 +39,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
 from numpy.linalg import LinAlgError
 
-from .config import TOL, DimensionCapError, ValidationError
-from .linalg import (CMatrix, _canonical_json, assert_density, matrix_from_json,
-                     matrix_to_json, min_eigenvalue, partial_transpose, tensor)
-from .bell import (
-    BellFunctional,
-    BoundReport,
-    Box,
-    chsh,
-    d_eps_membership,
-    seesaw,
-    seesaw_bound,
-)
+from .config import DimensionCapError, ValidationError
+from .linalg import CMatrix, _canonical_json, assert_density, matrix_from_json, matrix_to_json
+from .bell import BellFunctional, BoundReport, Box, certificate_rows, chsh, seesaw
 from .states import (
     fourier_xy,
     hiding_state,
@@ -71,7 +60,6 @@ from .nonlocality import nonlocality_N
 
 __all__ = ["main"]
 
-CHSH_Q = 2.0 * math.sqrt(2.0)
 _ERROR_WIDTH = 200  # characters of an error line, its newline included
 
 
@@ -91,17 +79,6 @@ def _key_value_csv(rows: dict) -> list[str]:
     return ["key,value", *(f"{key},{value}" for key, value in rows.items())]
 
 
-def _seesaw_row(args: argparse.Namespace, context: str, state: CMatrix,
-                excess: float) -> BoundReport:
-    """Seesaw CHSH value of the state against the classical value plus excess."""
-    return seesaw_bound(chsh(), state, excess, context, args.restarts, args.seed)
-
-
-def _ppt_row(context: str, state: CMatrix) -> BoundReport:
-    """PPT check: minus the smallest eigenvalue of the partial transpose, at most TOL.psd."""
-    return BoundReport(context, -min_eigenvalue(partial_transpose(state)), TOL.psd, tol=0.0)
-
-
 # Flags that only some choices read, as (name, add_argument keywords)
 _D_GRID = ("--d", dict(default="2,3,4", help="comma-separated local dimensions (default 2,3,4)"))
 _DS_GRID = ("--ds", dict(default="4", help="comma-separated shield dimensions (default 4)"))
@@ -114,48 +91,17 @@ _DS = ("--ds", dict(type=int, default=4, help="shield dimension (default 4)"))
 _D_PAIR = ("--d", dict(type=int, default=2, help="each Werner pair's local dimension (default 2)"))
 
 
-def _repro_eq8(args: argparse.Namespace) -> list[BoundReport]:
-    return [
-        _seesaw_row(args, f"eq8 d={d}", private_bit(swap_x(d)),
-                    (math.sqrt(2.0) + 1.0) / (2.0 * math.sqrt(2.0) * d))
-        for d in _parse_list(args.d)
-    ]
-
-
-def _repro_eq10(args: argparse.Namespace) -> list[BoundReport]:
-    reports = []
-    for ds in _parse_list(args.ds):
-        fam = ppt_pbit(ds)
-        reports += [
-            _seesaw_row(args, f"eq10 ds={ds}", fam.rho, CHSH_Q / math.sqrt(ds)),
-            _ppt_row(f"eq10 ds={ds} ppt", fam.rho),
-            BoundReport(f"eq10 ds={ds} distance", d_eps_membership(fam.rho, fam.sigma_candidate),
-                        fam.params["distance_bound"]),
-        ]
-    return reports
-
-
-def _repro_prop1(args: argparse.Namespace) -> list[BoundReport]:
-    m = args.m
-    fam = hiding_state(m=m, d_shield=2, q=args.q)
-    doubled = tensor(fam.rho, partial_transpose(fam.rho))
-    return [
-        _seesaw_row(args, f"prop1 m={m}", doubled, CHSH_Q / 2.0 ** (m - 1)),
-        _ppt_row(f"prop1 m={m} ppt", fam.rho),
-        BoundReport(f"prop1 m={m} delta", fam.params["delta"], 0.5**m),
-    ]
-
-
-# repro targets: name -> (the flags it reads, its report rows)
+# repro targets: name -> (the flags it reads, its grid points as certificate_rows keywords)
 _REPRO_TARGETS = {
-    "eq8": ((_D_GRID,), _repro_eq8),
-    "eq10": ((_DS_GRID,), _repro_eq10),
-    "prop1": ((_M, _Q), _repro_prop1),
+    "eq8": ((_D_GRID,), lambda a: [{"d": d} for d in _parse_list(a.d)]),
+    "eq10": ((_DS_GRID,), lambda a: [{"ds": ds} for ds in _parse_list(a.ds)]),
+    "prop1": ((_M, _Q), lambda a: [{"m": a.m, "q": a.q}]),
 }
 
 
 def cmd_repro(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    reports = _REPRO_TARGETS[args.target][1](args)
+    reports = [row for point in _REPRO_TARGETS[args.target][1](args)
+               for row in certificate_rows(args.target, args.restarts, args.seed, **point)]
     payload = {"command": args.command, "target": args.target, "seed": args.seed,
                "restarts": args.restarts, "reports": [r.to_json() for r in reports]}
     lines = [BoundReport.csv_header(), *(r.csv_row() for r in reports)]

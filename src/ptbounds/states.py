@@ -250,11 +250,14 @@ def hiding_state(m: int = 1, d_shield: int = 2, q: float = 1.0 / 3.0) -> StateFa
         01/10     [(1/2 - q) tau_2]^m
 
     normalized by N = 2 q^m + 2 (1/2-q)^m.  The recorded delta
-    = (1/2-q)^m / N bounds how distinguishable the key corners stay after
-    transposition.  The state is PPT only for q <= 1/3 (at q = 0.4 its
-    partial transpose has eigenvalue -0.05), and delta <= 1/2^m holds for
-    every m only for q >= 1/3 (at q = 0.2, m = 2, delta = 0.346), so both
-    hold together only at the default q = 1/3.
+    = (1/2-q)^m / N is the weight of the 01 sector, and of 10.  The key
+    corners' distance after transposition, d_eps(rho, sigma_candidate)
+    = 2 (q/d_shield)^m / N, is 2 delta only at q = d_shield/(2 d_shield + 2),
+    1/3 for qubit pairs: at q = 0.4 it is 0.4 against 2 delta = 0.2 for m = 1
+    and 0.235 against 0.059 for m = 2.  The state is PPT only for q <= 1/3
+    (at q = 0.4 its partial transpose has eigenvalue -0.05), and delta <=
+    1/2^m holds for every m only for q >= 1/3 (at q = 0.2, m = 2, delta =
+    0.346), so both hold together only at the default q = 1/3.
 
     Parameters
     ----------

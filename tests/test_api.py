@@ -18,7 +18,8 @@ PUBLIC_NAMES = {
     "private_bit", "swap_x", "werner_state",
     # bell
     "BellFunctional", "BoundReport", "Box", "MeasurementFamily", "SeesawResult",
-    "bell_operator", "box_from", "chsh", "classical_value", "d_eps_membership",
+    "bell_operator", "box_from", "certificate_rows", "chsh", "classical_value",
+    "d_eps_membership",
     "functional_value", "seesaw", "seesaw_bound", "thm1_bound",
     # nonlocality
     "ChainCheck", "LocalPolytope", "NlResult", "er_upper", "filter_apply",
@@ -39,7 +40,7 @@ PUBLIC_KNOBS = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(ptbounds.__all__) == len(PUBLIC_NAMES) == 52
+    assert len(ptbounds.__all__) == len(PUBLIC_NAMES) == 53
     assert set(ptbounds.__all__) == PUBLIC_NAMES
     assert all(hasattr(ptbounds, name) for name in PUBLIC_NAMES)
 

@@ -21,6 +21,7 @@ from ptbounds import (
     ValidationError,
     bell_operator,
     box_from,
+    certificate_rows,
     chsh,
     classical_value,
     collect_parties,
@@ -954,6 +955,46 @@ def test_seesaw_bound_is_the_seesaw_value_against_classical_plus_excess(chsh_fun
     assert (rep.context, rep.tol) == ("row", TOL.verdict)
     assert rep.lhs == seesaw(fam.rho, chsh_functional, restarts=4, seed=3).value
     assert rep.rhs == classical_value(chsh_functional) + 0.25
+
+
+# each target's closed-form excess over the classical value 2, typed out here,
+# and its rows' contexts and last rhs
+CERTIFICATE_CASES = [
+    *[("eq8", {"d": d}, (math.sqrt(2.0) + 1.0) / (2.0 * math.sqrt(2.0) * d), [""], None)
+      for d in range(2, 9)],
+    # 2 sqrt 2 / sqrt(ds), not 2 sqrt 2 times the recorded 1/sqrt(ds): at ds = 25
+    # the two differ in the last bit
+    *[("eq10", {"ds": ds}, TSIRELSON / math.sqrt(ds), ["", " ppt", " distance"],
+       1.0 / math.sqrt(ds)) for ds in (4, 9, 25)],
+    *[("prop1", {"m": m, "q": 1.0 / 3.0}, TSIRELSON / 2.0 ** (m - 1), ["", " ppt", " delta"],
+       0.5**m) for m in (1, 2)],
+]
+
+
+def certificate_name(target, point):
+    """A row's context: the target and its grid point, prop1's q left out."""
+    return f"{target} " + " ".join(f"{key}={value}" for key, value in point.items() if key != "q")
+
+
+@pytest.mark.parametrize("target, point, excess, suffixes, last_rhs", CERTIFICATE_CASES,
+                         ids=[certificate_name(*case[:2]).replace(" ", "-")
+                              for case in CERTIFICATE_CASES])
+def test_certificate_rows_pin_each_excess_bit_for_bit(target, point, excess, suffixes, last_rhs):
+    rows = certificate_rows(target, 1, 0, **point)
+    name = certificate_name(target, point)
+    assert [row.context for row in rows] == [name + suffix for suffix in suffixes]
+    assert rows[0].rhs == 2.0 + excess
+    if last_rhs is not None:
+        assert rows[-1].rhs == last_rhs
+
+
+@pytest.mark.parametrize("target, point", [
+    ("eq9", {"d": 2}), ("eq8", {}), ("eq8", {"ds": 4}), ("eq8", {"d": 2, "ds": 4}),
+    ("eq10", {"d": 4}), ("prop1", {"m": 1}), ("prop1", {"m": 1, "q": 0.3, "d": 2}),
+])
+def test_certificate_rows_refuse_an_unknown_target_or_grid_keyword(target, point):
+    with pytest.raises(ValidationError, match="no target"):
+        certificate_rows(target, 1, 0, **point)
 
 
 def test_d_eps_membership_values(chsh_functional):

@@ -10,14 +10,15 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ptbounds import cli
-from ptbounds.bell import chsh
+from ptbounds import bell, cli
+from ptbounds.bell import BoundReport, certificate_rows, chsh
 from ptbounds.cli import main
 from ptbounds.linalg import CMatrix, matrix_from_json, matrix_to_json
 from ptbounds.nonlocality import NlResult
@@ -51,6 +52,45 @@ def test_repro_eq10_csv_row_values(capsys):
 def test_repro_unknown_target_exits_two(capsys):
     code, _ = run_main(capsys, "repro", "eq99")
     assert code == 2
+
+
+# (flags, target, its grid points as certificate_rows keywords, the false rows, exit code)
+_PARITY_RUNS = [
+    (("--d", "2,3"), "eq8", [{"d": 2}, {"d": 3}], [], 0),
+    (("--ds", "4,9"), "eq10", [{"ds": 4}, {"ds": 9}], [], 0),
+    ((), "prop1", [{"m": 1, "q": 1.0 / 3.0}], [], 0),
+    (("--m", "2", "--q", "0.2"), "prop1", [{"m": 2, "q": 0.2}], ["prop1 m=2 delta"], 1),
+]
+
+
+@pytest.mark.parametrize("flags, target, points, false_rows, expected_code", _PARITY_RUNS)
+def test_repro_only_formats_the_library_rows(flags, target, points, false_rows, expected_code):
+    args = cli.build_parser().parse_args(["repro", target, *flags, "--restarts", "2",
+                                          "--seed", "3"])
+    payload, lines, code = cli.cmd_repro(args)
+    rows = [row for point in points for row in certificate_rows(target, 2, 3, **point)]
+    assert payload["reports"] == [row.to_json() for row in rows]
+    assert lines == [BoundReport.csv_header(), *(row.csv_row() for row in rows)]
+    assert [row.context for row in rows if not row.verdict] == false_rows
+    assert code == expected_code
+
+
+def test_a_seesaw_at_tsirelson_fails_every_row_whose_rhs_is_below_it(monkeypatch, capsys):
+    # eq10 ds = 4, 9 and prop1 m = 1, 2 have rhs at least 2 sqrt 2, so no seesaw
+    # value can fail them: they are the cases of ROADMAP's "Every default row can fail"
+    tsirelson = 2.0 * 2.0**0.5
+    monkeypatch.setattr(bell, "seesaw", lambda *args, **kwargs: SimpleNamespace(value=tsirelson))
+    points = [("eq8", {"d": d}) for d in (2, 3, 8)] + [("eq10", {"ds": ds}) for ds in (4, 9, 16)]
+    points += [("prop1", {"m": m, "q": 1.0 / 3.0}) for m in (1, 2)]
+    verdicts = {rows[0].context: rows[0].verdict
+                for rows in (certificate_rows(target, 1, 0, **point) for target, point in points)}
+    assert verdicts == {"eq8 d=2": False, "eq8 d=3": False, "eq8 d=8": False,
+                        "eq10 ds=4": True, "eq10 ds=9": True, "eq10 ds=16": False,
+                        "prop1 m=1": True, "prop1 m=2": True}
+    assert main(["repro", "eq8", "--d", "2,3,8", "--restarts", "1"]) == 1
+    assert main(["repro", "eq10", "--ds", "16", "--restarts", "1"]) == 1
+    assert main(["repro", "eq10", "--ds", "4,9", "--restarts", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_seesaw_missing_file_exits_two(capsys, tmp_path):
