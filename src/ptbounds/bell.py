@@ -199,7 +199,8 @@ class MeasurementFamily:
     Each party is one C-contiguous complex128 array of shape [input, outcome,
     d, d]; the constructor takes anything that stacks into that shape, such
     as a list of [E_0, E_1] per input.  A ragged, empty or non-square stack
-    is refused with one message per side, before any effect is read.
+    is refused with one message per side, before any effect is read; then
+    ``_check_povms`` checks the side's effects and sums in stacked passes.
     """
 
     alice: np.ndarray
@@ -214,21 +215,17 @@ class MeasurementFamily:
             if povms.ndim != 4 or not povms.size or povms.shape[2] != povms.shape[3]:
                 raise ValidationError(f"{side} POVMs do not stack as [input, outcome, d, d]")
             setattr(self, side, povms)
-            for i, povm in enumerate(povms):
-                for e in povm:
-                    with np.errstate(invalid="ignore"):  # inf - inf is refused as non-finite
-                        diff = e - e.conj().T
-                    dev = float(np.abs(diff).max())
-                    if not math.isfinite(dev):
-                        raise ValidationError(f"{side} input {i}: effect expects a finite matrix")
-                    if dev > TOL.structural:
-                        raise ValidationError(f"{side} input {i}: effect expects a hermitian "
-                                              f"matrix, deviation {dev:.3e}")
-                    w = float(np.linalg.eigvalsh(e).min())
-                    if w < -TOL.psd:
-                        raise ValidationError(f"{side} input {i}: effect has eigenvalue {w:.3e}")
-                if np.abs(povm.sum(axis=0) - np.eye(povms.shape[-1])).max() > TOL.assertion:
-                    raise ValidationError(f"{side} input {i}: POVM does not sum to identity")
+            _check_povms(side, povms)
+
+    @classmethod
+    def _of_projectors(cls, alice: np.ndarray, bob: np.ndarray) -> "MeasurementFamily":
+        """The family of the binary projective measurements E_0 = alice[x], bob[y]
+        (stacked [input, d, d] complex128), with E_1 = I - E_0, not validated again:
+        the seesaw builds them as its own best responses."""
+        meas = cls.__new__(cls)
+        meas.alice, meas.bob = (np.stack([e0, np.eye(e0.shape[-1]) - e0], axis=1)
+                                for e0 in (alice, bob))
+        return meas
 
     @property
     def dim_a(self) -> int:
@@ -243,6 +240,39 @@ class MeasurementFamily:
         alice, bob = (e.reshape(*e.shape[:2], -1, 1).view(np.float64).tolist()
                       for e in (self.alice, self.bob))
         return {"dim_a": self.dim_a, "dim_b": self.dim_b, "alice": alice, "bob": bob}
+
+
+def _check_povms(side: str, povms: np.ndarray) -> None:
+    """Refuse the first effect of ``povms`` [input, outcome, d, d] that is not a
+    finite, hermitian, positive semidefinite matrix, or the first POVM not
+    summing to the identity, in the order of a loop over inputs and their
+    effects with each input's sum checked after its effects.
+
+    Three stacked passes replace that loop: one hermiticity maximum, one
+    eigvalsh over the effects found finite and hermitian, one sum per input.
+    """
+    # inf - inf is refused as non-finite; a sum over a non-finite effect is never read
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.abs(povms - povms.conj().swapaxes(2, 3)).max(axis=(2, 3))
+        sums = np.abs(povms.sum(axis=1) - np.eye(povms.shape[-1])).max(axis=(1, 2))
+    finite = np.isfinite(dev)
+    fine = finite & (dev <= TOL.structural)
+    least = np.zeros(dev.shape)
+    least[fine] = np.linalg.eigvalsh(povms[fine]).min(axis=1)
+    bad_effect = ~fine | (least < -TOL.psd)
+    bad_sum = sums > TOL.assertion
+    # the first input with a bad effect or a bad sum; its effects come before its sum
+    i = int((bad_effect.any(axis=1) | bad_sum).argmax())
+    if bad_effect[i].any():
+        e = int(bad_effect[i].argmax())
+        if not finite[i, e]:
+            raise ValidationError(f"{side} input {i}: effect expects a finite matrix")
+        if not fine[i, e]:
+            raise ValidationError(f"{side} input {i}: effect expects a hermitian "
+                                  f"matrix, deviation {dev[i, e]:.3e}")
+        raise ValidationError(f"{side} input {i}: effect has eigenvalue {least[i, e]:.3e}")
+    if bad_sum[i]:
+        raise ValidationError(f"{side} input {i}: POVM does not sum to identity")
 
 
 @dataclass
@@ -366,15 +396,18 @@ def _best_response(times, coeffs: np.ndarray, d_other: int):
         above, below = (h > radius).all(axis=2), (h < -radius).all(axis=2)
         rest = ~(above | below)
         gain = np.where(above[..., None], h, 0.0)
-        w, v = np.linalg.eigh(diff[rest])
+        certified = not rest.any()  # then no eigh, and no projector to assemble
+        if not certified:
+            w, v = np.linalg.eigh(diff[rest])
         del diff, h
-        pos = w > 0.0
-        v_h = v.conj().swapaxes(1, 2)
-        v *= pos[:, None, :]
-        gain[rest] = np.where(pos, w, 0.0)
         proj = np.zeros(above.shape + (d, d), dtype=np.complex128)
         proj[above] = np.eye(d)
-        proj[rest] = v @ v_h
+        if not certified:
+            pos = w > 0.0
+            v_h = v.conj().swapaxes(1, 2)
+            v *= pos[:, None, :]
+            gain[rest] = np.where(pos, w, 0.0)
+            proj[rest] = v @ v_h
         traces = m[:, ::d + 1].sum(axis=1).real
         return proj, (traces[:-1].reshape(n, ny) @ tr_other + tr_eye * traces[-1]
                       + gain.sum(axis=2).sum(axis=1))
@@ -479,8 +512,7 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -
     value, alice, bob, history, converged, iterations = best
     return SeesawResult(
         value=value,
-        measurements=MeasurementFamily(np.stack([alice, np.eye(da) - alice], axis=1),
-                                       np.stack([bob, np.eye(db) - bob], axis=1)),
+        measurements=MeasurementFamily._of_projectors(alice, bob),
         history=history,
         restart_values=tuple(finals),
         converged=converged,

@@ -20,8 +20,17 @@ factor of their Gram matrix shows them well conditioned, and by lstsq on
 the rank-deficient faces that check refuses.  A cold solve starts from
 uniform weight on the na*nb constant strategy pairs, whose mixture is the
 uniform box: the same point as uniform weight on every vertex, on a face
-small enough for the Newton step to run from the first iteration.  The outer
-supremum over p(x, y), concave, is taken by one deterministic
+small enough for the Newton step to run from the first iteration.  A
+4-input uniform solve takes about 26 iterations, the floor for a method that
+adds one vertex per iteration to a final face of 22-25 vertices.  An
+iteration (about 0.1 ms on one BLAS thread) works on a 256 x 64 vertex table
+and faces of at most 26 x 64, so its time is numpy's per-call overhead, not
+arithmetic, and it is written in few calls: one ``nonzero`` per face,
+``ndarray.dot``, which runs the same BLAS routine as ``@`` without the matmul
+dispatch, and clamps and masks formed in place.  Every floating-point
+operation, operand shape and order of the plainer form that the tests keep
+as their reference is kept, so every iterate is that form's bit for bit.
+The outer supremum over p(x, y), concave, is taken by one deterministic
 multiplicative-weights loop that certifies an interval around N: each inner
 solve bounds N below by its value minus its gap, and above by the largest
 per-pair KL of its local box.
@@ -169,19 +178,19 @@ def _line_search(pm: np.ndarray, qm: np.ndarray, dm: np.ndarray, t_max: float,
     """
     if g0 >= 0.0:
         return None
-    on = dm != 0.0
+    on = dm.nonzero()[0]
     p, q, d = pm[on], qm[on], dm[on]
     lo, hi, t, g = 0.0, t_max, 0.0, g0
     at_max = False
     # the curvature overflows to inf next to the q = 0 pole; that bisects
     with np.errstate(over="ignore"):
-        h = float((p / q) @ (1.0 / q))  # dm**2 = 1
+        h = float((p / q).dot(1.0 / q))  # dm**2 = 1
         while True:
             t_new = t - g / h if 0.0 < h < math.inf else math.nan
             if t_new >= t_max:
                 if not at_max:
                     at_max = True
-                    if float(d @ (p / np.maximum(q + t_max * d, _LOG_CLAMP))) >= 0.0:
+                    if float(d.dot(p / np.maximum(q + t_max * d, _LOG_CLAMP))) >= 0.0:
                         return t_max  # descent all the way to the end of the segment
                 t_new = math.nan  # the root is below t_max: bisect
             if not lo <= t_new <= hi:
@@ -189,10 +198,12 @@ def _line_search(pm: np.ndarray, qm: np.ndarray, dm: np.ndarray, t_max: float,
             if abs(t_new - t) <= 1e-16 + 8.9e-16 * abs(t_new):
                 return t_new
             t = t_new
-            den = np.maximum(q + t * d, _LOG_CLAMP)
+            den = t * d
+            den += q
+            np.maximum(den, _LOG_CLAMP, out=den)
             r = p / den
-            g = -float(d @ r)
-            h = float(r @ (1.0 / den))
+            g = -float(d.dot(r))
+            h = float(r.dot(1.0 / den))
             if g < 0.0:
                 lo = t
             else:
@@ -221,10 +232,12 @@ def _inner_infimum(pg: np.ndarray, pw: np.ndarray, vertices: np.ndarray,
     sqrt_pm = np.sqrt(pm)
     ln2 = math.log(2.0)
     for it in range(1, max_iters + 2):
-        qc = np.maximum(w @ vm, _LOG_CLAMP)
-        grad = -(vm @ (pm / qc)) / ln2
+        qc = w.dot(vm)
+        np.maximum(qc, _LOG_CLAMP, out=qc)
+        grad = vm.dot(pm / qc)
+        grad /= -ln2
         s = int(grad.argmin())
-        gap = float(w @ grad - grad[s])
+        gap = float(w.dot(grad) - grad[s])
         if gap <= gap_tol or it > max_iters:
             break
         away = int(np.where(w > 0.0, grad, -np.inf).argmax())
@@ -254,29 +267,33 @@ def _face_newton_step(w: np.ndarray, pm: np.ndarray, sqrt_pm: np.ndarray,
     start's face has na*nb vertices, at most m on any box with that many
     supported entries, so the step runs from the first iteration.
     """
-    if not 2 <= np.count_nonzero(w) <= pm.size:
-        return False
     face = w.nonzero()[0]
+    if not 2 <= face.size <= pm.size:
+        return False
     wa, va = w[face], vm[face]
-    q = wa @ va
-    if not np.all(q > 0.0):
+    q = wa.dot(va)
+    if not q.min() > 0.0:
         return False
     dw = _face_direction(wa, va, q, sqrt_pm)
-    slope = -float((pm / q) @ (dw @ va))  # derivative of the objective along dw, in nats
+    slope = -float((pm / q).dot(dw.dot(va)))  # derivative of the objective along dw, in nats
     if not slope < 0.0:
         return False
-    shrink = np.flatnonzero(dw < 0.0)
-    ratios = wa[shrink] / -dw[shrink]
-    block = int(ratios.argmin())
-    alpha = min(1.0, float(ratios[block]))
-    blocked = shrink[block] if ratios[block] <= 1.0 else None
+    shrink = (dw < 0.0).nonzero()[0]
+    ratios = wa[shrink] / dw[shrink]  # minus the step lengths that empty each weight
+    block = int(ratios.argmax())
+    ratio = -float(ratios[block])
+    alpha = min(1.0, ratio)
+    blocked = shrink[block] if ratio <= 1.0 else None
     for _ in range(30):
-        trial = np.maximum(wa + alpha * dw, 0.0)
+        trial = alpha * dw
+        trial += wa
+        np.maximum(trial, 0.0, out=trial)
         if blocked is not None:
             trial[blocked] = 0.0
-        qt = trial @ va
-        if np.all(qt > 0.0):
-            change = -float(pm @ np.log(qt / q))
+        qt = trial.dot(va)
+        if qt.min() > 0.0:
+            qt /= q
+            change = -float(pm.dot(np.log(qt, out=qt)))
             if change < 0.0 and change <= 1e-4 * alpha * slope:
                 w[face] = trial
                 return blocked is not None
@@ -309,26 +326,34 @@ def _face_direction(wa: np.ndarray, va: np.ndarray, q: np.ndarray,
     1e15 times larger than the rest: unscaled, that cutoff drops every
     other column; scaled by the vertex weights, the near-zero singular
     values of the tiny-entry rows turn rounding into steps of 1e9 times a
-    weight.
+    weight.  The direction is most of a face step's time: about 40 us a face
+    on a 4-input box, one BLAS thread, of which ``np.linalg.cholesky`` and
+    ``np.linalg.solve`` take about 5 and 7 us, half of that in their Python
+    wrappers.  numpy has no public call that factors and solves at once, so
+    both calls stay.
     """
     heavy = int(wa.argmax())
-    rest = np.arange(wa.size) != heavy
-    cols = (va[rest] - va[heavy]) * (sqrt_pm / q)  # one row per column of C
+    rest = np.ones(wa.size, dtype=bool)
+    rest[heavy] = False
+    cols = va[rest]  # one row per column of C
+    cols -= va[heavy]
+    cols *= sqrt_pm / q
     norms = np.sqrt((cols * cols).sum(axis=1))
     norms[norms == 0.0] = 1.0  # a vertex equal to the heaviest one on every entry
     cols /= norms[:, None]
-    gram = cols @ cols.T
+    gram = cols.dot(cols.T)
     try:
         pivot = float(np.linalg.cholesky(gram).diagonal().min())
     except np.linalg.LinAlgError:
         pivot = 0.0
     if pivot > _CHOLESKY_PIVOT_MIN:
-        x = np.linalg.solve(gram, cols @ sqrt_pm)
+        x = np.linalg.solve(gram, cols.dot(sqrt_pm))
     else:
         x = np.linalg.lstsq(cols.T, sqrt_pm, rcond=None)[0]
+    x /= norms
     dw = np.empty_like(wa)
-    dw[rest] = x / norms
-    dw[heavy] = -dw[rest].sum()
+    dw[rest] = x
+    dw[heavy] = -x.sum()
     return dw
 
 

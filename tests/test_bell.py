@@ -248,6 +248,85 @@ def test_measurement_family_rejects_non_finite_effects(bad):
         MeasurementFamily([[eye, zero]], [[eye, zero], [eye - e, e]])
 
 
+def _check_povms_per_effect(side, povms):
+    """The per-effect validation loop that the stacked one replaced, kept as its oracle."""
+    for i, povm in enumerate(povms):
+        for e in povm:
+            with np.errstate(invalid="ignore"):
+                diff = e - e.conj().T
+            dev = float(np.abs(diff).max())
+            if not math.isfinite(dev):
+                raise ValidationError(f"{side} input {i}: effect expects a finite matrix")
+            if dev > TOL.structural:
+                raise ValidationError(f"{side} input {i}: effect expects a hermitian "
+                                      f"matrix, deviation {dev:.3e}")
+            w = float(np.linalg.eigvalsh(e).min())
+            if w < -TOL.psd:
+                raise ValidationError(f"{side} input {i}: effect has eigenvalue {w:.3e}")
+        if np.abs(povm.sum(axis=0) - np.eye(povms.shape[-1])).max() > TOL.assertion:
+            raise ValidationError(f"{side} input {i}: POVM does not sum to identity")
+
+
+def _oracle_message(alice, bob):
+    """The message the per-effect loop gives on the stacked parties, or None."""
+    try:
+        for side, povms in (("alice", alice), ("bob", bob)):
+            _check_povms_per_effect(side, np.asarray(povms, dtype=np.complex128))
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _plant(povms, rng, fault, i, k):
+    """Spoil effect k of input i of a stacked party with ``fault``."""
+    d = povms.shape[-1]
+    e = povms[i, k]
+    if fault == "non-finite":
+        e[rng.integers(d), rng.integers(d)] = rng.choice([math.nan, math.inf, -math.inf])
+    elif fault == "non-hermitian":
+        r, c = rng.choice(d, size=2, replace=False) if d > 1 else (0, 0)
+        e[r, c] += rng.choice([1e-3, 0.3, 1j * 1e-7])
+        if d == 1:
+            e[0, 0] += 0.2j
+    elif fault == "negative":
+        # a negative eigenvalue, with the POVM's sum kept at the identity
+        v = np.linalg.qr(rng.normal(size=(d, 1)) + 1j * rng.normal(size=(d, 1)))[0]
+        shift = rng.uniform(0.01, 0.5) * (v @ v.conj().T)
+        e -= 2.0 * shift
+        povms[i, (k + 1) % povms.shape[1]] += 2.0 * shift
+    else:  # a sum off the identity, every effect still positive
+        with np.errstate(invalid="ignore"):  # an effect spoilt before may hold inf
+            e *= 1.0 + rng.uniform(0.01, 0.5)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(["alice", "bob"]),
+                          st.sampled_from(["non-finite", "non-hermitian", "negative", "sum"])),
+                min_size=1, max_size=3))
+def test_stacked_povm_validation_gives_the_per_effect_message(seed, faults):
+    rng = np.random.default_rng(seed)
+    parties = {}
+    for side in ("alice", "bob"):
+        d, inputs = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        parties[side] = np.array([random_binary_povm(rng, d) if d > 1 else [np.eye(1) * 0.3,
+                                                                            np.eye(1) * 0.7]
+                                  for _ in range(inputs)], dtype=np.complex128)
+    for side, fault in faults:
+        povms = parties[side]
+        i, k = int(rng.integers(povms.shape[0])), int(rng.integers(povms.shape[1]))
+        if fault == "negative" and povms.shape[1] < 2:
+            continue
+        _plant(povms, rng, fault, i, k)
+    want = _oracle_message(parties["alice"], parties["bob"])
+    if want is None:
+        MeasurementFamily(parties["alice"], parties["bob"])
+    else:
+        with pytest.raises(ValidationError) as info:
+            MeasurementFamily(parties["alice"], parties["bob"])
+        assert str(info.value) == want
+
+
 def test_measurement_family_json_is_one_pair_per_entry():
     # the oracle is the writer of nested effect lists: [re, im] of each entry in
     # row-major order; the stacked writer must give the same floats, -0.0 included
@@ -579,6 +658,16 @@ def test_seesaw_reaches_classical_value_on_shipped_states(name, chsh_functional)
     assert value >= classical_value(chsh_functional) - 1e-9
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(SHIPPED_STATES))
+def test_seesaw_measurements_pass_validation_on_shipped_states(name, seed, chsh_functional):
+    # the seesaw builds its result's measurements without validating them again
+    meas = seesaw(SHIPPED_STATES[name](), chsh_functional, seed=seed).measurements
+    again = MeasurementFamily(meas.alice, meas.bob)
+    assert again.alice.tobytes() == meas.alice.tobytes()
+    assert again.bob.tobytes() == meas.bob.tobytes()
+
+
 def test_seesaw_runs_on_unequal_local_dimensions(chsh_functional):
     rho = random_2x3_state()
     res = seesaw(rho, chsh_functional, restarts=4, seed=0)
@@ -821,6 +910,24 @@ def test_best_response_certifies_only_gershgorin_definite_operators(monkeypatch)
         pos = v[:, w > 0.0]
         assert np.abs(p - pos @ pos.conj().T).max() <= 1e-12
         assert abs(value - w[w > 0.0].sum()) <= 1e-12
+
+
+def test_best_response_makes_no_eigh_call_when_every_operator_is_certified(monkeypatch):
+    # both operators are diagonally dominant, one positive and one negative:
+    # the half-step calls no eigensolver, not even on an empty stack
+    ops = np.array([[[4, 1], [1, 3]], [[-4, 1j], [-1j, -3]]], dtype=np.complex128)
+    n, d = len(ops), ops.shape[-1]
+    coeffs = np.zeros((1, 1, 2, 2))
+    coeffs[0, 0, 0, 0] = 1.0
+
+    def times(rows):
+        return np.concatenate([ops.reshape(n, -1), np.zeros((1, d * d))])
+
+    counts = counting_eigh(monkeypatch)
+    proj, values = bell_module._best_response(times, coeffs, 1)(np.zeros((n, 1, 1, 1)))
+    assert counts == []
+    assert np.array_equal(proj[:, 0], [np.eye(d), np.zeros((d, d))])
+    assert values.tolist() == [7.0, 0.0]
 
 
 def test_seesaw_diagonalises_at_most_half_its_score_operators(monkeypatch, chsh_functional):

@@ -34,6 +34,7 @@ from ptbounds import (
 )
 import ptbounds.nonlocality as nonlocality_module
 from ptbounds.nonlocality import (
+    _LOG_CLAMP,
     _face_direction,
     _inner_infimum,
     _line_search,
@@ -1019,3 +1020,208 @@ def test_nonlocality_matches_the_lstsq_only_solve_on_the_fixture_boxes(monkeypat
     oracle = nonlocality_N(box)
     assert res.value == pytest.approx(oracle.value, rel=0.0, abs=1e-12)
     assert (res.iterations, res.converged) == (oracle.iterations, oracle.converged)
+
+
+# The solver's iteration as it stood before its numpy calls were trimmed, kept
+# as the reference for the trimmed one: the same floating-point operations in
+# the same order, so every iterate must match bit for bit.
+
+def _line_search_reference(pm, qm, dm, t_max, g0):
+    if g0 >= 0.0:
+        return None
+    on = dm != 0.0
+    p, q, d = pm[on], qm[on], dm[on]
+    lo, hi, t, g = 0.0, t_max, 0.0, g0
+    at_max = False
+    with np.errstate(over="ignore"):
+        h = float((p / q) @ (1.0 / q))
+        while True:
+            t_new = t - g / h if 0.0 < h < math.inf else math.nan
+            if t_new >= t_max:
+                if not at_max:
+                    at_max = True
+                    if float(d @ (p / np.maximum(q + t_max * d, _LOG_CLAMP))) >= 0.0:
+                        return t_max
+                t_new = math.nan
+            if not lo <= t_new <= hi:
+                t_new = 0.5 * (lo + hi)
+            if abs(t_new - t) <= 1e-16 + 8.9e-16 * abs(t_new):
+                return t_new
+            t = t_new
+            den = np.maximum(q + t * d, _LOG_CLAMP)
+            r = p / den
+            g = -float(d @ r)
+            h = float(r @ (1.0 / den))
+            if g < 0.0:
+                lo = t
+            else:
+                hi = t
+
+
+def _inner_infimum_reference(pg, pw, vertices, w0, gap_tol=1e-7, max_iters=50_000):
+    w = w0.copy()
+    mask = (pg > 0.0) & (pw > 0.0)
+    pm = (pw * pg)[mask]
+    vm = vertices[:, mask]
+    sqrt_pm = np.sqrt(pm)
+    ln2 = math.log(2.0)
+    for it in range(1, max_iters + 2):
+        qc = np.maximum(w @ vm, _LOG_CLAMP)
+        grad = -(vm @ (pm / qc)) / ln2
+        s = int(grad.argmin())
+        gap = float(w @ grad - grad[s])
+        if gap <= gap_tol or it > max_iters:
+            break
+        away = int(np.where(w > 0.0, grad, -np.inf).argmax())
+        t = _line_search_reference(pm, qc, vm[s] - vm[away], float(w[away]),
+                                   ln2 * float(grad[s] - grad[away]))
+        if t is None:
+            break
+        w[s] += t
+        w[away] -= t
+        while _face_newton_step_reference(w, pm, sqrt_pm, vm):
+            pass
+    return w, gap, min(it, max_iters)
+
+
+def _face_newton_step_reference(w, pm, sqrt_pm, vm):
+    if not 2 <= np.count_nonzero(w) <= pm.size:
+        return False
+    face = w.nonzero()[0]
+    wa, va = w[face], vm[face]
+    q = wa @ va
+    if not np.all(q > 0.0):
+        return False
+    dw = _face_direction_reference(wa, va, q, sqrt_pm)
+    slope = -float((pm / q) @ (dw @ va))
+    if not slope < 0.0:
+        return False
+    shrink = np.flatnonzero(dw < 0.0)
+    ratios = wa[shrink] / -dw[shrink]
+    block = int(ratios.argmin())
+    alpha = min(1.0, float(ratios[block]))
+    blocked = shrink[block] if ratios[block] <= 1.0 else None
+    for _ in range(30):
+        trial = np.maximum(wa + alpha * dw, 0.0)
+        if blocked is not None:
+            trial[blocked] = 0.0
+        qt = trial @ va
+        if np.all(qt > 0.0):
+            change = -float(pm @ np.log(qt / q))
+            if change < 0.0 and change <= 1e-4 * alpha * slope:
+                w[face] = trial
+                return blocked is not None
+        alpha *= 0.5
+        blocked = None
+    return False
+
+
+def _face_direction_reference(wa, va, q, sqrt_pm):
+    heavy = int(wa.argmax())
+    rest = np.arange(wa.size) != heavy
+    cols = (va[rest] - va[heavy]) * (sqrt_pm / q)
+    norms = np.sqrt((cols * cols).sum(axis=1))
+    norms[norms == 0.0] = 1.0
+    cols /= norms[:, None]
+    gram = cols @ cols.T
+    try:
+        pivot = float(np.linalg.cholesky(gram).diagonal().min())
+    except np.linalg.LinAlgError:
+        pivot = 0.0
+    if pivot > nonlocality_module._CHOLESKY_PIVOT_MIN:
+        x = np.linalg.solve(gram, cols @ sqrt_pm)
+    else:
+        x = np.linalg.lstsq(cols.T, sqrt_pm, rcond=None)[0]
+    dw = np.empty_like(wa)
+    dw[rest] = x / norms
+    dw[heavy] = -dw[rest].sum()
+    return dw
+
+
+def _solve_bits(solve, pg, pw, vertices, w0, **kwargs) -> tuple[bytes, bytes, int]:
+    w, gap, iterations = solve(pg, pw, vertices, w0, **kwargs)
+    return w.tobytes(), np.float64(gap).tobytes(), iterations
+
+
+def _result_bits(res) -> tuple:
+    """Every field of an NlResult as bytes."""
+    floats = np.array([res.value, res.gap, res.upper], dtype=np.float64)
+    return (floats.tobytes(), res.inner_weights.tobytes(), res.input_dist.tobytes(),
+            res.iterations, res.converged)
+
+
+def _assert_solves_match_the_reference(problems, **kwargs):
+    for pg, pw, vertices, w0 in problems:
+        assert (_solve_bits(_inner_infimum, pg, pw, vertices, w0, **kwargs)
+                == _solve_bits(_inner_infimum_reference, pg, pw, vertices, w0, **kwargs))
+
+
+def _noisy_phi_boxes(seed, count, inputs):
+    """Noisy Phi+ boxes under random projective measurements, drawn as the
+    benchmark's nonlocality-kl workload draws them: visibility in [0.5, 1)."""
+    from ptbounds.rand import random_binary_projective
+
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v = float(rng.uniform(0.5, 1.0))
+        rho = CMatrix(v * max_entangled(2).mat + (1.0 - v) * np.eye(4) / 4.0,
+                      SystemLayout.bipartite(2, 2), hermitian=True)
+        yield box_from(rho, MeasurementFamily(
+            [random_binary_projective(rng, 2) for _ in range(inputs)],
+            [random_binary_projective(rng, 2) for _ in range(inputs)]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inner_infimum_matches_the_reference_bit_for_bit_on_the_solver_problems():
+    problems = [(pg, pw, poly.vertices, poly.start) for pg, pw, poly in _solver_problems()]
+    _assert_solves_match_the_reference(problems)
+    # stopped by the iteration cap, with the weights mid-path
+    _assert_solves_match_the_reference(problems, max_iters=3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps", [1e-3, 1e-30, 1e-100, 1e-300])
+def test_inner_infimum_matches_the_reference_bit_for_bit_on_tiny_entries(eps):
+    poly = LocalPolytope.for_scenario(2, 2, 2, 2)
+    problems = [(box.p.reshape(-1), np.full(16, 0.25), poly.vertices, poly.start)
+                for box in _tiny_entry_boxes(eps)]
+    for gap_tol in (1e-7, 1e-10):
+        _assert_solves_match_the_reference(problems, gap_tol=gap_tol)
+
+
+@pytest.mark.parametrize("inputs", [3, 4])
+def test_inner_infimum_matches_the_reference_bit_for_bit_on_noisy_phi_boxes(inputs):
+    for box in _noisy_phi_boxes(80 + inputs, 20, inputs):
+        poly = LocalPolytope.for_scenario(inputs, inputs, 2, 2)
+        pw = np.full(poly.vertices.shape[1], 1.0 / inputs**2)
+        _assert_solves_match_the_reference([(box.p.reshape(-1), pw, poly.vertices, poly.start)])
+
+
+@pytest.mark.parametrize("mode", ["uniform", "optimize"])
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*_box.json")))
+def test_nonlocality_matches_the_reference_bit_for_bit_on_the_fixture_boxes(monkeypatch, name,
+                                                                           mode):
+    box = Box.from_json(json.loads((DATA / name).read_text()))
+    res = nonlocality_N(box, mode=mode)
+    monkeypatch.setattr(nonlocality_module, "_inner_infimum", _inner_infimum_reference)
+    assert _result_bits(res) == _result_bits(nonlocality_N(box, mode=mode))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_line_search_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(62)
+    seen = {"interior": 0, "t_max": 0, "pole": 0, "flat": 0}
+    for _ in range(300):
+        pm, qm, dm = _line_search_case(rng)
+        g0 = _nats_slope(pm, qm, dm)
+        pole = float(qm[dm < 0.0].min())
+        for t_max, kind in ((pole, "pole"), (pole * rng.uniform(0.05, 1.0), None)):
+            want = _line_search_reference(pm, qm, dm, t_max, g0)
+            got = _line_search(pm, qm, dm, t_max, g0)
+            if want is None:
+                assert got is None
+                seen["flat"] += 1
+                continue
+            seen[kind or ("t_max" if want == t_max else "interior")] += 1
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert min(seen.values()) >= 20, seen
