@@ -12,6 +12,9 @@ this turns the best achievable quantum value on rho into
 
 which seesaw_bound checks when given q_value times that distance as its excess;
 certificate_rows states that excess, and the rows beside it, for each paper target.
+The fixed-measurement inequality itself is checked on 250 random instances by
+tests/test_acceptance.py (test_criterion_03_transposition_bound_sweep), with a
+dense Bell operator built in the tests.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ import numpy as np
 from .config import TOL, ValidationError
 from .linalg import (
     CMatrix,
-    SystemLayout,
     min_eigenvalue,
-    op_norm,
     partial_transpose,
     tensor,
     trace_norm,
@@ -48,12 +49,10 @@ __all__ = [
     "SeesawResult",
     "chsh",
     "classical_value",
-    "bell_operator",
     "box_from",
     "functional_value",
     "seesaw",
     "seesaw_bound",
-    "thm1_bound",
     "d_eps_membership",
     "certificate_rows",
 ]
@@ -305,22 +304,6 @@ class Box:
         return Box(_json_table(obj, "p", "box", "entries"))
 
 
-def _scenario_match(f: BellFunctional, shape: tuple[int, ...], what: str) -> None:
-    """Refuse a box or measurement scenario ``shape`` (nx, ny, na, nb) other than f's."""
-    if f.coeffs.shape != shape:
-        raise ValidationError(f"{what}: functional scenario {f.coeffs.shape} "
-                              f"does not match {shape}")
-
-
-def bell_operator(f: BellFunctional, meas: MeasurementFamily) -> CMatrix:
-    """Assemble sum_xyab s[x,y,a,b] A_(a|x) x B_(b|y), hermitian as the effects are."""
-    (nx, na), (ny, nb) = meas.alice.shape[:2], meas.bob.shape[:2]
-    _scenario_match(f, (nx, ny, na, nb), "bell_operator")
-    da, db = meas.dim_a, meas.dim_b
-    out = np.einsum("xyab,xaij,ybkl->ikjl", f.coeffs, meas.alice, meas.bob, optimize=True)
-    return CMatrix(out.reshape(da * db, da * db), SystemLayout.bipartite(da, db))
-
-
 def box_from(rho: CMatrix, meas: MeasurementFamily) -> Box:
     """Born-rule box p(ab|xy) = Tr[(A_(a|x) x B_(b|y)) rho].
 
@@ -340,8 +323,10 @@ def box_from(rho: CMatrix, meas: MeasurementFamily) -> Box:
 
 
 def functional_value(f: BellFunctional, box: Box) -> float:
-    """Sum of coefficients times probabilities."""
-    _scenario_match(f, box.p.shape, "functional_value")
+    """Sum of coefficients times probabilities; the box must be in f's scenario."""
+    if f.coeffs.shape != box.p.shape:
+        raise ValidationError(f"functional_value: functional scenario {f.coeffs.shape} "
+                              f"does not match {box.p.shape}")
     return float((f.coeffs * box.p).sum())
 
 
@@ -618,21 +603,17 @@ def d_eps_membership(rho: CMatrix, sigma_candidate: CMatrix) -> float:
     return trace_norm(_difference(partial_transpose(rho), partial_transpose(sigma_candidate)))
 
 
-def thm1_bound(f: BellFunctional, meas: MeasurementFamily, rho: CMatrix,
-               sigma: CMatrix) -> BoundReport:
-    """Check |Tr S rho - Tr S sigma| <= opnorm(S^PT) tracenorm(rho^PT - sigma^PT)."""
-    s_op = bell_operator(f, meas)
-    lhs = abs(functional_value(f, box_from(rho, meas)) -
-              functional_value(f, box_from(sigma, meas)))
-    rhs = op_norm(partial_transpose(s_op)) * d_eps_membership(rho, sigma)
-    return BoundReport("fixed-measurement transposition bound", lhs, rhs)
+def certificate_rows(target: str, restarts: int, seed: int, grid: list[dict]) -> list[BoundReport]:
+    """The rows that check one paper target at each point of ``grid``, in grid order.
 
+    A grid point is a dict of keywords: ``eq8`` takes ``d``, ``eq10`` takes
+    ``ds`` and ``prop1`` takes ``m`` and ``q``.  Every point's keywords are
+    checked first, then every point's states are built, and only then do the
+    seesaws run, so a point that is refused (a dimension over the cap, say)
+    stops the call before any seesaw time is spent.  Each seesaw draws from
+    its own seeded generator, so a point's rows do not depend on the others.
 
-def certificate_rows(target: str, restarts: int, seed: int, **point) -> list[BoundReport]:
-    """The rows that check one paper target at one grid point.
-
-    ``eq8`` takes ``d``, ``eq10`` takes ``ds`` and ``prop1`` takes ``m`` and
-    ``q``.  The first row is the CHSH seesaw value (``restarts``, ``seed``)
+    A point's first row is the CHSH seesaw value (``restarts``, ``seed``)
     against the classical value 2 plus the target's closed-form excess:
     CHSH's quantum maximum 2 sqrt 2 shrunk by the target's distance.  On
     eq8's swap private bit it is the only row.  eq10's PPT-padded private bit
@@ -641,29 +622,32 @@ def certificate_rows(target: str, restarts: int, seed: int, **point) -> list[Bou
     (d_eps_membership to the companion, at most 1/sqrt(ds)) or the ``delta``
     row (at most 2^-m); prop1's seesaw runs on rho x rho^PT.
     """
-    if target not in _TARGET_POINTS or sorted(point) != sorted(_TARGET_POINTS[target]):
-        raise ValidationError(f"no target {target!r} with the grid keywords {sorted(point)}; "
-                              f"targets and their keywords: {_TARGET_POINTS}")
-    if target == "eq8":
-        d = point["d"]
-        return [seesaw_bound(chsh(), private_bit(swap_x(d)),
-                             (math.sqrt(2.0) + 1.0) / (2.0 * math.sqrt(2.0) * d),
-                             f"eq8 d={d}", restarts, seed)]
-    if target == "eq10":
-        ds = point["ds"]
-        name, fam = f"eq10 ds={ds}", ppt_pbit(ds)
-        return [
-            seesaw_bound(chsh(), fam.rho, _CHSH_Q / math.sqrt(ds), name, restarts, seed),
-            BoundReport(f"{name} ppt", -min_eigenvalue(partial_transpose(fam.rho)), TOL.psd,
-                        tol=0.0),
-            BoundReport(f"{name} distance", d_eps_membership(fam.rho, fam.sigma_candidate),
-                        fam.params["distance_bound"]),
-        ]
-    m = point["m"]
-    name, fam = f"prop1 m={m}", hiding_state(m=m, d_shield=2, q=point["q"])
-    doubled = tensor(fam.rho, partial_transpose(fam.rho))
-    return [
-        seesaw_bound(chsh(), doubled, _CHSH_Q / 2.0 ** (m - 1), name, restarts, seed),
-        BoundReport(f"{name} ppt", -min_eigenvalue(partial_transpose(fam.rho)), TOL.psd, tol=0.0),
-        BoundReport(f"{name} delta", fam.params["delta"], 0.5**m),
-    ]
+    if target not in _TARGET_POINTS:
+        raise ValidationError(f"no target {target!r}; targets and their keywords: {_TARGET_POINTS}")
+    for point in grid:
+        if sorted(point) != sorted(_TARGET_POINTS[target]):
+            raise ValidationError(f"no target {target!r} with the grid keywords {sorted(point)}; "
+                                  f"targets and their keywords: {_TARGET_POINTS}")
+    staged = []  # per point: the seesaw's state, context and excess, and the other rows
+    for point in grid:
+        if target == "eq8":
+            d = point["d"]
+            staged.append((private_bit(swap_x(d)), f"eq8 d={d}",
+                           (math.sqrt(2.0) + 1.0) / (2.0 * math.sqrt(2.0) * d), ()))
+        elif target == "eq10":
+            ds = point["ds"]
+            name, fam = f"eq10 ds={ds}", ppt_pbit(ds)
+            staged.append((fam.rho, name, _CHSH_Q / math.sqrt(ds), (
+                BoundReport(f"{name} ppt", -min_eigenvalue(partial_transpose(fam.rho)), TOL.psd,
+                            tol=0.0),
+                BoundReport(f"{name} distance", d_eps_membership(fam.rho, fam.sigma_candidate),
+                            fam.params["distance_bound"]))))
+        else:
+            m = point["m"]
+            name, fam = f"prop1 m={m}", hiding_state(m=m, d_shield=2, q=point["q"])
+            rho_pt = partial_transpose(fam.rho)
+            staged.append((tensor(fam.rho, rho_pt), name, _CHSH_Q / 2.0 ** (m - 1), (
+                BoundReport(f"{name} ppt", -min_eigenvalue(rho_pt), TOL.psd, tol=0.0),
+                BoundReport(f"{name} delta", fam.params["delta"], 0.5**m))))
+    return [row for state, name, excess, rows in staged
+            for row in (seesaw_bound(chsh(), state, excess, name, restarts, seed), *rows)]

@@ -9,8 +9,8 @@ so a process that calls ``main`` many times (``sweep``, which runs every
 repro target through it, or a benchmark) builds the parser once; parsing
 leaves it unchanged, and ``main`` finds the ``cmd_*`` function by the
 command's name when it runs.  A repro target's entry parses its grid into
-keywords of the library's ``certificate_rows``, which builds each point's
-rows; ``cmd_repro`` joins and formats them.
+keyword dicts of the library's ``certificate_rows``, which checks the whole
+grid and builds its rows in one call; ``cmd_repro`` formats them.
 
 Commands return (payload, CSV lines or None, exit code) and write nothing;
 ``main`` alone writes the CSV (under ``--out csv``) or JSON to ``--output``
@@ -91,7 +91,7 @@ _DS = ("--ds", dict(type=int, default=4, help="shield dimension (default 4)"))
 _D_PAIR = ("--d", dict(type=int, default=2, help="each Werner pair's local dimension (default 2)"))
 
 
-# repro targets: name -> (the flags it reads, its grid points as certificate_rows keywords)
+# repro targets: name -> (the flags it reads, its grid as certificate_rows takes it)
 _REPRO_TARGETS = {
     "eq8": ((_D_GRID,), lambda a: [{"d": d} for d in _parse_list(a.d)]),
     "eq10": ((_DS_GRID,), lambda a: [{"ds": ds} for ds in _parse_list(a.ds)]),
@@ -100,8 +100,8 @@ _REPRO_TARGETS = {
 
 
 def cmd_repro(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    reports = [row for point in _REPRO_TARGETS[args.target][1](args)
-               for row in certificate_rows(args.target, args.restarts, args.seed, **point)]
+    reports = certificate_rows(args.target, args.restarts, args.seed,
+                               _REPRO_TARGETS[args.target][1](args))
     payload = {"command": args.command, "target": args.target, "seed": args.seed,
                "restarts": args.restarts, "reports": [r.to_json() for r in reports]}
     lines = [BoundReport.csv_header(), *(r.csv_row() for r in reports)]

@@ -10,8 +10,8 @@ under the dimension cap, is the one the constructor was given, bit for bit.
 matrix_to_json writes the same entries as [i, j, re, im] items, and
 matrix_from_json reads them back into a CMatrix with no dense array.
 
-Every factor reordering (partial transpose, factor order, party grouping and
-the realignment the seesaw reads) is one call of _regroup, a pure index
+Every factor reordering (partial transpose, factor order and the
+realignment the seesaw reads) is one call of _regroup, a pure index
 permutation, so it is exact: no arithmetic touches the entries.  It applies
 its axis permutation to the digits of the positions.
 
@@ -47,10 +47,10 @@ eq10 d_s = 16 that is one 32 x 32 block and 992 1 x 1 blocks where the dense
 R had 1,048,576 entries, and at prop1 m = 2 it is 729 blocks of 7 shapes up
 to 64 x 64, holding exactly its 46,656 nonzeros, where the dense R took
 268 MB; a dense state is one block, and its products are the dense GEMM bit
-for bit.  spectral_norm and a non-hermitian trace_norm read the singular
-values of these blocks (_singular_values), and _gram_roots roots each
-block's B B+ and B+ B with psd_sqrt's kernel _root, cutting nothing twice,
-so ppt_pbit at d_s = 64 builds in about 15 ms (129 s with dense products).
+for bit.  A non-hermitian trace_norm sums the singular values of these
+blocks (_singular_values), and _gram_roots roots each block's B B+ and B+ B
+with psd_sqrt's kernel _root, cutting nothing twice, so ppt_pbit at
+d_s = 64 builds in about 15 ms (129 s with dense products).
 """
 
 from __future__ import annotations
@@ -72,12 +72,10 @@ __all__ = [
     "CMatrix",
     "partial_transpose",
     "permute_factors",
-    "collect_parties",
     "tensor",
     "trace_norm",
     "op_norm",
     "min_eigenvalue",
-    "spectral_norm",
     "psd_sqrt",
     "assert_density",
     "rel_entropy",
@@ -269,29 +267,6 @@ def permute_factors(m: CMatrix, order: Sequence[int]) -> CMatrix:
     return CMatrix._make(m.dim, pos, m.vals, new_layout)
 
 
-def _party_axes(m: CMatrix, op: str) -> tuple[SystemLayout, list[int], list[int]]:
-    """The layout of a bipartite matrix with the factor positions of A and of B."""
-    layout = _require_layout(m, op)
-    extra = set(layout.parties) - {"A", "B"}
-    if extra:
-        raise ValidationError(f"bipartite operation got extra parties {sorted(extra)}")
-    # a layout has a factor, and every factor is now A's or B's
-    return layout, list(layout.axes("A")), list(layout.axes("B"))
-
-
-def collect_parties(m: CMatrix) -> CMatrix:
-    """Group all A factors before all B factors and coarsen the layout.
-
-    The result carries the two-factor layout [(dim_A, A), (dim_B, B)], which
-    is what the Bell-operator and box routines consume.
-    """
-    layout, axes_a, axes_b = _party_axes(m, "collect_parties")
-    order = axes_a + axes_b
-    pos = _regroup(m, "collect_parties", order, [len(order) + i for i in order])
-    coarse = SystemLayout.bipartite(layout.dim_of("A"), layout.dim_of("B"))
-    return CMatrix._make(m.dim, pos, m.vals, coarse)
-
-
 class _Realigned:
     """A bipartite state realigned, R[(a',a),(b',b)] = rho[(a',b'),(a,b)], as its blocks.
 
@@ -338,8 +313,12 @@ def _realigned(rho: CMatrix, op: str) -> _Realigned:
     interleaving, so its entries are rho's, and _rect_blocks cuts its blocks
     out of them, so no dense R is made.
     """
-    layout, axes_a, axes_b = _party_axes(rho, op)
-    n = len(layout.factors)
+    layout = _require_layout(rho, op)
+    extra = set(layout.parties) - {"A", "B"}
+    if extra:
+        raise ValidationError(f"bipartite operation got extra parties {sorted(extra)}")
+    # a layout has a factor, and every factor is now A's or B's
+    axes_a, axes_b, n = list(layout.axes("A")), list(layout.axes("B")), len(layout.factors)
     pos = _regroup(rho, op, axes_a + [n + i for i in axes_a], axes_b + [n + i for i in axes_b])
     da, db = layout.dim_of("A"), layout.dim_of("B")
     na, nb = da * da, db * db
@@ -562,12 +541,6 @@ def min_eigenvalue(m: CMatrix) -> float:
     """Smallest eigenvalue of a hermitian matrix.  Errors on non-hermitian input."""
     pattern = _hermitian_pattern(_require_matrix(m, "min_eigenvalue"), "min_eigenvalue")[1]
     return float(_block_eigh(m, pattern)[0][0])
-
-
-def spectral_norm(m: CMatrix) -> float:
-    """Largest singular value of any finite (e.g. filter) operator: its blocks' largest."""
-    _hermitian_pattern(_require_matrix(m, "spectral_norm"), "spectral_norm", math.inf)
-    return max((float(s.max()) for s in _singular_values(m, "spectral_norm")), default=0.0)
 
 
 def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:

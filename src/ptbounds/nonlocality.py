@@ -34,6 +34,10 @@ The outer supremum over p(x, y), concave, is taken by one deterministic
 multiplicative-weights loop that certifies an interval around N: each inner
 solve bounds N below by its value minus its gap, and above by the largest
 per-pair KL of its local box.
+
+The chain checks read the box of a given state.  Local filtering before the
+test (the hidden-nonlocality scenario) has no routine here: the tests filter
+a state densely and check the chain on its box.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL, ValidationError
-from .linalg import CMatrix, collect_parties, rel_entropy, spectral_norm
+from .linalg import CMatrix, rel_entropy
 from .bell import Box, MeasurementFamily, box_from
 
 __all__ = [
@@ -57,7 +61,6 @@ __all__ = [
     "nonlocality_N",
     "er_upper",
     "thm2_chain_check",
-    "filter_apply",
 ]
 
 _VERTEX_GUARD = 10**5
@@ -462,32 +465,3 @@ def thm2_chain_check(rho: CMatrix, sigma_candidate: CMatrix,
     if not (math.isfinite(mid) and math.isfinite(rhs)):
         context += " [infinite entropy, trivially true]"
     return ChainCheck(context, nl.value, mid, rhs, verdict)
-
-
-def filter_apply(rho: CMatrix, f_a: np.ndarray, f_b: np.ndarray) -> tuple[CMatrix, float]:
-    """Apply local filters (F_A x F_B) rho (F_A x F_B)+ and renormalize.
-
-    Filters must have largest singular value at most one (so that they embed
-    into a valid instrument).  Returns the filtered state and the success
-    probability; probability at or below 1e-12 raises a zero-probability
-    error instead of dividing.
-    """
-    coll = collect_parties(rho)
-    da = coll.layout.dim_of("A")
-    db = coll.layout.dim_of("B")
-    f_a = np.asarray(f_a, dtype=np.complex128)
-    f_b = np.asarray(f_b, dtype=np.complex128)
-    if f_a.shape != (da, da) or f_b.shape != (db, db):
-        raise ValidationError("filter shapes must match the party dimensions")
-    for name, filt in (("A", f_a), ("B", f_b)):
-        if not np.isfinite(filt).all():  # the SVD behind the norm would not converge
-            raise ValidationError(f"filter {name} has a non-finite entry")
-        norm = spectral_norm(CMatrix(filt))
-        if norm > 1.0 + TOL.assertion:
-            raise ValidationError(f"filter {name} has operator norm {norm} > 1")
-    big = np.kron(f_a, f_b)
-    filtered = big @ coll.mat @ big.conj().T
-    prob = float(np.trace(filtered).real)
-    if prob <= 1e-12:
-        raise ValidationError("zero-probability filter: nothing to renormalize")
-    return CMatrix(filtered / prob, coll.layout, hermitian=True), prob

@@ -1,7 +1,7 @@
 """Shared fixtures: the CHSH functional, Tsirelson measurements, key-qubit lifts,
-seeded generators of random states, measurements and filters, and the dense
-references of the spectral functions, of the realigned state and of the
-state builders."""
+seeded generators of random states, measurements and filters, the dense Bell
+operator and local filter, and the dense references of the spectral
+functions, of the realigned state and of the state builders."""
 
 import math
 from functools import reduce
@@ -14,12 +14,15 @@ from ptbounds import (
     MeasurementFamily,
     SystemLayout,
     ValidationError,
+    box_from,
     chsh,
-    collect_parties,
+    d_eps_membership,
+    functional_value,
     max_entangled,
     min_eigenvalue,
     op_norm,
-    spectral_norm,
+    partial_transpose,
+    permute_factors,
     tensor,
     trace_norm,
 )
@@ -93,7 +96,41 @@ def random_binary_povm(rng: np.random.Generator, d: int) -> list[np.ndarray]:
 def random_filter(rng: np.random.Generator, d: int) -> np.ndarray:
     """General operator rescaled to operator norm one (largest singular value)."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return g / spectral_norm(CMatrix(g))
+    return g / np.linalg.norm(g, 2)
+
+
+# The dense Bell operator and local filter: the paper's fixed-measurement
+# inequality and its hidden-nonlocality scenario are checked through them.
+
+
+def dense_bell_operator(f, meas):
+    """sum_xyab s[x,y,a,b] A_(a|x) x B_(b|y) on the layout (dim_a, A), (dim_b, B)."""
+    da, db = meas.dim_a, meas.dim_b
+    out = np.einsum("xyab,xaij,ybkl->ikjl", f.coeffs, meas.alice, meas.bob, optimize=True)
+    return CMatrix(out.reshape(da * db, da * db), SystemLayout.bipartite(da, db))
+
+
+def transposition_bound(f, meas, rho, sigma):
+    """|Tr S rho - Tr S sigma| and its bound opnorm(S^PT) tracenorm(rho^PT - sigma^PT),
+    S the Bell operator of f under the fixed measurements meas."""
+    lhs = abs(functional_value(f, box_from(rho, meas)) - functional_value(f, box_from(sigma, meas)))
+    rhs = op_norm(partial_transpose(dense_bell_operator(f, meas))) * d_eps_membership(rho, sigma)
+    return lhs, rhs
+
+
+def collected(rho):
+    """rho with its A factors moved before its B factors, each party's in order."""
+    return permute_factors(rho, rho.layout.axes("A") + rho.layout.axes("B"))
+
+
+def dense_filter(rho, f_a, f_b):
+    """(F_A x F_B) rho (F_A x F_B)+ renormalized on the layout (dim_A, A), (dim_B, B),
+    and its success probability Tr[(F_A x F_B) rho (F_A x F_B)+]."""
+    big = np.kron(f_a, f_b)
+    filtered = big @ collected(rho).mat @ big.conj().T
+    prob = float(np.trace(filtered).real)
+    layout = SystemLayout.bipartite(rho.layout.dim_of("A"), rho.layout.dim_of("B"))
+    return CMatrix(filtered / prob, layout, hermitian=True), prob
 
 
 # The dense reference of linalg's spectral functions, which read only a
@@ -258,8 +295,8 @@ def dense_rel_entropy(r, s):
 def dense_realigned(rho):
     """R[(a',a),(b',b)] = rho[(a',b'),(a,b)] as one dense array, from rho's parties
     collected A before B: each nonzero is placed at its realigned position."""
-    coll = collect_parties(rho)
-    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
+    coll = collected(rho)
+    da, db = rho.layout.dim_of("A"), rho.layout.dim_of("B")
     a1, b1, a2, b2 = np.unravel_index(coll.pos, (da, db, da, db))
     r = np.zeros((da * da, db * db), dtype=np.complex128)
     r[a1 * da + a2, b1 * db + b2] = coll.vals

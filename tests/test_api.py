@@ -10,20 +10,19 @@ PUBLIC_NAMES = {
     "DEFAULT_DIM_CAP", "DIM_CAP_ENV", "DimensionCapError", "TOL", "Tolerances",
     "ValidationError", "dim_cap",
     # linalg
-    "CMatrix", "SystemLayout", "assert_density", "collect_parties", "matrix_from_json",
-    "matrix_to_json", "min_eigenvalue", "op_norm", "partial_transpose", "permute_factors",
-    "psd_sqrt", "rel_entropy", "spectral_norm", "tensor", "trace_norm",
+    "CMatrix", "SystemLayout", "assert_density", "matrix_from_json", "matrix_to_json",
+    "min_eigenvalue", "op_norm", "partial_transpose", "permute_factors", "psd_sqrt",
+    "rel_entropy", "tensor", "trace_norm",
     # states
     "StateFamilyResult", "fourier_xy", "hiding_state", "max_entangled", "ppt_pbit",
     "private_bit", "swap_x", "werner_state",
     # bell
     "BellFunctional", "BoundReport", "Box", "MeasurementFamily", "SeesawResult",
-    "bell_operator", "box_from", "certificate_rows", "chsh", "classical_value",
-    "d_eps_membership",
-    "functional_value", "seesaw", "seesaw_bound", "thm1_bound",
+    "box_from", "certificate_rows", "chsh", "classical_value", "d_eps_membership",
+    "functional_value", "seesaw", "seesaw_bound",
     # nonlocality
-    "ChainCheck", "LocalPolytope", "NlResult", "er_upper", "filter_apply",
-    "nonlocality_N", "thm2_chain_check",
+    "ChainCheck", "LocalPolytope", "NlResult", "er_upper", "nonlocality_N",
+    "thm2_chain_check",
     "__version__",
 }
 
@@ -40,7 +39,7 @@ PUBLIC_KNOBS = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(ptbounds.__all__) == len(PUBLIC_NAMES) == 53
+    assert len(ptbounds.__all__) == len(PUBLIC_NAMES) == 48
     assert set(ptbounds.__all__) == PUBLIC_NAMES
     assert all(hasattr(ptbounds, name) for name in PUBLIC_NAMES)
 

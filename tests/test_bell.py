@@ -19,12 +19,10 @@ from ptbounds import (
     SystemLayout,
     TOL,
     ValidationError,
-    bell_operator,
     box_from,
     certificate_rows,
     chsh,
     classical_value,
-    collect_parties,
     d_eps_membership,
     functional_value,
     hiding_state,
@@ -37,7 +35,6 @@ from ptbounds import (
     seesaw_bound,
     swap_x,
     tensor,
-    thm1_bound,
     trace_norm,
 )
 import ptbounds.bell as bell_module
@@ -46,12 +43,15 @@ from ptbounds.rand import random_binary_projective, random_seesaw_starts
 
 from conftest import (
     bfs_components,
+    collected,
+    dense_bell_operator,
     dense_of_blocks,
     dense_realigned,
     random_binary_povm,
     random_bipartite_density,
     random_density,
     random_separable,
+    transposition_bound,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -398,7 +398,7 @@ def test_bell_operator_matches_box_value(chsh_functional):
         [random_binary_povm(rng, 2) for _ in range(2)],
         [random_binary_povm(rng, 2) for _ in range(2)],
     )
-    s_op = bell_operator(chsh_functional, meas)
+    s_op = dense_bell_operator(chsh_functional, meas)
     direct = float(np.trace(s_op.mat @ rho.mat).real)
     assert direct == pytest.approx(
         functional_value(chsh_functional, box_from(rho, meas)), abs=1e-10
@@ -410,14 +410,17 @@ def test_bell_operator_of_transposed_bob_equals_partial_transpose(chsh_functiona
     rng = np.random.default_rng(38)
     alice = [random_binary_povm(rng, 2) for _ in range(2)]
     bob = [random_binary_povm(rng, 3) for _ in range(2)]
-    plain = bell_operator(chsh_functional, MeasurementFamily(alice, bob))
-    transposed = bell_operator(chsh_functional,
-                               MeasurementFamily(alice, [[e.T for e in povm] for povm in bob]))
+    plain = dense_bell_operator(chsh_functional, MeasurementFamily(alice, bob))
+    transposed = dense_bell_operator(
+        chsh_functional, MeasurementFamily(alice, [[e.T for e in povm] for povm in bob]))
     assert np.abs(plain.mat - partial_transpose(plain).mat).max() > 0.1
     assert np.abs(partial_transpose(plain).mat - transposed.mat).max() <= 1e-14
 
 
 def test_bell_operator_nonnegative_coefficients_give_psd():
+    # the dense Bell operator checks criterion 2 and the fixed-measurement
+    # bound: with nonnegative coefficients it is a sum of products of POVM
+    # elements, hence positive semidefinite
     rng = np.random.default_rng(37)
     for _ in range(10):
         f = BellFunctional(rng.random(size=(2, 2, 2, 2)))
@@ -425,18 +428,14 @@ def test_bell_operator_nonnegative_coefficients_give_psd():
             [random_binary_povm(rng, 2) for _ in range(2)],
             [random_binary_povm(rng, 2) for _ in range(2)],
         )
-        w = np.linalg.eigvalsh(bell_operator(f, meas).mat)
+        w = np.linalg.eigvalsh(dense_bell_operator(f, meas).mat)
         assert float(w.min()) >= -1e-10
 
 
 def test_bell_operator_tsirelson_certificate(tsirelson_meas, chsh_functional):
-    assert op_norm(bell_operator(chsh_functional, tsirelson_meas)) == pytest.approx(
+    assert op_norm(dense_bell_operator(chsh_functional, tsirelson_meas)) == pytest.approx(
         TSIRELSON, abs=1e-9
     )
-    one_input = MeasurementFamily(tsirelson_meas.alice[:1], tsirelson_meas.bob)
-    with pytest.raises(ValidationError, match=r"^bell_operator: functional scenario "
-                       r"\(2, 2, 2, 2\) does not match \(1, 2, 2, 2\)$"):
-        bell_operator(chsh_functional, one_input)
 
 
 def test_seesaw_is_monotone_and_deterministic(phi_plus, chsh_functional):
@@ -534,9 +533,8 @@ def seesaw_starts(f, da, db, restarts, rng):
 
 def dense_restart_values(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
     """Reference seesaw with the library's starts and stopping rule."""
-    coll = collect_parties(rho)
-    da, db = coll.layout.dim_of("A"), coll.layout.dim_of("B")
-    r4 = coll.mat.reshape(da, db, da, db)
+    da, db = rho.layout.dim_of("A"), rho.layout.dim_of("B")
+    r4 = collected(rho).mat.reshape(da, db, da, db)
     finals = []
     for alice, bob in seesaw_starts(f, da, db, restarts, np.random.default_rng(seed)):
         prev = -math.inf
@@ -978,17 +976,17 @@ def test_bound_report_invariants():
 
 
 def test_thm1_equal_states_gives_zero(tsirelson_meas, chsh_functional, phi_plus):
-    rep = thm1_bound(chsh_functional, tsirelson_meas, phi_plus, phi_plus)
-    assert rep.lhs == pytest.approx(0.0, abs=1e-12)
-    assert rep.verdict
+    lhs, rhs = transposition_bound(chsh_functional, tsirelson_meas, phi_plus, phi_plus)
+    assert lhs == pytest.approx(0.0, abs=1e-12)
+    assert lhs <= rhs + TOL.verdict
 
 
 def test_thm1_max_entangled_versus_mixed(tsirelson_meas, chsh_functional, phi_plus):
     mixed = CMatrix(np.eye(4) / 4.0, SystemLayout.bipartite(2, 2), hermitian=True)
-    rep = thm1_bound(chsh_functional, tsirelson_meas, phi_plus, mixed)
-    assert rep.lhs == pytest.approx(TSIRELSON, abs=1e-9)
-    assert rep.rhs == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-9)
-    assert rep.verdict
+    lhs, rhs = transposition_bound(chsh_functional, tsirelson_meas, phi_plus, mixed)
+    assert lhs == pytest.approx(TSIRELSON, abs=1e-9)
+    assert rhs == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-9)
+    assert lhs <= rhs + TOL.verdict
 
 
 def test_thm1_random_sweep_small():
@@ -1001,9 +999,8 @@ def test_thm1_random_sweep_small():
             [random_binary_povm(rng, 2) for _ in range(2)],
             [random_binary_povm(rng, 2) for _ in range(2)],
         )
-        rep = thm1_bound(f, meas, rho, sigma)
-        assert rep.verdict
-        assert rep.slack >= -1e-9
+        lhs, rhs = transposition_bound(f, meas, rho, sigma)
+        assert rhs - lhs >= -1e-9
 
 
 def candidate_relaxed_bound(f, rho, sigma_candidate, restarts):
@@ -1087,7 +1084,7 @@ def certificate_name(target, point):
                          ids=[certificate_name(*case[:2]).replace(" ", "-")
                               for case in CERTIFICATE_CASES])
 def test_certificate_rows_pin_each_excess_bit_for_bit(target, point, excess, suffixes, last_rhs):
-    rows = certificate_rows(target, 1, 0, **point)
+    rows = certificate_rows(target, 1, 0, [point])
     name = certificate_name(target, point)
     assert [row.context for row in rows] == [name + suffix for suffix in suffixes]
     assert rows[0].rhs == 2.0 + excess
@@ -1095,13 +1092,17 @@ def test_certificate_rows_pin_each_excess_bit_for_bit(target, point, excess, suf
         assert rows[-1].rhs == last_rhs
 
 
-@pytest.mark.parametrize("target, point", [
-    ("eq9", {"d": 2}), ("eq8", {}), ("eq8", {"ds": 4}), ("eq8", {"d": 2, "ds": 4}),
-    ("eq10", {"d": 4}), ("prop1", {"m": 1}), ("prop1", {"m": 1, "q": 0.3, "d": 2}),
+@pytest.mark.parametrize("target, grid", [
+    ("eq9", [{"d": 2}]), ("eq9", []), ("eq8", [{}]), ("eq8", [{"ds": 4}]),
+    ("eq8", [{"d": 2, "ds": 4}]), ("eq8", [{"d": 2}, {"ds": 4}]), ("eq10", [{"d": 4}]),
+    ("prop1", [{"m": 1}]), ("prop1", [{"m": 1, "q": 0.3, "d": 2}]),
 ])
-def test_certificate_rows_refuse_an_unknown_target_or_grid_keyword(target, point):
-    with pytest.raises(ValidationError, match="no target"):
-        certificate_rows(target, 1, 0, **point)
+def test_certificate_rows_refuse_an_unknown_target_or_grid_keyword(monkeypatch, target, grid):
+    # every point is checked before any state is built or any seesaw runs
+    monkeypatch.setattr(bell_module, "seesaw", None)
+    monkeypatch.setattr(bell_module, "private_bit", None)
+    with pytest.raises(ValidationError, match="^no target"):
+        certificate_rows(target, 1, 0, grid)
 
 
 def test_d_eps_membership_values(chsh_functional):
@@ -1128,6 +1129,23 @@ def test_d_eps_membership_refuses_states_on_different_layouts():
             d_eps_membership(rho, sigma)
     with pytest.raises(ValidationError, match="^d_eps_membership needs a CMatrix with a layout$"):
         d_eps_membership(CMatrix(arr), rho)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)],
+                         ids=["nan", "inf", "-inf", "inf_imag"])
+@pytest.mark.parametrize("which", ["rho", "sigma"])
+def test_d_eps_membership_refuses_non_finite_states(which, bad):
+    # a non-finite entry survives the transposes and the difference, and the
+    # trace norm refuses it: an epsilon of nan would pass every "<=" check
+    layout = SystemLayout.bipartite(2, 2)
+    arr = np.eye(4, dtype=np.complex128) / 4
+    arr[0, 1] = bad
+    states = [CMatrix(arr, layout), CMatrix(np.eye(4) / 4, layout)]
+    if which == "sigma":
+        states.reverse()
+    with pytest.raises(ValidationError, match="^trace_norm expects a finite matrix$"):
+        d_eps_membership(*states)
 
 
 @pytest.mark.parametrize("case", ["view-layout", "ppt-pbit-4", "same-state"])
@@ -1182,4 +1200,5 @@ def test_thm1_property(seed):
         [random_binary_povm(rng, 2) for _ in range(2)],
         [random_binary_povm(rng, 2) for _ in range(2)],
     )
-    assert thm1_bound(f, meas, rho, sigma).verdict
+    lhs, rhs = transposition_bound(f, meas, rho, sigma)
+    assert lhs <= rhs + TOL.verdict

@@ -54,7 +54,7 @@ def test_repro_unknown_target_exits_two(capsys):
     assert code == 2
 
 
-# (flags, target, its grid points as certificate_rows keywords, the false rows, exit code)
+# (flags, target, its grid as certificate_rows takes it, the false rows, exit code)
 _PARITY_RUNS = [
     (("--d", "2,3"), "eq8", [{"d": 2}, {"d": 3}], [], 0),
     (("--ds", "4,9"), "eq10", [{"ds": 4}, {"ds": 9}], [], 0),
@@ -68,7 +68,8 @@ def test_repro_only_formats_the_library_rows(flags, target, points, false_rows, 
     args = cli.build_parser().parse_args(["repro", target, *flags, "--restarts", "2",
                                           "--seed", "3"])
     payload, lines, code = cli.cmd_repro(args)
-    rows = [row for point in points for row in certificate_rows(target, 2, 3, **point)]
+    # the grid's rows are each point's own, in grid order
+    rows = [row for point in points for row in certificate_rows(target, 2, 3, [point])]
     assert payload["reports"] == [row.to_json() for row in rows]
     assert lines == [BoundReport.csv_header(), *(row.csv_row() for row in rows)]
     assert [row.context for row in rows if not row.verdict] == false_rows
@@ -83,7 +84,7 @@ def test_a_seesaw_at_tsirelson_fails_every_row_whose_rhs_is_below_it(monkeypatch
     points = [("eq8", {"d": d}) for d in (2, 3, 8)] + [("eq10", {"ds": ds}) for ds in (4, 9, 16)]
     points += [("prop1", {"m": m, "q": 1.0 / 3.0}) for m in (1, 2)]
     verdicts = {rows[0].context: rows[0].verdict
-                for rows in (certificate_rows(target, 1, 0, **point) for target, point in points)}
+                for rows in (certificate_rows(target, 1, 0, [point]) for target, point in points)}
     assert verdicts == {"eq8 d=2": False, "eq8 d=3": False, "eq8 d=8": False,
                         "eq10 ds=4": True, "eq10 ds=9": True, "eq10 ds=16": False,
                         "prop1 m=1": True, "prop1 m=2": True}
@@ -450,6 +451,30 @@ _PHI_ENTRIES = [[i, j, 0.5, 0.0] for i in (0, 3) for j in (0, 3)]
 def test_seesaw_refuses_bad_matrix_items_with_one_line(tmp_path, data, message):
     payload = {**_PHI_PAYLOAD, "data": data}
     assert _main_on_files(tmp_path, "seesaw", [payload]) == (2, [f"error: {message}"])
+
+
+@pytest.mark.parametrize("ds, cap, code, message", [
+    ("4,9", "100", 3, "ppt_pbit needs dimension 324, above the cap 100 "
+     "(set PTBOUND_DIM_CAP to raise it)"),
+    ("4,9,16,36", None, 3, "ppt_pbit needs dimension 5184, above the cap 4096 "
+     "(set PTBOUND_DIM_CAP to raise it)"),
+    ("4,5", None, 2, "fourier_xy needs a perfect square d_s >= 4, got 5"),
+], ids=["over-a-cap-of-100", "over-the-default-cap", "not-a-square"])
+def test_a_refused_grid_point_stops_repro_before_any_seesaw(capsys, monkeypatch, ds, cap, code,
+                                                            message):
+    # every point's state is built before the first seesaw runs, so a refused
+    # later point throws away no earlier point's seesaw: one error line, no
+    # report and no seesaw call
+    calls = []
+    seesaw = bell.seesaw
+    monkeypatch.setattr(bell, "seesaw", lambda *args, **kwargs: calls.append(args[0].dim)
+                        or seesaw(*args, **kwargs))
+    if cap is None:
+        monkeypatch.delenv("PTBOUND_DIM_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PTBOUND_DIM_CAP", cap)
+    code_run, captured = run_captured(capsys, "repro", "eq10", "--ds", ds, "--restarts", "1")
+    assert (code_run, captured.out, captured.err, calls) == (code, "", f"error: {message}\n", [])
 
 
 @pytest.mark.parametrize("dims, shown", [

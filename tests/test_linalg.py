@@ -14,7 +14,6 @@ from ptbounds import (
     SystemLayout,
     ValidationError,
     assert_density,
-    collect_parties,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
@@ -23,7 +22,6 @@ from ptbounds import (
     permute_factors,
     psd_sqrt,
     rel_entropy,
-    spectral_norm,
     tensor,
     trace_norm,
 )
@@ -157,11 +155,10 @@ def test_spectral_functions_refuse_non_square_input(func, name):
 
 @pytest.mark.parametrize("func, name", _ONE_ARGUMENT + [
     (lambda m: rel_entropy(CMatrix(np.eye(2) / 2), m), "rel_entropy"),
-    (spectral_norm, "spectral_norm"),
     (lambda m: tensor(m, CMatrix(np.eye(2))), "tensor"),
     (lambda m: tensor(CMatrix(np.eye(2)), m), "tensor"),
 ], ids=["min_eigenvalue", "psd_sqrt", "assert_density", "rel_entropy_rho", "trace_norm",
-        "op_norm", "rel_entropy_sigma", "spectral_norm", "tensor_left", "tensor_right"])
+        "op_norm", "rel_entropy_sigma", "tensor_left", "tensor_right"])
 def test_matrix_functions_refuse_anything_but_a_cmatrix(func, name):
     # a dense square density matrix, as an array, a nested list and a scalar
     for arg, kind in ((np.eye(2) / 2, "ndarray"), ([[0.5, 0.0], [0.0, 0.5]], "list"),
@@ -178,22 +175,20 @@ _SPECTRAL = [
     (lambda m: rel_entropy(m, CMatrix(np.eye(4) / 4)), "rel_entropy rho"),
     (lambda m: rel_entropy(CMatrix(np.eye(4) / 4), m), "rel_entropy sigma"),
     (trace_norm, "trace_norm"),
-    (spectral_norm, "spectral_norm"),
 ]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("func, what", _SPECTRAL, ids=[
     "min_eigenvalue", "op_norm", "psd_sqrt", "assert_density", "rel_entropy_rho",
-    "rel_entropy_sigma", "trace_norm", "spectral_norm"])
+    "rel_entropy_sigma", "trace_norm"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)],
                          ids=["nan", "inf", "-inf", "inf_imag"])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
 def test_spectral_functions_refuse_non_finite_entries(func, what, bad, where):
     # a NaN deviation passed "dev > tol": min_eigenvalue returned 0.25, op_norm
     # and rel_entropy nan, psd_sqrt and assert_density arrays with NaN, and
-    # trace_norm raised numpy's "SVD did not converge"; spectral_norm raised
-    # that on NaN and returned nan on an infinite entry
+    # trace_norm raised numpy's "SVD did not converge"
     arr = np.eye(4, dtype=np.complex128) / 4
     arr[where] = bad
     # the density checks read the trace only after the finiteness check
@@ -211,9 +206,9 @@ def test_a_matrix_marked_hermitian_refuses_non_finite_entries():
             CMatrix(arr, hermitian=True)
 
 
-def test_spectral_norm_handles_non_hermitian():
+def test_trace_norm_handles_non_hermitian():
     nilpotent = np.array([[0.0, 2.0], [0.0, 0.0]])
-    assert spectral_norm(CMatrix(nilpotent)) == pytest.approx(2.0, abs=1e-12)
+    assert trace_norm(CMatrix(nilpotent)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_eigensolver_reconstruction():
@@ -324,8 +319,7 @@ def test_a_matrix_does_not_alias_the_arrays_it_is_built_from_or_gives_out():
     (min_eigenvalue, "min_eigenvalue"),
     (op_norm, "op_norm"),
     (psd_sqrt, "psd_sqrt"),
-    (spectral_norm, "spectral_norm"),
-], ids=["trace_norm", "min_eigenvalue", "op_norm", "psd_sqrt", "spectral_norm"])
+], ids=["trace_norm", "min_eigenvalue", "op_norm", "psd_sqrt"])
 def test_an_empty_matrix_is_refused(func, what):
     # these raised numpy's "need at least one array to concatenate"; a CMatrix
     # is never empty, and nothing else is read
@@ -335,15 +329,15 @@ def test_an_empty_matrix_is_refused(func, what):
         func(np.zeros((0, 0)))
 
 
-def test_collect_parties_regroups_interleaved_factors():
+def test_collecting_the_parties_commutes_with_partial_transpose():
     rng = np.random.default_rng(11)
     layout = SystemLayout(((2, "B"), (3, "A"), (2, "B")))
     arr = random_hermitian(rng, 12)
     m = CMatrix(arr, layout, hermitian=True)
-    coll = collect_parties(m)
-    assert coll.layout.factors == ((3, "A"), (4, "B"))
+    coll = permute_factors(m, [1, 0, 2])
+    assert coll.layout.factors == ((3, "A"), (2, "B"), (2, "B"))
     # transposing B then collecting equals collecting then transposing B
-    left = collect_parties(partial_transpose(m)).mat
+    left = permute_factors(partial_transpose(m), [1, 0, 2]).mat
     right = partial_transpose(coll).mat
     assert np.abs(left - right).max() == 0.0
 
@@ -387,8 +381,8 @@ def test_factor_reorderings_equal_per_entry_loops():
     permuted = permute_factors(m, order)
     assert permuted.layout.factors == ((5, "B"), (2, "A"), (2, "A"), (3, "B"))
     assert np.array_equal(bits(permuted.mat), bits(perm))
-    coll = collect_parties(m)
-    assert coll.layout.factors == ((4, "A"), (15, "B"))
+    coll = permute_factors(m, a_axes + b_axes)
+    assert coll.layout.factors == ((2, "A"), (2, "A"), (3, "B"), (5, "B"))
     assert np.array_equal(bits(coll.mat), bits(grouped))
     # a dense matrix realigns to one block holding the whole of R
     r = _realigned(m, "seesaw")
@@ -403,8 +397,6 @@ def test_tensor_concatenates_layouts(phi_plus):
     prod = tensor(phi_plus, phi_plus)
     assert prod.layout.factors == ((2, "A"), (2, "B"), (2, "A"), (2, "B"))
     assert prod.dim == 16
-    coll = collect_parties(prod)
-    assert coll.layout.factors == ((4, "A"), (4, "B"))
 
 
 def test_matrix_json_roundtrip():
