@@ -406,17 +406,16 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -
     Each half-step fixes one party and replaces the other party's POVM for
     every input by projectors onto the positive/negative eigenspaces of the
     effective score operator, which is the exact single-party optimum.  The
-    objective therefore never decreases.  Restarts draw Haar-like random
-    projective measurements from one seeded generator, making the whole run
-    deterministic for a fixed seed.  ``random_seesaw_starts`` draws them as
-    ``random_binary_projective`` would, Alice's inputs before Bob's in each
-    restart, and decomposes all of Bob's Gaussians with one stacked QR; his
-    starting projectors are bit for bit those of the one-draw path, and
-    Alice's draws are discarded.  One extra restart follows them: Bob starts
-    at an optimal deterministic strategy (E_0 = I or 0 per input, from the
-    enumeration behind classical_value), so Alice's first best response
-    already reaches the classical value and the best value can only be
-    higher.
+    objective therefore never decreases.  A random restart starts Bob, for
+    every input, at the projector onto a Haar-random subspace of rank
+    uniform in 1..d-1, drawn by ``random_seesaw_starts`` from streams
+    spawned from ``seed``: restart k's start depends only on the seed and on
+    k, and the whole run is deterministic for a fixed seed.  Alice needs no
+    start, since her first best response replaces it.  One extra restart
+    follows the random ones: Bob starts at an optimal deterministic strategy
+    (E_0 = I or 0 per input, from the enumeration behind classical_value),
+    so Alice's first best response already reaches the classical value and
+    the best value can only be higher.
 
     Both parties read the state through R[(a',a),(b',b)] = rho[(a',b'),(a,b)],
     realigned once, since Tr[(A x B) rho] = vec(A^T)^T R vec(B^T); Bob uses
@@ -429,10 +428,10 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -
     (restarts x inputs x d x d) complex operand within _GROUP_BYTES (512 KB):
     one group for the default 32 restarts of a two-input functional at local
     dimensions up to 16, three groups of 11 at eq10 ds=16 (d = 32).  Each
-    group draws its starts from the one generator, in order, and no restart's
-    arithmetic reads another's rows, so the result agrees with one group's to
-    rounding; it is bit for bit the same where the BLAS rounds a row of a
-    product independently of the product's row count, as the OpenBLAS 0.3.31
+    group draws only its own starts, and no restart's arithmetic reads
+    another's rows, so the result agrees with one group's to rounding; it
+    is bit for bit the same where the BLAS rounds a row of a product
+    independently of the product's row count, as the OpenBLAS 0.3.31
     (Haswell kernels) it was measured on does, which BLAS does not promise in
     general.  Only the best restart's projectors and history are kept.  The
     restarts of a group advance in lockstep: with E_1 = I - E_0 a half-step
@@ -445,10 +444,11 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -
     eigh, E_0 projecting onto the positive eigenspace with gain the sum of
     the positive eigenvalues.  A restart's value is sum_x Tr K_(1|x), read
     off the traces of the products, plus its operators' gains.  With the
-    default 32 restarts of CHSH, 55-62% of the operators are certified and
-    skip the eigensolver at eq8 d=8, eq10 ds=4 to 16 and prop1 m=1 and 2,
-    32-44% at eq8 d=3 and 4 and 10% at eq8 d=2.  Each restart stops on its
-    own, once a sweep gains less than _STEP_TOL, or after _MAX_SWEEPS sweeps.
+    default 32 restarts of CHSH (seed 0), 54-62% of the operators are
+    certified and skip the eigensolver at eq8 d=8, eq10 ds=4 to 16 and prop1
+    m=1 and 2, 26-37% at eq8 d=3 and 4 and 10% at eq8 d=2.  Each restart
+    stops on its own, once a sweep gains less than _STEP_TOL, or after
+    _MAX_SWEEPS sweeps.
     At ds=16 a half-step's product with R (23 rows) takes about 0.35 ms
     against 4.7 ms for the dense GEMM, and the whole seesaw about 37 ms,
     against 64 ms when every operator went through eigh (best of 15 in
@@ -477,19 +477,17 @@ def seesaw(rho: CMatrix, f: BellFunctional, restarts: int = 32, seed: int = 0) -
     _, bob_outputs = _optimal_deterministic(f)
     r = _realigned(rho, "seesaw")
     da, db = r.da, r.db
-    rng = np.random.default_rng(seed)
     n = restarts + 1
     # consecutive groups whose sizes differ by at most 1, each within the budget
     groups = -(-n // max(1, _GROUP_BYTES // (16 * max(f.nx * da * da, f.ny * db * db))))
+    sizes = [n // groups + (g < n % groups) for g in range(groups)]
+    sizes[-1] -= 1  # the deterministic restart, last, is not drawn
+    deterministic = np.array([[np.eye(db) * (b == 0) for b in bob_outputs]], dtype=np.complex128)
     finals, best = [], None
-    for g in range(groups):
-        first, size = len(finals), n // groups + (g < n % groups)
-        draws = min(size, restarts - first)
-        starts = [random_seesaw_starts(rng, draws, f.nx, da, f.ny, db)] if draws else []
-        if first + size == n:
-            starts.append(np.array([[np.eye(db) * (b == 0) for b in bob_outputs]],
-                                   dtype=np.complex128))
-        group_finals, top = _seesaw_group(r, f, np.concatenate(starts))
+    for g, starts in enumerate(random_seesaw_starts(seed, f.ny, db, sizes)):
+        if g == groups - 1:
+            starts = np.concatenate([starts, deterministic])
+        group_finals, top = _seesaw_group(r, f, starts)
         # a later group's restarts come later, so only a higher value wins
         if best is None or top[0] > best[0]:
             best = top

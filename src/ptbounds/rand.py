@@ -1,66 +1,66 @@
-"""Seeded draws of the seesaw's random starts.
+"""Seeded draws of random binary projective measurements.
 
-Haar-like unitaries follow Mezzadri, Notices AMS 54, 592 (2007): the QR
-decomposition of a complex Gaussian, each column of Q rotated by the phase
-of R's diagonal.  ``random_binary_projective`` draws one measurement per
-call; ``random_seesaw_starts`` draws the starts of a whole seesaw run as that
-function would, one measurement after another, but decomposes them all
-with one stacked QR.
+``random_binary_projective`` draws one measurement per call from a Haar-like
+unitary: the QR decomposition of a complex Gaussian, each column of Q rotated
+by the phase of R's diagonal (Mezzadri, Notices AMS 54, 592 (2007)).
+``random_seesaw_starts`` draws Bob's starting projectors for the seesaw, a
+group of restarts at a time, in one stacked QR per group.  A projector onto
+the span of a complex Gaussian's first r columns is Haar-distributed whatever
+Q's column phases, so no phase fix is applied there.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 import numpy as np
-
-
-def _haar_unitaries(z: np.ndarray) -> np.ndarray:
-    """Q of each complex Gaussian z[..., :, :], its columns phase-fixed by R's diagonal."""
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
-
-
-def _random_rank(rng: np.random.Generator, d: int) -> int:
-    """Rank of a random binary projector: uniform in 1..d-1, or 1 (no draw) at d = 1."""
-    return int(rng.integers(1, d)) if d > 1 else 1
 
 
 def random_binary_projective(rng: np.random.Generator, d: int) -> list[np.ndarray]:
     """Two-outcome projective measurement with a random rank split."""
-    u = _haar_unitaries(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    rank = _random_rank(rng, d)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    diag = np.diagonal(r)
+    u = q * (diag / np.abs(diag))
+    rank = int(rng.integers(1, d)) if d > 1 else 1
     p = u[:, :rank] @ u[:, :rank].conj().T
     return [p, np.eye(d) - p]
 
 
-def random_seesaw_starts(rng: np.random.Generator, restarts: int, nx: int, da: int,
-                         ny: int, db: int) -> np.ndarray:
-    """Bob's first effects for ``restarts`` random seesaw starts, shape (restarts, ny, db, db).
+def random_seesaw_starts(seed: int, ny: int, d: int,
+                         counts: Iterable[int]) -> Iterator[np.ndarray]:
+    """Bob's first effects E_0 for consecutive groups of random seesaw starts.
 
-    Each start consumes what ``random_binary_projective`` draws for each of
-    Alice's nx inputs (dimension da), then for each of Bob's ny inputs.
-    Alice's draws only advance the generator, since the seesaw replaces her
-    start by a best response.  Bob's Gaussians go through one stacked QR,
-    and his projectors come from one stacked matmul per distinct rank, so
-    each product has the shapes, and hence the rounding, of the one-draw
-    path: every effect equals ``random_binary_projective(rng, db)[0]`` bit
-    for bit, and the generator ends in the same state.
+    Yields one array of shape (count, ny, d, d) per entry of ``counts``,
+    drawn only when the iterator is advanced.  Each effect projects onto the
+    span of the first r columns of a d x (d - 1) complex Gaussian, its rank
+    r uniform in 1..d-1; at d = 1 it is exactly I and nothing is drawn.  The
+    ranks and the Gaussians come from two generators spawned from ``seed``,
+    restart after restart, so restart k's start depends only on the seed and
+    on k, not on how the restarts are grouped.  Each group decomposes its
+    Gaussians with one stacked QR and forms its projectors with one stacked
+    matmul per distinct rank.
     """
-    gauss, ranks = [], []
-    for _ in range(restarts):
-        for _ in range(nx):
-            rng.normal(size=(2, da, da))
-            _random_rank(rng, da)
-        for _ in range(ny):
-            gauss.append(rng.normal(size=(2, db, db)))
-            ranks.append(_random_rank(rng, db))
-    gauss, ranks = np.array(gauss), np.array(ranks)
-    u = _haar_unitaries(gauss[:, 0] + 1j * gauss[:, 1])
-    out = np.empty_like(u)
+    rank_rng, gauss_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    for count in counts:
+        yield _projectors(rank_rng, gauss_rng, count * ny, d).reshape(count, ny, d, d)
+
+
+def _projectors(rank_rng: np.random.Generator, gauss_rng: np.random.Generator,
+                n: int, d: int) -> np.ndarray:
+    """The next n starting projectors of random_seesaw_starts, shape (n, d, d).
+
+    A function of its own, so that the Gaussians and Q are freed before the
+    seesaw runs the group, not held by the suspended generator.
+    """
+    if d == 1:
+        return np.ones((n, 1, 1), dtype=np.complex128)
+    ranks = rank_rng.integers(1, d, size=n)
+    z = gauss_rng.standard_normal((n, d, d - 1, 2)).view(np.complex128)[..., 0]
+    q = np.linalg.qr(z)[0]
+    out = np.empty((n, d, d), dtype=np.complex128)
     # a set, not np.unique, whose first call in a process adds about 1 MB of RSS
     for rank in set(ranks.tolist()):
         sel = ranks == rank
-        cols = u[sel, :, :rank]
+        cols = q[sel, :, :rank]
         out[sel] = cols @ cols.conj().transpose(0, 2, 1)
-    return out.reshape(restarts, ny, db, db)
-
+    return out

@@ -39,7 +39,7 @@ from ptbounds import (
 )
 import ptbounds.bell as bell_module
 from ptbounds.linalg import _realigned
-from ptbounds.rand import random_binary_projective, random_seesaw_starts
+from ptbounds.rand import random_seesaw_starts
 
 from conftest import (
     bfs_components,
@@ -519,16 +519,13 @@ def optimal_bob_outputs(f):
     return best_bob
 
 
-def seesaw_starts(f, da, db, restarts, rng):
-    """The library's starting measurements: random draws from rng, one at a time,
-    Alice before Bob in each restart, then Bob at an optimal deterministic strategy."""
-    for _ in range(restarts):
-        alice = [random_binary_projective(rng, da) for _ in range(f.nx)]
-        yield alice, [random_binary_projective(rng, db) for _ in range(f.ny)]
-    # Alice's start is replaced by her first best response, as in every restart
-    alice = [[np.eye(da), np.zeros((da, da))] for _ in range(f.nx)]
+def bob_starts(f, db, restarts, seed):
+    """Bob's starting measurements in the library's order: the random starts
+    drawn in one group, then an optimal deterministic strategy."""
     eye, zero = np.eye(db), np.zeros((db, db))
-    yield alice, [[eye, zero] if b == 0 else [zero, eye] for b in optimal_bob_outputs(f)]
+    for effects in next(random_seesaw_starts(seed, f.ny, db, [restarts])):
+        yield [[e0, eye - e0] for e0 in effects]
+    yield [[eye, zero] if b == 0 else [zero, eye] for b in optimal_bob_outputs(f)]
 
 
 def dense_restart_values(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
@@ -536,7 +533,9 @@ def dense_restart_values(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
     da, db = rho.layout.dim_of("A"), rho.layout.dim_of("B")
     r4 = collected(rho).mat.reshape(da, db, da, db)
     finals = []
-    for alice, bob in seesaw_starts(f, da, db, restarts, np.random.default_rng(seed)):
+    for bob in bob_starts(f, db, restarts, seed):
+        # Alice's start is replaced by her first best response, as in the library
+        alice = [[np.eye(da), np.zeros((da, da))] for _ in range(f.nx)]
         prev = -math.inf
         for _ in range(max_iters):
             dense_half_step(r4, f.coeffs, alice, bob, alice_side=True)
@@ -679,19 +678,66 @@ def asymmetric_functional():
     return BellFunctional(np.random.default_rng(44).normal(size=(2, 3, 2, 2)))
 
 
-@pytest.mark.parametrize("da, db", [(2, 1), (1, 2), (3, 2), (2, 3), (2, 8), (8, 3)])
-@pytest.mark.parametrize("f", [chsh(), asymmetric_functional()], ids=["chsh", "2x3"])
-def test_random_seesaw_starts_equal_one_draw_at_a_time(f, da, db):
-    # bit for bit, not to a tolerance: the seesaw's output is pinned to the
-    # starts the one-draw path gives, and so is every later draw
-    restarts, seed = 7, 5
-    one_rng, stacked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    starts = list(seesaw_starts(f, da, db, restarts, one_rng))[:-1]
-    expected = np.array([[povm[0] for povm in bob] for _, bob in starts])
-    stacked = random_seesaw_starts(stacked_rng, restarts, f.nx, da, f.ny, db)
-    assert stacked.shape == (restarts, f.ny, db, db)
-    assert np.array_equal(stacked, expected)
-    assert np.array_equal(stacked_rng.normal(size=3), one_rng.normal(size=3))
+def drawn_starts(seed, ny, d, counts):
+    """Every group random_seesaw_starts yields for ``counts``, joined in order."""
+    return np.concatenate(list(random_seesaw_starts(seed, ny, d, counts)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("ny", [1, 3])
+def test_random_seesaw_starts_are_projectors_of_rank_one_to_d_minus_one(ny, d):
+    starts = drawn_starts(5, ny, d, [7])
+    assert starts.shape == (7, ny, d, d) and starts.dtype == np.complex128
+    if d == 1:
+        assert np.array_equal(starts, np.ones((7, ny, 1, 1)))
+        return
+    assert np.abs(starts - starts.conj().swapaxes(-1, -2)).max() <= 1e-12
+    assert np.abs(starts @ starts - starts).max() <= 1e-12
+    traces = np.trace(starts, axis1=-2, axis2=-1)
+    ranks = np.rint(traces.real)
+    assert np.abs(traces - ranks).max() <= 1e-12
+    assert ((ranks >= 1) & (ranks <= d - 1)).all()
+
+
+def test_random_seesaw_starts_are_seeded():
+    same, other = drawn_starts(3, 2, 4, [5]), drawn_starts(4, 2, 4, [5])
+    assert np.array_equal(bits(drawn_starts(3, 2, 4, [5])), bits(same))
+    assert not np.allclose(same, other)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_random_seesaw_start_depends_only_on_the_seed_and_the_restart_index(d):
+    # bit for bit, whatever the number of restarts and however they are grouped
+    seven = drawn_starts(11, 2, d, [7])
+    assert np.array_equal(bits(drawn_starts(11, 2, d, [1])), bits(seven[:1]))
+    for counts in ([1] * 7, [3, 0, 4], [2, 5], [6, 1, 0]):
+        assert np.array_equal(bits(drawn_starts(11, 2, d, counts)), bits(seven))
+
+
+def test_random_seesaw_starts_draw_a_group_only_when_it_is_reached():
+    asked = []
+
+    def counts():
+        for count in (2, 5):
+            asked.append(count)
+            yield count
+
+    groups = random_seesaw_starts(0, 2, 4, counts())
+    assert asked == [] and next(groups).shape == (2, 2, 4, 4) and asked == [2]
+
+
+def test_random_seesaw_start_ranks_cover_one_to_d_minus_one():
+    # a draw stuck at one rank, or never reaching d - 1, fails
+    traces = np.trace(drawn_starts(0, 1, 4, [2000]), axis1=-2, axis2=-1).real
+    assert set(np.rint(traces).astype(int).ravel().tolist()) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seesaw_reaches_sqrt5_on_eq8_d2(seed, chsh_functional):
+    # the maximum of CHSH on the private bit of swap_x(2); starts that are all
+    # identities leave every restart at the classical value 2
+    value = seesaw(SHIPPED_STATES["eq8 d=2"](), chsh_functional, seed=seed).value
+    assert abs(value - math.sqrt(5.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("make_state, make_functional", [
@@ -749,10 +795,10 @@ def sequential_seesaw(rho, f, restarts, seed, max_iters=400, step_tol=1e-13):
         return own, value
 
     r = dense_realigned(rho)
-    da, db = math.isqrt(r.shape[0]), math.isqrt(r.shape[1])
+    db = math.isqrt(r.shape[1])
     coeffs_bob = f.coeffs.transpose(1, 0, 3, 2)
     runs = []
-    for alice, bob in seesaw_starts(f, da, db, restarts, np.random.default_rng(seed)):
+    for bob in bob_starts(f, db, restarts, seed):
         history, prev, converged = [], -math.inf, False
         for sweeps in range(1, max_iters + 1):
             alice, val = best_response(r, f.coeffs, bob)
@@ -808,7 +854,7 @@ def test_seesaw_matches_sequential_reference_when_restarts_stop_apart(chsh_funct
 def test_seesaw_deterministic_restart_reaches_the_classical_value(chsh_functional):
     # the single random restart of this seed ends at 5/6; the deterministic one
     # starts Alice's first best response at the classical value
-    res = seesaw(ppt_pbit(4).rho, chsh_functional, restarts=1, seed=417)
+    res = seesaw(ppt_pbit(4).rho, chsh_functional, restarts=1, seed=120)
     assert res.restart_values[0] < 1.0
     assert res.value >= classical_value(chsh_functional) - 1e-9
 
@@ -826,7 +872,7 @@ def test_seesaw_restart_groups_give_the_one_group_result_bit_for_bit(monkeypatch
                                                                     chsh_functional):
     # the budget forces groups of 1 and of 3 (3, 3, 2) on the 8 restarts, the
     # deterministic one last, where the default budget runs them as one group;
-    # each group draws its starts from the one generator, in order.  The values
+    # each group draws the next starts of the seed's streams.  The values
     # agree to rounding on any BLAS; the byte pin checks that the BLAS in use
     # rounds a row of a product the same whatever the product's row count,
     # which OpenBLAS 0.3.31 does and BLAS in general does not promise
@@ -851,14 +897,14 @@ def test_seesaw_restart_groups_give_the_one_group_result_bit_for_bit(monkeypatch
 @pytest.mark.parametrize("budget", [bell_module._GROUP_BYTES, 1], ids=["one group", "groups of 1"])
 def test_seesaw_tie_goes_to_the_first_restart_reaching_the_best_value(monkeypatch, budget,
                                                                      chsh_functional):
-    # at this seed restart 0 and a later restart end at the same best value
-    # after 11 and 14 sweeps, in one group or in groups of their own; restart
-    # 0 run with only the deterministic restart after it (its starts are
-    # drawn first either way) gives the reported history
+    # at this seed restarts 0 and 4 end at the same best value, above the
+    # classical value, in one group or in groups of their own; restart 0 run
+    # with only the deterministic restart after it (its start is the seed's
+    # first draw either way) gives the reported history
     rho = SHIPPED_STATES["eq8 d=3"]()
-    alone = seesaw(rho, chsh_functional, restarts=1, seed=2)
+    alone = seesaw(rho, chsh_functional, restarts=1, seed=43)
     monkeypatch.setattr(bell_module, "_GROUP_BYTES", budget)
-    res = seesaw(rho, chsh_functional, restarts=7, seed=2)
+    res = seesaw(rho, chsh_functional, restarts=7, seed=43)
     assert res.restart_values.count(res.value) > 1
     assert res.restart_values.index(res.value) == 0
     assert alone.restart_values[0] == alone.value == res.value

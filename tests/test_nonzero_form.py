@@ -582,7 +582,7 @@ def test_tensor_equals_kron_of_the_dense_factors(n_a, n_b, data):
 
 
 @pytest.mark.parametrize("m, restarts, values", [
-    (1, 8, (2.0, 2.0, 1.9999999999999996, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0)),
+    (1, 8, (2.0,) * 9),
     (2, 4, (1.9999999999999993,) * 5),
 ])
 def test_prop1_seesaw_values_match_the_dense_kronecker_product(m, restarts, values):
